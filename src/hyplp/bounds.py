@@ -263,6 +263,7 @@ def lp_bound_optimize(params: Params, theta: float, s: int,
     if th < lo:
         raise ValueError("theta below -r")
     fk = [float(params.k * params.q ** (j - 1)) for j in range(1, s + 1)]
+    u2, k, q = params.u - 2, params.k, float(params.q)
 
     npts = 200
     points = [lo + (th - lo) * t / (npts - 1) for t in range(npts)] if th > lo else [lo]
@@ -279,16 +280,31 @@ def lp_bound_optimize(params: Params, theta: float, s: int,
         a = [[cols[i][j] for i in range(len(points))] for j in range(s)]
         try:
             res = solve_max([1.0] * len(points), a, fk)
-        except (Infeasible, Unbounded) as exc:
-            raise ArithmeticError(
-                f"internal LP failure ({exc}); degree {s} cannot cover [-r, theta]"
-            ) from exc
+        except Unbounded as exc:
+            # the point-mass dual is unbounded exactly when no f_j >= 0 keeps
+            # f <= 0 at the sampled points: a domain limit, not a failure
+            raise ValueError(
+                f"degree {s} is too low for [{lo}, {th}]: no polynomial with "
+                f"f_j >= 0 stays <= 0 there; use a higher --degree") from exc
+        except Infeasible as exc:
+            raise ArithmeticError(f"internal LP failure ({exc})") from exc
         coeffs = list(res.duals)
         scan = 10 ** 4
 
+        c1, tail = coeffs[0], coeffs[2:]
+
         def fval(x: float) -> float:
-            vals = _fvals_float(params, s, x)
-            return 1.0 + sum(c * vals[j + 1] for j, c in enumerate(coeffs))
+            # F-recurrence on two scalars, each term summed as it is computed
+            # (same order and operations as a sum over _fvals_float)
+            acc = c1 * x
+            if s >= 2:
+                prev, cur = x, x * x - u2 * x - k
+                acc += coeffs[1] * cur
+                xs = x - u2
+                for c in tail:
+                    prev, cur = cur, xs * cur - q * prev
+                    acc += c * cur
+            return 1.0 + acc
 
         best_x, viol = lo, fval(lo)
         if th > lo:
@@ -320,10 +336,12 @@ def lp_bound_optimize(params: Params, theta: float, s: int,
         raise ArithmeticError(f"no convergence after {max_rounds} rounds "
                               f"(violation {viol:.3g})")
 
+    # round-off leaves duals like -3e-18 where the LP optimum has 0; clamp
+    # them so the exact check does not reject a certificate built here
+    exact = [Fraction(0) if abs(c) <= tol else Fraction(c) for c in coeffs]
     # shift the residual violation (plus headroom) into f_0, then verify the
     # exact-rational certificate on the whole interval; the headroom grows
     # until the interval check certifies within its evaluation budget
-    exact = [Fraction(c) for c in coeffs]
     base = Fraction(max(viol, 0.0))
     checked = None
     shift = Fraction(0)

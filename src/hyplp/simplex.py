@@ -1,9 +1,13 @@
 """Dense two-phase simplex for small linear programs.
 
 Solves max c.x subject to A x <= b, x >= 0 (b of any sign) on a plain
-tableau with Bland's rule breaking ties, so it cannot cycle.  Problems here
-stay tiny (tens of rows, a few hundred columns), which keeps dense pivoting
-cheap and reproducible.
+tableau.  The entering column is the one with the most negative reduced cost
+(Dantzig's rule), which reaches the optimum in few pivots.  Dantzig's rule can
+cycle on a degenerate vertex, so after a run of degenerate pivots the solver
+falls back to Bland's lowest-index rule (Bland 1977, Math. Oper. Res. 2(2)),
+which cannot cycle, until a pivot makes progress again.  The ratio test breaks
+ties by the lowest basic index.  Problems here stay tiny (tens of rows, a few
+hundred columns), which keeps dense pivoting cheap and reproducible.
 """
 
 from __future__ import annotations
@@ -15,6 +19,9 @@ __all__ = ["SimplexResult", "Infeasible", "Unbounded", "solve_max"]
 
 _PIVOT_TOL = 1e-11
 _COST_TOL = 1e-9
+# consecutive degenerate pivots (ratio-test minimum <= _PIVOT_TOL) after which
+# the entering rule switches from Dantzig's to Bland's
+_BLAND_AFTER = 50
 
 
 class Infeasible(Exception):
@@ -30,6 +37,7 @@ class SimplexResult:
     x: tuple[float, ...]
     value: float
     duals: tuple[float, ...]
+    pivots: int = 0
 
 
 def _pivot(tab: list[list[float]], basis: list[int], row: int, col: int) -> None:
@@ -44,17 +52,25 @@ def _pivot(tab: list[list[float]], basis: list[int], row: int, col: int) -> None
 
 
 def _iterate(tab: list[list[float]], basis: list[int], obj: list[float],
-             ncols: int, max_iters: int) -> list[float]:
+             ncols: int, max_iters: int) -> int:
     """Pivot until the objective row (z_j - c_j entries, value in last slot)
-    has no negative reduced cost.  Entering column: lowest eligible index."""
-    for _ in range(max_iters):
+    has no negative reduced cost; returns the number of pivots.  Entering
+    column: the most negative reduced cost, or the lowest eligible index while
+    the last _BLAND_AFTER or more pivots were all degenerate."""
+    degenerate = 0
+    for it in range(max_iters):
         col = -1
-        for j in range(ncols):
+        if degenerate < _BLAND_AFTER:
+            j = min(range(ncols), key=obj.__getitem__)
             if obj[j] < -_COST_TOL:
                 col = j
-                break
+        else:
+            for j in range(ncols):
+                if obj[j] < -_COST_TOL:
+                    col = j
+                    break
         if col < 0:
-            return obj
+            return it
         row, best, tie = -1, 0.0, -1
         for i, r in enumerate(tab):
             if r[col] > _PIVOT_TOL:
@@ -64,6 +80,7 @@ def _iterate(tab: list[list[float]], basis: list[int], obj: list[float],
                     row, best, tie = i, ratio, basis[i]
         if row < 0:
             raise Unbounded("objective unbounded above")
+        degenerate = degenerate + 1 if best <= _PIVOT_TOL else 0
         _pivot(tab, basis, row, col)
         f = obj[col]
         if f != 0.0:
@@ -76,7 +93,8 @@ def _iterate(tab: list[list[float]], basis: list[int], obj: list[float],
 def solve_max(c: Sequence[float], a: Sequence[Sequence[float]], b: Sequence[float],
               max_iters: int = 50000) -> SimplexResult:
     """Maximize c.x over {x >= 0 : A x <= b}.  Returns the primal solution,
-    the optimal value, and the dual vector read off the slack reduced costs."""
+    the optimal value, the dual vector read off the slack reduced costs, and
+    the number of pivots over both phases."""
     m, n = len(b), len(c)
     if len(a) != m or any(len(row) != n for row in a):
         raise ValueError("constraint matrix shape mismatch")
@@ -103,6 +121,7 @@ def solve_max(c: Sequence[float], a: Sequence[Sequence[float]], b: Sequence[floa
         tab.append(row)
         basis.append(art_col[i] if flipped[i] else n + i)
 
+    pivots = 0
     if nart:
         # phase 1: maximize -(sum of artificials); with artificials basic the
         # reduced-cost row is minus the sum of their tableau rows, plus 1 on
@@ -114,7 +133,7 @@ def solve_max(c: Sequence[float], a: Sequence[Sequence[float]], b: Sequence[floa
                     obj[j] -= tab[i][j]
         for t in range(nart):
             obj[n + m + t] += 1.0
-        obj = _iterate(tab, basis, obj, ncols, max_iters)
+        pivots += _iterate(tab, basis, obj, ncols, max_iters)
         if obj[-1] < -1e-7:
             raise Infeasible(f"phase 1 optimum {obj[-1]:.3g} < 0")
         for i in range(m):
@@ -124,6 +143,7 @@ def solve_max(c: Sequence[float], a: Sequence[Sequence[float]], b: Sequence[floa
                 for j in range(n + m):
                     if abs(tab[i][j]) > _PIVOT_TOL:
                         _pivot(tab, basis, i, j)
+                        pivots += 1
                         break
 
     cost = [float(v) for v in c] + [0.0] * (m + nart)
@@ -136,7 +156,7 @@ def solve_max(c: Sequence[float], a: Sequence[Sequence[float]], b: Sequence[floa
     inf = float("inf")
     for t in range(nart):
         obj[n + m + t] = inf  # artificials never re-enter
-    obj = _iterate(tab, basis, obj, ncols, max_iters)
+    pivots += _iterate(tab, basis, obj, ncols, max_iters)
 
     x = [0.0] * n
     for i, bi in enumerate(basis):
@@ -145,4 +165,4 @@ def solve_max(c: Sequence[float], a: Sequence[Sequence[float]], b: Sequence[floa
     # for a flipped row the slack column is -e_i, so obj[n+i] already carries
     # the sign that makes it the dual of the original inequality
     duals = tuple(obj[n + i] for i in range(m))
-    return SimplexResult(tuple(x), obj[-1], duals)
+    return SimplexResult(tuple(x), obj[-1], duals, pivots)

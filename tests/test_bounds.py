@@ -2,10 +2,12 @@
 integrality cuts, diameter and defect bounds, duality, and inversion."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from hyplp import bounds
 from hyplp.bounds import (BoundResult, DssCheck, LPConditionError, Refinement,
                           biregular_bound, closed_form_h_bound,
                           defect_lower_bounds, defect_region,
@@ -151,6 +153,41 @@ def test_lp_optimize_matches_closed_form_when_it_cannot():
     assert b.value <= 20.86
     assert float(b.value) >= float(closed.value) - 1e-3
     assert float(closed.value) == pytest.approx(20.856406, abs=1e-5)
+
+
+def test_lp_optimize_clamps_round_off_duals(monkeypatch):
+    # a dual that should be 0 but comes back as -3.3e-18 must not reach the
+    # exact certificate check, which would reject f_i < 0
+    real = bounds.solve_max
+
+    def noisy(*args, **kwargs):
+        res = real(*args, **kwargs)
+        duals = list(res.duals)
+        zero = duals.index(0.0)
+        duals[zero] -= 3.3e-18
+        return replace(res, duals=tuple(duals))
+
+    monkeypatch.setattr(bounds, "solve_max", noisy)
+    b = lp_bound_optimize(Params(4, 2), SQRT2, 6)
+    assert b.theorem == "LP_OPT"
+    assert all(c >= 0 for c in b.certificate.coeffs[1:])
+
+
+def test_lp_optimize_pivot_count(monkeypatch):
+    # a non-timing guard on the simplex pivot rule: lowest-index pricing alone
+    # needed 45,794 pivots here, most-negative pricing needs under a hundred
+    real = bounds.solve_max
+    pivots = []
+
+    def counted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        pivots.append(res.pivots)
+        return res
+
+    monkeypatch.setattr(bounds, "solve_max", counted)
+    lp_bound_optimize(Params(4, 2), SQRT2, 6)
+    assert len(pivots) >= 2
+    assert sum(pivots) < 1000
 
 
 def test_lp_optimize_input_validation():

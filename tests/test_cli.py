@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from hyplp import cli
 from hyplp.cli import (UsageError, fmt, jval, load_certificate, main,
                        parse_theta, thread_count)
 from hyplp.constructions import named_fixture
@@ -164,6 +165,38 @@ def test_bound_lp_optimize(capsys):
     if isinstance(value, str):
         value = float(Fraction(value))
     assert 10 - 1e-4 <= value <= 10.01
+
+
+@pytest.mark.parametrize("r, u, theta, degree", [
+    ("8", "2", "2", "7"), ("8", "2", "2", "8"), ("4", "2", "sqrt2", "7")])
+def test_bound_lp_optimize_round_off_duals(capsys, r, u, theta, degree):
+    # these calls once failed their own certificate check on a dual of -3.3e-18
+    code, out, err = run(capsys, "bound", "lp", "--r", r, "--u", u, "--theta",
+                         theta, "--degree", degree, "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["theorem"] == "LP_OPT"
+    assert all(Fraction(c) >= 0 for c in payload["certificate_f_basis"][1:])
+    assert any("certified" in str(v) for k, v in payload.items()
+               if k.startswith("note"))
+
+
+@pytest.mark.parametrize("r, u, theta", [("6", "2", "3"), ("3", "2", "2")])
+def test_bound_lp_degree_too_low_is_a_domain_error(capsys, r, u, theta):
+    code, out, err = run(capsys, "bound", "lp", "--r", r, "--u", u, "--theta",
+                         theta, "--degree", "4")
+    assert code == 2 and out == ""
+    assert "degree 4 is too low" in err and "--degree" in err
+    assert "internal" not in err
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    run(capsys, "bound", "ru1", "--r", "16", "--u", "3")
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("rebuilt"))
+    code, out, _ = run(capsys, "bound", "ru1", "--r", "16", "--u", "3")
+    assert code == 0 and out
+    code, _, err = run(capsys, "bound", "ru1", "--r", "x", "--u", "3")
+    assert code == 2 and "--r" in err
 
 
 def test_bound_dss(capsys):

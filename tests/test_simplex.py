@@ -1,11 +1,14 @@
 """Simplex solver: textbook cases, degenerate pivots, and randomized
 comparison against scipy's LP solver."""
 
+import math
 import random
 
 import pytest
 import scipy.optimize
 
+from hyplp import simplex
+from hyplp.orthopoly import Params, f_values
 from hyplp.simplex import Infeasible, SimplexResult, Unbounded, solve_max
 
 
@@ -83,6 +86,40 @@ def _has_recession_ray(c, a, n):
     return aux.value > 1e-7
 
 
+def _agrees_with_scipy(c, a, b, trial, rel=0.0):
+    """Compare status, value and primal feasibility with scipy; returns
+    whether the LP had an optimum.  rel adds a relative tolerance for LPs
+    whose entries span many orders of magnitude."""
+    n = len(c)
+    try:
+        mine = solve_max(c, a, b)
+        status = "optimal"
+    except Infeasible:
+        mine, status = None, "infeasible"
+    except Unbounded:
+        mine, status = None, "unbounded"
+    ref = _scipy_solve(c, a, b)
+    if ref.status == 0:
+        assert status == "optimal", (trial, status)
+        assert mine.value == pytest.approx(-ref.fun, rel=rel, abs=1e-6), trial
+        # feasibility of our point
+        for row, bi in zip(a, b):
+            assert sum(rv * xv for rv, xv in zip(row, mine.x)) <= bi + 1e-7 + rel * abs(bi)
+        return True
+    if ref.status == 2:
+        # scipy's presolve sometimes reports infeasible for unbounded
+        # problems; adjudicate with the recession cone
+        if status == "unbounded":
+            assert _has_recession_ray(c, a, n), trial
+        else:
+            assert status == "infeasible", (trial, status)
+    elif ref.status == 3:
+        assert status in ("unbounded", "infeasible"), (trial, status)
+        if status == "unbounded":
+            assert _has_recession_ray(c, a, n), trial
+    return False
+
+
 def test_random_lps_match_scipy():
     rng = random.Random(99)
     agree = 0
@@ -92,33 +129,57 @@ def test_random_lps_match_scipy():
         c = [rng.uniform(-4, 4) for _ in range(n)]
         a = [[rng.uniform(-3, 3) for _ in range(n)] for _ in range(m)]
         b = [rng.uniform(-2, 5) for _ in range(m)]
-        try:
-            mine = solve_max(c, a, b)
-            status = "optimal"
-        except Infeasible:
-            mine, status = None, "infeasible"
-        except Unbounded:
-            mine, status = None, "unbounded"
-        ref = _scipy_solve(c, a, b)
-        if ref.status == 0:
-            assert status == "optimal", (trial, status)
-            assert mine.value == pytest.approx(-ref.fun, abs=1e-6), trial
-            # feasibility of our point
-            for row, bi in zip(a, b):
-                assert sum(rv * xv for rv, xv in zip(row, mine.x)) <= bi + 1e-7
-            agree += 1
-        elif ref.status == 2:
-            # scipy's presolve sometimes reports infeasible for unbounded
-            # problems; adjudicate with the recession cone
-            if status == "unbounded":
-                assert _has_recession_ray(c, a, n), trial
-            else:
-                assert status == "infeasible", (trial, status)
-        elif ref.status == 3:
-            assert status in ("unbounded", "infeasible"), (trial, status)
-            if status == "unbounded":
-                assert _has_recession_ray(c, a, n), trial
+        agree += _agrees_with_scipy(c, a, b, trial)
     assert agree >= 20  # the sampler should hit plenty of bounded cases
+
+
+@pytest.mark.parametrize("bland_after", [simplex._BLAND_AFTER, 1])
+def test_degenerate_lps_match_scipy(monkeypatch, bland_after):
+    # zero right-hand sides and repeated rows put many bases on one vertex,
+    # where most-negative pricing can cycle without its lowest-index fallback;
+    # a run length of 1 hands most of these pivots to the fallback
+    monkeypatch.setattr(simplex, "_BLAND_AFTER", bland_after)
+    rng = random.Random(7)
+    agree = 0
+    for trial in range(60):
+        n = rng.randrange(3, 8)
+        m = rng.randrange(3, 9)
+        c = [float(rng.randint(-3, 5)) for _ in range(n)]
+        a = [[float(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
+        b = [0.0 if rng.random() < 0.6 else float(rng.randint(1, 6))
+             for _ in range(m)]
+        for _ in range(rng.randrange(1, 4)):
+            i = rng.randrange(m)
+            a.append(list(a[i]))
+            b.append(b[i])
+        if rng.random() < 0.25:
+            # a lower bound on one variable forces phase 1
+            row = [0.0] * n
+            row[rng.randrange(n)] = -1.0
+            a.append(row)
+            b.append(-1.0)
+        agree += _agrees_with_scipy(c, a, b, trial)
+    assert agree >= 20
+
+
+def test_optimizer_shaped_lps_match_scipy():
+    # the point-mass dual the LP bound optimizer solves: s <= 8 rows, one
+    # column -F_j(x) per sample point x in [-r, theta], all-ones objective
+    rng = random.Random(2015)
+    agree = 0
+    for trial in range(12):
+        params = Params(rng.randrange(3, 9), rng.randrange(2, 4))
+        s = rng.randrange(2, 9)
+        top = params.u - 2 + 2 * math.sqrt(params.q)
+        lo = -float(params.r)
+        theta = lo + (top - lo) * rng.uniform(0.4, 0.95)
+        xs = [lo + (theta - lo) * t / 199 for t in range(200)]
+        xs += [rng.uniform(lo, theta) for _ in range(rng.randrange(1, 40))]
+        cols = [f_values(params, s, x) for x in xs]
+        a = [[-col[j] for col in cols] for j in range(1, s + 1)]
+        b = [float(params.k * params.q ** (j - 1)) for j in range(1, s + 1)]
+        agree += _agrees_with_scipy([1.0] * len(xs), a, b, trial, rel=1e-9)
+    assert agree >= 6
 
 
 def test_result_is_frozen():
