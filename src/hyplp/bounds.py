@@ -13,8 +13,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .orthopoly import (FPoly, Params, f_eval, f_monomial, g_eval,
-                        largest_zero_G, largest_zero_gc, monomial_to_fbasis)
+from .orthopoly import (FPoly, Params, _gc_monomial, _poly_divmod, _poly_mul,
+                        f_eval, f_values, g_eval, largest_zero_G,
+                        largest_zero_gc, monomial_to_fbasis, positive_witness)
 from .simplex import Infeasible, Unbounded, solve_max
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
 Number = Union[int, float, Fraction]
 
 ZTOL = 1e-9
+INTERVAL_CONDITION = "f <= 0 on [-r, theta]"
 
 
 class LPConditionError(ValueError):
@@ -99,78 +101,20 @@ def _as_fraction(x: Number) -> Fraction:
 # certificate evaluation
 
 
-def _certified_max(params: Params, f: FPoly, lo: float, hi: float,
-                   grid: int = 10 ** 4, touch_tol: float = 1e-9,
-                   eval_cap: int = 3 * 10 ** 5):
-    """Rigorous upper bound for f on [lo, hi]: sample on a grid, then split
-    cells whose chord bound stays positive.  The per-cell bound uses global
-    first and second derivative magnitudes from the monomial coefficients,
-    while point values come from the stable F-recurrence.  Returns
-    (ok, sup_bound, witness); witness is a sampled point with f > touch_tol."""
-    coeffs = [float(c) for c in f.coeffs]
-    s = len(coeffs) - 1
-
-    def feval(x: float) -> float:
-        vals = _fvals_float(params, s, x)
-        return math.fsum(c * v for c, v in zip(coeffs, vals))
-
-    if hi <= lo:
-        v = feval(lo)
-        return (v <= touch_tol, v, None if v <= touch_tol else (lo, v))
-    radius = Fraction(max(abs(lo), abs(hi), 1.0))
-    b1 = b2 = Fraction(0)
-    for i, c in enumerate(f.to_monomial()):
-        if i >= 1:
-            b1 += i * abs(c) * radius ** (i - 1)
-        if i >= 2:
-            b2 += i * (i - 1) * abs(c) * radius ** (i - 2)
-    b1, b2 = float(b1), float(b2)
-
-    def cell_slack(w: float) -> float:
-        return min(0.5 * b1 * w, 0.125 * b2 * w * w) if s >= 2 else 0.5 * b1 * w
-
-    h0 = (hi - lo) / grid
-    xs = [lo + t * h0 for t in range(grid)] + [hi]
-    fs = [feval(x) for x in xs]
-    witness = None
-    best = max(zip(fs, xs))
-    if best[0] > touch_tol:
-        witness = (best[1], best[0])
-        return False, best[0] + cell_slack(h0), witness
-    stack = list(zip(xs[:-1], xs[1:], fs[:-1], fs[1:]))
-    sup = -math.inf
-    absorb = 1e-10
-    evals = len(xs)
-    while stack:
-        a, b, fa, fb = stack.pop()
-        w = b - a
-        bound = max(fa, fb) + cell_slack(w)
-        if bound <= absorb or w <= 1e-14 * max(1.0, abs(a)):
-            sup = max(sup, bound)
-            continue
-        if evals >= eval_cap:
-            # fold the remaining stack in unrefined; still a valid upper bound
-            sup = max(sup, bound)
-            for a2, b2_, fa2, fb2 in stack:
-                sup = max(sup, max(fa2, fb2) + cell_slack(b2_ - a2))
-            break
-        mid = 0.5 * (a + b)
-        fm = feval(mid)
-        evals += 1
-        if fm > touch_tol:
-            return False, max(sup, fm + cell_slack(w)), (mid, fm)
-        stack.append((a, mid, fa, fm))
-        stack.append((mid, b, fm, fb))
-    return True, max(sup, best[0]), None
-
-
 def lp_bound_evaluate(params: Params, f: FPoly,
                       taus: Optional[Sequence[Number]] = None,
                       theta: Optional[Number] = None,
                       tol: float = 1e-9) -> BoundResult:
     """Order bound f(k)/f_0 from a polynomial whose hypotheses are verified:
     f_0 > 0, f_i >= 0, f(k) > 0, and f <= 0 at the given eigenvalue points
-    (taus mode) or on the whole interval [-r, theta] (interval mode)."""
+    (taus mode) or on the whole interval [-r, theta] (interval mode).
+
+    Interval mode decides f <= 0 exactly, by a Sturm count in rationals
+    (`positive_witness`).  An int or Fraction theta is proved on exactly
+    [-r, theta].  A float theta is proved on [-r, theta+] with theta+ the
+    next float above it: `math.sqrt` rounds correctly, so for theta =
+    sqrt(N) that interval contains the true root, and f <= 0 on the larger
+    interval implies it on the smaller."""
     if f.params != params:
         raise ValueError("polynomial was built for different (r, u)")
     if (taus is None) == (theta is None):
@@ -209,17 +153,17 @@ def lp_bound_evaluate(params: Params, f: FPoly,
             loose = [t for t, z in zip(taus, tight) if not z]
             notes.append(f"f < 0 strictly at {loose}; equality impossible there")
     else:
-        lo = -float(params.r)
-        if float(theta) < lo - tol:
+        lo = Fraction(-params.r)
+        hi = (_as_fraction(theta) if _is_exact(theta)
+              else Fraction(math.nextafter(float(theta), math.inf)))
+        if hi < lo:
             raise ValueError("theta below -r leaves an empty interval")
-        ok, sup, witness = _certified_max(params, f, lo, float(theta), touch_tol=tol)
-        if not ok:
-            raise LPConditionError("f <= 0 on [-r, theta]", witness)
-        if sup > 1e-6:
-            raise LPConditionError("f <= 0 on [-r, theta]",
-                                   f"interval bound only certified below {sup:.3g}")
+        witness = positive_witness(f.to_monomial(), lo, hi)
+        if witness is not None:
+            raise LPConditionError(INTERVAL_CONDITION, witness)
         pdict["theta"] = theta
-        notes.append(f"f <= 0 certified on [{lo}, {float(theta)}] (sup bound {sup:.2e})")
+        notes.append(f"f <= 0 certified on [{float(lo)}, {float(hi)}] "
+                     f"by an exact Sturm count")
         if _is_exact(theta):
             fth = f(_as_fraction(theta))
             if fth == 0:
@@ -237,22 +181,13 @@ def lp_bound_evaluate(params: Params, f: FPoly,
 # LP optimization by constraint generation
 
 
-def _fvals_float(params: Params, s: int, x: float) -> list[float]:
-    vals = [1.0, x]
-    if s >= 2:
-        vals.append(x * x - (params.u - 2) * x - params.k)
-    shift, q = float(params.u - 2), float(params.q)
-    for i in range(2, s):
-        vals.append((x - shift) * vals[i] - q * vals[i - 1])
-    return vals[:s + 1]
-
-
-def lp_bound_optimize(params: Params, theta: float, s: int,
+def lp_bound_optimize(params: Params, theta: Number, s: int,
                       tol: float = 1e-8, max_rounds: int = 100) -> BoundResult:
     """Best degree-s certificate bound for eigenvalues in [-r, theta]:
     minimize 1 + sum f_j F_j(k) over f_j >= 0 with 1 + sum f_j F_j <= 0 on
-    [-r, theta], solved through its point-mass dual with constraint
-    generation, then verified as an exact certificate."""
+    [-r, theta], solved in floats through its point-mass dual with
+    constraint generation, then verified as an exact certificate on the
+    interval `lp_bound_evaluate` proves for theta as given."""
     if s < 1:
         raise ValueError("degree must be >= 1")
     top = _lambda_top(params)
@@ -269,7 +204,7 @@ def lp_bound_optimize(params: Params, theta: float, s: int,
     points = [lo + (th - lo) * t / (npts - 1) for t in range(npts)] if th > lo else [lo]
 
     def column(x: float) -> list[float]:
-        vals = _fvals_float(params, s, x)
+        vals = f_values(params, s, x)
         return [-vals[j] for j in range(1, s + 1)]
 
     cols = [column(x) for x in points]
@@ -295,7 +230,7 @@ def lp_bound_optimize(params: Params, theta: float, s: int,
 
         def fval(x: float) -> float:
             # F-recurrence on two scalars, each term summed as it is computed
-            # (same order and operations as a sum over _fvals_float)
+            # (same order and operations as a sum over f_values)
             acc = c1 * x
             if s >= 2:
                 prev, cur = x, x * x - u2 * x - k
@@ -341,19 +276,18 @@ def lp_bound_optimize(params: Params, theta: float, s: int,
     exact = [Fraction(0) if abs(c) <= tol else Fraction(c) for c in coeffs]
     # shift the residual violation (plus headroom) into f_0, then verify the
     # exact-rational certificate on the whole interval; the headroom grows
-    # until the interval check certifies within its evaluation budget
+    # until the float search's residual error is covered
     base = Fraction(max(viol, 0.0))
-    checked = None
-    shift = Fraction(0)
     for head in (Fraction(1, 10 ** 5), Fraction(1, 10 ** 4),
                  Fraction(1, 10 ** 3), Fraction(1, 10 ** 2)):
-        shift = base + head
-        f = FPoly(params, tuple([Fraction(1) - shift] + exact))
-        ok, sup, _ = _certified_max(params, f, lo, th, touch_tol=math.inf)
-        if ok and sup <= 1e-7:
-            checked = lp_bound_evaluate(params, f, theta=th, tol=max(tol, 1e-9))
+        f = FPoly(params, tuple([Fraction(1) - base - head] + exact))
+        try:
+            checked = lp_bound_evaluate(params, f, theta=theta)
             break
-    if checked is None:
+        except LPConditionError as exc:
+            if exc.condition != INTERVAL_CONDITION:
+                raise
+    else:
         raise ArithmeticError("could not certify the optimized polynomial")
     pdict = dict(checked.params)
     pdict.update({"theta": theta, "s": s, "rounds": rounds,
@@ -364,41 +298,6 @@ def lp_bound_optimize(params: Params, theta: float, s: int,
 
 # ---------------------------------------------------------------------------
 # closed-form bound and refinements
-
-
-def _poly_divide_linear(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    """Divide a polynomial (ascending coefficients) by (x - root) exactly;
-    remainder must vanish."""
-    n = len(coeffs)
-    out = [Fraction(0)] * (n - 1)
-    carry = Fraction(0)
-    for i in range(n - 1, 0, -1):
-        carry = coeffs[i] + carry * root
-        out[i - 1] = carry
-    rem = coeffs[0] + carry * root
-    if rem != 0:
-        raise ArithmeticError(f"nonzero remainder {rem} dividing by x - {root}")
-    return out
-
-
-def _gc_monomial_fr(params: Params, d: int, c: Fraction) -> list[Fraction]:
-    """c * G_{d-1} + F_d in ascending monomial coefficients, exact."""
-    acc = [Fraction(0)] * (d + 1)
-    for j in range(d):
-        for i, v in enumerate(f_monomial(params, j)):
-            acc[i] += c * v
-    for i, v in enumerate(f_monomial(params, d)):
-        acc[i] += v
-    return acc
-
-
-def _poly_mul_fr(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def select_diameter(params: Params, theta: Number, ztol: float = ZTOL) -> int:
@@ -438,9 +337,9 @@ def closed_form_h_bound(params: Params, theta: Number, ztol: float = ZTOL) -> Bo
         if c < 1:
             raise ArithmeticError(f"c = {c} < 1 for theta = {t}")
         value: Number = moore_order(params, d - 1) + Fraction(k * q ** (d - 1)) / c
-        gc = _gc_monomial_fr(params, d, _as_fraction(c))
-        fcoeffs = _poly_divide_linear(_poly_mul_fr(gc, gc), t)
-        from .orthopoly import monomial_to_fbasis
+        gc = _gc_monomial(params, d, _as_fraction(c))
+        # g_c(t) = 0 by the choice of c, so x - t divides g_c^2 exactly
+        fcoeffs = _poly_divmod(_poly_mul(gc, gc), [-t, Fraction(1)])[0]
         fb = monomial_to_fbasis(params, fcoeffs)
         if all(v >= 0 for v in fb):
             certificate = FPoly(params, tuple(fb))

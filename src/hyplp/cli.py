@@ -13,12 +13,9 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
-from importlib import resources
 
 from . import bounds
 from .bounds import BoundResult, LPConditionError, Refinement
@@ -91,18 +88,6 @@ def load_certificate(path: str, params: Params) -> FPoly:
     if len(coeffs) != s + 1:
         raise UsageError(f"expected {s + 1} coefficients, found {len(coeffs)}")
     return FPoly(params, coeffs)
-
-
-def thread_count() -> int:
-    env = os.environ.get("HYPLP_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise UsageError("HYPLP_THREADS must be an integer")
-        if n >= 1:
-            return n
-    return min(8, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +214,9 @@ def cmd_bound(args) -> int:
         theta = parse_theta(args.theta)
         if args.cert:
             f = load_certificate(args.cert, params)
-            b = bounds.lp_bound_evaluate(params, f, theta=theta,
-                                         tol=args.tol or 1e-9)
+            b = bounds.lp_bound_evaluate(params, f, theta=theta)
         elif args.degree:
-            b = bounds.lp_bound_optimize(params, float(theta), args.degree,
+            b = bounds.lp_bound_optimize(params, theta, args.degree,
                                          tol=args.tol or 1e-8)
         else:
             raise UsageError("bound lp needs --cert FILE or --degree S")
@@ -382,6 +366,9 @@ def cmd_analyze(args) -> int:
 # tables
 
 def _data_text(name: str) -> str:
+    # imported here: importlib.resources pulls in pathlib, tempfile and
+    # zipfile, about 2.4 MB of resident memory that only `table` needs
+    from importlib import resources
     return resources.files("hyplp.data").joinpath(name).read_text()
 
 
@@ -400,8 +387,7 @@ def cmd_table1(args) -> int:
                 int(row["e"]), lower, lam, upper,
                 (row["lower"], row["lambda"], row["upper"]))
 
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        computed = list(pool.map(compute, rows))
+    computed = [compute(row) for row in rows]
 
     header = ["r", "u", "d", "v", "e", "lower", "lambda", "upper"]
     provenance = {"r": "input", "u": "input", "d": "input",
@@ -427,14 +413,6 @@ def _truncate_one_decimal(x) -> str:
     return str(int(t)) if t == int(t) else f"{t:.1f}"
 
 
-def _is_integer(x) -> bool:
-    if isinstance(x, Fraction):
-        return x.denominator == 1
-    if isinstance(x, int):
-        return True
-    return float(x) == int(float(x))
-
-
 def catalog_cell(row: dict, degree: int | None):
     """One h-catalog row: closed form, tag-specific refinement, printed value."""
     r, u = int(row["r"]), int(row["u"])
@@ -458,7 +436,7 @@ def catalog_cell(row: dict, degree: int | None):
         printed = fmt(b.value)
     lp_opt = None
     if degree:
-        lp_opt = bounds.lp_bound_optimize(params, float(theta), degree).value
+        lp_opt = bounds.lp_bound_optimize(params, theta, degree).value
     return (r, u, row["theta"], tag, raw, printed, row.get("expected", ""),
             lp_opt, row.get("note", ""))
 
@@ -477,8 +455,7 @@ def cmd_h_catalog(args) -> int:
         rows = [{"r": str(args.r), "u": str(args.u), "theta": args.theta,
                  "tag": "-", "expected": "", "note": "not a catalog cell"}]
 
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        cells = list(pool.map(lambda row: catalog_cell(row, args.degree), rows))
+    cells = [catalog_cell(row, args.degree) for row in rows]
 
     header = ["r", "u", "theta", "tag", "bound", "printed", "expected", "note"]
     provenance = {"r": "input", "u": "input", "theta": "input",
@@ -532,16 +509,17 @@ def _read_oa(path: str) -> OrthogonalArray:
     return OrthogonalArray.from_text(text)
 
 
-def _write_data(args, payload: str, report_pairs) -> None:
+def _write_data(args, payload: str, report) -> None:
     """Data to -o FILE (report on stdout) or to stdout (report on stderr),
-    so construct commands compose through pipes."""
+    so construct commands compose through pipes.  `report()` builds the
+    report pairs only once the data is out, so its failure cannot lose it."""
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(payload)
-        emit_pairs(report_pairs, "text", sys.stdout)
     else:
         sys.stdout.write(payload)
-        emit_pairs(report_pairs, "text", sys.stderr)
+        sys.stdout.flush()
+    emit_pairs(report(), "text", sys.stdout if args.output else sys.stderr)
 
 
 def cmd_construct(args) -> int:
@@ -553,9 +531,9 @@ def cmd_construct(args) -> int:
         oa = oa_from_mols(mols_cyclic(args.p, squares))
         ok, witness = oa_validate(oa)
         _write_data(args, oa.to_text(),
-                    [("kind", "orthogonal array"), ("rows", oa.rows),
-                     ("columns", oa.cols), ("alphabet", oa.alphabet),
-                     ("valid", ok if ok else f"no: {witness}")])
+                    lambda: [("kind", "orthogonal array"), ("rows", oa.rows),
+                             ("columns", oa.cols), ("alphabet", oa.alphabet),
+                             ("valid", ok if ok else f"no: {witness}")])
         return 0
 
     if args.kind == "named":
@@ -571,7 +549,7 @@ def cmd_construct(args) -> int:
     else:
         raise UsageError(f"unknown construct kind {args.kind!r}")
 
-    _write_data(args, h.to_text(), analyze_pairs(h))
+    _write_data(args, h.to_text(), lambda: analyze_pairs(h))
     return 0
 
 

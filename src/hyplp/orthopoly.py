@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from itertools import zip_longest
+from typing import Optional, Sequence, Union
 
 from .tridiagonal import ql_eigenvalues, symmetrized_offdiagonal
 
@@ -36,6 +37,7 @@ __all__ = [
     "char_poly_check",
     "largest_zero_G",
     "largest_zero_gc",
+    "positive_witness",
     "orthogonality_quadrature_check",
 ]
 
@@ -150,9 +152,7 @@ def monomial_to_fbasis(params: Params, coeffs: Sequence[Exact]) -> list[Fraction
     """Rewrite a polynomial (monomial coefficients, lowest first) as
     sum f_i F_i; returns [f_0, ..., f_deg].  The basis is monic and
     triangular, so this is exact back-substitution."""
-    work = [Fraction(c) for c in coeffs]
-    while len(work) > 1 and work[-1] == 0:
-        work.pop()
+    work = _poly_trim([Fraction(c) for c in coeffs])
     out = [Fraction(0)] * len(work)
     for l in range(len(work) - 1, -1, -1):
         cl = work[l]
@@ -182,13 +182,7 @@ def linearization(params: Params, i: int, j: int) -> dict[int, Fraction]:
     """
     if i < 0 or j < 0:
         raise ValueError("indices must be non-negative")
-    a = f_monomial(params, i)
-    b = f_monomial(params, j)
-    prod = [0] * (i + j + 1)
-    for ia, ca in enumerate(a):
-        if ca:
-            for jb, cb in enumerate(b):
-                prod[ia + jb] += ca * cb
+    prod = _poly_mul(f_monomial(params, i), f_monomial(params, j))
     coeffs = monomial_to_fbasis(params, prod)
     return {l: c for l, c in enumerate(coeffs) if c != 0}
 
@@ -275,6 +269,31 @@ class TridiagonalArray:
         return m
 
 
+# Polynomials below are coefficient lists, lowest degree first; the zero
+# polynomial is [0].
+
+def _poly_trim(p: Sequence[Exact]) -> list:
+    p = list(p)
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_eval(p: Sequence[Exact], x: Exact) -> Exact:
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_deriv(p: Sequence[Exact]) -> list:
+    return _poly_trim([i * c for i, c in enumerate(p)][1:] or [0])
+
+
+def _poly_sub(a: Sequence[Exact], b: Sequence[Exact]) -> list:
+    return _poly_trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
 def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
@@ -282,6 +301,106 @@ def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return out
+
+
+def _poly_divmod(a: Sequence[Exact], b: Sequence[Exact]) -> tuple[list, list]:
+    """Quotient and remainder of a by the nonzero polynomial b."""
+    rem = [Fraction(c) for c in _poly_trim(a)]
+    b = _poly_trim(b)
+    quot = [Fraction(0)] * max(len(rem) - len(b) + 1, 1)
+    for i in range(len(rem) - len(b), -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        quot[i] = c
+        for j, cb in enumerate(b):
+            rem[i + j] -= c * cb
+    return quot, _poly_trim(rem[:len(b) - 1] or [Fraction(0)])
+
+
+def _poly_gcd(a: Sequence[Exact], b: Sequence[Exact]) -> list[Fraction]:
+    """Monic greatest common divisor of a nonzero a and any b (Euclid)."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    while b != [0]:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [Fraction(c) / a[-1] for c in a]
+
+
+def _odd_multiplicity_part(p: Sequence[Exact]) -> list[Fraction]:
+    """Product of the distinct factors of p that divide it an odd number of
+    times: the roots where p changes sign.  Yun's square-free decomposition
+    p = a_1 a_2^2 a_3^3 ..., keeping a_1 a_3 a_5 ..."""
+    dp = _poly_deriv(p)
+    a0 = _poly_gcd(p, dp)
+    b = _poly_divmod(p, a0)[0]
+    d = _poly_sub(_poly_divmod(dp, a0)[0], _poly_deriv(b))
+    out, odd = [Fraction(1)], True
+    while len(b) > 1:
+        a = _poly_gcd(b, d)
+        if odd:
+            out = _poly_mul(out, a)
+        b = _poly_divmod(b, a)[0]
+        d = _poly_sub(_poly_divmod(d, a)[0], _poly_deriv(b))
+        odd = not odd
+    return out
+
+
+def _sturm_chain(g: Sequence[Fraction]) -> list[list[Fraction]]:
+    """g, g', then negated remainders, each scaled by a positive constant
+    (which keeps every sign) to hold the coefficients small."""
+    chain = [list(g), _poly_deriv(g)]
+    while len(chain[-1]) > 1:
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        chain.append([-c / abs(rem[-1]) for c in rem])
+    return chain
+
+
+def _sign_changes(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
+    signs = [v > 0 for v in (_poly_eval(p, x) for p in chain) if v != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def positive_witness(p: Sequence[Exact], a: Exact,
+                     b: Exact) -> Optional[tuple[Fraction, Fraction]]:
+    """Decide exactly whether p (rational monomial coefficients, lowest
+    first) is <= 0 on [a, b], for rationals a <= b: None when it is, else a
+    witness (x, p(x)) with x in [a, b] and p(x) > 0.
+
+    p changes sign exactly at the roots of its odd-multiplicity part g, and
+    a Sturm chain of g counts those in (lo, hi] as V(lo) - V(hi)
+    (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, ch. 2).  With
+    none in (a, b), one point off the roots of p decides the sign.  Else p
+    > 0 somewhere; split at points where p < 0, following a root of g.  Two
+    such points enclose an even number of sign changes, so a part left with
+    one root has an endpoint a or b where p = 0, and p > 0 next to it."""
+    p = _poly_trim([Fraction(c) for c in p])
+    lo, hi = Fraction(a), Fraction(b)
+    if lo > hi:
+        raise ValueError("need a <= b")
+    for x in (lo, hi):
+        v = _poly_eval(p, x)
+        if v > 0:
+            return x, v
+    if lo == hi or len(p) == 1:
+        return None
+    chain = _sturm_chain(_odd_multiplicity_part(p))
+    roots = _sign_changes(chain, lo) - _sign_changes(chain, hi)
+    if _poly_eval(chain[0], hi) == 0:
+        roots -= 1
+    while True:
+        # p has at most deg p roots, so one of these deg p + 1 points is not one
+        for j in range(2, len(p) + 2):
+            x = lo + (hi - lo) / j
+            v = _poly_eval(p, x)
+            if v != 0:
+                break
+        if v > 0:
+            return x, v
+        if roots == 0:
+            return None
+        left = _sign_changes(chain, lo) - _sign_changes(chain, x)
+        if left:
+            hi, roots = x, left
+        else:
+            lo = x
 
 
 def _gc_monomial(params: Params, d: int, c: Fraction) -> list[Fraction]:
@@ -306,10 +425,7 @@ def char_poly_check(ta: TridiagonalArray) -> bool:
     for i in range(1, ta.d + 1):
         term = _poly_mul([-diag[i], Fraction(1)], prev1)
         cross = [sub[i - 1] * sup[i - 1] * v for v in prev2]
-        det = term[:]
-        for j, v in enumerate(cross):
-            det[j] -= v
-        prev2, prev1 = prev1, det
+        prev2, prev1 = prev1, _poly_sub(term, cross)
     expected = _poly_mul([Fraction(-ta.params.k), Fraction(1)],
                          _gc_monomial(ta.params, ta.d, ta.c))
     return prev1 == expected

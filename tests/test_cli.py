@@ -5,16 +5,17 @@ import csv
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
-from hyplp import cli
+from hyplp import bounds, cli
 from hyplp.cli import (UsageError, fmt, jval, load_certificate, main,
-                       parse_theta, thread_count)
+                       parse_theta)
 from hyplp.constructions import named_fixture
 from hyplp.hypergraph import Hypergraph
-from hyplp.orthopoly import Params
+from hyplp.orthopoly import FPoly, Params
 
 
 def run(capsys, *argv):
@@ -59,16 +60,6 @@ def test_jval_rules():
     assert jval(math.inf) == "inf"
     assert jval({"a": [Fraction(1, 3), 2.5]}) == {"a": ["1/3", 2.5]}
     assert jval(True) is True
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("HYPLP_THREADS", "2")
-    assert thread_count() == 2
-    monkeypatch.setenv("HYPLP_THREADS", "abc")
-    with pytest.raises(UsageError):
-        thread_count()
-    monkeypatch.delenv("HYPLP_THREADS")
-    assert thread_count() >= 1
 
 
 def test_bound_closed_form_text(capsys):
@@ -137,6 +128,69 @@ def test_certificate_loader_errors(tmp_path):
     bad.write_text("3 2 3\n5 x 3 1\n")
     with pytest.raises(UsageError):
         load_certificate(str(bad), p)
+
+
+def write_certificate(path, r, u, coeffs):
+    path.write_text(f"{r} {u} {len(coeffs) - 1}\n"
+                    + " ".join(str(c) for c in coeffs) + "\n")
+    return str(path)
+
+
+def closed_form_coeffs(r, u, theta):
+    return list(bounds.closed_form_h_bound(Params(r, u), theta).certificate.coeffs)
+
+
+WITNESS = re.compile(r"witness \(Fraction\((-?\d+), (\d+)\), "
+                     r"Fraction\((-?\d+), (\d+)\)\)")
+
+
+@pytest.mark.parametrize("r, u, theta", [
+    (3, 2, "1"), (5, 3, "2"), (5, 2, "7/4"), (3, 3, "2")])
+def test_bound_lp_cert_rejects_near_miss(tmp_path, capsys, r, u, theta):
+    # the closed-form certificate with f_0 raised by 1e-10 is positive at
+    # theta; a float grid with a 1e-9 touch tolerance once accepted these
+    coeffs = closed_form_coeffs(r, u, Fraction(theta))
+    coeffs[0] += Fraction(1, 10 ** 10)
+    cert = write_certificate(tmp_path / "near.cert", r, u, coeffs)
+    code, out, err = run(capsys, "bound", "lp", "--r", str(r), "--u", str(u),
+                         "--theta", theta, "--cert", cert)
+    assert code == 2 and out == ""
+    assert err.startswith("error: violated f <= 0 on [-r, theta]")
+    xn, xd, vn, vd = (int(g) for g in WITNESS.search(err).groups())
+    x, v = Fraction(xn, xd), Fraction(vn, vd)
+    assert -r <= x <= Fraction(theta)
+    assert v > 0 and FPoly(Params(r, u), coeffs)(x) == v
+
+
+def test_bound_lp_cert_accepts_root_at_theta(tmp_path, capsys):
+    # f <= 0 holds exactly on [-3, 7/2] with f(7/2) = 0 and double roots
+    # inside; float round-off at those roots once exceeded the tolerance
+    coeffs = closed_form_coeffs(3, 3, Fraction(7, 2))
+    cert = write_certificate(tmp_path / "tight.cert", 3, 3, coeffs)
+    code, out, err = run(capsys, "bound", "lp", "--r", "3", "--u", "3",
+                         "--theta", "7/2", "--cert", cert)
+    assert code == 0, err
+    assert text_value(out, "theorem") == "LP_CERT"
+    assert text_value(out, "value") == fmt(
+        bounds.closed_form_h_bound(Params(3, 3), Fraction(7, 2)).value)
+
+
+def test_bound_lp_cert_sqrt_theta_rounds_outward(tmp_path, capsys):
+    # sqrt2 is checked on [-r, theta+], theta+ the next float above
+    # math.sqrt(2): a certificate vanishing exactly at theta+ passes, one
+    # vanishing just below sqrt(2) leaves f > 0 on part of [-r, sqrt(2)]
+    up = Fraction(math.nextafter(math.sqrt(2), math.inf))
+    down = Fraction(math.isqrt(2 * 10 ** 30), 10 ** 15)
+    assert down ** 2 < 2 < up ** 2
+    for theta, accepted in ((up, True), (down, False)):
+        cert = write_certificate(tmp_path / "sqrt.cert", 3, 2,
+                                 closed_form_coeffs(3, 2, theta))
+        code, out, err = run(capsys, "bound", "lp", "--r", "3", "--u", "2",
+                             "--theta", "sqrt2", "--cert", cert)
+        if accepted:
+            assert code == 0 and text_value(out, "theorem") == "LP_CERT", err
+        else:
+            assert code == 2 and err.startswith("error: violated f <= 0")
 
 
 def test_bound_lp_cert_failure_exit_code(tmp_path, capsys):
@@ -326,13 +380,6 @@ def test_table1_verify(capsys):
     assert "columns:" in out and "defect-region" in out
 
 
-def test_table1_deterministic_across_thread_counts(monkeypatch, capsys):
-    _, base, _ = run(capsys, "table", "table1")
-    monkeypatch.setenv("HYPLP_THREADS", "3")
-    _, threaded, _ = run(capsys, "table", "table1")
-    assert threaded == base
-
-
 def test_table1_csv(capsys):
     code, out, _ = run(capsys, "table", "table1", "--format", "csv")
     assert code == 0
@@ -421,6 +468,23 @@ def test_construct_stdout_stdin_pipe(monkeypatch, capsys):
     assert code == 0
     assert out2.startswith("9 9\n")
     assert "tau2: 0.00000" in err2
+
+
+def test_construct_writes_data_before_a_failing_report(tmp_path, monkeypatch,
+                                                     capsys):
+    # a report failure still exits 2, but only after the hypergraph is out
+    def broken(h):
+        raise ArithmeticError("report failed")
+
+    monkeypatch.setattr(cli, "analyze_pairs", broken)
+    petersen = named_fixture("petersen").to_text()
+    code, out, err = run(capsys, "construct", "named", "petersen")
+    assert code == 2 and out == petersen
+    assert "report failed" in err
+    target = tmp_path / "p.hg"
+    code, out, err = run(capsys, "construct", "named", "petersen", "-o", str(target))
+    assert code == 2 and target.read_text() == petersen
+    assert "report failed" in err
 
 
 def test_construct_bad_arguments(capsys):

@@ -13,7 +13,9 @@ from hyplp.orthopoly import (FPoly, Params, TridiagonalArray, char_poly_check,
                              g_eval, g_identity_check, largest_zero_G,
                              largest_zero_gc, linearization,
                              monomial_to_fbasis,
-                             orthogonality_quadrature_check)
+                             orthogonality_quadrature_check,
+                             positive_witness)
+from hyplp.orthopoly import _poly_mul
 
 GRID = [(3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 5), (4, 4), (6, 2)]
 
@@ -258,3 +260,90 @@ def test_quadrature_norms_match_degree_counts():
             want = p.k * p.q ** (i - 1)
             assert orthogonality_quadrature_check(p, i, i) == pytest.approx(
                 want, rel=1e-4), (r, u, i)
+
+
+def sympy_nonpositive(coeffs, a, b):
+    """Whether sum coeffs[i] x^i <= 0 on [a, b], decided from sympy's real
+    root isolation.  Each isolating interval holds one root and, unless it
+    is a single point, has no root at its ends; so every gap between
+    consecutive roots holds one of the test points (a, b, the intervals'
+    ends in [a, b] and the midpoints between all of these), or borders a
+    or b where p is nonzero and has the gap's sign."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], x)
+    a, b = sympy.Rational(a.numerator, a.denominator), \
+        sympy.Rational(b.numerator, b.denominator)
+    if poly.is_zero:
+        return True
+    points = {a, b}
+    for (s, t), _ in poly.intervals(eps=sympy.Rational(1, 10 ** 6)):
+        assert s == t or poly.eval(s) * poly.eval(t) != 0
+        points.update(e for e in (s, t) if a <= e <= b)
+    points = sorted(points)
+    points += [(p + q) / 2 for p, q in zip(points, points[1:])]
+    return all(poly.eval(p) <= 0 for p in points)
+
+
+def random_test_polynomial(rng, a, b):
+    """Degree 1 to 12 with the cases a sign test gets wrong: double roots
+    (touching zero), roots at a or b, simple roots, irreducible quadratics,
+    and small constant shifts that split a double root."""
+    poly = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))]
+    spots = [a, b, (a + b) / 2, a + (b - a) / 3,
+             Fraction(rng.randint(-40, 40), 10)]
+    degree = rng.randint(1, 12)
+    while len(poly) - 1 < degree:
+        room = degree - (len(poly) - 1)
+        kind = rng.random()
+        if kind < 0.6 or room < 2:
+            root = rng.choice(spots)
+            for _ in range(min(room, rng.choice((1, 2, 2, 3)))):
+                poly = _poly_mul(poly, [-root, Fraction(1)])
+        elif kind < 0.8:
+            c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            poly = _poly_mul(poly, [c, Fraction(0), Fraction(1)])
+        else:
+            poly = _poly_mul(poly, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                               for _ in range(min(room, 3))] + [Fraction(1)])
+    if rng.random() < 0.3:
+        poly[0] += Fraction(rng.choice((-1, 1)), 10 ** rng.randint(2, 12))
+    return poly
+
+
+def test_positive_witness_matches_sympy():
+    rng = random.Random(20261018)
+    verdicts = set()
+    for trial in range(200):
+        a = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+        b = a if trial % 10 == 0 else a + Fraction(rng.randint(1, 40), rng.randint(1, 6))
+        coeffs = random_test_polynomial(rng, a, b)
+        got = positive_witness(coeffs, a, b)
+        want = sympy_nonpositive(coeffs, a, b)
+        assert (got is None) == want, (coeffs, a, b, got)
+        if got is not None:
+            x, v = got
+            assert a <= x <= b and v > 0
+            assert v == sum(c * x ** i for i, c in enumerate(coeffs))
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_positive_witness_touching_and_endpoint_roots():
+    # -(x - 1)^2 (x + 2)^2 touches zero inside; +1e-12 splits both roots
+    square = _poly_mul([Fraction(-2), Fraction(1), Fraction(1)],
+                       [Fraction(-2), Fraction(1), Fraction(1)])
+    touch = [-c for c in square]
+    assert positive_witness(touch, -3, 3) is None
+    near = [touch[0] + Fraction(1, 10 ** 12)] + touch[1:]
+    x, v = positive_witness(near, -3, 3)
+    assert v > 0 and -3 < x < 3
+    # x (1 - 2x): zero at a, positive just inside, negative at b
+    x, v = positive_witness([0, 1, -2], 0, 1)
+    assert 0 < x < Fraction(1, 2) and v > 0
+    assert positive_witness([0, 1, -2], Fraction(1, 2), 1) is None
+    assert positive_witness([0, 1, -2], 0, 0) is None
+    assert positive_witness([Fraction(1, 10 ** 9)], 2, 2) == (2, Fraction(1, 10 ** 9))
+    assert positive_witness([0], -1, 1) is None
+    with pytest.raises(ValueError):
+        positive_witness([-1], 1, 0)
