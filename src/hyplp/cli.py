@@ -24,13 +24,9 @@ from .constructions import (OAValidationError, OrthogonalArray,
                             named_fixture, oa_from_mols, oa_minus_transversal,
                             oa_validate)
 from .hypergraph import (Hypergraph, HypergraphFormatError,
-                         NotRegularUniformError, adjacency,
-                         check_regular_uniform, diameter,
-                         distance_regularity_check, girth, girth_via_trace,
-                         is_connected)
+                         NotRegularUniformError, check_regular_uniform, girth)
 from .orthopoly import FPoly, Params
-from .spectra import (is_ramanujan, second_eigenvalue,
-                      spectrum_correspondence_check, symmetric_eigenvalues)
+from .spectra import Analysis
 
 __all__ = ["main"]
 
@@ -281,7 +277,16 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # analyze
 
+# dense n x n work (spectrum, walk products, all-pairs BFS) is refused above
+# this order; it admits the OA(4, 101) point hypergraph, n = 404
+ANALYZE_MAX_N = 1000
+
+
 def analyze_pairs(h: Hypergraph) -> list:
+    if h.n > ANALYZE_MAX_N:
+        raise UsageError(f"hypergraph has n = {h.n} vertices; analyze handles "
+                         f"at most {ANALYZE_MAX_N}")
+    an = Analysis(h)
     pairs = [("order", h.n), ("edges", h.m)]
     try:
         r, u = check_regular_uniform(h)
@@ -293,25 +298,24 @@ def analyze_pairs(h: Hypergraph) -> list:
     g = girth(h)
     pairs.append(("girth", g))
     if r is not None and r >= 2:
-        gt = girth_via_trace(h)
+        gt = an.girth_by_trace()
         pairs.append(("girth_by_trace", gt if gt is not None else "> 12"))
 
-    connected = is_connected(h)
-    pairs.append(("diameter", diameter(h) if connected else "inf (disconnected)"))
+    connected = an.connected
+    pairs.append(("diameter", an.diameter() if connected else "inf (disconnected)"))
 
-    spectrum = symmetric_eigenvalues(adjacency(h))
     pairs.append(("spectrum",
-                  " ".join(f"{v:.5f}x{m}" for v, m in spectrum.clusters)))
+                  " ".join(f"{v:.5f}x{m}" for v, m in an.spectrum.clusters)))
 
     if r is None or not connected or r < 2:
         return pairs
 
     params = Params(r, u)
-    tau2 = second_eigenvalue(h)
+    tau2 = an.tau2
     pairs += [("tau2", tau2), ("spectral_gap", params.k - tau2),
-              ("ramanujan", is_ramanujan(h))]
+              ("ramanujan", an.is_ramanujan())]
 
-    dr = distance_regularity_check(h)
+    dr = an.distance_regularity()
     if dr.valid:
         pairs.append(("distance_regular",
                       {"valid": True, "b": list(dr.b), "c": list(dr.c),
@@ -320,7 +324,7 @@ def analyze_pairs(h: Hypergraph) -> list:
         pairs.append(("distance_regular",
                       {"valid": False, "witness_pair": list(dr.witness)}))
 
-    corr = spectrum_correspondence_check(h)
+    corr = an.correspondence()
     pairs.append(("spectrum_correspondence",
                   "ok" if corr.ok else f"FAIL: {corr.detail}"))
 

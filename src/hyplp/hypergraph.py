@@ -20,6 +20,7 @@ __all__ = [
     "NotRegularUniformError",
     "IntersectionNumbers",
     "check_regular_uniform",
+    "adjacency_rows",
     "adjacency",
     "dual",
     "incidence_graph",
@@ -153,15 +154,30 @@ def check_regular_uniform(h: Hypergraph) -> tuple[int, int]:
     return r, u
 
 
-def adjacency(h: Hypergraph) -> list[list[int]]:
-    """Point-graph adjacency with multiplicity: A[x][y] = number of edges
-    containing both x and y (x != y); zero diagonal."""
-    a = [[0] * h.n for _ in range(h.n)]
+def adjacency_rows(h: Hypergraph) -> list[list[tuple[int, int]]]:
+    """The point-graph adjacency as sparse rows: row x lists (y, A[x][y])
+    for every y with A[x][y] > 0, in increasing y.  A[x][y] is the number
+    of edges containing both x and y."""
+    counts: list[dict[int, int]] = [{} for _ in range(h.n)]
     for edge in h.edges:
         for i, x in enumerate(edge):
+            cx = counts[x]
             for y in edge[i + 1:]:
-                a[x][y] += 1
-                a[y][x] += 1
+                cx[y] = cx.get(y, 0) + 1
+                cy = counts[y]
+                cy[x] = cy.get(x, 0) + 1
+    return [sorted(c.items()) for c in counts]
+
+
+def adjacency(h: Hypergraph, rows: Optional[list] = None) -> list[list[int]]:
+    """Point-graph adjacency with multiplicity: A[x][y] = number of edges
+    containing both x and y (x != y); zero diagonal.  The dense form of
+    `adjacency_rows(h)`, which a caller that has it passes as `rows`."""
+    a = [[0] * h.n for _ in range(h.n)]
+    for x, row in enumerate(adjacency_rows(h) if rows is None else rows):
+        ax = a[x]
+        for y, w in row:
+            ax[y] = w
     return a
 
 
@@ -199,20 +215,13 @@ def incidence_graph(h: Hypergraph) -> list[list[int]]:
     return b
 
 
-def _neighbor_lists(h: Hypergraph) -> list[list[int]]:
-    seen: list[set[int]] = [set() for _ in range(h.n)]
-    for edge in h.edges:
-        for i, x in enumerate(edge):
-            for y in edge[i + 1:]:
-                seen[x].add(y)
-                seen[y].add(x)
-    return [sorted(s) for s in seen]
-
-
-def distance_matrix(h: Hypergraph) -> tuple[list[list[int]], bool]:
+def distance_matrix(h: Hypergraph, rows: Optional[list] = None
+                    ) -> tuple[list[list[int]], bool]:
     """BFS point-graph distances; unreachable pairs get -1 and the second
-    return value reports connectivity."""
-    nbrs = _neighbor_lists(h)
+    return value reports connectivity.  `rows`: `adjacency_rows(h)`, when
+    the caller has it."""
+    if rows is None:
+        rows = adjacency_rows(h)
     dist = [[-1] * h.n for _ in range(h.n)]
     connected = True
     for src in range(h.n):
@@ -224,7 +233,7 @@ def distance_matrix(h: Hypergraph) -> tuple[list[list[int]], bool]:
             d += 1
             nxt = []
             for x in frontier:
-                for y in nbrs[x]:
+                for y, _ in rows[x]:
                     if row[y] < 0:
                         row[y] = d
                         nxt.append(y)
@@ -234,15 +243,16 @@ def distance_matrix(h: Hypergraph) -> tuple[list[list[int]], bool]:
     return dist, connected
 
 
-def is_connected(h: Hypergraph) -> bool:
-    nbrs = _neighbor_lists(h)
+def is_connected(h: Hypergraph, rows: Optional[list] = None) -> bool:
+    if rows is None:
+        rows = adjacency_rows(h)
     seen = [False] * h.n
     stack = [0]
     seen[0] = True
     count = 1
     while stack:
         x = stack.pop()
-        for y in nbrs[x]:
+        for y, _ in rows[x]:
             if not seen[y]:
                 seen[y] = True
                 count += 1
@@ -335,64 +345,60 @@ def nbw_count_oracle(h: Hypergraph, x: int, y: int, i: int,
     return _nbw_counts_from(h, x, i, incident, cap)[y]
 
 
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    bt = [[b[i][j] for i in range(n)] for j in range(n)]
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+def _walk_matrices(h: Hypergraph, rows: Optional[list] = None):
+    """Yield F_0(A), F_1(A), F_2(A), ... for the adjacency A of a regular
+    uniform hypergraph, by the integer recurrence F_0 = I, F_1 = A,
+    F_2 = A^2 - (u-2)A - kI, F_{j+1} = (A - (u-2)I) F_j - q F_{j-1}.
+    Each product with A runs over the sparse `rows` (`adjacency_rows(h)`),
+    so a step costs n^2 times the number of neighbours, not n^3.  Entry
+    (x, y) of F_i counts the non-backtracking walks of length i from x to y."""
+    r, u = check_regular_uniform(h)
+    params = Params(r, u)
+    if rows is None:
+        rows = adjacency_rows(h)
+    n = h.n
+    shift, c = params.u - 2, params.k  # c is k for F_2, then q
+    prev = [[1 if p == j else 0 for j in range(n)] for p in range(n)]
+    cur = adjacency(h, rows)
+    yield prev
+    yield cur
+    while True:
+        nxt = []
+        for p in range(n):
+            acc = [-shift * x - c * y for x, y in zip(cur[p], prev[p])]
+            for z, w in rows[p]:
+                acc = [a + w * b for a, b in zip(acc, cur[z])]
+            nxt.append(acc)
+        prev, cur, c = cur, nxt, params.q
+        yield cur
 
 
 def nbw_count_matrix(h: Hypergraph, i: int) -> list[list[int]]:
-    """F_i applied to the adjacency matrix, via the integer recurrence
-    F_0 = I, F_1 = A, F_2 = A^2 - (u-2)A - kI,
-    F_{j+1} = (A - (u-2)I) F_j - q F_{j-1}.  Entry (x, y) counts the
-    non-backtracking walks of length i from x to y; entries stay >= 0."""
-    r, u = check_regular_uniform(h)
-    params = Params(r, u)
-    n = h.n
-    a = adjacency(h)
-    if i == 0:
-        return [[1 if p == q_ else 0 for q_ in range(n)] for p in range(n)]
-    if i == 1:
-        return [row[:] for row in a]
-    k, q, shift = params.k, params.q, params.u - 2
-    prev = [row[:] for row in a]  # F_1
-    a2 = _mat_mul(a, a)
-    cur = [[a2[p][q_] - shift * a[p][q_] - (k if p == q_ else 0)
-            for q_ in range(n)] for p in range(n)]  # F_2
-    for _ in range(3, i + 1):
-        nxt = _mat_mul(a, cur)
-        nxt = [[nxt[p][q_] - shift * cur[p][q_] - q * prev[p][q_]
-                for q_ in range(n)] for p in range(n)]
-        prev, cur = cur, nxt
-    bad = next(((p, q_) for p in range(n) for q_ in range(n) if cur[p][q_] < 0), None)
+    """F_i applied to the adjacency matrix (see `_walk_matrices`).  Entry
+    (x, y) counts the non-backtracking walks of length i from x to y;
+    entries stay >= 0."""
+    if i < 0:
+        raise ValueError("length must be non-negative")
+    for j, cur in enumerate(_walk_matrices(h)):
+        if j == i:
+            break
+    bad = next(((p, q_) for p, row in enumerate(cur) for q_, v in enumerate(row)
+                if v < 0), None)
     if bad is not None:
         raise AssertionError(f"negative walk count at {bad}; adjacency input invalid")
     return cur
 
 
-def girth_via_trace(h: Hypergraph, max_i: int = 12) -> Optional[int]:
+def girth_via_trace(h: Hypergraph, max_i: int = 12,
+                    rows: Optional[list] = None) -> Optional[int]:
     """Smallest g <= max_i with tr F_g(A) != 0 and tr F_i(A) = 0 for i < g;
-    None when every trace through max_i vanishes (girth > max_i)."""
-    r, u = check_regular_uniform(h)
-    params = Params(r, u)
-    n = h.n
-    a = adjacency(h)
-    k, q, shift = params.k, params.q, params.u - 2
-    prev = [[1 if p == q_ else 0 for q_ in range(n)] for p in range(n)]
-    cur = [row[:] for row in a]
-    for g in range(1, max_i + 1):
-        if sum(cur[p][p] for p in range(n)) != 0:
+    None when every trace through max_i vanishes (girth > max_i).  `rows`:
+    `adjacency_rows(h)`, when the caller has it."""
+    for g, cur in enumerate(_walk_matrices(h, rows)):
+        if g and any(cur[p][p] for p in range(h.n)):
             return g
-        if g == 1:
-            a2 = _mat_mul(a, a)
-            nxt = [[a2[p][q_] - shift * a[p][q_] - (k if p == q_ else 0)
-                    for q_ in range(n)] for p in range(n)]
-        else:
-            nxt = _mat_mul(a, cur)
-            nxt = [[nxt[p][q_] - shift * cur[p][q_] - q * prev[p][q_]
-                    for q_ in range(n)] for p in range(n)]
-        prev, cur = cur, nxt
-    return None
+        if g >= max_i:
+            return None
 
 
 @dataclass(frozen=True)
@@ -409,13 +415,18 @@ class IntersectionNumbers:
     witness: Optional[tuple[int, int]] = None
 
 
-def distance_regularity_check(h: Hypergraph) -> IntersectionNumbers:
+def distance_regularity_check(h: Hypergraph, rows: Optional[list] = None,
+                              dist: Optional[list] = None) -> IntersectionNumbers:
     """Checks whether the weighted neighbor counts depend only on distance;
-    on failure `witness` is the first ordered pair disagreeing."""
-    if not is_connected(h):
+    on failure `witness` is the first ordered pair disagreeing.  `rows` and
+    `dist`: `adjacency_rows(h)` and `distance_matrix(h)[0]`, when the caller
+    has them."""
+    if rows is None:
+        rows = adjacency_rows(h)
+    if not is_connected(h, rows):
         raise ValueError("distance-regularity needs a connected hypergraph")
-    a_mat = adjacency(h)
-    dist, _ = distance_matrix(h)
+    if dist is None:
+        dist, _ = distance_matrix(h, rows)
     d = max(max(row) for row in dist)
     a_num: list[Optional[int]] = [None] * (d + 1)
     b_num: list[Optional[int]] = [None] * d
@@ -424,10 +435,7 @@ def distance_regularity_check(h: Hypergraph) -> IntersectionNumbers:
         for y in range(h.n):
             i = dist[x][y]
             closer = level = farther = 0
-            for z in range(h.n):
-                w = a_mat[x][z]
-                if not w:
-                    continue
+            for z, w in rows[x]:
                 dz = dist[z][y]
                 if dz == i - 1:
                     closer += w

@@ -9,15 +9,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
-from .hypergraph import (Hypergraph, adjacency, check_regular_uniform, dual,
-                         incidence_graph, is_connected)
+from .hypergraph import (Hypergraph, IntersectionNumbers, adjacency,
+                         adjacency_rows, check_regular_uniform, distance_matrix,
+                         distance_regularity_check, dual, girth_via_trace,
+                         is_connected)
 from .tridiagonal import ql_eigenvalues
 
 __all__ = [
     "Spectrum",
     "CheckReport",
+    "Analysis",
     "symmetric_eigenvalues",
     "second_eigenvalue",
     "is_ramanujan",
@@ -87,7 +91,7 @@ def householder_tridiagonalize(m: Sequence[Sequence[float]]) -> tuple[list[float
     return diag, off
 
 
-def symmetric_eigenvalues(m: Sequence[Sequence[float]], tol: float = 1e-10,
+def symmetric_eigenvalues(m: Sequence[Sequence[float]],
                           ctol: float = 1e-7) -> Spectrum:
     """Spectrum of a symmetric matrix (entries may be ints or floats).
     Rejects non-square or non-symmetric (beyond 1e-12) input."""
@@ -104,27 +108,6 @@ def symmetric_eigenvalues(m: Sequence[Sequence[float]], tol: float = 1e-10,
     return Spectrum.from_values(ql_eigenvalues(diag, off), ctol=ctol)
 
 
-def second_eigenvalue(h: Hypergraph, tol: float = 1e-10) -> float:
-    """Second-largest adjacency eigenvalue of a connected regular uniform
-    hypergraph (the largest is k = r(u-1); the gap is k - tau2)."""
-    r, u = check_regular_uniform(h)
-    if not is_connected(h):
-        raise ValueError("second eigenvalue is defined here for connected input")
-    spec = symmetric_eigenvalues(adjacency(h), tol=tol)
-    k = r * (u - 1)
-    if abs(spec.values[0] - k) > 1e-7 * max(1, k):
-        raise ArithmeticError("largest adjacency eigenvalue should equal r(u-1)")
-    return spec.values[1]
-
-
-def is_ramanujan(h: Hypergraph, tol: float = 1e-9) -> bool:
-    """Whether tau2 lies within the spectral window
-    |tau2 - (u-2)| <= 2*sqrt((r-1)(u-1)) + tol."""
-    r, u = check_regular_uniform(h)
-    tau2 = second_eigenvalue(h)
-    return abs(tau2 - (u - 2)) <= 2.0 * math.sqrt((r - 1) * (u - 1)) + tol
-
-
 @dataclass(frozen=True)
 class CheckReport:
     """Boolean verdict plus a human-readable mismatch trail."""
@@ -133,35 +116,132 @@ class CheckReport:
     detail: tuple[str, ...] = ()
 
 
-def _multiset_match(a: Sequence[float], b: Sequence[float], tol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(abs(x - y) <= tol for x, y in zip(sorted(a), sorted(b)))
+class Analysis:
+    """The derived objects of one hypergraph, each built on first use and
+    then kept: the adjacency as sparse rows and as a dense matrix,
+    connectivity, the BFS distance matrix and the adjacency spectrum.
+    `analyze` reads every report field from one instance, so the spectrum
+    is computed once; `second_eigenvalue` and `is_ramanujan` are thin calls
+    into a fresh one."""
+
+    def __init__(self, h: Hypergraph) -> None:
+        self.h = h
+
+    @cached_property
+    def rows(self) -> list[list[tuple[int, int]]]:
+        return adjacency_rows(self.h)
+
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        return adjacency(self.h, self.rows)
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_connected(self.h, self.rows)
+
+    @cached_property
+    def distances(self) -> list[list[int]]:
+        return distance_matrix(self.h, self.rows)[0]
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        return symmetric_eigenvalues(self.adjacency)
+
+    @cached_property
+    def tau2(self) -> float:
+        """Second-largest adjacency eigenvalue of a connected regular
+        uniform hypergraph (the largest is k = r(u-1); the gap is k - tau2)."""
+        r, u = check_regular_uniform(self.h)
+        if not self.connected:
+            raise ValueError("second eigenvalue is defined here for connected input")
+        values = self.spectrum.values
+        k = r * (u - 1)
+        if abs(values[0] - k) > 1e-7 * max(1, k):
+            raise ArithmeticError("largest adjacency eigenvalue should equal r(u-1)")
+        return values[1]
+
+    def is_ramanujan(self, tol: float = 1e-9) -> bool:
+        """Whether tau2 lies within the spectral window
+        |tau2 - (u-2)| <= 2*sqrt((r-1)(u-1)) + tol."""
+        r, u = check_regular_uniform(self.h)
+        return abs(self.tau2 - (u - 2)) <= 2.0 * math.sqrt((r - 1) * (u - 1)) + tol
+
+    def diameter(self) -> int:
+        if not self.connected:
+            raise ValueError("diameter undefined for a disconnected hypergraph")
+        return max(max(row) for row in self.distances)
+
+    def girth_by_trace(self, max_i: int = 12) -> Optional[int]:
+        return girth_via_trace(self.h, max_i, self.rows)
+
+    def distance_regularity(self) -> IntersectionNumbers:
+        return distance_regularity_check(self.h, self.rows, self.distances)
+
+    def correspondence(self) -> CheckReport:
+        return spectrum_correspondence_check(self.h, self.rows)
 
 
-def spectrum_correspondence_check(h: Hypergraph, tol: float = 1e-7) -> CheckReport:
-    """Verify the incidence-graph spectrum relation: the squared incidence
-    eigenvalues equal {adjacency eigenvalues + r} together with
-    {dual adjacency eigenvalues + u}; equivalently each side padded with
-    |n - m| zeros matches the other shifted spectrum."""
+def second_eigenvalue(h: Hypergraph) -> float:
+    """Second-largest adjacency eigenvalue of a connected regular uniform
+    hypergraph (the largest is k = r(u-1); the gap is k - tau2)."""
+    return Analysis(h).tau2
+
+
+def is_ramanujan(h: Hypergraph, tol: float = 1e-9) -> bool:
+    """Whether tau2 lies within the spectral window
+    |tau2 - (u-2)| <= 2*sqrt((r-1)(u-1)) + tol."""
+    return Analysis(h).is_ramanujan(tol)
+
+
+def _gram_mismatch(sets: Sequence[Sequence[int]], size: int, diag: int,
+                   rows: Sequence[Sequence[tuple[int, int]]]):
+    """First entry (i, j, gram, want) where M M^T differs from A + diag*I,
+    M the 0/1 matrix whose row i has ones at `sets[i]` (members in
+    0..size-1) and A the matrix with sparse `rows`; None when they agree.
+    Row i of M M^T is built from the sets through i's members, so the
+    cost is the number of ones times the set sizes."""
+    through: list[list[int]] = [[] for _ in range(size)]
+    for i, members in enumerate(sets):
+        for v in members:
+            through[v].append(i)
+    for i, members in enumerate(sets):
+        gram: dict[int, int] = {}
+        for v in members:
+            for j in through[v]:
+                gram[j] = gram.get(j, 0) + 1
+        want = dict(rows[i])
+        want[i] = want.get(i, 0) + diag
+        for j in sorted(gram.keys() | want.keys()):
+            if gram.get(j, 0) != want.get(j, 0):
+                return i, j, gram.get(j, 0), want.get(j, 0)
+    return None
+
+
+def spectrum_correspondence_check(h: Hypergraph,
+                                  rows: Optional[list] = None) -> CheckReport:
+    """Prove the incidence-graph spectrum relation exactly.  With N the
+    n x m vertex-edge incidence matrix, A the adjacency of h and A* that of
+    its dual, check N N^T = A + rI and N^T N = A* + uI entry by entry in
+    integers.  The incidence graph's matrix squares to diag(N N^T, N^T N),
+    and N N^T, N^T N share their nonzero eigenvalues with multiplicity, so
+    the squared incidence eigenvalues are {spec(A)+r} u {spec(A*)+u}, and
+    spec(A)+r padded with m zeros equals spec(A*)+u padded with n zeros.
+    Needs O(nnz * max(r, u)) time and no dense matrix; `rows` is
+    `adjacency_rows(h)`, when the caller has it.  A failure names the first
+    mismatching entry."""
     r, u = check_regular_uniform(h)
     if r < 2:
         raise ValueError("needs r >= 2 so the dual is defined")
-    if not is_connected(h):
+    if rows is None:
+        rows = adjacency_rows(h)
+    if not is_connected(h, rows):
         raise ValueError("needs connected input")
     hd = dual(h)
-    inc = symmetric_eigenvalues(incidence_graph(h)).values
-    ev = symmetric_eigenvalues(adjacency(h)).values
-    ev_dual = symmetric_eigenvalues(adjacency(hd)).values
-    squared = [x * x for x in inc]
-    shifted = [x + r for x in ev] + [x + u for x in ev_dual]
     detail: list[str] = []
-    if not _multiset_match(squared, shifted, tol):
-        detail.append(
-            "squared incidence eigenvalues != {spec(A)+r} u {spec(A*)+u}: "
-            f"{sorted(squared)[:6]}... vs {sorted(shifted)[:6]}...")
-    padded_primal = [x + r for x in ev] + [0.0] * h.m
-    padded_dual = [x + u for x in ev_dual] + [0.0] * h.n
-    if not _multiset_match(padded_primal, padded_dual, tol):
-        detail.append("zero-padded shifted spectra of h and dual(h) disagree")
+    bad = _gram_mismatch(hd.edges, h.m, r, rows)
+    if bad is not None:
+        detail.append("N N^T != A + {}I at ({}, {}): {} vs {}".format(r, *bad))
+    bad = _gram_mismatch(h.edges, h.n, u, adjacency_rows(hd))
+    if bad is not None:
+        detail.append("N^T N != A* + {}I at ({}, {}): {} vs {}".format(u, *bad))
     return CheckReport(not detail, tuple(detail))

@@ -170,10 +170,10 @@ def test_c08_construction_spectra():
 def test_c09_spectrum_correspondence():
     ok = True
     for name in ("petersen", "fano", "oa33", "oa45-minus"):
-        rep = spectrum_correspondence_check(named_fixture(name), tol=1e-7)
+        rep = spectrum_correspondence_check(named_fixture(name))
         if not rep.ok:
             ok = False
-    check(9, "incidence spectrum identity holds on all shipped fixtures at 1e-7",
+    check(9, "incidence spectrum identity holds exactly on all shipped fixtures",
           ok)
 
 

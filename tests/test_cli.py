@@ -470,6 +470,20 @@ def test_construct_stdout_stdin_pipe(monkeypatch, capsys):
     assert "tau2: 0.00000" in err2
 
 
+def test_analyze_oa_11_3_point_hypergraph(tmp_path, capsys):
+    # 33 points, 121 lines: its 154-vertex incidence graph once stalled the
+    # eigensolver inside the correspondence check
+    oa_file = tmp_path / "oa.txt"
+    assert run(capsys, "construct", "mols-oa", "--p", "11", "--rows", "3",
+               "-o", str(oa_file))[0] == 0
+    h_file = tmp_path / "h.hg"
+    assert run(capsys, "construct", "from-oa", str(oa_file), "-o", str(h_file))[0] == 0
+    code, out, err = run(capsys, "analyze", str(h_file))
+    assert code == 0, err
+    assert text_value(out, "order") == "33"
+    assert text_value(out, "spectrum_correspondence") == "ok"
+
+
 def test_construct_writes_data_before_a_failing_report(tmp_path, monkeypatch,
                                                      capsys):
     # a report failure still exits 2, but only after the hypergraph is out

@@ -8,7 +8,7 @@ import pytest
 from hyplp.constructions import named_fixture
 from hyplp.hypergraph import (Hypergraph, HypergraphFormatError,
                               NotRegularUniformError, adjacency,
-                              check_regular_uniform, degrees, diameter,
+                              adjacency_rows, check_regular_uniform, degrees, diameter,
                               distance_matrix, distance_regularity_check,
                               dual, girth, girth_via_trace, incidence_graph,
                               is_connected, nbw_count_matrix,
@@ -81,6 +81,19 @@ def test_degrees_and_regularity_check():
 def test_adjacency_counts_multiplicity():
     h = Hypergraph(3, [(0, 1), (0, 1), (1, 2)])
     assert adjacency(h) == [[0, 2, 0], [2, 0, 1], [0, 1, 0]]
+
+
+def test_adjacency_rows_are_the_nonzero_entries(corpus):
+    for h in corpus + [Hypergraph(2, [(0, 1), (0, 1)])]:
+        want = [[0] * h.n for _ in range(h.n)]
+        for e in h.edges:
+            for x in e:
+                for y in e:
+                    if x != y:
+                        want[x][y] += 1
+        assert adjacency_rows(h) == [[(y, w) for y, w in enumerate(row) if w]
+                                     for row in want]
+        assert adjacency(h) == want
 
 
 def test_incidence_graph_shape():
@@ -206,6 +219,8 @@ def test_nbw_row_sums_count_all_walks(corpus):
 
 def test_nbw_matrix_rejects_bad_length_zero_one():
     h = named_fixture("k4")
+    with pytest.raises(ValueError):
+        nbw_count_matrix(h, -1)
     assert nbw_count_matrix(h, 0) == [[1 if i == j else 0 for j in range(4)]
                                       for i in range(4)]
     assert nbw_count_matrix(h, 1) == adjacency(h)

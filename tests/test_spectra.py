@@ -7,10 +7,12 @@ import random
 import numpy as np
 import pytest
 
+from hyplp import cli, spectra
 from hyplp.constructions import named_fixture
-from hyplp.hypergraph import Hypergraph, adjacency
-from hyplp.spectra import (Spectrum, is_ramanujan, second_eigenvalue,
-                           spectrum_correspondence_check,
+from hyplp.hypergraph import (Hypergraph, adjacency, check_regular_uniform,
+                              dual, incidence_graph)
+from hyplp.spectra import (Analysis, Spectrum, is_ramanujan,
+                           second_eigenvalue, spectrum_correspondence_check,
                            symmetric_eigenvalues)
 from hyplp.tridiagonal import ql_eigenvalues, symmetrized_offdiagonal
 
@@ -116,15 +118,100 @@ def test_spectrum_clustering():
     assert spec.n == 3
 
 
+CORRESPONDENCE_FIXTURES = ("petersen", "fano", "heawood", "oa33", "oa45-minus", "k33")
+
+
+def _multiset_match(a, b, tol):
+    if len(a) != len(b):
+        return False
+    return all(abs(x - y) <= tol for x, y in zip(sorted(a), sorted(b)))
+
+
+def float_correspondence(h, tol=1e-7):
+    """Reference oracle for the exact check: diagonalize the incidence
+    graph, A and A* densely and compare squared incidence eigenvalues with
+    {spec(A)+r} u {spec(A*)+u}, and the zero-padded shifted spectra."""
+    r, u = check_regular_uniform(h)
+    inc = symmetric_eigenvalues(incidence_graph(h)).values
+    ev = symmetric_eigenvalues(adjacency(h)).values
+    ev_dual = symmetric_eigenvalues(adjacency(dual(h))).values
+    squared = [x * x for x in inc]
+    shifted = [x + r for x in ev] + [x + u for x in ev_dual]
+    padded_primal = [x + r for x in ev] + [0.0] * h.m
+    padded_dual = [x + u for x in ev_dual] + [0.0] * h.n
+    return (_multiset_match(squared, shifted, tol)
+            and _multiset_match(padded_primal, padded_dual, tol))
+
+
 def test_correspondence_on_fixtures():
-    for name in ("petersen", "fano", "heawood", "oa33", "oa45-minus", "k33"):
-        rep = spectrum_correspondence_check(named_fixture(name))
+    for name in CORRESPONDENCE_FIXTURES:
+        h = named_fixture(name)
+        rep = spectrum_correspondence_check(h)
         assert rep.ok, (name, rep.detail)
+        assert rep.ok == float_correspondence(h), name
 
 
+def _tampered_rows(monkeypatch, n, entry):
+    """Make `adjacency_rows` off by one at `entry` on the hypergraph with n
+    vertices (the primal or the dual), symmetrically."""
+    real = spectra.adjacency_rows
+
+    def fake(h):
+        rows = real(h)
+        if h.n == n:
+            x, y = entry
+            for a, b in ((x, y), (y, x)):
+                row = dict(rows[a])
+                row[b] = row.get(b, 0) + 1
+                rows[a] = sorted(row.items())
+        return rows
+
+    monkeypatch.setattr(spectra, "adjacency_rows", fake)
+
+
+def test_correspondence_names_a_tampered_primal_entry(monkeypatch):
+    h = named_fixture("petersen")  # n = 10, m = 15
+    was = adjacency(h)[0][2]
+    _tampered_rows(monkeypatch, 10, (0, 2))
+    rep = spectrum_correspondence_check(h)
+    assert not rep.ok
+    assert rep.detail == (f"N N^T != A + 3I at (0, 2): {was} vs {was + 1}",)
+
+
+def test_correspondence_names_a_tampered_dual_entry(monkeypatch):
+    h = named_fixture("petersen")
+    was = adjacency(dual(h))[3][7]
+    _tampered_rows(monkeypatch, 15, (3, 7))
+    rep = spectrum_correspondence_check(h)
+    assert not rep.ok
+    assert rep.detail == (f"N^T N != A* + 2I at (3, 7): {was} vs {was + 1}",)
+
+
+def test_analyze_computes_one_spectrum(monkeypatch, capsys):
+    h = named_fixture("petersen")
+    sizes = []
+    real = spectra.symmetric_eigenvalues
+
+    def counting(m, *args, **kwargs):
+        sizes.append(len(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "symmetric_eigenvalues", counting)
+    pairs = dict(cli.analyze_pairs(h))
+    assert sizes == [h.n]
+    assert pairs["spectrum_correspondence"] == "ok"
+    assert pairs["tau2"] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_analysis_fields_match_the_public_functions():
+    for name in ("petersen", "heawood", "oa45-minus"):
+        h = named_fixture(name)
+        an = Analysis(h)
+        assert an.tau2 == second_eigenvalue(h)
+        assert an.is_ramanujan() == is_ramanujan(h)
+        assert an.spectrum == symmetric_eigenvalues(adjacency(h))
 def test_correspondence_heawood_explicit():
     # incidence spectrum of the Fano hypergraph squared: {spec(A)+3} u {spec(A*)+3}
     h = named_fixture("fano")
-    from hyplp.hypergraph import incidence_graph
     inc = symmetric_eigenvalues(incidence_graph(h))
     assert_clusters(inc, [(3.0, 1), (SQRT2, 6), (-SQRT2, 6), (-3.0, 1)])
