@@ -14,7 +14,10 @@ def ql_eigenvalues(diag: Sequence[float], offdiag: Sequence[float],
     diagonal and subdiagonal, sorted in non-increasing order.
 
     Classic implicit-shift QL with Wilkinson-style shifts; eigenvalues come
-    out accurate to a few ulps of the matrix norm.
+    out accurate to a few ulps of the matrix norm.  A subdiagonal entry is
+    negligible when it is below eps times its two diagonal neighbours or
+    eps times the infinity norm of the matrix, as in EISPACK's tql1; the
+    second test is what lets a cluster of zero eigenvalues deflate.
     """
     n = len(diag)
     if len(offdiag) != max(n - 1, 0):
@@ -23,6 +26,8 @@ def ql_eigenvalues(diag: Sequence[float], offdiag: Sequence[float],
         return []
     d = [float(v) for v in diag]
     e = [float(v) for v in offdiag] + [0.0]
+    floor = _EPS * max(abs(d[i]) + abs(e[i]) + abs(e[i - 1] if i else 0.0)
+                       for i in range(n))
     for l in range(n):
         sweeps = 0
         while True:
@@ -30,7 +35,7 @@ def ql_eigenvalues(diag: Sequence[float], offdiag: Sequence[float],
             m = l
             while m < n - 1:
                 dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
+                if abs(e[m]) <= max(_EPS * dd, floor):
                     break
                 m += 1
             if m == l:

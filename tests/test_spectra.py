@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from hyplp import cli, spectra
-from hyplp.constructions import named_fixture
+from hyplp.constructions import (hypergraph_from_oa, mols_cyclic, named_fixture,
+                                 oa_from_mols)
 from hyplp.hypergraph import (Hypergraph, adjacency, check_regular_uniform,
                               dual, incidence_graph)
 from hyplp.spectra import (Analysis, Spectrum, is_ramanujan,
@@ -50,6 +51,22 @@ def test_ql_on_path_graph():
                        for j in range(1, n + 1)), reverse=True)
         for g, w in zip(got, want):
             assert abs(g - w) < 1e-10
+
+
+def oa_point_hypergraph(p, rows):
+    return hypergraph_from_oa(oa_from_mols(mols_cyclic(p, rows - 2)))
+
+
+def test_ql_deflates_a_cluster_of_zero_eigenvalues():
+    # the 154 x 154 incidence matrix of the OA(3, 11) point hypergraph has 92
+    # zero eigenvalues; deflating only against the neighbouring diagonal
+    # entries ran past the sweep cap there
+    b = incidence_graph(oa_point_hypergraph(11, 3))
+    assert len(b) == 154
+    got = symmetric_eigenvalues(b).values
+    want = sorted(np.linalg.eigvalsh(np.array(b, dtype=float)), reverse=True)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
+    assert sum(1 for g in got if abs(g) <= 1e-9) == 92
 
 
 def test_symmetrized_offdiagonal():
@@ -149,6 +166,8 @@ def test_correspondence_on_fixtures():
         rep = spectrum_correspondence_check(h)
         assert rep.ok, (name, rep.detail)
         assert rep.ok == float_correspondence(h), name
+    h = oa_point_hypergraph(11, 3)
+    assert spectrum_correspondence_check(h).ok and float_correspondence(h)
 
 
 def _tampered_rows(monkeypatch, n, entry):
