@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
 
 from .hypergraph import (Hypergraph, IntersectionNumbers, adjacency,
@@ -77,15 +78,15 @@ def householder_tridiagonalize(m: Sequence[Sequence[float]]) -> tuple[list[float
             continue
         beta = 2.0 / vv
         # similarity update A <- A - v p^T - p v^T with p = beta*A*v - kappa*v
-        w = [beta * math.fsum(a[i][kk] * v[kk] for kk in range(j + 1, n))
-             for i in range(n)]
+        vt = v[j + 1:]
+        w = [beta * math.fsum(map(mul, a[i][j + 1:], vt)) for i in range(n)]
         kappa = 0.5 * beta * math.fsum(v[i] * w[i] for i in range(j + 1, n))
         p = [w[i] - kappa * v[i] for i in range(n)]
+        pt, vt = p[j:], v[j:]
         for i in range(j, n):
             vi, pi = v[i], p[i]
             row = a[i]
-            for kk in range(j, n):
-                row[kk] -= vi * p[kk] + pi * v[kk]
+            row[j:] = [x - (vi * pk + pi * vk) for x, pk, vk in zip(row[j:], pt, vt)]
     diag = [a[i][i] for i in range(n)]
     off = [a[i + 1][i] for i in range(n - 1)]
     return diag, off
