@@ -18,13 +18,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import bounds
-from .bounds import BoundResult, LPConditionError, Refinement
-from .constructions import (OAValidationError, OrthogonalArray,
-                            fixture_names, hypergraph_from_oa, mols_cyclic,
-                            named_fixture, oa_from_mols, oa_minus_transversal,
-                            oa_validate)
-from .hypergraph import (Hypergraph, HypergraphFormatError,
-                         NotRegularUniformError, check_regular_uniform, girth)
+from .bounds import BoundResult, Refinement
+from .constructions import (OrthogonalArray, fixture_names, hypergraph_from_oa,
+                            mols_cyclic, named_fixture, oa_from_mols,
+                            oa_minus_transversal, oa_validate)
+from .hypergraph import (Hypergraph, NotRegularUniformError,
+                         check_regular_uniform, girth)
 from .orthopoly import FPoly, Params
 from .spectra import Analysis
 
@@ -32,7 +31,8 @@ __all__ = ["main"]
 
 
 class UsageError(Exception):
-    """Bad arguments or unreadable input; maps to exit code 2."""
+    """Bad arguments or unreadable input; maps to exit code 2 (an internal
+    ArithmeticError maps to 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -655,13 +655,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # ValueError covers the format, array, regularity and LP-condition
+        # errors: all of them are about the input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (HypergraphFormatError, OAValidationError, NotRegularUniformError,
-            LPConditionError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ArithmeticError as exc:
+        # a numerical method failed on valid input: a fault of hyplp's
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -6,11 +6,12 @@ import io
 import json
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
-from hyplp import bounds, cli
+from hyplp import bounds, cli, spectra
 from hyplp.cli import (UsageError, fmt, jval, load_certificate, main,
                        parse_theta)
 from hyplp.constructions import named_fixture
@@ -486,19 +487,43 @@ def test_analyze_oa_11_3_point_hypergraph(tmp_path, capsys):
 
 def test_construct_writes_data_before_a_failing_report(tmp_path, monkeypatch,
                                                      capsys):
-    # a report failure still exits 2, but only after the hypergraph is out
+    # a report failure still exits non-zero (3: internal), but only after
+    # the hypergraph is out
     def broken(h):
         raise ArithmeticError("report failed")
 
     monkeypatch.setattr(cli, "analyze_pairs", broken)
     petersen = named_fixture("petersen").to_text()
     code, out, err = run(capsys, "construct", "named", "petersen")
-    assert code == 2 and out == petersen
+    assert code == 3 and out == petersen
     assert "report failed" in err
     target = tmp_path / "p.hg"
     code, out, err = run(capsys, "construct", "named", "petersen", "-o", str(target))
-    assert code == 2 and target.read_text() == petersen
+    assert code == 3 and target.read_text() == petersen
     assert "report failed" in err
+
+
+def test_internal_failure_in_analyze_exits_3(tmp_path, monkeypatch, capsys):
+    def stalled(diag, off):
+        raise ArithmeticError("tridiagonal QL iteration did not converge")
+
+    f = tmp_path / "petersen.hg"
+    f.write_text(named_fixture("petersen").to_text())
+    monkeypatch.setattr(spectra, "ql_eigenvalues", stalled)
+    code, out, err = run(capsys, "analyze", str(f))
+    assert code == 3 and out == ""
+    assert err == "error: internal: tridiagonal QL iteration did not converge\n"
+
+
+def test_analyze_refuses_an_order_above_the_cap(tmp_path, capsys):
+    f = tmp_path / "huge.hg"
+    f.write_text("100000 0\n")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "analyze", str(f))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert "n = 100000" in err and str(cli.ANALYZE_MAX_N) in err
+    assert cli.ANALYZE_MAX_N >= 404  # OA(4, 101) point hypergraph
 
 
 def test_construct_bad_arguments(capsys):
