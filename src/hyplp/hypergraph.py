@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .orthopoly import Params
@@ -379,9 +380,7 @@ def nbw_count_matrix(h: Hypergraph, i: int) -> list[list[int]]:
     entries stay >= 0."""
     if i < 0:
         raise ValueError("length must be non-negative")
-    for j, cur in enumerate(_walk_matrices(h)):
-        if j == i:
-            break
+    cur = next(islice(_walk_matrices(h), i, None))
     bad = next(((p, q_) for p, row in enumerate(cur) for q_, v in enumerate(row)
                 if v < 0), None)
     if bad is not None:

@@ -224,8 +224,8 @@ def spectrum_correspondence_check(h: Hypergraph,
     n x m vertex-edge incidence matrix, A the adjacency of h and A* that of
     its dual, check N N^T = A + rI and N^T N = A* + uI entry by entry in
     integers.  The incidence graph's matrix squares to diag(N N^T, N^T N),
+    so the squared incidence eigenvalues are {spec(A)+r} u {spec(A*)+u};
     and N N^T, N^T N share their nonzero eigenvalues with multiplicity, so
-    the squared incidence eigenvalues are {spec(A)+r} u {spec(A*)+u}, and
     spec(A)+r padded with m zeros equals spec(A*)+u padded with n zeros.
     Needs O(nnz * max(r, u)) time and no dense matrix; `rows` is
     `adjacency_rows(h)`, when the caller has it.  A failure names the first
