@@ -13,9 +13,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .orthopoly import (FPoly, Params, _gc_monomial, _poly_divmod, _poly_mul,
-                        f_eval, f_values, g_eval, largest_zero_G,
-                        largest_zero_gc, monomial_to_fbasis, positive_witness)
+from .orthopoly import (FPoly, Params, _gc_monomial, _poly_deriv, _poly_divmod,
+                        _poly_mul, _poly_roots, f_eval, f_monomial, f_values,
+                        g_eval, largest_zero_G, largest_zero_gc,
+                        monomial_to_fbasis, positive_witness)
 from .simplex import Infeasible, Unbounded, solve_max
 
 __all__ = [
@@ -45,6 +46,9 @@ __all__ = [
 Number = Union[int, float, Fraction]
 
 ZTOL = 1e-9
+# largest diameter the closed form searches; largest_zero_G(Params(3, 2),
+# DIAMETER_CAP) alone takes about 0.2 s
+DIAMETER_CAP = 400
 INTERVAL_CONDITION = "f <= 0 on [-r, theta]"
 
 
@@ -181,6 +185,22 @@ def lp_bound_evaluate(params: Params, f: FPoly,
 # LP optimization by constraint generation
 
 
+def _f_float(params: Params, coeffs: Sequence[float], x: float) -> float:
+    """1 + sum_j coeffs[j-1] F_j(x) in floats: the F-recurrence on two
+    scalars, each term summed as it is computed (same order and operations
+    as a sum over f_values)."""
+    acc = coeffs[0] * x
+    if len(coeffs) >= 2:
+        u2 = params.u - 2
+        prev, cur = x, x * x - u2 * x - params.k
+        acc += coeffs[1] * cur
+        xs, q = x - u2, params.q
+        for c in coeffs[2:]:
+            prev, cur = cur, xs * cur - q * prev
+            acc += c * cur
+    return 1.0 + acc
+
+
 def lp_bound_optimize(params: Params, theta: Number, s: int,
                       tol: float = 1e-8, max_rounds: int = 100) -> BoundResult:
     """Best degree-s certificate bound for eigenvalues in [-r, theta]:
@@ -198,7 +218,9 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
     if th < lo:
         raise ValueError("theta below -r")
     fk = [float(params.k * params.q ** (j - 1)) for j in range(1, s + 1)]
-    u2, k, q = params.u - 2, params.k, float(params.q)
+    tables = [[float(c) for c in f_monomial(params, j)] for j in range(1, s + 1)]
+    too_low = (f"degree {s} is too low for [{lo}, {th}]: no polynomial with "
+               f"f_j >= 0 stays <= 0 there; use a higher --degree")
 
     npts = 200
     points = [lo + (th - lo) * t / (npts - 1) for t in range(npts)] if th > lo else [lo]
@@ -218,49 +240,17 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
         except Unbounded as exc:
             # the point-mass dual is unbounded exactly when no f_j >= 0 keeps
             # f <= 0 at the sampled points: a domain limit, not a failure
-            raise ValueError(
-                f"degree {s} is too low for [{lo}, {th}]: no polynomial with "
-                f"f_j >= 0 stays <= 0 there; use a higher --degree") from exc
+            raise ValueError(too_low) from exc
         except Infeasible as exc:
             raise ArithmeticError(f"internal LP failure ({exc})") from exc
         coeffs = list(res.duals)
-        scan = 10 ** 4
-
-        c1, tail = coeffs[0], coeffs[2:]
-
-        def fval(x: float) -> float:
-            # F-recurrence on two scalars, each term summed as it is computed
-            # (same order and operations as a sum over f_values)
-            acc = c1 * x
-            if s >= 2:
-                prev, cur = x, x * x - u2 * x - k
-                acc += coeffs[1] * cur
-                xs = x - u2
-                for c in tail:
-                    prev, cur = cur, xs * cur - q * prev
-                    acc += c * cur
-            return 1.0 + acc
-
-        best_x, viol = lo, fval(lo)
-        if th > lo:
-            step = (th - lo) / scan
-            for t in range(1, scan + 1):
-                x = lo + step * t
-                v = fval(x)
-                if v > viol:
-                    best_x, viol = x, v
-            # golden-section polish around the best sample
-            a0, b0 = max(lo, best_x - step), min(th, best_x + step)
-            for _ in range(80):
-                m1 = a0 + (b0 - a0) * 0.382
-                m2 = a0 + (b0 - a0) * 0.618
-                if fval(m1) < fval(m2):
-                    a0 = m1
-                else:
-                    b0 = m2
-            x = 0.5 * (a0 + b0)
-            if fval(x) > viol:
-                best_x, viol = x, fval(x)
+        # f attains its maximum on [lo, th] at an endpoint or a root of f'
+        mono = [1.0] + [0.0] * s
+        for c, table in zip(coeffs, tables):
+            for j, cj in enumerate(table):
+                mono[j] += c * cj
+        viol, best_x = max((_f_float(params, coeffs, x), x)
+                           for x in (lo, *_poly_roots(_poly_deriv(mono), lo, th), th))
         if viol < tol:
             break
         if any(abs(best_x - p) < 1e-13 for p in points):
@@ -270,6 +260,11 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
     else:
         raise ArithmeticError(f"no convergence after {max_rounds} rounds "
                               f"(violation {viol:.3g})")
+    if viol >= 1:
+        # the exchange stopped with f >= 1 somewhere, so f_0 = 1 - viol <= 0:
+        # no shift of f_0 absorbs the violation, and the LP has no solution
+        # at this degree
+        raise ValueError(too_low)
 
     # round-off leaves duals like -3e-18 where the LP optimum has 0; clamp
     # them so the exact check does not reject a certificate built here
@@ -301,16 +296,34 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
 
 
 def select_diameter(params: Params, theta: Number, ztol: float = ZTOL) -> int:
-    """Smallest d with theta <= (largest zero of G_d) + ztol."""
+    """Smallest d with theta <= (largest zero of G_d) + ztol.  The zeros
+    increase with d, so the search gallops over d = 2, 4, 8, ... and then
+    bisects: O(log d) calls of largest_zero_G.  A theta that needs d above
+    DIAMETER_CAP is refused."""
     th = float(theta)
     if th <= -1 + ztol:
         return 1
-    d = 2
-    while largest_zero_G(params, d) < th - ztol:
-        d += 1
-        if d > 400:
-            raise ArithmeticError("diameter selection did not terminate")
-    return d
+
+    def reached(d: int) -> bool:
+        return largest_zero_G(params, d) >= th - ztol
+
+    # invariant: lo falls short (lambda_1 = -1) and hi, once checked, reaches
+    lo, hi = 1, 2
+    while not reached(hi):
+        if hi == DIAMETER_CAP:
+            raise ValueError(
+                f"theta = {th} needs a diameter d above the cap "
+                f"{DIAMETER_CAP}: the largest zero of G_d stays below theta "
+                f"up to d = {DIAMETER_CAP} and approaches u-2+2*sqrt(q) = "
+                f"{_lambda_top(params)} only as d grows")
+        lo, hi = hi, min(2 * hi, DIAMETER_CAP)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def closed_form_h_bound(params: Params, theta: Number, ztol: float = ZTOL) -> BoundResult:

@@ -290,6 +290,46 @@ def _poly_deriv(p: Sequence[Exact]) -> list:
     return _poly_trim([i * c for i, c in enumerate(p)][1:] or [0])
 
 
+def _poly_roots(p: Sequence[float], a: float, b: float) -> list[float]:
+    """Real roots of the float polynomial p in [a, b], ascending.
+
+    Derivative cascade: the roots of p' cut [a, b] into pieces on which p
+    is monotone, so each piece holds at most one root, found by bisection on
+    a sign change until the float midpoint stops moving.  No grid, step
+    count or tolerance.  A root where p does not change sign is reported
+    only when p evaluates to exactly 0 there (a cut or an endpoint); the
+    zero polynomial has none."""
+    p = _poly_trim(p)
+    if len(p) == 1:
+        return []
+    cuts = [a, *_poly_roots(_poly_deriv(p), a, b), b]
+    roots: list[float] = []
+    for x, y in zip(cuts, cuts[1:]):
+        vx, vy = _poly_eval(p, x), _poly_eval(p, y)
+        if vx == 0:
+            if not roots or roots[-1] != x:
+                roots.append(x)
+            continue
+        if vy == 0 or (vx > 0) == (vy > 0):
+            continue
+        while True:
+            mid = 0.5 * (x + y)
+            if mid == x or mid == y:
+                break
+            vm = _poly_eval(p, mid)
+            if vm == 0:
+                x = mid
+                break
+            if (vm > 0) == (vx > 0):
+                x = mid
+            else:
+                y = mid
+        roots.append(x)
+    if _poly_eval(p, b) == 0 and (not roots or roots[-1] != b):
+        roots.append(b)
+    return roots
+
+
 def _poly_sub(a: Sequence[Exact], b: Sequence[Exact]) -> list:
     return _poly_trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
 

@@ -17,7 +17,7 @@ from .hypergraph import (Hypergraph, IntersectionNumbers, adjacency,
                          adjacency_rows, check_regular_uniform, distance_matrix,
                          distance_regularity_check, dual, girth_via_trace,
                          is_connected)
-from .tridiagonal import ql_eigenvalues
+from .tridiagonal import _EPS, ql_eigenvalues
 
 __all__ = [
     "Spectrum",
@@ -59,13 +59,18 @@ class Spectrum:
 
 def householder_tridiagonalize(m: Sequence[Sequence[float]]) -> tuple[list[float], list[float]]:
     """Orthogonal reduction of a symmetric matrix to tridiagonal form;
-    returns (diagonal, subdiagonal)."""
+    returns (diagonal, subdiagonal).  A column whose entries below the
+    diagonal have norm <= eps * ||A||_inf is not reflected, and its entries
+    below the subdiagonal are dropped: the cut the QL deflation makes, a
+    backward-stable perturbation.  Reflecting such a column can underflow
+    its squared norm, and 2/||v||^2 then overflows into inf * 0 = NaN."""
     n = len(m)
     a = [[float(x) for x in row] for row in m]
+    cut = _EPS * max((math.fsum(map(abs, row)) for row in a), default=0.0)
     for j in range(n - 2):
         norm2 = math.fsum(a[i][j] * a[i][j] for i in range(j + 1, n))
         alpha = math.sqrt(norm2)
-        if alpha == 0.0:
+        if alpha <= cut:
             continue
         if a[j + 1][j] > 0.0:
             alpha = -alpha

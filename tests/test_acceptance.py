@@ -11,11 +11,11 @@ from hyplp.bounds import (closed_form_h_bound, dss_gen_bound,
                           lp_bound_optimize, tau2_lower)
 from hyplp.cli import _csv_rows, _data_text
 from hyplp.constructions import named_fixture
-from hyplp.hypergraph import (_nbw_counts_from, check_regular_uniform, girth,
-                              girth_via_trace, distance_regularity_check,
-                              nbw_count_matrix, nbw_count_oracle)
+from hyplp.hypergraph import (check_regular_uniform, girth, girth_via_trace,
+                              distance_regularity_check, nbw_count_matrix)
 from hyplp.orthopoly import Params, TridiagonalArray, linearization
 from hyplp.spectra import second_eigenvalue, spectrum_correspondence_check
+from walk_oracles import nbw_count_oracle, nbw_counts_from
 
 
 def check(num, label, ok, detail=""):
@@ -96,7 +96,7 @@ def test_c05_walk_matrix_equals_enumeration(corpus):
         for i in range(7):
             mat = nbw_count_matrix(h, i)
             for x in range(h.n):
-                counts = _nbw_counts_from(h, x, i, incident, 10 ** 7)
+                counts = nbw_counts_from(h, x, i, incident, 10 ** 7)
                 if counts != mat[x]:
                     ok = False
                 entries += h.n

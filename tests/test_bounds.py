@@ -2,10 +2,13 @@
 integrality cuts, diameter and defect bounds, duality, and inversion."""
 
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from hyplp import bounds
 from hyplp.bounds import (BoundResult, DssCheck, LPConditionError, Refinement,
@@ -17,6 +20,7 @@ from hyplp.bounds import (BoundResult, DssCheck, LPConditionError, Refinement,
                           lp_bound_evaluate, lp_bound_optimize, moore_order,
                           ru1_bound, select_diameter, strictly_below_int,
                           tau2_lower)
+from hyplp.cli import _csv_rows, parse_theta
 from hyplp.orthopoly import FPoly, Params, largest_zero_G
 
 P32 = Params(3, 2)
@@ -40,6 +44,54 @@ def test_select_diameter():
     assert select_diameter(P32, 1 + 1e-12) == 2
     assert select_diameter(P32, 1.2) == 3
     assert select_diameter(P32, SQRT2) == 3
+
+
+def linear_select_diameter(params, theta):
+    """select_diameter's predicate, checked at d = 2, 3, 4, ... in turn."""
+    th = float(theta)
+    if th <= -1 + bounds.ZTOL:
+        return 1
+    d = 2
+    while largest_zero_G(params, d) < th - bounds.ZTOL:
+        d += 1
+    return d
+
+
+def test_select_diameter_matches_a_linear_scan():
+    thetas = [(int(row["r"]), int(row["u"]), parse_theta(row["theta"]))
+              for row in _csv_rows("h_catalog.csv")]
+    for row in _csv_rows("table1.csv"):
+        for key in ("lower", "lambda", "upper"):
+            thetas.append((int(row["r"]), int(row["u"]), float(row[key])))
+    ds = set()
+    for r, u, theta in thetas:
+        p = Params(r, u)
+        if float(theta) >= bounds._lambda_top(p):
+            continue
+        d = select_diameter(p, theta)
+        assert d == linear_select_diameter(p, theta), (r, u, theta)
+        ds.add(d)
+    assert len(thetas) > 70 and {1, 2, 3, 4} <= ds
+
+
+def test_select_diameter_refuses_beyond_the_cap(monkeypatch):
+    calls = []
+    real = bounds.largest_zero_G
+
+    def counted(params, j):
+        calls.append(j)
+        return real(params, j)
+
+    monkeypatch.setattr(bounds, "largest_zero_G", counted)
+    with pytest.raises(ValueError) as info:
+        select_diameter(P32, 2.8284)
+    msg = str(info.value)
+    assert "2.8284" in msg and "2.828427" in msg and str(bounds.DIAMETER_CAP) in msg
+    # galloping: d = 2, 4, ..., 256, then the cap, not every d up to it
+    assert calls[-1] == bounds.DIAMETER_CAP and len(calls) <= 10
+    calls.clear()
+    assert select_diameter(P32, 2.82) == 41 == linear_select_diameter(P32, 2.82)
+    assert len(calls) <= 2 * math.log2(41) + 2
 
 
 def test_closed_form_petersen_point():
@@ -188,6 +240,63 @@ def test_lp_optimize_pivot_count(monkeypatch):
     lp_bound_optimize(Params(4, 2), SQRT2, 6)
     assert len(pivots) >= 2
     assert sum(pivots) < 1000
+
+
+def test_lp_optimize_separation_work_is_polynomial_in_s(monkeypatch):
+    # each round evaluates f at -r, theta and the roots of f' (at most s + 1
+    # points) and adds one column: O(s) evaluations, where a 10^4-point scan
+    # of [-r, theta] would make 10^4 per round
+    calls = []
+    for name in ("_f_float", "f_values"):
+        real = getattr(bounds, name)
+
+        def counted(*args, real=real):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(bounds, name, counted)
+    s = 6
+    b = lp_bound_optimize(Params(4, 2), SQRT2, s)
+    seeds = 200
+    assert b.params["rounds"] >= 2
+    assert len(calls) - seeds <= (s + 1) ** 2 * b.params["rounds"]
+
+
+def grid_lp_optimum(r, u, theta, s, npts=40001):
+    """min 1 + sum f_j F_j(k) over f_j >= 0 with 1 + sum f_j F_j(x) <= 0 on
+    a uniform grid of [-r, theta], by scipy's HiGHS solver."""
+    k, q, shift = r * (u - 1), (r - 1) * (u - 1), u - 2
+    xs = np.linspace(-r, theta, npts)
+    cols = [np.ones_like(xs), xs, xs * xs - shift * xs - k]
+    while len(cols) <= s:
+        cols.append((xs - shift) * cols[-1] - q * cols[-2])
+    fk = [float(k * q ** (j - 1)) for j in range(1, s + 1)]
+    res = linprog(fk, A_ub=np.stack(cols[1:s + 1], axis=1), b_ub=-np.ones(npts),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return 1.0 + res.fun
+
+
+def test_lp_optimize_matches_linprog_on_a_fine_grid():
+    # the float LP optimum the exchange reached, before f_0 takes the
+    # residual and the headroom: 1 + sum f_j F_j(k) = f(k) - f_0 + 1
+    rng = random.Random(20261018)
+    cells = rng.sample(_csv_rows("h_catalog.csv"), 12)
+    compared = 0
+    for row in cells:
+        r, u, s = int(row["r"]), int(row["u"]), rng.choice((4, 5, 6))
+        theta = parse_theta(row["theta"])
+        try:
+            b = lp_bound_optimize(Params(r, u), theta, s)
+        except ValueError as exc:
+            assert "too low" in str(exc)
+            continue
+        f = b.certificate
+        got = float(f.at_k() - f.coeffs[0] + 1)
+        want = grid_lp_optimum(r, u, float(theta), s)
+        assert got == pytest.approx(want, rel=1e-6), (r, u, row["theta"], s)
+        compared += 1
+    assert compared >= 8
 
 
 def test_lp_optimize_input_validation():

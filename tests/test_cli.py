@@ -245,6 +245,27 @@ def test_bound_lp_degree_too_low_is_a_domain_error(capsys, r, u, theta):
     assert "internal" not in err
 
 
+@pytest.mark.parametrize("r, theta", [("5", "sqrt5"), ("7", "sqrt7"), ("8", "sqrt8")])
+def test_bound_lp_degree_3_at_sqrt_r_is_a_domain_error(capsys, r, theta):
+    # for u = 2, F_1 and F_3 are odd and F_2(+-sqrt r) = 0, so every degree-3
+    # f has f(sqrt r) + f(-sqrt r) = 2 f_0 > 0, and sqrt r lies in [-r, theta]
+    code, out, err = run(capsys, "bound", "lp", "--r", r, "--u", "2", "--theta",
+                         theta, "--degree", "3")
+    assert code == 2 and out == ""
+    assert "degree 3 is too low" in err and "--degree" in err
+    assert "internal" not in err
+
+
+def test_closed_form_refuses_a_diameter_above_the_cap_quickly(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "bound", "closed-form", "--r", "3", "--u", "2",
+                         "--theta", "2.8284")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2 and out == ""
+    assert "theta = 2.8284" in err and "2.8284271247" in err and "400" in err
+    assert "internal" not in err
+
+
 def test_main_reuses_one_parser(capsys, monkeypatch):
     run(capsys, "bound", "ru1", "--r", "16", "--u", "3")
     monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("rebuilt"))

@@ -10,9 +10,9 @@ from hyplp.hypergraph import (Hypergraph, HypergraphFormatError,
                               NotRegularUniformError, adjacency,
                               adjacency_rows, check_regular_uniform, degrees, diameter,
                               distance_matrix, distance_regularity_check,
-                              dual, girth, girth_via_trace, incidence_graph,
-                              is_connected, nbw_count_matrix,
-                              nbw_count_oracle)
+                              dual, girth, girth_via_trace, is_connected,
+                              nbw_count_matrix)
+from walk_oracles import incidence_graph, nbw_count_oracle
 
 PRISM = Hypergraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                        (0, 3), (1, 4), (2, 5)])

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -15,7 +16,7 @@ from hyplp.orthopoly import (FPoly, Params, TridiagonalArray, char_poly_check,
                              monomial_to_fbasis,
                              orthogonality_quadrature_check,
                              positive_witness)
-from hyplp.orthopoly import _poly_mul
+from hyplp.orthopoly import _poly_deriv, _poly_eval, _poly_mul, _poly_roots
 
 GRID = [(3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 5), (4, 4), (6, 2)]
 
@@ -347,3 +348,80 @@ def test_positive_witness_touching_and_endpoint_roots():
     assert positive_witness([0], -1, 1) is None
     with pytest.raises(ValueError):
         positive_witness([-1], 1, 0)
+
+
+def float_poly_from_roots(roots, lead):
+    """Monomial coefficients, lowest first, of lead * prod (x - root)."""
+    poly = [float(lead)]
+    for root in roots:
+        poly = [0.0] + poly
+        for j in range(len(poly) - 1):
+            poly[j] -= root * poly[j + 1]
+    return poly
+
+
+def test_poly_roots_match_numpy():
+    # 200 seeded float polynomials of degree 1-9 on [a, b] = [-3, 2]: random
+    # roots inside and outside, close pairs, roots exactly on the endpoints,
+    # a complex pair, and a zero leading coefficient
+    rng = random.Random(20261018)
+    a, b = -3.0, 2.0
+    kinds = set()
+    for trial in range(200):
+        deg = 1 + trial % 9
+        kind = trial // 9 % 4 if deg >= 2 else 0
+        lead = rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 2)
+        if kind == 2:
+            # distinct quarter-integer roots keep every coefficient and every
+            # value at the endpoints exact, so p(a) = p(b) = 0 exactly
+            spots = [j / 4 for j in range(-16, 13) if j / 4 not in (a, b)]
+            roots = [a, b] + rng.sample(spots, deg - 2)
+            lead = rng.choice((-1, 1)) * 2 ** rng.randint(-3, 3)
+        else:
+            roots = [rng.uniform(-4.0, 3.0) for _ in range(deg)]
+        if kind == 1:
+            roots[-1] = roots[0] + rng.choice((-1, 1)) * 10 ** rng.uniform(-4, -2)
+        p = float_poly_from_roots(roots, lead)
+        if kind == 3:
+            p = _poly_mul(p, [rng.uniform(0.1, 2.0), rng.uniform(-1.0, 1.0), 1.0])
+            p.append(0.0)
+        kinds.add(kind)
+        got = _poly_roots(p, a, b)
+        assert got == sorted(got) and all(a <= x <= b for x in got), (trial, got)
+        # numpy's own error may put an endpoint root just outside [a, b]
+        want = sorted(z.real for z in np.roots(p[::-1])
+                      if abs(z.imag) <= 1e-9 and a - 1e-9 <= z.real <= b + 1e-9)
+        if kind == 2:
+            assert got[0] == a and got[-1] == b, (trial, got)
+        assert len(got) == len(want), (trial, roots, got, want)
+        for x, w in zip(got, want):
+            # Horner's rounding error over |p'|: how far a float root can sit
+            # from the true one (large only between the close pairs)
+            noise = sum(abs(c) * abs(w) ** i for i, c in enumerate(p))
+            slack = 16 * 2.0 ** -52 * noise / abs(_poly_eval(_poly_deriv(p), w))
+            assert abs(x - w) <= 1e-9 * max(1.0, abs(w)) + slack, (trial, got, want)
+    assert kinds == {0, 1, 2, 3}
+
+
+def test_poly_roots_edge_cases():
+    assert _poly_roots([0.0], -1.0, 1.0) == []
+    assert _poly_roots([3.0], -1.0, 1.0) == []
+    assert _poly_roots([-0.5, 1.0], -1.0, 1.0) == [0.5]
+    assert _poly_roots([-2.0, 1.0], -1.0, 1.0) == []
+    assert _poly_roots([0.0, 0.0, 1.0], -1.0, 1.0) == [0.0]   # double root, exact
+    assert _poly_roots([-1.0, 0.0, 1.0], -1.0, 1.0) == [-1.0, 1.0]
+    assert _poly_roots([-1.0, 0.0, 1.0], 1.0, 1.0) == [1.0]
+
+
+def test_critical_points_find_a_peak_a_grid_misses():
+    # p = 1 - 1e8 (x - x0)^2 with x0 halfway between two points of a
+    # 10^4-step grid on [-5, 5]: every grid value is below -20, while the
+    # maximum over the endpoints and the roots of p' is the peak value 1
+    lo, hi, n = -5.0, 5.0, 10 ** 4
+    step = (hi - lo) / n
+    x0 = lo + 6180.5 * step
+    p = [1.0 - 1e8 * x0 * x0, 2e8 * x0, -1e8]
+    assert max(_poly_eval(p, lo + step * t) for t in range(n + 1)) < -20.0
+    crit = _poly_roots(_poly_deriv(p), lo, hi)
+    assert len(crit) == 1 and abs(crit[0] - x0) <= 1e-12
+    assert max(_poly_eval(p, x) for x in (lo, *crit, hi)) > 0.99

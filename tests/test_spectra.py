@@ -10,12 +10,12 @@ import pytest
 from hyplp import cli, spectra
 from hyplp.constructions import (hypergraph_from_oa, mols_cyclic, named_fixture,
                                  oa_from_mols)
-from hyplp.hypergraph import (Hypergraph, adjacency, check_regular_uniform,
-                              dual, incidence_graph)
+from hyplp.hypergraph import Hypergraph, adjacency, check_regular_uniform, dual
 from hyplp.spectra import (Analysis, Spectrum, is_ramanujan,
                            second_eigenvalue, spectrum_correspondence_check,
                            symmetric_eigenvalues)
 from hyplp.tridiagonal import ql_eigenvalues, symmetrized_offdiagonal
+from walk_oracles import incidence_graph
 
 SQRT2 = math.sqrt(2.0)
 
@@ -67,6 +67,18 @@ def test_ql_deflates_a_cluster_of_zero_eigenvalues():
     want = sorted(np.linalg.eigvalsh(np.array(b, dtype=float)), reverse=True)
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
     assert sum(1 for g in got if abs(g) <= 1e-9) == 92
+
+
+def test_householder_skips_underflowing_columns():
+    # the OA(4, 29) point adjacency has rank 4 of 116: later Householder
+    # columns decay to ~1e-149, whose squared norm underflows to 0, and
+    # reflecting them once gave NaN and a QL iteration that never converged
+    a = adjacency(oa_point_hypergraph(29, 4))
+    assert len(a) == 116
+    got = symmetric_eigenvalues(a).values
+    want = sorted(np.linalg.eigvalsh(np.array(a, dtype=float)), reverse=True)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-11
+    assert got[0] == pytest.approx(87.0) and abs(got[1]) <= 1e-9
 
 
 def test_symmetrized_offdiagonal():
