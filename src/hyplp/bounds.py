@@ -185,22 +185,6 @@ def lp_bound_evaluate(params: Params, f: FPoly,
 # LP optimization by constraint generation
 
 
-def _f_float(params: Params, coeffs: Sequence[float], x: float) -> float:
-    """1 + sum_j coeffs[j-1] F_j(x) in floats: the F-recurrence on two
-    scalars, each term summed as it is computed (same order and operations
-    as a sum over f_values)."""
-    acc = coeffs[0] * x
-    if len(coeffs) >= 2:
-        u2 = params.u - 2
-        prev, cur = x, x * x - u2 * x - params.k
-        acc += coeffs[1] * cur
-        xs, q = x - u2, params.q
-        for c in coeffs[2:]:
-            prev, cur = cur, xs * cur - q * prev
-            acc += c * cur
-    return 1.0 + acc
-
-
 def lp_bound_optimize(params: Params, theta: Number, s: int,
                       tol: float = 1e-8, max_rounds: int = 100) -> BoundResult:
     """Best degree-s certificate bound for eigenvalues in [-r, theta]:
@@ -249,8 +233,9 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
         for c, table in zip(coeffs, tables):
             for j, cj in enumerate(table):
                 mono[j] += c * cj
-        viol, best_x = max((_f_float(params, coeffs, x), x)
-                           for x in (lo, *_poly_roots(_poly_deriv(mono), lo, th), th))
+        viol, best_x = max(
+            (1.0 + sum(c * v for c, v in zip(coeffs, f_values(params, s, x)[1:])), x)
+            for x in (lo, *_poly_roots(_poly_deriv(mono), lo, th), th))
         if viol < tol:
             break
         if any(abs(best_x - p) < 1e-13 for p in points):

@@ -244,17 +244,16 @@ def test_lp_optimize_pivot_count(monkeypatch):
 
 def test_lp_optimize_separation_work_is_polynomial_in_s(monkeypatch):
     # each round evaluates f at -r, theta and the roots of f' (at most s + 1
-    # points) and adds one column: O(s) evaluations, where a 10^4-point scan
-    # of [-r, theta] would make 10^4 per round
+    # points) and adds one column: O(s) calls of f_values, where a
+    # 10^4-point scan of [-r, theta] would make 10^4 per round
     calls = []
-    for name in ("_f_float", "f_values"):
-        real = getattr(bounds, name)
+    real = bounds.f_values
 
-        def counted(*args, real=real):
-            calls.append(1)
-            return real(*args)
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
 
-        monkeypatch.setattr(bounds, name, counted)
+    monkeypatch.setattr(bounds, "f_values", counted)
     s = 6
     b = lp_bound_optimize(Params(4, 2), SQRT2, s)
     seeds = 200
