@@ -281,34 +281,23 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
 
 
 def select_diameter(params: Params, theta: Number, ztol: float = ZTOL) -> int:
-    """Smallest d with theta <= (largest zero of G_d) + ztol.  The zeros
-    increase with d, so the search gallops over d = 2, 4, 8, ... and then
-    bisects: O(log d) calls of largest_zero_G.  A theta that needs d above
-    DIAMETER_CAP is refused."""
+    """Smallest d with theta <= (largest zero of G_d) + ztol.  A theta that
+    needs d above DIAMETER_CAP is refused."""
     th = float(theta)
     if th <= -1 + ztol:
         return 1
-
-    def reached(d: int) -> bool:
-        return largest_zero_G(params, d) >= th - ztol
-
-    # invariant: lo falls short (lambda_1 = -1) and hi, once checked, reaches
-    lo, hi = 1, 2
-    while not reached(hi):
-        if hi == DIAMETER_CAP:
+    d = 2
+    while largest_zero_G(params, d) < th - ztol:
+        # the zeros increase with d: once the scan passes d = 32 (about
+        # 0.02 s), one call at the cap tells whether it can end at all
+        if d == 32 and largest_zero_G(params, DIAMETER_CAP) < th - ztol:
             raise ValueError(
                 f"theta = {th} needs a diameter d above the cap "
                 f"{DIAMETER_CAP}: the largest zero of G_d stays below theta "
                 f"up to d = {DIAMETER_CAP} and approaches u-2+2*sqrt(q) = "
                 f"{_lambda_top(params)} only as d grows")
-        lo, hi = hi, min(2 * hi, DIAMETER_CAP)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if reached(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        d += 1
+    return d
 
 
 def closed_form_h_bound(params: Params, theta: Number, ztol: float = ZTOL) -> BoundResult:

