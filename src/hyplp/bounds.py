@@ -17,7 +17,7 @@ from .orthopoly import (FPoly, Params, _gc_monomial, _poly_deriv, _poly_divmod,
                         _poly_mul, _poly_roots, f_eval, f_monomial, f_values,
                         g_eval, largest_zero_G, largest_zero_gc,
                         monomial_to_fbasis, positive_witness)
-from .simplex import Infeasible, Unbounded, solve_max
+from .simplex import Tableau, Unbounded
 
 __all__ = [
     "BoundResult",
@@ -213,20 +213,19 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
         vals = f_values(params, s, x)
         return [-vals[j] for j in range(1, s + 1)]
 
-    cols = [column(x) for x in points]
     rounds = 0
     viol = math.inf
     coeffs: list[float] = []
+    try:
+        # built once on the seed points, then one column per round; fk > 0,
+        # so it starts from the feasible slack basis and never runs phase 1
+        lp = Tableau([1.0] * len(points), list(zip(*map(column, points))), fk)
+    except Unbounded as exc:
+        # the point-mass dual is unbounded exactly when no f_j >= 0 keeps
+        # f <= 0 at the sampled points: a domain limit, not a failure
+        raise ValueError(too_low) from exc
     for rounds in range(1, max_rounds + 1):
-        a = [[cols[i][j] for i in range(len(points))] for j in range(s)]
-        try:
-            res = solve_max([1.0] * len(points), a, fk)
-        except Unbounded as exc:
-            # the point-mass dual is unbounded exactly when no f_j >= 0 keeps
-            # f <= 0 at the sampled points: a domain limit, not a failure
-            raise ValueError(too_low) from exc
-        except Infeasible as exc:
-            raise ArithmeticError(f"internal LP failure ({exc})") from exc
+        res = lp.result()
         coeffs = list(res.duals)
         # f attains its maximum on [lo, th] at an endpoint or a root of f'
         mono = [1.0] + [0.0] * s
@@ -241,7 +240,10 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
         if any(abs(best_x - p) < 1e-13 for p in points):
             break
         points.append(best_x)
-        cols.append(column(best_x))
+        try:
+            lp.add_column(1.0, column(best_x))
+        except Unbounded as exc:
+            raise ValueError(too_low) from exc
     else:
         raise ArithmeticError(f"no convergence after {max_rounds} rounds "
                               f"(violation {viol:.3g})")
@@ -271,7 +273,8 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
         raise ArithmeticError("could not certify the optimized polynomial")
     pdict = dict(checked.params)
     pdict.update({"theta": theta, "s": s, "rounds": rounds,
-                  "residual": float(viol), "points": len(points)})
+                  "residual": float(viol), "points": len(points),
+                  "pivots": res.pivots})
     return BoundResult(checked.value, "LP_OPT", pdict, certificate=f,
                        notes=checked.notes)
 

@@ -242,8 +242,3 @@ def named_fixture(name: str) -> Hypergraph:
     if abs(t2 - tau2) > 1e-8:
         raise AssertionError(f"{name}: tau2 {t2} != expected {tau2}")
     return h
-
-
-def fixture_metadata(name: str) -> dict:
-    builder, r, u, tau2, g, diam, order = _CATALOG[name]
-    return {"r": r, "u": u, "tau2": tau2, "girth": g, "diameter": diam, "order": order}

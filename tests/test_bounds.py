@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from hyplp import bounds
+from hyplp import bounds, simplex
 from hyplp.bounds import (BoundResult, DssCheck, LPConditionError, Refinement,
                           biregular_bound, closed_form_h_bound,
                           defect_lower_bounds, defect_region,
@@ -22,6 +22,7 @@ from hyplp.bounds import (BoundResult, DssCheck, LPConditionError, Refinement,
                           tau2_lower)
 from hyplp.cli import _csv_rows, parse_theta
 from hyplp.orthopoly import FPoly, Params, largest_zero_G
+from hyplp.simplex import solve_max
 
 P32 = Params(3, 2)
 P33 = Params(3, 3)
@@ -205,39 +206,118 @@ def test_lp_optimize_matches_closed_form_when_it_cannot():
     assert float(closed.value) == pytest.approx(20.856406, abs=1e-5)
 
 
+class ColdTableau:
+    """The optimizer's LP solved from the slack basis when it is built and
+    after every added column, as the optimizer did before its tableau was
+    kept across rounds; `solves` holds each solve's pivot count."""
+
+    def __init__(self, c, a, b):
+        self.c, self.a, self.b = list(c), [list(row) for row in a], list(b)
+        self.solves = []
+        self._solve()
+
+    def add_column(self, c_j, col):
+        self.c.append(c_j)
+        for row, v in zip(self.a, col):
+            row.append(v)
+        self._solve()
+
+    def _solve(self):
+        self.res = solve_max(self.c, self.a, self.b)
+        self.solves.append(self.res.pivots)
+
+    def result(self):
+        return self.res
+
+
 def test_lp_optimize_clamps_round_off_duals(monkeypatch):
     # a dual that should be 0 but comes back as -3.3e-18 must not reach the
     # exact certificate check, which would reject f_i < 0
-    real = bounds.solve_max
+    hits = []
 
-    def noisy(*args, **kwargs):
-        res = real(*args, **kwargs)
-        duals = list(res.duals)
-        zero = duals.index(0.0)
-        duals[zero] -= 3.3e-18
-        return replace(res, duals=tuple(duals))
+    class Noisy(simplex.Tableau):
+        def result(self):
+            res = super().result()
+            duals = list(res.duals)
+            duals[duals.index(0.0)] -= 3.3e-18
+            hits.append(min(duals))
+            return replace(res, duals=tuple(duals))
 
-    monkeypatch.setattr(bounds, "solve_max", noisy)
+    monkeypatch.setattr(bounds, "Tableau", Noisy)
     b = lp_bound_optimize(Params(4, 2), SQRT2, 6)
+    # every round read its duals through the patch, the last one included
+    assert len(hits) == b.params["rounds"] >= 2
+    assert hits[-1] == -3.3e-18
     assert b.theorem == "LP_OPT"
     assert all(c >= 0 for c in b.certificate.coeffs[1:])
 
 
+# pivots of the whole (4, 2, sqrt 2, 6) call on the kept tableau: 15 when
+# measured; solving each round's LP from the slack basis took 84
+WARM_PIVOTS = 20
+
+
 def test_lp_optimize_pivot_count(monkeypatch):
-    # a non-timing guard on the simplex pivot rule: lowest-index pricing alone
-    # needed 45,794 pivots here, most-negative pricing needs under a hundred
-    real = bounds.solve_max
-    pivots = []
+    # a non-timing guard on the simplex: lowest-index pricing alone needed
+    # 45,794 pivots here, and most-negative pricing from the slack basis in
+    # every round needs 84; the kept tableau prices only each round's new
+    # column
+    seen = []
 
-    def counted(*args, **kwargs):
-        res = real(*args, **kwargs)
-        pivots.append(res.pivots)
-        return res
+    class Counted(simplex.Tableau):
+        def result(self):
+            res = super().result()
+            seen.append(res.pivots)
+            return res
 
-    monkeypatch.setattr(bounds, "solve_max", counted)
-    lp_bound_optimize(Params(4, 2), SQRT2, 6)
-    assert len(pivots) >= 2
-    assert sum(pivots) < 1000
+    monkeypatch.setattr(bounds, "Tableau", Counted)
+    b = lp_bound_optimize(Params(4, 2), SQRT2, 6)
+    assert len(seen) == b.params["rounds"] >= 2
+    # pivots count from the tableau's construction, so the last read is the
+    # call's total, and the call reports it
+    assert b.params["pivots"] == seen[-1] <= WARM_PIVOTS
+
+    # the guard tells the two apart: a cold solve per round goes over it
+    cold = []
+
+    def cold_tableau(c, a, b):
+        cold.append(ColdTableau(c, a, b))
+        return cold[-1]
+
+    monkeypatch.setattr(bounds, "Tableau", cold_tableau)
+    again = lp_bound_optimize(Params(4, 2), SQRT2, 6)
+    assert again.params["rounds"] == b.params["rounds"]
+    assert sum(cold[0].solves) > WARM_PIVOTS
+
+
+def test_lp_optimize_warm_tableau_matches_a_cold_resolve(monkeypatch):
+    # the kept tableau must walk the same constraint-generation path as
+    # re-solving every round's LP from scratch: same rounds, same points,
+    # same certified value, on seeded catalog cells
+    rng = random.Random(20261019)
+    cells = rng.sample(_csv_rows("h_catalog.csv"), 10)
+    compared = 0
+    for row in cells:
+        r, u, s = int(row["r"]), int(row["u"]), rng.choice((3, 4, 5, 6))
+        theta = parse_theta(row["theta"])
+        outcomes = []
+        for table in (simplex.Tableau, ColdTableau):
+            monkeypatch.setattr(bounds, "Tableau", table)
+            try:
+                outcomes.append(lp_bound_optimize(Params(r, u), theta, s))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        warm, cold = outcomes
+        cell = (r, u, row["theta"], s)
+        if isinstance(warm, str):
+            assert warm == cold, cell
+            continue
+        assert isinstance(cold, BoundResult), cell
+        for key in ("rounds", "points"):
+            assert warm.params[key] == cold.params[key], (cell, key)
+        assert float(warm.value) == pytest.approx(float(cold.value), rel=1e-12), cell
+        compared += 1
+    assert compared >= 6
 
 
 def test_lp_optimize_separation_work_is_polynomial_in_s(monkeypatch):

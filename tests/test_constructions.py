@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from hyplp.constructions import (OAValidationError, OrthogonalArray,
-                                 fixture_metadata, fixture_names,
+from hyplp.constructions import (_CATALOG, OAValidationError, OrthogonalArray,
+                                 fixture_names,
                                  hypergraph_from_oa, mols_cyclic, named_fixture,
                                  oa_from_mols, oa_minus_transversal,
                                  oa_validate)
@@ -130,12 +130,12 @@ def test_fixture_names_catalog():
 def test_every_fixture_builds_and_matches_metadata():
     for name in fixture_names():
         h = named_fixture(name)  # named_fixture re-asserts the catalog row
-        meta = fixture_metadata(name)
-        assert h.n == meta["order"]
-        assert check_regular_uniform(h) == (meta["r"], meta["u"])
-        assert girth(h) == meta["girth"]
-        assert diameter(h) == meta["diameter"]
-        assert second_eigenvalue(h) == pytest.approx(meta["tau2"], abs=1e-8)
+        _, r, u, tau2, g, diam, order = _CATALOG[name]
+        assert h.n == order
+        assert check_regular_uniform(h) == (r, u)
+        assert girth(h) == g
+        assert diameter(h) == diam
+        assert second_eigenvalue(h) == pytest.approx(tau2, abs=1e-8)
 
 
 def test_unknown_fixture_name():

@@ -9,7 +9,8 @@ import scipy.optimize
 
 from hyplp import simplex
 from hyplp.orthopoly import Params, f_values
-from hyplp.simplex import Infeasible, SimplexResult, Unbounded, solve_max
+from hyplp.simplex import (Infeasible, SimplexResult, Tableau, Unbounded,
+                           solve_max)
 
 
 def test_textbook_two_variable():
@@ -180,6 +181,49 @@ def test_optimizer_shaped_lps_match_scipy():
         b = [float(params.k * params.q ** (j - 1)) for j in range(1, s + 1)]
         agree += _agrees_with_scipy([1.0] * len(xs), a, b, trial, rel=1e-9)
     assert agree >= 6
+
+
+def test_add_column_matches_a_fresh_solve():
+    # columns appended one at a time to random LPs: after each append the kept
+    # tableau must give the value, x and duals of a fresh solve of the
+    # enlarged LP, and scipy's value and duals.  A budget row with positive
+    # entries keeps every LP bounded; rows with negative right-hand sides send
+    # the construction through phase 1, where a flipped row's slack is -e_i.
+    rng = random.Random(31)
+    appended = flipped = 0
+    for trial in range(40):
+        n, m = rng.randrange(1, 4), rng.randrange(2, 6)
+        c = [rng.uniform(-1, 3) for _ in range(n)]
+        a = [[rng.uniform(0.5, 2) for _ in range(n)]]
+        a += [[rng.uniform(-3, 3) for _ in range(n)] for _ in range(m - 1)]
+        b = [rng.uniform(5, 10)] + [rng.uniform(-1, 4) for _ in range(m - 1)]
+        try:
+            t = Tableau(c, a, b)
+        except Infeasible:
+            assert _scipy_solve(c, a, b).status == 2, trial
+            continue
+        flipped += any(bi < 0 for bi in b)
+        for _ in range(rng.randrange(1, 6)):
+            c_j = rng.uniform(-1, 3)
+            col = [rng.uniform(0.5, 2)] + [rng.uniform(-3, 3) for _ in range(m - 1)]
+            t.add_column(c_j, col)
+            c.append(c_j)
+            for row, v in zip(a, col):
+                row.append(v)
+            warm, cold, ref = t.result(), solve_max(c, a, b), _scipy_solve(c, a, b)
+            assert ref.status == 0, trial
+            assert warm.value == pytest.approx(cold.value, abs=1e-9), trial
+            assert warm.value == pytest.approx(-ref.fun, abs=1e-7), trial
+            assert warm.x == pytest.approx(cold.x, abs=1e-9), trial
+            assert warm.duals == pytest.approx(cold.duals, abs=1e-9), trial
+            # highs reports d(min -c.x)/d(b), the negated duals of max c.x
+            assert warm.duals == pytest.approx(
+                [-v for v in ref.ineqlin.marginals], abs=1e-7), trial
+            appended += 1
+        # a column with a positive cost and no positive entry is a ray
+        with pytest.raises(Unbounded):
+            t.add_column(1.0, [-rng.uniform(0, 1) for _ in range(m)])
+    assert appended >= 60 and flipped >= 10
 
 
 def test_result_is_frozen():
