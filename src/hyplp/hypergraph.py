@@ -23,6 +23,7 @@ __all__ = [
     "check_regular_uniform",
     "adjacency_rows",
     "adjacency",
+    "incident",
     "dual",
     "distance_matrix",
     "diameter",
@@ -180,18 +181,25 @@ def adjacency(h: Hypergraph, rows: Optional[list] = None) -> list[list[int]]:
     return a
 
 
+def incident(h: Hypergraph) -> list[list[int]]:
+    """The edges through each vertex: entry v lists the indices of the
+    edges containing v, in increasing order."""
+    out: list[list[int]] = [[] for _ in range(h.n)]
+    for j, edge in enumerate(h.edges):
+        for v in edge:
+            out[v].append(j)
+    return out
+
+
 def dual(h: Hypergraph) -> Hypergraph:
     """Swap roles of vertices and edges: dual vertex j is edge j of h, dual
     edge x is the set of edges through vertex x.  Needs minimum degree 2.
     The dual of an r-regular u-uniform hypergraph is u-regular r-uniform."""
-    incident: list[list[int]] = [[] for _ in range(h.n)]
-    for j, edge in enumerate(h.edges):
-        for v in edge:
-            incident[v].append(j)
-    for v, lst in enumerate(incident):
+    through = incident(h)
+    for v, lst in enumerate(through):
         if len(lst) < 2:
             raise ValueError(f"vertex {v} has degree {len(lst)} < 2; dual undefined")
-    d = Hypergraph(h.m, incident)
+    d = Hypergraph(h.m, through)
     try:
         r, u = check_regular_uniform(h)
     except NotRegularUniformError:
@@ -260,11 +268,8 @@ def girth(h: Hypergraph):
     give girth 2.  Computed as half the cycle length of the bipartite
     incidence graph, whose simple cycles alternate vertices and edges."""
     size = h.n + h.m
-    adj: list[list[int]] = [[] for _ in range(size)]
-    for j, edge in enumerate(h.edges):
-        for v in edge:
-            adj[v].append(h.n + j)
-            adj[h.n + j].append(v)
+    adj = ([[h.n + j for j in through] for through in incident(h)]
+           + [list(edge) for edge in h.edges])
     best = math.inf
     for root in range(size):
         dist = [-1] * size

@@ -199,17 +199,16 @@ def is_ramanujan(h: Hypergraph, tol: float = 1e-9) -> bool:
     return Analysis(h).is_ramanujan(tol)
 
 
-def _gram_mismatch(sets: Sequence[Sequence[int]], size: int, diag: int,
+def _gram_mismatch(sets: Sequence[Sequence[int]],
+                   through: Sequence[Sequence[int]], diag: int,
                    rows: Sequence[Sequence[tuple[int, int]]]):
     """First entry (i, j, gram, want) where M M^T differs from A + diag*I,
-    M the 0/1 matrix whose row i has ones at `sets[i]` (members in
-    0..size-1) and A the matrix with sparse `rows`; None when they agree.
-    Row i of M M^T is built from the sets through i's members, so the
-    cost is the number of ones times the set sizes."""
-    through: list[list[int]] = [[] for _ in range(size)]
-    for i, members in enumerate(sets):
-        for v in members:
-            through[v].append(i)
+    M the 0/1 matrix whose row i has ones at `sets[i]` and A the matrix
+    with sparse `rows`; None when they agree.  `through[v]` lists the sets
+    containing member v: with M = N, the sets are `incident(h)` and the
+    members' lists are h's edges; with M = N^T, the other way round.  Row i
+    of M M^T is built from the sets through i's members, so the cost is the
+    number of ones times the set sizes."""
     for i, members in enumerate(sets):
         gram: dict[int, int] = {}
         for v in members:
@@ -224,7 +223,9 @@ def _gram_mismatch(sets: Sequence[Sequence[int]], size: int, diag: int,
 
 
 def spectrum_correspondence_check(h: Hypergraph,
-                                  rows: Optional[list] = None) -> CheckReport:
+                                  rows: Optional[list] = None,
+                                  hd: Optional[Hypergraph] = None,
+                                  dual_rows: Optional[list] = None) -> CheckReport:
     """Prove the incidence-graph spectrum relation exactly.  With N the
     n x m vertex-edge incidence matrix, A the adjacency of h and A* that of
     its dual, check N N^T = A + rI and N^T N = A* + uI entry by entry in
@@ -232,9 +233,10 @@ def spectrum_correspondence_check(h: Hypergraph,
     so the squared incidence eigenvalues are {spec(A)+r} u {spec(A*)+u};
     and N N^T, N^T N share their nonzero eigenvalues with multiplicity, so
     spec(A)+r padded with m zeros equals spec(A*)+u padded with n zeros.
-    Needs O(nnz * max(r, u)) time and no dense matrix; `rows` is
-    `adjacency_rows(h)`, when the caller has it.  A failure names the first
-    mismatching entry."""
+    Needs O(nnz * max(r, u)) time and no dense matrix.  `rows`, `hd` and
+    `dual_rows` are `adjacency_rows(h)`, `dual(h)` and
+    `adjacency_rows(dual(h))`, when the caller has them.  A failure names
+    the first mismatching entry."""
     r, u = check_regular_uniform(h)
     if r < 2:
         raise ValueError("needs r >= 2 so the dual is defined")
@@ -242,12 +244,16 @@ def spectrum_correspondence_check(h: Hypergraph,
         rows = adjacency_rows(h)
     if not is_connected(h, rows):
         raise ValueError("needs connected input")
-    hd = dual(h)
+    if hd is None:
+        hd = dual(h)
+    if dual_rows is None:
+        dual_rows = adjacency_rows(hd)
     detail: list[str] = []
-    bad = _gram_mismatch(hd.edges, h.m, r, rows)
+    # the dual's edges are incident(h): the edges through each vertex
+    bad = _gram_mismatch(hd.edges, h.edges, r, rows)
     if bad is not None:
         detail.append("N N^T != A + {}I at ({}, {}): {} vs {}".format(r, *bad))
-    bad = _gram_mismatch(h.edges, h.n, u, adjacency_rows(hd))
+    bad = _gram_mismatch(h.edges, hd.edges, u, dual_rows)
     if bad is not None:
         detail.append("N^T N != A* + {}I at ({}, {}): {} vs {}".format(u, *bad))
     return CheckReport(not detail, tuple(detail))
