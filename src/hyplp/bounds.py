@@ -13,8 +13,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .orthopoly import (FPoly, Params, _gc_monomial, _poly_deriv, _poly_divmod,
-                        _poly_mul, _poly_roots, f_eval, f_monomial, f_values,
+from .orthopoly import (FPoly, Params, _gc_monomial, _has_root, _poly_deriv,
+                        _poly_divmod, _poly_mul, _poly_roots, f_eval,
+                        f_monomial, f_values,
                         g_eval, largest_zero_G, largest_zero_gc,
                         monomial_to_fbasis, positive_witness)
 from .simplex import Tableau, Unbounded
@@ -107,18 +108,20 @@ def _as_fraction(x: Number) -> Fraction:
 
 def lp_bound_evaluate(params: Params, f: FPoly,
                       taus: Optional[Sequence[Number]] = None,
-                      theta: Optional[Number] = None,
-                      tol: float = 1e-9) -> BoundResult:
+                      theta: Optional[Number] = None) -> BoundResult:
     """Order bound f(k)/f_0 from a polynomial whose hypotheses are verified:
     f_0 > 0, f_i >= 0, f(k) > 0, and f <= 0 at the given eigenvalue points
     (taus mode) or on the whole interval [-r, theta] (interval mode).
 
-    Interval mode decides f <= 0 exactly, by a Sturm count in rationals
+    Both modes decide f <= 0 exactly, by a Sturm count in rationals
     (`positive_witness`).  An int or Fraction theta is proved on exactly
     [-r, theta].  A float theta is proved on [-r, theta+] with theta+ the
     next float above it: `math.sqrt` rounds correctly, so for theta =
     sqrt(N) that interval contains the true root, and f <= 0 on the larger
-    interval implies it on the smaller."""
+    interval implies it on the smaller.  A float tau stands, by the same
+    argument, for the interval [tau-, tau+] between its neighbouring
+    floats: f <= 0 is proved on all of it, f < 0 there when f has no root
+    in it, and equality is never claimed for it."""
     if f.params != params:
         raise ValueError("polynomial was built for different (r, u)")
     if (taus is None) == (theta is None):
@@ -134,35 +137,40 @@ def lp_bound_evaluate(params: Params, f: FPoly,
         raise LPConditionError("f(k) > 0", fk)
     notes: list[str] = []
     pdict = {"r": params.r, "u": params.u, "s": f.degree}
+    mono = f.to_monomial()
 
     if taus is not None:
         if len(set(float(t) for t in taus)) != len(taus):
             raise ValueError("taus must be distinct")
-        tight = []
+        strict, near = [], []
         for t in taus:
             if _is_exact(t):
-                ft = f(_as_fraction(t))
-                if ft > 0:
-                    raise LPConditionError("f(tau) <= 0", (t, ft))
-                tight.append(ft == 0)
+                lo = hi = _as_fraction(t)
             else:
-                ft = f(float(t))
-                if ft > tol:
-                    raise LPConditionError("f(tau) <= 0", (t, ft))
-                tight.append(abs(ft) <= tol)
+                lo = Fraction(math.nextafter(float(t), -math.inf))
+                hi = Fraction(math.nextafter(float(t), math.inf))
+            witness = positive_witness(mono, lo, hi)
+            if witness is not None:
+                raise LPConditionError("f(tau) <= 0", witness)
+            if not _has_root(mono, lo, hi):
+                strict.append(t)
+            elif lo != hi:
+                near.append(t)
         pdict["taus"] = tuple(taus)
-        if all(tight):
+        if not strict and not near:
             notes.append("f vanishes at every given tau (equality conditions met)")
-        else:
-            loose = [t for t, z in zip(taus, tight) if not z]
-            notes.append(f"f < 0 strictly at {loose}; equality impossible there")
+        if strict:
+            notes.append(f"f < 0 strictly at {strict}; equality impossible there")
+        if near:
+            notes.append(f"f has a root within one ulp of the float taus {near}; "
+                         f"equality there is not proved")
     else:
         lo = Fraction(-params.r)
         hi = (_as_fraction(theta) if _is_exact(theta)
               else Fraction(math.nextafter(float(theta), math.inf)))
         if hi < lo:
             raise ValueError("theta below -r leaves an empty interval")
-        witness = positive_witness(f.to_monomial(), lo, hi)
+        witness = positive_witness(mono, lo, hi)
         if witness is not None:
             raise LPConditionError(INTERVAL_CONDITION, witness)
         pdict["theta"] = theta

@@ -443,6 +443,20 @@ def positive_witness(p: Sequence[Exact], a: Exact,
             lo = x
 
 
+def _has_root(p: Sequence[Exact], a: Exact, b: Exact) -> bool:
+    """Whether the rational polynomial p vanishes somewhere on [a, b], for
+    rationals a <= b: a Sturm count of its square-free part p / gcd(p, p'),
+    which has the roots of p, each once."""
+    p = _poly_trim([Fraction(c) for c in p])
+    lo, hi = Fraction(a), Fraction(b)
+    if _poly_eval(p, lo) == 0 or _poly_eval(p, hi) == 0:
+        return True
+    if len(p) == 1:
+        return False
+    chain = _sturm_chain(_poly_divmod(p, _poly_gcd(p, _poly_deriv(p)))[0])
+    return _sign_changes(chain, lo) != _sign_changes(chain, hi)
+
+
 def _gc_monomial(params: Params, d: int, c: Fraction) -> list[Fraction]:
     """Monomial coefficients of g_c = c*(F_0 + ... + F_{d-1}) + F_d."""
     out = [Fraction(0)] * (d + 1)

@@ -13,8 +13,9 @@ from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence
 
-from .hypergraph import (Hypergraph, IntersectionNumbers, adjacency,
-                         adjacency_rows, check_regular_uniform, distance_matrix,
+from .hypergraph import (Hypergraph, IntersectionNumbers,
+                         NotRegularUniformError, adjacency, adjacency_rows,
+                         check_regular_uniform, distance_matrix,
                          distance_regularity_check, dual, girth_via_trace,
                          is_connected)
 from .tridiagonal import _EPS, ql_eigenvalues
@@ -59,39 +60,39 @@ class Spectrum:
 
 def householder_tridiagonalize(m: Sequence[Sequence[float]]) -> tuple[list[float], list[float]]:
     """Orthogonal reduction of a symmetric matrix to tridiagonal form;
-    returns (diagonal, subdiagonal).  A column whose entries below the
-    diagonal have norm <= eps * ||A||_inf is not reflected, and its entries
-    below the subdiagonal are dropped: the cut the QL deflation makes, a
-    backward-stable perturbation.  Reflecting such a column can underflow
-    its squared norm, and 2/||v||^2 then overflows into inf * 0 = NaN."""
+    returns (diagonal, subdiagonal).  Step j reflects x = A[j+1:, j] onto
+    (alpha, 0, ..., 0) with alpha = -sign(x_0) ||x||, writes alpha as the
+    subdiagonal entry and applies the similarity to the trailing block
+    A[j+1:, j+1:] alone: rows and columns up to j are final by then.  A
+    column whose entries below the diagonal have norm <= eps * ||A||_inf is
+    not reflected, and its entries below the subdiagonal are dropped: the
+    cut the QL deflation makes, a backward-stable perturbation.  Reflecting
+    such a column can underflow its squared norm, and 2/||v||^2 then
+    overflows into inf * 0 = NaN."""
     n = len(m)
     a = [[float(x) for x in row] for row in m]
     cut = _EPS * max((math.fsum(map(abs, row)) for row in a), default=0.0)
     for j in range(n - 2):
-        norm2 = math.fsum(a[i][j] * a[i][j] for i in range(j + 1, n))
-        alpha = math.sqrt(norm2)
+        block = a[j + 1:]
+        v = [row[j] for row in block]
+        alpha = math.sqrt(math.fsum(x * x for x in v))
         if alpha <= cut:
             continue
-        if a[j + 1][j] > 0.0:
+        if v[0] > 0.0:
             alpha = -alpha
-        v = [0.0] * n
-        v[j + 1] = a[j + 1][j] - alpha
-        for i in range(j + 2, n):
-            v[i] = a[i][j]
-        vv = math.fsum(vi * vi for vi in v[j + 1:])
+        v[0] -= alpha
+        vv = math.fsum(x * x for x in v)
         if vv == 0.0:
             continue
         beta = 2.0 / vv
-        # similarity update A <- A - v p^T - p v^T with p = beta*A*v - kappa*v
-        vt = v[j + 1:]
-        w = [beta * math.fsum(map(mul, a[i][j + 1:], vt)) for i in range(n)]
-        kappa = 0.5 * beta * math.fsum(v[i] * w[i] for i in range(j + 1, n))
-        p = [w[i] - kappa * v[i] for i in range(n)]
-        pt, vt = p[j:], v[j:]
-        for i in range(j, n):
-            vi, pi = v[i], p[i]
-            row = a[i]
-            row[j:] = [x - (vi * pk + pi * vk) for x, pk, vk in zip(row[j:], pt, vt)]
+        block[0][j] = alpha
+        # trailing update B <- B - v p^T - p v^T with p = beta*B*v - kappa*v
+        w = [beta * math.fsum(map(mul, row[j + 1:], v)) for row in block]
+        kappa = 0.5 * beta * math.fsum(map(mul, v, w))
+        p = [wi - kappa * vi for wi, vi in zip(w, v)]
+        for row, vi, pi in zip(block, v, p):
+            row[j + 1:] = [x - (vi * pk + pi * vk)
+                           for x, pk, vk in zip(row[j + 1:], p, v)]
     diag = [a[i][i] for i in range(n)]
     off = [a[i + 1][i] for i in range(n - 1)]
     return diag, off
@@ -124,11 +125,12 @@ class CheckReport:
 
 class Analysis:
     """The derived objects of one hypergraph, each built on first use and
-    then kept: the adjacency as sparse rows and as a dense matrix,
-    connectivity, the BFS distance matrix and the adjacency spectrum.
-    `analyze` reads every report field from one instance, so the spectrum
-    is computed once; `second_eigenvalue` and `is_ramanujan` are thin calls
-    into a fresh one."""
+    then kept: the adjacency as sparse rows and as a dense matrix, the dual
+    and its adjacency rows, connectivity, the BFS distance matrix and the
+    adjacency spectrum.  `analyze` reads every report field from one
+    instance, so the spectrum is computed once and the dual built once;
+    `second_eigenvalue` and `is_ramanujan` are thin calls into a fresh
+    one."""
 
     def __init__(self, h: Hypergraph) -> None:
         self.h = h
@@ -150,8 +152,30 @@ class Analysis:
         return distance_matrix(self.h, self.rows)[0]
 
     @cached_property
+    def dual(self) -> Hypergraph:
+        return dual(self.h)
+
+    @cached_property
+    def dual_rows(self) -> list[list[tuple[int, int]]]:
+        return adjacency_rows(self.dual)
+
+    @cached_property
     def spectrum(self) -> Spectrum:
-        return symmetric_eigenvalues(self.adjacency)
+        """spec(A), from the smaller of A and A*.  For r-regular u-uniform
+        input, N N^T = A + rI and N^T N = A* + uI share their nonzero
+        eigenvalues, so with m < n (and r >= 2, where the dual exists)
+        spec(A) is {l + u - r : l in spec(A*)} and -r with multiplicity
+        n - m."""
+        h = self.h
+        try:
+            r, u = check_regular_uniform(h)
+        except NotRegularUniformError:
+            r = u = 0
+        if r < 2 or h.m >= h.n:
+            return symmetric_eigenvalues(self.adjacency)
+        star = symmetric_eigenvalues(adjacency(self.dual, self.dual_rows))
+        return Spectrum.from_values(
+            [x + (u - r) for x in star.values] + [float(-r)] * (h.n - h.m))
 
     @cached_property
     def tau2(self) -> float:
@@ -184,7 +208,8 @@ class Analysis:
         return distance_regularity_check(self.h, self.rows, self.distances)
 
     def correspondence(self) -> CheckReport:
-        return spectrum_correspondence_check(self.h, self.rows)
+        return spectrum_correspondence_check(self.h, self.rows, self.dual,
+                                             self.dual_rows)
 
 
 def second_eigenvalue(h: Hypergraph) -> float:

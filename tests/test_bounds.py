@@ -170,6 +170,31 @@ def test_lp_evaluate_rejects_broken_hypotheses():
         lp_bound_evaluate(Params(4, 2), PETERSEN_CERT, taus=[1])
 
 
+def test_lp_evaluate_proves_float_taus_exactly():
+    # f = (1 + 1e-10) F_0 + F_2 = x^2 - 2 + 1e-10 is positive at sqrt(2); a
+    # 1e-9 tolerance on f(tau) once accepted it and called it tight
+    above = FPoly(P32, (Fraction(10**10 + 1, 10**10), Fraction(0), Fraction(1)))
+    with pytest.raises(LPConditionError) as e:
+        lp_bound_evaluate(P32, above, taus=[SQRT2])
+    assert "f(tau) <= 0" in str(e.value)
+    # x^2 - 2 changes sign at sqrt(2), inside the float's bracket, so the
+    # float alone cannot show f <= 0 at the true root
+    with pytest.raises(LPConditionError):
+        lp_bound_evaluate(P32, FPoly(P32, (1, 0, 1)), taus=[SQRT2])
+    # (x - 2)(x^2 - 2)^2 touches 0 at sqrt(2) from below: f <= 0 is proved
+    # on the bracket, and equality there is neither claimed nor ruled out
+    touch = FPoly(P33, (34, 77, 20, 14, 2, 1))
+    b = lp_bound_evaluate(P33, touch, taus=[SQRT2, 1.0, -1])
+    assert b.value == 136
+    assert not any("equality conditions met" in note for note in b.notes)
+    assert "f < 0 strictly at [1.0, -1]; equality impossible there" in b.notes
+    assert any("within one ulp" in note and str(SQRT2) in note for note in b.notes)
+    # x^2 - 2 - 1e-10 < 0 on the whole bracket of sqrt(2)
+    below = FPoly(P32, (Fraction(10**10 - 1, 10**10), Fraction(0), Fraction(1)))
+    b = lp_bound_evaluate(P32, below, taus=[SQRT2])
+    assert b.notes[0] == f"f < 0 strictly at [{SQRT2}]; equality impossible there"
+
+
 def test_lp_evaluate_interval_mode_exact_value():
     f = FPoly(Params(6, 2), (Fraction(153, 2), Fraction(64), Fraction(121, 4),
                              Fraction(9), Fraction(1)))

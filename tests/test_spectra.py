@@ -11,10 +11,12 @@ from hyplp import cli, spectra
 from hyplp.constructions import (hypergraph_from_oa, mols_cyclic, named_fixture,
                                  oa_from_mols)
 from hyplp.hypergraph import Hypergraph, adjacency, check_regular_uniform, dual
-from hyplp.spectra import (Analysis, Spectrum, is_ramanujan,
-                           second_eigenvalue, spectrum_correspondence_check,
+from hyplp.spectra import (Analysis, Spectrum, householder_tridiagonalize,
+                           is_ramanujan, second_eigenvalue,
+                           spectrum_correspondence_check,
                            symmetric_eigenvalues)
 from hyplp.tridiagonal import ql_eigenvalues, symmetrized_offdiagonal
+from conftest import random_regular_uniform
 from walk_oracles import incidence_graph
 
 SQRT2 = math.sqrt(2.0)
@@ -34,6 +36,31 @@ def test_solver_matches_numpy_on_random_symmetric():
         scale = max(1.0, max(abs(w) for w in want))
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-8 * scale, (trial, got, want)
+
+
+def test_householder_matches_numpy_on_structured_symmetric():
+    # dense, rank-deficient (C C^T with C of rank n/3) and block-diagonal
+    # inputs; the reduction alone, read back through numpy, and the whole
+    # solver must both reproduce numpy's spectrum
+    rng = np.random.default_rng(20261018)
+    for n in range(1, 41):
+        b = rng.standard_normal((n, n))
+        dense = b + b.T
+        c = rng.standard_normal((n, max(1, n // 3)))
+        low_rank = c @ c.T
+        low_rank = (low_rank + low_rank.T) / 2
+        blocks = np.zeros((n, n))
+        half = n // 2
+        blocks[:half, :half] = dense[:half, :half]
+        blocks[half:, half:] = low_rank[half:, half:]
+        for m in (dense, low_rank, blocks):
+            want = np.linalg.eigvalsh(m)
+            tol = 1e-12 * max(1.0, float(np.abs(want).max()))
+            diag, off = householder_tridiagonalize(m.tolist())
+            t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            assert np.abs(np.linalg.eigvalsh(t) - want).max() <= tol, n
+            got = symmetric_eigenvalues(m.tolist()).values
+            assert np.abs(np.array(got[::-1]) - want).max() <= tol, n
 
 
 def test_solver_rejects_bad_input():
@@ -219,7 +246,6 @@ def test_correspondence_names_a_tampered_dual_entry(monkeypatch):
 
 
 def test_analyze_computes_one_spectrum(monkeypatch, capsys):
-    h = named_fixture("petersen")
     sizes = []
     real = spectra.symmetric_eigenvalues
 
@@ -228,19 +254,96 @@ def test_analyze_computes_one_spectrum(monkeypatch, capsys):
         return real(m, *args, **kwargs)
 
     monkeypatch.setattr(spectra, "symmetric_eigenvalues", counting)
-    pairs = dict(cli.analyze_pairs(h))
-    assert sizes == [h.n]
-    assert pairs["spectrum_correspondence"] == "ok"
-    assert pairs["tau2"] == pytest.approx(1.0, abs=1e-8)
+    # m >= n: A itself; m < n: only the dual's m x m adjacency
+    for h, tau2 in ((named_fixture("petersen"), 1.0),
+                    (dual(named_fixture("petersen")), 2.0)):
+        sizes.clear()
+        pairs = dict(cli.analyze_pairs(h))
+        assert sizes == [min(h.n, h.m)]
+        assert pairs["spectrum_correspondence"] == "ok"
+        assert pairs["tau2"] == pytest.approx(tau2, abs=1e-8)
+
+
+def assert_matches_numpy(h):
+    """Analysis(h).spectrum against numpy on the dense adjacency: values to
+    1e-12 * max(1, k) and the same cluster multiplicities."""
+    got = Analysis(h).spectrum
+    want = sorted(np.linalg.eigvalsh(np.array(adjacency(h), dtype=float)),
+                  reverse=True)
+    k = max(map(sum, adjacency(h)))
+    assert len(got.values) == h.n
+    assert max(abs(g - w) for g, w in zip(got.values, want)) <= 1e-12 * max(1, k)
+    assert ([m for _, m in got.clusters]
+            == [m for _, m in Spectrum.from_values(want).clusters])
+
+
+DUAL_FIXTURES = ("heawood", "petersen", "oa45-minus", "k55")
+
+
+def test_dual_side_spectrum_on_fixture_duals():
+    for name, (n, m) in zip(DUAL_FIXTURES, ((21, 14), (15, 10), (20, 15), (25, 10))):
+        h = dual(named_fixture(name))
+        assert (h.n, h.m) == (n, m)
+        assert_matches_numpy(h)
+
+
+def test_dual_side_spectrum_on_random_inputs():
+    rng = random.Random(20261018)
+    done = 0
+    for r, u, n in [(2, 3, 30), (2, 4, 40), (2, 5, 50), (3, 4, 32),
+                    (3, 5, 40), (2, 3, 45), (4, 5, 25), (2, 6, 36)]:
+        h = random_regular_uniform(rng, r, u, n)
+        if h is None:
+            continue
+        assert h.m < h.n
+        assert_matches_numpy(h)
+        done += 1
+    assert done >= 6
+
+
+def test_spectrum_fallbacks_to_the_adjacency(monkeypatch):
+    sizes = []
+    real = spectra.symmetric_eigenvalues
+
+    def counting(m, *args, **kwargs):
+        sizes.append(len(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "symmetric_eigenvalues", counting)
+    matching = Hypergraph(6, [(0, 1), (2, 3), (4, 5)])  # r = 1, no dual
+    irregular = Hypergraph(7, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
+    for h in (matching, irregular):
+        sizes.clear()
+        assert_matches_numpy(h)
+        assert sizes == [h.n]
+    # the identity needs regularity only, not connectivity
+    one = dual(named_fixture("petersen"))
+    two = Hypergraph(2 * one.n, list(one.edges)
+                     + [[v + one.n for v in e] for e in one.edges])
+    sizes.clear()
+    assert_matches_numpy(two)
+    assert sizes == [two.m]
+    assert not Analysis(two).connected
 
 
 def test_analysis_fields_match_the_public_functions():
-    for name in ("petersen", "heawood", "oa45-minus"):
-        h = named_fixture(name)
+    for h in (named_fixture("petersen"), named_fixture("heawood"),
+              named_fixture("oa45-minus"), dual(named_fixture("petersen")),
+              dual(named_fixture("heawood"))):
         an = Analysis(h)
         assert an.tau2 == second_eigenvalue(h)
         assert an.is_ramanujan() == is_ramanujan(h)
-        assert an.spectrum == symmetric_eigenvalues(adjacency(h))
+        dense = symmetric_eigenvalues(adjacency(h))
+        if h.m >= h.n:
+            assert an.spectrum == dense
+        else:
+            # the dual route differs from A's own reduction in the last bits
+            assert max(abs(x - y) for x, y in
+                       zip(an.spectrum.values, dense.values)) <= 1e-12
+            assert ([m for _, m in an.spectrum.clusters]
+                    == [m for _, m in dense.clusters])
+
+
 def test_correspondence_heawood_explicit():
     # incidence spectrum of the Fano hypergraph squared: {spec(A)+3} u {spec(A*)+3}
     h = named_fixture("fano")
