@@ -15,9 +15,8 @@ from typing import Optional, Sequence, Union
 
 from .orthopoly import (FPoly, Params, _gc_monomial, _has_root, _poly_deriv,
                         _poly_divmod, _poly_mul, _poly_roots, f_eval,
-                        f_monomial, f_values,
-                        g_eval, largest_zero_G, largest_zero_gc,
-                        monomial_to_fbasis, positive_witness)
+                        f_monomial, f_values, g_eval, largest_zero_G,
+                        largest_zero_gc, monomial_to_fbasis, positive_witness)
 from .simplex import Tableau, Unbounded
 
 __all__ = [

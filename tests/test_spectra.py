@@ -245,7 +245,9 @@ def test_correspondence_names_a_tampered_dual_entry(monkeypatch):
     assert rep.detail == (f"N^T N != A* + 2I at (3, 7): {was} vs {was + 1}",)
 
 
-def test_analyze_computes_one_spectrum(monkeypatch, capsys):
+@pytest.fixture
+def diagonalized(monkeypatch):
+    """The sizes of the matrices `spectra` diagonalizes, in call order."""
     sizes = []
     real = spectra.symmetric_eigenvalues
 
@@ -254,6 +256,11 @@ def test_analyze_computes_one_spectrum(monkeypatch, capsys):
         return real(m, *args, **kwargs)
 
     monkeypatch.setattr(spectra, "symmetric_eigenvalues", counting)
+    return sizes
+
+
+def test_analyze_computes_one_spectrum(diagonalized):
+    sizes = diagonalized
     # m >= n: A itself; m < n: only the dual's m x m adjacency
     for h, tau2 in ((named_fixture("petersen"), 1.0),
                     (dual(named_fixture("petersen")), 2.0)):
@@ -301,15 +308,8 @@ def test_dual_side_spectrum_on_random_inputs():
     assert done >= 6
 
 
-def test_spectrum_fallbacks_to_the_adjacency(monkeypatch):
-    sizes = []
-    real = spectra.symmetric_eigenvalues
-
-    def counting(m, *args, **kwargs):
-        sizes.append(len(m))
-        return real(m, *args, **kwargs)
-
-    monkeypatch.setattr(spectra, "symmetric_eigenvalues", counting)
+def test_spectrum_fallbacks_to_the_adjacency(diagonalized):
+    sizes = diagonalized
     matching = Hypergraph(6, [(0, 1), (2, 3), (4, 5)])  # r = 1, no dual
     irregular = Hypergraph(7, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
     for h in (matching, irregular):
