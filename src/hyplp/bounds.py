@@ -13,10 +13,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .orthopoly import (FPoly, Params, _gc_monomial, _has_root, _poly_deriv,
-                        _poly_divmod, _poly_mul, _poly_roots, f_eval,
-                        f_monomial, f_values, g_eval, largest_zero_G,
-                        largest_zero_gc, monomial_to_fbasis, positive_witness)
+from .orthopoly import (FPoly, Params, _bisect, _gc_monomial, _has_root,
+                        _poly_deriv, _poly_divmod, _poly_mul, _poly_roots,
+                        f_eval, f_monomial, f_values, g_eval, largest_zero_G,
+                        largest_zero_gc, monomial_to_fbasis, positive_witness,
+                        zeros_above)
 from .simplex import Tableau, Unbounded
 
 __all__ = [
@@ -46,8 +47,9 @@ __all__ = [
 Number = Union[int, float, Fraction]
 
 ZTOL = 1e-9
-# largest diameter the closed form searches; largest_zero_G(Params(3, 2),
-# DIAMETER_CAP) alone takes about 0.2 s
+# largest diameter the closed form searches: the selection itself is cheap,
+# but past it the exact certificate grows with d (at (3, 2), d = 374 ran
+# 587 s in `_poly_mul(gc, gc)` and `monomial_to_fbasis`)
 DIAMETER_CAP = 400
 INTERVAL_CONDITION = "f <= 0 on [-r, theta]"
 
@@ -291,23 +293,18 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
 
 
 def select_diameter(params: Params, theta: Number, ztol: float = ZTOL) -> int:
-    """Smallest d with theta <= (largest zero of G_d) + ztol.  A theta that
-    needs d above DIAMETER_CAP is refused."""
+    """Smallest d with theta <= (largest zero of G_d) + ztol, i.e. with a
+    zero of G_d above theta - ztol.  A theta that needs d above
+    DIAMETER_CAP is refused."""
     th = float(theta)
-    if th <= -1 + ztol:
-        return 1
-    d = 2
-    while largest_zero_G(params, d) < th - ztol:
-        # the zeros increase with d: once the scan passes d = 32 (about
-        # 0.02 s), one call at the cap tells whether it can end at all
-        if d == 32 and largest_zero_G(params, DIAMETER_CAP) < th - ztol:
-            raise ValueError(
-                f"theta = {th} needs a diameter d above the cap "
-                f"{DIAMETER_CAP}: the largest zero of G_d stays below theta "
-                f"up to d = {DIAMETER_CAP} and approaches u-2+2*sqrt(q) = "
-                f"{_lambda_top(params)} only as d grows")
-        d += 1
-    return d
+    for d in range(1, DIAMETER_CAP + 1):
+        if zeros_above(params, d, 1, th - ztol):
+            return d
+    raise ValueError(
+        f"theta = {th} needs a diameter d above the cap "
+        f"{DIAMETER_CAP}: the largest zero of G_d stays below theta "
+        f"up to d = {DIAMETER_CAP} and approaches u-2+2*sqrt(q) = "
+        f"{_lambda_top(params)} only as d grows")
 
 
 def closed_form_h_bound(params: Params, theta: Number, ztol: float = ZTOL) -> BoundResult:
@@ -461,16 +458,14 @@ def imp2_bound(params: Params, d: int, tau2: float, ztol: float = ZTOL) -> Bound
     if d < 1:
         raise ValueError("d must be >= 1")
     k, q = params.k, params.q
-    lam_d = largest_zero_G(params, d)
-    lam_prev = -math.inf if d == 1 else largest_zero_G(params, d - 1)
     t = float(tau2)
     pdict = {"r": params.r, "u": params.u, "d": d, "tau2": tau2}
-    if t >= lam_d - ztol:
+    if not zeros_above(params, d, 1, t + ztol):
         gdt = g_eval(params, d, t)
         value = moore_order(params, d) - max(gdt, 0.0)
         pdict["case"] = "at-or-above-lambda_d"
         notes = (f"n <= G_d(k) - G_d(tau2) with G_d(tau2) = {gdt:.6g}",)
-    elif t > lam_prev + ztol:
+    elif d == 1 or not zeros_above(params, d - 1, 1, t - ztol):
         c = -f_eval(params, d, t) / g_eval(params, d - 1, t)
         value = moore_order(params, d - 1) + k * q ** (d - 1) / c
         rhs = moore_order(params, d) + g_eval(params, d, t)
@@ -486,26 +481,11 @@ def imp2_bound(params: Params, d: int, tau2: float, ztol: float = ZTOL) -> Bound
     return BoundResult(value, "IMP2", pdict, notes=notes)
 
 
-def _bisect(fun, lo: float, hi: float, iters: int = 200) -> float:
-    flo = fun(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = fun(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
-
-
 def defect_region(params: Params, d: int, e: Number) -> tuple[float, float, float]:
     """For diameter-d instances with defect at most e, tau2 lies in
     [lower, upper]; the middle value is the largest zero of G_d (defect 0).
-    Closed forms cover d = 2; larger d solves the same relations numerically."""
+    lower solves cap*G_d = e*F_d, and cap*G_d - e*F_d is (cap - e) times
+    g_c at c = cap/(cap - e); upper solves G_d = e above lambda_{d-1}."""
     if d < 2:
         raise ValueError("d must be >= 2")
     k, q = params.k, params.q
@@ -513,29 +493,10 @@ def defect_region(params: Params, d: int, e: Number) -> tuple[float, float, floa
     ef = float(e)
     if not 0 <= ef < cap:
         raise ValueError(f"defect must lie in [0, {cap})")
-    lam_d = largest_zero_G(params, d)
-    u = params.u
-    if d == 2:
-        bigk = k * q / (k * q - ef)
-        lower = (u - 2 - bigk + math.sqrt((u - bigk) ** 2 + 4 * q)) / 2
-        upper = (u - 3 + math.sqrt((u - 1) ** 2 + 4 * q + 4 * ef)) / 2
-        return lower, lam_d, upper
-    lam_prev = largest_zero_G(params, d - 1)
-
-    def lower_rel(t: float) -> float:
-        return cap * g_eval(params, d, t) / f_eval(params, d, t) - ef
-
-    eps = 1e-12 * max(1.0, abs(lam_prev))
-    lower = _bisect(lower_rel, lam_prev + eps, lam_d)
-
-    def upper_rel(t: float) -> float:
-        return g_eval(params, d, t) - ef
-
-    # seed just below lam_d so G_d < 0 there despite root noise (e = 0 would
-    # otherwise leave the bracket endpoint sitting on the root)
-    seed = lam_d - 1e-7 * max(1.0, abs(lam_d))
-    upper = _bisect(upper_rel, seed, float(k))
-    return lower, lam_d, upper
+    lower = largest_zero_gc(params, d, cap / (cap - ef))
+    upper = _bisect(lambda t: g_eval(params, d, t) - ef,
+                    largest_zero_G(params, d - 1), float(k))
+    return lower, largest_zero_G(params, d), upper
 
 
 def defect_lower_bounds(params: Params, d: int, tau2: float,
@@ -545,12 +506,10 @@ def defect_lower_bounds(params: Params, d: int, tau2: float,
     if d < 1:
         raise ValueError("d must be >= 1")
     cap = params.k * params.q ** (d - 1)
-    lam_d = largest_zero_G(params, d)
-    lam_prev = -math.inf if d == 1 else largest_zero_G(params, d - 1)
     t = float(tau2)
-    if t >= lam_d - ztol:
+    if not zeros_above(params, d, 1, t + ztol):
         return max(g_eval(params, d, t), 0.0)
-    if t > lam_prev + ztol:
+    if d == 1 or not zeros_above(params, d - 1, 1, t - ztol):
         return cap * g_eval(params, d, t) / f_eval(params, d, t)
     return float(cap)
 
@@ -575,7 +534,7 @@ def ru1_bound(r: int, u: int) -> Optional[BoundResult]:
                               f"{u + 1} rows over {r + 1} symbols exists",))
 
 
-def tau2_lower(params: Params, n: int, tol: float = ZTOL):
+def tau2_lower(params: Params, n: int):
     """Smallest possible second eigenvalue for order n: the unique (d, c)
     with n = moore_order(d-1) + kq^(d-1)/c and the second eigenvalue of the
     associated tridiagonal array."""
@@ -587,8 +546,7 @@ def tau2_lower(params: Params, n: int, tol: float = ZTOL):
         d += 1
     c = Fraction(k * q ** (d - 1), n - moore_order(params, d - 1))
     assert 1 <= c <= k * q ** (d - 1)
-    lam = -float(c) if d == 1 else largest_zero_gc(params, d, c, tol)
-    return d, c, lam
+    return d, c, largest_zero_gc(params, d, c)
 
 
 def biregular_bound(params: Params, base: BoundResult) -> Number:

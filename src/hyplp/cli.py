@@ -255,11 +255,11 @@ def cmd_bound(args) -> int:
         return 0
 
     if sub == "tau2-lower":
-        d, c, lam = bounds.tau2_lower(params, args.n, tol=args.tol or 1e-9)
+        d, c, lam = bounds.tau2_lower(params, args.n)
         emit_pairs([("tau2_lower", lam), ("d", d), ("c", c),
                     ("meaning", f"every connected {args.r}-regular {args.u}-uniform "
                                 f"hypergraph on >= {args.n} vertices has tau2 >= "
-                                f"{lam:.5f} (up to the stated tolerance)")],
+                                f"{lam:.5f}")],
                    args.format, out)
         return 0
 
@@ -593,15 +593,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--degree", type=int)
         if flags.get("cert"):
             p.add_argument("--cert")
-        p.add_argument("--tol", type=float)
+        if flags.get("tol"):
+            p.add_argument("--tol", type=float)
         _add_format(p)
         p.set_defaults(func=cmd_bound)
         return p
 
-    bound_sub("closed-form", theta=True)
-    bound_sub("lp", theta=True, degree=True, cert=True)
+    bound_sub("closed-form", theta=True, tol=True)
+    bound_sub("lp", theta=True, degree=True, cert=True, tol=True)
     bound_sub("dss", theta=True, d=True, n=True)
-    bound_sub("imp2", theta=True, d=True)
+    bound_sub("imp2", theta=True, d=True, tol=True)
     bound_sub("diam", ell=True)
     bound_sub("ru1")
     bound_sub("tau2-lower", n=True)

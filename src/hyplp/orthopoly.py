@@ -11,16 +11,17 @@ same recurrences run in float arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import zip_longest
 from typing import Optional, Sequence, Union
 
-from .tridiagonal import ql_eigenvalues, symmetrized_offdiagonal
-
 Exact = Union[int, Fraction]
 Number = Union[int, Fraction, float]
+
+_TINY = sys.float_info.min
 
 __all__ = [
     "Params",
@@ -35,6 +36,7 @@ __all__ = [
     "fbasis_to_monomial",
     "linearization",
     "char_poly_check",
+    "zeros_above",
     "largest_zero_G",
     "largest_zero_gc",
     "positive_witness",
@@ -290,15 +292,33 @@ def _poly_deriv(p: Sequence[Exact]) -> list:
     return _poly_trim([i * c for i, c in enumerate(p)][1:] or [0])
 
 
+def _bisect(fun, x: float, y: float) -> float:
+    """Narrow a sign change of fun between the floats x and y by bisection
+    until the float midpoint stops moving, and return the end on x's side
+    (fun there has the sign of fun(x)); a midpoint where fun is exactly 0
+    is returned at once.  No step count and no tolerance."""
+    positive = fun(x) > 0
+    while True:
+        mid = 0.5 * (x + y)
+        if mid == x or mid == y:
+            return x
+        vm = fun(mid)
+        if vm == 0:
+            return mid
+        if (vm > 0) == positive:
+            x = mid
+        else:
+            y = mid
+
+
 def _poly_roots(p: Sequence[float], a: float, b: float) -> list[float]:
     """Real roots of the float polynomial p in [a, b], ascending.
 
     Derivative cascade: the roots of p' cut [a, b] into pieces on which p
-    is monotone, so each piece holds at most one root, found by bisection on
-    a sign change until the float midpoint stops moving.  No grid, step
-    count or tolerance.  A root where p does not change sign is reported
-    only when p evaluates to exactly 0 there (a cut or an endpoint); the
-    zero polynomial has none."""
+    is monotone, so each piece holds at most one root, found by `_bisect`
+    on a sign change.  No grid, step count or tolerance.  A root where p
+    does not change sign is reported only when p evaluates to exactly 0
+    there (a cut or an endpoint); the zero polynomial has none."""
     p = _poly_trim(p)
     if len(p) == 1:
         return []
@@ -312,19 +332,7 @@ def _poly_roots(p: Sequence[float], a: float, b: float) -> list[float]:
             continue
         if vy == 0 or (vx > 0) == (vy > 0):
             continue
-        while True:
-            mid = 0.5 * (x + y)
-            if mid == x or mid == y:
-                break
-            vm = _poly_eval(p, mid)
-            if vm == 0:
-                x = mid
-                break
-            if (vm > 0) == (vx > 0):
-                x = mid
-            else:
-                y = mid
-        roots.append(x)
+        roots.append(_bisect(partial(_poly_eval, p), x, y))
     if _poly_eval(p, b) == 0 and (not roots or roots[-1] != b):
         roots.append(b)
     return roots
@@ -485,71 +493,53 @@ def char_poly_check(ta: TridiagonalArray) -> bool:
     return prev1 == expected
 
 
-def _bisect_down_to_zero(fun, lo: float, hi: float, tol: float) -> float:
-    """Root of fun in [lo, hi] given fun(lo) < 0 < fun(hi)."""
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if fun(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def zeros_above(params: Params, d: int, c: Number, x: float) -> int:
+    """Number of zeros of g_c = c*(F_0+...+F_{d-1}) + F_d above the float x.
+
+    The eigenvalues of T(r, u, d, c) are k and the zeros of g_c, all real
+    and simple.  The negative pivots q_i = (a_i - x) - b_{i-1}c_{i-1}/q_{i-1}
+    of T - xI count those below x (Givens 1954; Barth-Martin-Wilkinson,
+    Numer. Math. 9, 1967), with the diagonal a and the off-diagonal products
+    b*c used as they are, so no sqrt.  A zero pivot becomes a tiny negative,
+    as in LAPACK dstebz, so a zero at x does not count as above it.  One
+    O(d) float pass; the count leaves out k, and is 0 for x >= k."""
+    if d < 1:
+        raise ValueError("need d >= 1")
+    k, q, cf = float(params.k), float(params.q), float(c)
+    diag = [params.s - 1 - x] * (d - 1) + [k - cf - x]
+    prods = [k] + [q] * (d - 2) + [q * cf] if d > 1 else [k * cf]
+    # `or` turns a zero pivot into -_TINY; a pivot that overflows to -inf
+    # makes the next one a_i - 0, its limit
+    piv = -x or -_TINY
+    below = piv < 0
+    for a, bc in zip(diag, prods):
+        piv = a - bc / piv or -_TINY
+        below += piv < 0
+    return max(d - below, 0)
 
 
-def largest_zero_G(params: Params, j: int, tol: float = 1e-9) -> float:
-    """Largest zero lambda_j of G_j.  lambda_1 = -1 always.
-
-    Bisection on the cosine bracket
-    [u-2+2*sqrt(q)cos(pi/j), u-2+2*sqrt(q)cos(pi/(j+1))], widened to the full
-    weight interval when the endpoint signs agree; cross-checked against (and
-    falling back to) the second-largest eigenvalue of T(r, u, j, 1)."""
-    if j < 1:
-        raise ValueError("need j >= 1")
-
-    def g(x: float) -> float:
-        return math.fsum(f_values(params, j, x))
-
-    w = 2.0 * math.sqrt(params.q)
-    center = float(params.u - 2)
-    lo = center + w * math.cos(math.pi / j)
-    hi = center + w * math.cos(math.pi / (j + 1))
-    root = None
-    if g(lo) < 0.0 < g(hi):
-        root = _bisect_down_to_zero(g, lo, hi, tol)
-    else:
-        lo, hi = params.interval
-        if g(lo) < 0.0 < g(hi):
-            root = _bisect_down_to_zero(g, lo, hi, tol)
-    eig = largest_zero_gc(params, j, Fraction(1), tol=tol)
-    if root is None:
-        return eig
-    if abs(root - eig) > max(100.0 * tol, 1e-7) * max(1.0, abs(eig)):
-        raise ArithmeticError(
-            f"largest zero of G_{j} disagrees between bisection ({root}) "
-            f"and eigenvalue route ({eig})")
-    return root
+def largest_zero_G(params: Params, j: int) -> float:
+    """Largest zero lambda_j of G_j = g_1 at d = j.  lambda_1 = -1 always."""
+    return largest_zero_gc(params, j, 1)
 
 
-def largest_zero_gc(params: Params, d: int, c: Number, tol: float = 1e-9) -> float:
-    """Largest zero of g_c = c*(F_0+...+F_{d-1}) + F_d, i.e. the second
-    largest eigenvalue of T(r, u, d, c), via diagonal symmetrization and the
-    tridiagonal QL solver."""
+def largest_zero_gc(params: Params, d: int, c: Number) -> float:
+    """Largest zero of g_c = c*(F_0+...+F_{d-1}) + F_d, the second largest
+    eigenvalue of T(r, u, d, c): bisection on `zeros_above` from k down to a
+    point below every Gershgorin column disc of T, the smallest float found
+    with no zero above it."""
     if d < 1:
         raise ValueError("need d >= 1")
     if c < 1:
         raise ValueError("need c >= 1")
-    s, t = params.s, params.t
-    cf = float(c)
-    diag = [0.0] + [float(s - 1)] * (d - 1) + [s * (t + 1) - cf]
-    sup = [1.0] * (d - 1) + [cf]
-    sub = [float(s * (t + 1))] + [float(s * t)] * (d - 1)
-    eigs = ql_eigenvalues(diag, symmetrized_offdiagonal(sub, sup))
-    k = float(params.k)
-    if abs(eigs[0] - k) > 1e-6 * max(1.0, k):
-        raise ArithmeticError("largest eigenvalue of the quotient array should be k")
-    return eigs[1]
+    k, cf = float(params.k), float(c)
+    # the columns of T sum to k with non-negative off-diagonals, so every
+    # eigenvalue has modulus at most max(k, 2c - k)
+    lo = -max(k, 2.0 * cf - k) - 1.0
+    if zeros_above(params, d, c, lo) != d or zeros_above(params, d, c, k) != 0:
+        raise ArithmeticError(f"the zeros of g_c for T({params.r},{params.u},"
+                              f"{d},{c}) do not all lie in [{lo}, {k}]")
+    return _bisect(lambda x: 0.5 - zeros_above(params, d, c, x), k, lo)
 
 
 def orthogonality_quadrature_check(params: Params, i: int, j: int,

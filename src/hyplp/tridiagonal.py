@@ -74,17 +74,3 @@ def ql_eigenvalues(diag: Sequence[float], offdiag: Sequence[float],
             e[m] = 0.0
     d.sort(reverse=True)
     return d
-
-
-def symmetrized_offdiagonal(subdiag: Sequence[float], superdiag: Sequence[float]) -> list[float]:
-    """Off-diagonal of the symmetric matrix similar to a tridiagonal matrix
-    with the given sub/super diagonals.  Requires every product positive."""
-    if len(subdiag) != len(superdiag):
-        raise ValueError("sub- and superdiagonal lengths differ")
-    out = []
-    for lo, hi in zip(subdiag, superdiag):
-        prod = float(lo) * float(hi)
-        if prod <= 0.0:
-            raise ValueError("off-diagonal product must be positive to symmetrize")
-        out.append(math.sqrt(prod))
-    return out

@@ -47,13 +47,20 @@ def test_select_diameter():
     assert select_diameter(P32, SQRT2) == 3
 
 
+def lambda_d_numpy(params, d):
+    """Largest zero of G_d: the second eigenvalue of T(r, u, d, 1), by
+    numpy on the symmetric matrix with off-diagonal sqrt(sub * super)."""
+    s, t = params.s, params.t
+    diag = [0.0] + [s - 1.0] * (d - 1) + [s * (t + 1) - 1.0]
+    off = [math.sqrt(s * (t + 1))] + [math.sqrt(s * t)] * (d - 1)
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[-2]
+
+
 def linear_select_diameter(params, theta):
-    """select_diameter's predicate, checked at d = 2, 3, 4, ... in turn."""
+    """select_diameter's predicate, checked at d = 1, 2, 3, ... in turn."""
     th = float(theta)
-    if th <= -1 + bounds.ZTOL:
-        return 1
-    d = 2
-    while largest_zero_G(params, d) < th - bounds.ZTOL:
+    d = 1
+    while lambda_d_numpy(params, d) < th - bounds.ZTOL:
         d += 1
     return d
 
@@ -77,20 +84,27 @@ def test_select_diameter_matches_a_linear_scan():
 
 def test_select_diameter_refuses_beyond_the_cap(monkeypatch):
     calls = []
-    real = bounds.largest_zero_G
+    real = bounds.zeros_above
 
-    def counted(params, j):
-        calls.append(j)
-        return real(params, j)
+    def counted(params, d, c, x):
+        calls.append(d)
+        return real(params, d, c, x)
 
-    monkeypatch.setattr(bounds, "largest_zero_G", counted)
+    def no_zero_search(*args):
+        raise AssertionError("select_diameter should not compute lambda_d")
+
+    monkeypatch.setattr(bounds, "zeros_above", counted)
+    monkeypatch.setattr(bounds, "largest_zero_G", no_zero_search)
+    monkeypatch.setattr(bounds, "largest_zero_gc", no_zero_search)
     with pytest.raises(ValueError) as info:
         select_diameter(P32, 2.8284)
     msg = str(info.value)
     assert "2.8284" in msg and "2.828427" in msg and str(bounds.DIAMETER_CAP) in msg
-    # one call at the cap ends the scan, not every d up to it
-    assert calls[-1] == bounds.DIAMETER_CAP and len(calls) < 40
+    # one root count per diameter up to the cap, and nothing else
+    assert calls == list(range(1, bounds.DIAMETER_CAP + 1))
+    calls.clear()
     assert select_diameter(P32, 2.82) == 41 == linear_select_diameter(P32, 2.82)
+    assert len(calls) == 41
 
 
 def test_closed_form_petersen_point():
@@ -482,6 +496,11 @@ def test_imp2_cases():
     b = imp2_bound(P32, 2, 1.5)
     assert b.params["case"] == "at-or-above-lambda_d"
     assert b.value == pytest.approx(10 - 1.75, abs=1e-9)
+    # within ZTOL of lambda_2 = 1 and of lambda_1 = -1 counts as on them
+    assert imp2_bound(P32, 2, 1 - 1e-10).params["case"] == "at-or-above-lambda_d"
+    assert imp2_bound(P32, 2, 1 - 1e-8).params["case"] == "between"
+    assert imp2_bound(P32, 2, -1 + 1e-10).params["case"] == "at-or-below-lambda_{d-1}"
+    assert imp2_bound(P32, 2, -1 + 1e-8).params["case"] == "between"
 
 
 def test_imp2_between_stays_below_comparison():
@@ -518,6 +537,24 @@ def test_defect_region_known_row():
     assert lower == pytest.approx(2.09503, abs=5e-6)
     assert mid == pytest.approx(2.19258, abs=5e-6)
     assert upper == pytest.approx(3.40512, abs=5e-6)
+
+
+def test_defect_region_matches_the_diameter_2_closed_forms():
+    # the closed forms defect_region used at d = 2: lower solves
+    # x^2 + (K - u + 2)x + K - k = 0 with K = kq/(kq - e), upper solves
+    # G_2(x) = x^2 - (u - 3)x + 1 - k = e
+    for r, u in [(3, 2), (8, 2), (2, 3), (3, 3), (4, 3), (5, 4), (7, 6)]:
+        p = Params(r, u)
+        k, q = p.k, p.q
+        for e in (0, 1, 2.5, k * q / 3, k * q - 1):
+            bigk = k * q / (k * q - e)
+            lower = (u - 2 - bigk + math.sqrt((u - bigk) ** 2 + 4 * q)) / 2
+            upper = (u - 3 + math.sqrt((u - 1) ** 2 + 4 * q + 4 * e)) / 2
+            got = defect_region(p, 2, e)
+            # the lower formula cancels terms of size K, and so loses K ulps
+            assert abs(got[0] - lower) <= 4e-16 * (bigk + k), (r, u, e)
+            assert got[2] == pytest.approx(upper, rel=1e-15), (r, u, e)
+            assert got[1] == largest_zero_G(p, 2)
 
 
 def test_defect_region_validation():

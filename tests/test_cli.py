@@ -320,6 +320,22 @@ def test_bound_tau2_lower(capsys):
     assert text_value(out, "d") == "2" and text_value(out, "c") == "1"
 
 
+def test_tol_only_where_a_tolerance_is_read(capsys):
+    code, _, err = run(capsys, "bound", "tau2-lower", "--r", "3", "--u", "2",
+                       "--n", "10", "--tol", "1")
+    assert code == 2 and "--tol" in err
+    for argv in (["dss", "--theta", "2", "--d", "2", "--n", "32"],
+                 ["diam", "--ell", "2"], ["ru1"], ["defect-region", "--e", "8"]):
+        code, _, err = run(capsys, "bound", argv[0], "--r", "8", "--u", "2",
+                           *argv[1:], "--tol", "1")
+        assert code == 2 and "--tol" in err, argv
+    for argv in (["closed-form", "--theta", "2"], ["imp2", "--theta", "2", "--d", "2"],
+                 ["lp", "--theta", "2", "--degree", "3"]):
+        code, _, _ = run(capsys, "bound", argv[0], "--r", "5", "--u", "2",
+                         *argv[1:], "--tol", "1e-9")
+        assert code == 0, argv
+
+
 def test_bound_defect_region(capsys):
     code, out, _ = run(capsys, "bound", "defect-region", "--r", "8", "--u", "2",
                        "--d", "2", "--e", "8")

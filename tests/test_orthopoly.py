@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 import sympy
 
+from hyplp import orthopoly
 from hyplp.orthopoly import (FPoly, Params, TridiagonalArray, char_poly_check,
                              f_eval, f_monomial, f_values, fbasis_to_monomial,
                              g_eval, g_identity_check, largest_zero_G,
                              largest_zero_gc, linearization,
                              monomial_to_fbasis,
                              orthogonality_quadrature_check,
-                             positive_witness)
+                             positive_witness, zeros_above)
 from hyplp.orthopoly import _poly_deriv, _poly_eval, _poly_mul, _poly_roots
 
 GRID = [(3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 5), (4, 4), (6, 2)]
@@ -232,12 +233,73 @@ def test_largest_zero_gc_endpoints():
 
 
 def test_largest_zero_gc_matches_G_at_c_1():
-    # c = 1 turns c*G_{d-1} + F_d into G_d
+    # c = 1 turns c*G_{d-1} + F_d into G_d: the exact G_d changes sign
+    # within 4 ulps of the float found on T(r, u, d, 1), and not above it
     for r, u in [(3, 2), (4, 3), (2, 3)]:
         p = Params(r, u)
         for d in range(2, 6):
-            assert largest_zero_gc(p, d, 1) == pytest.approx(
-                largest_zero_G(p, d), abs=1e-7), (r, u, d)
+            lam = largest_zero_gc(p, d, 1)
+            lo = Fraction(lam) - 4 * Fraction(math.ulp(lam))
+            hi = Fraction(lam) + 4 * Fraction(math.ulp(lam))
+            assert g_eval(p, d, lo) < 0 < g_eval(p, d, hi), (r, u, d)
+            minus_g = [-c for c in fbasis_to_monomial(p, [1] * (d + 1))]
+            assert positive_witness(minus_g, hi, p.k) is None, (r, u, d)
+
+
+def symmetrized_quotient_spectrum(p, d, c):
+    """Eigenvalues of T(r, u, d, c), ascending, by numpy on the symmetric
+    matrix with off-diagonal sqrt(sub * super)."""
+    s, t = p.s, p.t
+    diag = [0.0] + [s - 1.0] * (d - 1) + [s * (t + 1) - c]
+    prods = [s * (t + 1)] + [s * t] * (d - 1)
+    prods[-1] *= c
+    off = np.sqrt(prods)
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+
+def test_zeros_above_matches_numpy():
+    rng = random.Random(9)
+    cases = 0
+    for _ in range(60):
+        r, u = rng.randint(2, 9), rng.randint(2, 9)
+        d = rng.choice([1, 2, 3, 4, 7, 20, 60, 150, 400])
+        c = rng.choice([1.0, rng.uniform(1, 3), rng.uniform(3, 40), rng.uniform(40, 1e5)])
+        p = Params(r, u)
+        eigs = symmetrized_quotient_spectrum(p, d, c)
+        assert eigs[-1] == pytest.approx(p.k, rel=1e-12)
+        zeros = eigs[:-1]
+        scale = max(1.0, abs(eigs[0]), p.k)
+        # points between neighbouring zeros, outside them and seeded
+        # points, each kept only when no eigenvalue is within 1e-9 of it
+        points = [zeros[0] - 1.0, p.k + 1.0, float(p.k)]
+        points += [(a + b) / 2 for a, b in zip(eigs, eigs[1:])]
+        points += [rng.uniform(eigs[0] - 1.0, p.k) for _ in range(20)]
+        for x in rng.sample(points, min(len(points), 40)):
+            if x != p.k and np.min(np.abs(eigs - x)) <= 1e-9 * scale:
+                continue
+            want = int(np.sum(zeros > x))
+            assert zeros_above(p, d, c, float(x)) == want, (r, u, d, c, x)
+            cases += 1
+        # the largest zero, found by bisection on the same count
+        assert largest_zero_gc(p, d, c) == pytest.approx(zeros[-1], abs=1e-13 * scale)
+    assert cases > 1500
+
+
+def test_largest_zero_G_to_a_few_ulps():
+    # G_2 = x^2 - (u - 3)x + 1 - k
+    for (r, u), want in [((3, 3), math.sqrt(5)), ((4, 3), math.sqrt(7)),
+                         ((2, 2), (math.sqrt(5) - 1) / 2)]:
+        got = largest_zero_G(Params(r, u), 2)
+        assert abs(got - want) <= 4 * math.ulp(want), (r, u, got, want)
+
+
+def test_largest_zero_gc_refuses_a_count_outside_its_bracket(monkeypatch):
+    monkeypatch.setattr(orthopoly, "zeros_above", lambda p, d, c, x: 0)
+    with pytest.raises(ArithmeticError):
+        largest_zero_gc(Params(3, 2), 3, 1)
+    monkeypatch.setattr(orthopoly, "zeros_above", lambda p, d, c, x: d)
+    with pytest.raises(ArithmeticError):
+        largest_zero_G(Params(3, 2), 3)
 
 
 def test_quadrature_orthogonality():

@@ -1,6 +1,7 @@
 """The command examples in README.md: every `$ hyplp ...` line in a text
 block runs through the CLI, and the output lines shown under it must appear
-in that order ("..." marks lines the README leaves out)."""
+in that order ("..." marks lines the README leaves out); every `hyplp bound`
+line in a sh block must exit 0."""
 
 import shlex
 from pathlib import Path
@@ -42,3 +43,23 @@ def test_readme_examples_print_what_readme_shows(tmp_path, monkeypatch, capsys):
         for want in expected:
             assert want in out[pos:], (argv, want, out)
             pos = out.index(want, pos) + 1
+
+
+def readme_bound_commands():
+    """argv of every `hyplp bound ...` line in the ```sh blocks, with its
+    trailing `# comment` stripped."""
+    commands, in_sh = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("hyplp bound "):
+            commands.append(shlex.split(line, comments=True))
+    return commands
+
+
+def test_readme_bound_commands_exit_0(capsys):
+    commands = readme_bound_commands()
+    assert len(commands) >= 6
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        assert capsys.readouterr().out

