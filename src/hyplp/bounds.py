@@ -51,6 +51,9 @@ ZTOL = 1e-9
 # but past it the exact certificate grows with d (at (3, 2), d = 374 ran
 # 587 s in `_poly_mul(gc, gc)` and `monomial_to_fbasis`)
 DIAMETER_CAP = 400
+# LP optimizer: stop once max f on [-r, theta] < OPT_TOL; fail after MAX_ROUNDS
+OPT_TOL = 1e-8
+MAX_ROUNDS = 100
 INTERVAL_CONDITION = "f <= 0 on [-r, theta]"
 
 
@@ -195,7 +198,7 @@ def lp_bound_evaluate(params: Params, f: FPoly,
 
 
 def lp_bound_optimize(params: Params, theta: Number, s: int,
-                      tol: float = 1e-8, max_rounds: int = 100) -> BoundResult:
+                      tol: float = OPT_TOL) -> BoundResult:
     """Best degree-s certificate bound for eigenvalues in [-r, theta]:
     minimize 1 + sum f_j F_j(k) over f_j >= 0 with 1 + sum f_j F_j <= 0 on
     [-r, theta], solved in floats through its point-mass dual with
@@ -226,14 +229,14 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
     viol = math.inf
     coeffs: list[float] = []
     try:
-        # built once on the seed points, then one column per round; fk > 0,
-        # so it starts from the feasible slack basis and never runs phase 1
+        # built once on the seed points, then one column per round; the
+        # one-phase simplex needs b >= 0, and b = fk has F_j(k) = k q^(j-1) > 0
         lp = Tableau([1.0] * len(points), list(zip(*map(column, points))), fk)
     except Unbounded as exc:
         # the point-mass dual is unbounded exactly when no f_j >= 0 keeps
         # f <= 0 at the sampled points: a domain limit, not a failure
         raise ValueError(too_low) from exc
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         res = lp.result()
         coeffs = list(res.duals)
         # f attains its maximum on [lo, th] at an endpoint or a root of f'
@@ -254,7 +257,7 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
         except Unbounded as exc:
             raise ValueError(too_low) from exc
     else:
-        raise ArithmeticError(f"no convergence after {max_rounds} rounds "
+        raise ArithmeticError(f"no convergence after {MAX_ROUNDS} rounds "
                               f"(violation {viol:.3g})")
     if viol >= 1:
         # the exchange stopped with f >= 1 somewhere, so f_0 = 1 - viol <= 0:
@@ -322,14 +325,19 @@ def closed_form_h_bound(params: Params, theta: Number, ztol: float = ZTOL) -> Bo
     exact = _is_exact(theta)
     certificate = None
     if exact:
+        # the float pick can be one off for a theta within ztol of a zero;
+        # settle d exactly by G_{d-1}(t) > 0 >= G_d(t), G_d = G_{d-1} + F_d
         t = _as_fraction(theta)
-        gd1 = g_eval(params, d - 1, t)
-        fd = f_eval(params, d, t)
-        if gd1 <= 0:
-            raise ArithmeticError(f"G_{d - 1}({t}) = {gd1} <= 0; d selection broken")
-        c: Number = -fd / gd1
-        if c < 1:
-            raise ArithmeticError(f"c = {c} < 1 for theta = {t}")
+        vals = f_values(params, d + 1, t)
+        gd1 = sum(vals[:d])
+        if gd1 + vals[d] > 0:
+            gd1, d = gd1 + vals[d], d + 1
+        elif gd1 <= 0:
+            gd1, d = gd1 - vals[d - 1], d - 1
+        fd = vals[d]
+        if not gd1 > 0 >= gd1 + fd:
+            raise ArithmeticError(f"no d with G_(d-1) > 0 >= G_d at theta = {t}")
+        c: Number = -fd / gd1  # >= 1, since G_d = G_{d-1} + F_d <= 0
         value: Number = moore_order(params, d - 1) + Fraction(k * q ** (d - 1)) / c
         gc = _gc_monomial(params, d, _as_fraction(c))
         # g_c(t) = 0 by the choice of c, so x - t divides g_c^2 exactly
@@ -445,8 +453,7 @@ def dss_gen_bound(params: Params, d: int, n: int, lam: Number) -> DssCheck:
         raise ValueError("d must be >= 1")
     if abs(float(lam) - params.k) < 1e-12:
         raise ValueError("lam must differ from k")
-    lhs = abs(g_eval(params, d, _as_fraction(lam))) if _is_exact(lam) \
-        else abs(g_eval(params, d, float(lam)))
+    lhs = abs(g_eval(params, d, lam))
     rhs = moore_order(params, d) - n
     return DssCheck(lhs <= rhs, rhs - lhs, moore_order(params, d) - lhs,
                     {"r": params.r, "u": params.u, "d": d, "n": n, "lam": lam})

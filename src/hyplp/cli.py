@@ -58,6 +58,29 @@ def parse_theta(token: str):
     return int(value) if value.denominator == 1 else value
 
 
+def _positive_float(token: str) -> float:
+    """--tol: a finite float above 0, else an argparse error naming it (exit 2)."""
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"needs a positive number, got {token!r}")
+    return value
+
+
+def _read_input(path: str) -> str:
+    """The text of a file, or of stdin for "-"; an unreadable file is a
+    usage error."""
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(str(exc))
+
+
 def load_certificate(path: str, params: Params) -> FPoly:
     """Certificate file: line 1 is "r u s", line 2 holds s+1 rationals
     (coefficients in the F-basis, lowest index first)."""
@@ -201,7 +224,7 @@ def cmd_bound(args) -> int:
 
     if sub == "closed-form":
         theta = parse_theta(args.theta)
-        b = bounds.closed_form_h_bound(params, theta, ztol=args.tol or 1e-9)
+        b = bounds.closed_form_h_bound(params, theta, ztol=args.tol)
         b = bounds.integrality_refinements(b, params)
         emit_pairs(bound_pairs(b), args.format, out)
         return 0
@@ -212,8 +235,7 @@ def cmd_bound(args) -> int:
             f = load_certificate(args.cert, params)
             b = bounds.lp_bound_evaluate(params, f, theta=theta)
         elif args.degree:
-            b = bounds.lp_bound_optimize(params, theta, args.degree,
-                                         tol=args.tol or 1e-8)
+            b = bounds.lp_bound_optimize(params, theta, args.degree, tol=args.tol)
         else:
             raise UsageError("bound lp needs --cert FILE or --degree S")
         emit_pairs(bound_pairs(b), args.format, out)
@@ -234,7 +256,7 @@ def cmd_bound(args) -> int:
 
     if sub == "imp2":
         tau2 = parse_theta(args.theta)
-        b = bounds.imp2_bound(params, args.d, tau2, ztol=args.tol or 1e-9)
+        b = bounds.imp2_bound(params, args.d, tau2, ztol=args.tol)
         emit_pairs(bound_pairs(b), args.format, out)
         return 0
 
@@ -353,15 +375,7 @@ def analyze_pairs(h: Hypergraph) -> list:
 
 
 def cmd_analyze(args) -> int:
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.file) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(str(exc))
-    h = Hypergraph.from_text(text)
+    h = Hypergraph.from_text(_read_input(args.file))
     emit_pairs(analyze_pairs(h), args.format, sys.stdout)
     return 0
 
@@ -501,18 +515,6 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 # construct
 
-def _read_oa(path: str) -> OrthogonalArray:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(str(exc))
-    return OrthogonalArray.from_text(text)
-
-
 def _write_data(args, payload: str, report) -> None:
     """Data to -o FILE (report on stdout) or to stdout (report on stderr),
     so construct commands compose through pipes.  `report()` builds the
@@ -546,10 +548,10 @@ def cmd_construct(args) -> int:
         except KeyError:
             raise UsageError(f"unknown fixture {args.name!r}; "
                              f"available: {', '.join(fixture_names())}")
-    elif args.kind == "from-oa":
-        h = hypergraph_from_oa(_read_oa(args.file))
-    elif args.kind == "oa-minus":
-        h = oa_minus_transversal(_read_oa(args.file), args.symbol)
+    elif args.kind in ("from-oa", "oa-minus"):
+        oa = OrthogonalArray.from_text(_read_input(args.file))
+        h = (hypergraph_from_oa(oa) if args.kind == "from-oa"
+             else oa_minus_transversal(oa, args.symbol))
     else:
         raise UsageError(f"unknown construct kind {args.kind!r}")
 
@@ -594,15 +596,15 @@ def build_parser() -> argparse.ArgumentParser:
         if flags.get("cert"):
             p.add_argument("--cert")
         if flags.get("tol"):
-            p.add_argument("--tol", type=float)
+            p.add_argument("--tol", type=_positive_float, default=flags["tol"])
         _add_format(p)
         p.set_defaults(func=cmd_bound)
         return p
 
-    bound_sub("closed-form", theta=True, tol=True)
-    bound_sub("lp", theta=True, degree=True, cert=True, tol=True)
+    bound_sub("closed-form", theta=True, tol=bounds.ZTOL)
+    bound_sub("lp", theta=True, degree=True, cert=True, tol=bounds.OPT_TOL)
     bound_sub("dss", theta=True, d=True, n=True)
-    bound_sub("imp2", theta=True, d=True, tol=True)
+    bound_sub("imp2", theta=True, d=True, tol=bounds.ZTOL)
     bound_sub("diam", ell=True)
     bound_sub("ru1")
     bound_sub("tau2-lower", n=True)

@@ -6,10 +6,11 @@ import math
 from typing import Sequence
 
 _EPS = 2.220446049250313e-16
+# QL sweeps one eigenvalue may take before the iteration gives up
+_MAX_SWEEPS = 64
 
 
-def ql_eigenvalues(diag: Sequence[float], offdiag: Sequence[float],
-                   max_sweeps: int = 64) -> list[float]:
+def ql_eigenvalues(diag: Sequence[float], offdiag: Sequence[float]) -> list[float]:
     """All eigenvalues of the symmetric tridiagonal matrix with the given
     diagonal and subdiagonal, sorted in non-increasing order.
 
@@ -41,7 +42,7 @@ def ql_eigenvalues(diag: Sequence[float], offdiag: Sequence[float],
             if m == l:
                 break
             sweeps += 1
-            if sweeps > max_sweeps:
+            if sweeps > _MAX_SWEEPS:
                 raise ArithmeticError("tridiagonal QL iteration did not converge")
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
             r = math.hypot(g, 1.0)

@@ -21,8 +21,7 @@ from hyplp.bounds import (BoundResult, DssCheck, LPConditionError, Refinement,
                           ru1_bound, select_diameter, strictly_below_int,
                           tau2_lower)
 from hyplp.cli import _csv_rows, parse_theta
-from hyplp.orthopoly import FPoly, Params, largest_zero_G
-from hyplp.simplex import solve_max
+from hyplp.orthopoly import FPoly, Params, g_eval, largest_zero_G
 
 P32 = Params(3, 2)
 P33 = Params(3, 3)
@@ -105,6 +104,27 @@ def test_select_diameter_refuses_beyond_the_cap(monkeypatch):
     calls.clear()
     assert select_diameter(P32, 2.82) == 41 == linear_select_diameter(P32, 2.82)
     assert len(calls) == 41
+
+
+def test_closed_form_settles_d_exactly_near_a_zero():
+    # rational thetas at a largest zero of G_d, or 1e-10 either side of it:
+    # within ZTOL the float pick may be one off, and the exact branch must
+    # still end with G_{d-1}(theta) > 0 >= G_d(theta)
+    cases = [(P32, Fraction(1))]
+    for params in (P32, P33, Params(4, 2), Params(5, 3)):
+        for d in range(1, 5):
+            cases.append((params, Fraction(largest_zero_G(params, d))))
+    moved = 0
+    for params, zero in cases:
+        for theta in (zero - Fraction(1, 10 ** 10), zero, zero + Fraction(1, 10 ** 10)):
+            for ztol in (bounds.ZTOL, 1e-30):
+                b = closed_form_h_bound(params, theta, ztol=ztol)
+                d = b.params["d"]
+                assert g_eval(params, d - 1, theta) > 0 >= g_eval(params, d, theta), \
+                    (params, theta, ztol)
+                assert b.params["c"] >= 1
+                moved += d != select_diameter(params, theta, ztol)
+    assert moved >= 20
 
 
 def test_closed_form_petersen_point():
@@ -262,7 +282,7 @@ class ColdTableau:
         self._solve()
 
     def _solve(self):
-        self.res = solve_max(self.c, self.a, self.b)
+        self.res = simplex.Tableau(self.c, self.a, self.b).result()
         self.solves.append(self.res.pivots)
 
     def result(self):

@@ -336,6 +336,41 @@ def test_tol_only_where_a_tolerance_is_read(capsys):
         assert code == 0, argv
 
 
+@pytest.mark.parametrize("tol", ["0", "-5"])
+@pytest.mark.parametrize("argv", [["closed-form", "--theta", "1"],
+                                  ["imp2", "--theta", "1", "--d", "2"],
+                                  ["lp", "--theta", "1", "--degree", "4"]])
+def test_tol_must_be_positive(capsys, argv, tol):
+    # 0 once fell back to the default, and a negative tolerance moved the
+    # closed form's diameter pick or switched off the optimizer's dual clamp
+    code, out, err = run(capsys, "bound", argv[0], "--r", "3", "--u", "2",
+                         *argv[1:], "--tol", tol)
+    assert code == 2 and not out
+    assert "argument --tol: needs a positive number" in err, err
+
+
+def test_tol_defaults_come_from_bounds():
+    parser = cli.build_parser()
+    for argv, default in ((["closed-form", "--theta", "1"], bounds.ZTOL),
+                          (["imp2", "--theta", "1", "--d", "2"], bounds.ZTOL),
+                          (["lp", "--theta", "1", "--degree", "4"], bounds.OPT_TOL)):
+        args = parser.parse_args(["bound", argv[0], "--r", "3", "--u", "2", *argv[1:]])
+        assert args.tol == default, argv
+
+
+@pytest.mark.parametrize("argv, d", [(["--theta=10000000001/10000000000"], "3"),
+                                     (["--theta", "1", "--tol", "1e-30"], "2")])
+def test_closed_form_settles_d_exactly_at_a_rational_theta(capsys, argv, d):
+    # lambda_2 = 1 at (3, 2): a theta 1e-10 above it lies within ZTOL, so the
+    # float pick says d = 2, and theta = 1 with ztol 1e-30 gives the float
+    # count nothing above 1 - ztol = 1.0, so it says d = 3; both once exited 3
+    code, out, err = run(capsys, "bound", "closed-form", "--r", "3", "--u", "2",
+                         *argv)
+    assert code == 0, err
+    assert text_value(out, "d") == d
+    assert text_value(out, "value") == "10"
+
+
 def test_bound_defect_region(capsys):
     code, out, _ = run(capsys, "bound", "defect-region", "--r", "8", "--u", "2",
                        "--d", "2", "--e", "8")
