@@ -352,6 +352,17 @@ def closed_form_h_bound(params: Params, theta: Number, ztol: float = ZTOL) -> Bo
         gd1 = g_eval(params, d - 1, th)
         fd = f_eval(params, d, th)
         c = -fd / gd1
+        # a loose ztol can stop the scan at a d whose largest zero lies
+        # below theta, G_d(th) = G_(d-1) + F_d > 0: step d up until
+        # G_(d-1)(th) > 0 >= G_d(th), as the exact branch settles it
+        while c < 1 - 1e-6 and gd1 > 0 and gd1 + fd > 0:
+            if d == DIAMETER_CAP:
+                raise ValueError(f"theta = {th} needs a diameter d above the "
+                                 f"cap {DIAMETER_CAP}")
+            d += 1
+            gd1 = g_eval(params, d - 1, th)
+            fd = f_eval(params, d, th)
+            c = -fd / gd1
         if c < 1 - 1e-6:
             raise ArithmeticError(f"c = {c} < 1 for theta = {th}")
         c = max(c, 1.0)

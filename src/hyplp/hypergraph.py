@@ -9,9 +9,12 @@ lines of space-separated vertex indices, '#' starts a comment.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Optional, Sequence
+from functools import reduce
+from itertools import chain, islice
+from operator import or_
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .orthopoly import Params
 
@@ -22,9 +25,11 @@ __all__ = [
     "IntersectionNumbers",
     "check_regular_uniform",
     "adjacency_rows",
+    "adjacency_multisets",
     "adjacency",
     "incident",
     "dual",
+    "spheres",
     "distance_matrix",
     "diameter",
     "is_connected",
@@ -169,6 +174,18 @@ def adjacency_rows(h: Hypergraph) -> list[list[tuple[int, int]]]:
     return [sorted(c.items()) for c in counts]
 
 
+def adjacency_multisets(h: Hypergraph) -> Iterator[list[int]]:
+    """The rows of the adjacency one at a time, row x as the sorted list of
+    x's neighbours with y listed A[x][y] times, gathered from the edges
+    through x: a caller that streams them never holds them all.
+    `adjacency_rows` builds every row at once from the pairs inside each
+    edge, which is faster when all of them are wanted."""
+    edges = h.edges
+    for x, through in enumerate(incident(h)):
+        near = sorted(chain.from_iterable(map(edges.__getitem__, through)))
+        yield near[:bisect_left(near, x)] + near[bisect_right(near, x):]
+
+
 def adjacency(h: Hypergraph, rows: Optional[list] = None) -> list[list[int]]:
     """Point-graph adjacency with multiplicity: A[x][y] = number of edges
     containing both x and y (x != y); zero diagonal.  The dense form of
@@ -210,32 +227,114 @@ def dual(h: Hypergraph) -> Hypergraph:
     return d
 
 
-def distance_matrix(h: Hypergraph, rows: Optional[list] = None
-                    ) -> tuple[list[list[int]], bool]:
-    """BFS point-graph distances; unreachable pairs get -1 and the second
-    return value reports connectivity.  `rows`: `adjacency_rows(h)`, when
-    the caller has it."""
+# Packed rows.  An integer matrix row is one Python int with `width`-bit
+# fields, entry y in field y (bits width*y up to width*(y+1)).  Packing is
+# linear over the integers, so a sum of multiples of packed rows is the
+# packed row of the same sum, whatever signs its terms have; the result
+# decodes exactly when every entry of it lies in [-2^(width-1), 2^(width-1)).
+# `_field_width` takes width from a bound proved for the entries, plus a
+# sign bit.  The product row x of A*M is the sum of the packed rows z of M
+# over x's neighbours z, each taken A[x][z] times: deg(x) big-int
+# additions, each linear in n * width.
+
+
+def _field_width(bound: int) -> int:
+    """Bits per field for entries of absolute value at most `bound`."""
+    return bound.bit_length() + 1
+
+
+def _neighbour_lists(rows) -> list[list[int]]:
+    """Row x of the sparse adjacency `rows` as a list holding each
+    neighbour z of x A[x][z] times."""
+    return [[z for z, w in row for _ in range(w)] for row in rows]
+
+
+def _times(nbrs: list[list[int]], packed: list[int]) -> list[int]:
+    """The packed rows of A*M, with A given by `_neighbour_lists` and M by
+    its packed rows."""
+    get = packed.__getitem__
+    return [sum(map(get, nb)) for nb in nbrs]
+
+
+def _field(packed: int, y: int, width: int) -> int:
+    """Field y of a packed row whose fields are all >= 0."""
+    return (packed >> (width * y)) & ((1 << width) - 1)
+
+
+def _fields(packed: int, width: int, count: int) -> list[int]:
+    """The `count` signed fields of a packed row, field 0 first.  Adding
+    2^(width-1) to every field makes each one non-negative, so no field
+    borrows from the next, and the bits then read off field by field."""
+    half = 1 << (width - 1)
+    ones = ((1 << (width * count)) - 1) // ((1 << width) - 1)
+    bits = format(packed + half * ones, "b").zfill(width * count)
+    return [int(bits[j - width:j], 2) - half
+            for j in range(len(bits), len(bits) - width * count, -width)]
+
+
+def _first_difference(a: int, b: int, width: int) -> int:
+    """The lowest field in which two packed rows with fields >= 0 differ:
+    the field holding the lowest bit of a ^ b."""
+    diff = a ^ b
+    return ((diff & -diff).bit_length() - 1) // width
+
+
+def _sphere_width(rows) -> int:
+    """The width of the packed rows of the distance matrices D_d, for the
+    adjacency with sparse `rows`: an entry of A D_d is at most the
+    weighted degree of its row."""
+    return _field_width(max((sum(w for _, w in row) for row in rows), default=0))
+
+
+def spheres(h: Hypergraph, rows: Optional[list] = None) -> list[list[int]]:
+    """Breadth-first search from every vertex at once: entry [d][x] is row
+    x of the 0/1 distance-d matrix D_d packed at `_sphere_width`, field y
+    set when y lies at distance exactly d from x, for d from 0 to the
+    largest finite distance.  The balls grow as B_(d+1)(x) = B_d(x) | the
+    OR of B_d(z) over the neighbours z of x, so a level costs one OR per
+    adjacency entry.  `rows`: `adjacency_rows(h)`, when the caller has
+    it."""
     if rows is None:
         rows = adjacency_rows(h)
+    width = _sphere_width(rows)
+    nbrs = [[z for z, _ in row] for row in rows]
+    ball = [1 << (width * x) for x in range(h.n)]
+    out = [ball]
+    while True:
+        grown = [reduce(or_, map(ball.__getitem__, nb), b)
+                 for b, nb in zip(ball, nbrs)]
+        shell = [g ^ b for g, b in zip(grown, ball)]
+        if not any(shell):
+            return out
+        out.append(shell)
+        ball = grown
+
+
+def _reaches_all(shells: list[list[int]], n: int) -> bool:
+    """Whether the `spheres` `shells` of n vertices are those of a
+    connected graph: vertex 0 reaches all n."""
+    return sum(layer[0].bit_count() for layer in shells) == n
+
+
+def distance_matrix(h: Hypergraph, rows: Optional[list] = None
+                    ) -> tuple[list[list[int]], bool]:
+    """Point-graph distances read off `spheres(h, rows)`; unreachable pairs
+    get -1 and the second return value reports connectivity.  `rows`:
+    `adjacency_rows(h)`, when the caller has it."""
+    if rows is None:
+        rows = adjacency_rows(h)
+    width = _sphere_width(rows)
+    shells = spheres(h, rows)
     dist = [[-1] * h.n for _ in range(h.n)]
-    connected = True
-    for src in range(h.n):
-        row = dist[src]
-        row[src] = 0
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for x in frontier:
-                for y, _ in rows[x]:
-                    if row[y] < 0:
-                        row[y] = d
-                        nxt.append(y)
-            frontier = nxt
-        if any(v < 0 for v in row):
-            connected = False
-    return dist, connected
+    for d, layer in enumerate(shells):
+        for row, bits in zip(dist, layer):
+            digits = format(bits, "b")
+            top = len(digits) - 1
+            y = digits.find("1")
+            while y >= 0:
+                row[(top - y) // width] = d
+                y = digits.find("1", y + 1)
+    return dist, _reaches_all(shells, h.n)
 
 
 def is_connected(h: Hypergraph, rows: Optional[list] = None) -> bool:
@@ -256,22 +355,24 @@ def is_connected(h: Hypergraph, rows: Optional[list] = None) -> bool:
 
 
 def diameter(h: Hypergraph) -> int:
-    dist, connected = distance_matrix(h)
-    if not connected:
+    shells = spheres(h)
+    if not _reaches_all(shells, h.n):
         raise ValueError("diameter undefined for a disconnected hypergraph")
-    return max(max(row) for row in dist)
+    return len(shells) - 1
 
 
 def girth(h: Hypergraph):
     """Length of the shortest cycle (distinct edges, distinct vertices except
     the endpoints); math.inf when acyclic.  Two edges sharing two vertices
     give girth 2.  Computed as half the cycle length of the bipartite
-    incidence graph, whose simple cycles alternate vertices and edges."""
+    incidence graph, whose simple cycles alternate vertices and edges: the
+    shortest one passes through the smaller side, so the searches start
+    there only."""
     size = h.n + h.m
     adj = ([[h.n + j for j in through] for through in incident(h)]
            + [list(edge) for edge in h.edges])
     best = math.inf
-    for root in range(size):
+    for root in range(h.n) if h.n <= h.m else range(h.n, size):
         dist = [-1] * size
         parent = [-1] * size
         dist[root] = 0
@@ -296,41 +397,44 @@ def girth(h: Hypergraph):
     return int(best) // 2 if best != math.inf else math.inf
 
 
-def _walk_matrices(h: Hypergraph, rows: Optional[list] = None):
-    """Yield F_0(A), F_1(A), F_2(A), ... for the adjacency A of a regular
-    uniform hypergraph, by the integer recurrence F_0 = I, F_1 = A,
+def _walk_rows(h: Hypergraph, top: int, rows: Optional[list] = None
+               ) -> tuple[int, Iterator[list[int]]]:
+    """F_0(A), F_1(A), F_2(A), ... for the adjacency A of a regular uniform
+    hypergraph, as packed rows, by the integer recurrence F_0 = I, F_1 = A,
     F_2 = A^2 - (u-2)A - kI, F_{j+1} = (A - (u-2)I) F_j - q F_{j-1}.
-    Each product with A runs over the sparse `rows` (`adjacency_rows(h)`),
-    so a step costs n^2 times the number of neighbours, not n^3.  Entry
-    (x, y) of F_i counts the non-backtracking walks of length i from x to y."""
+    Entry (x, y) of F_i counts the non-backtracking walks of length i from
+    x to y, so it lies in [0, k q^(i-1)], the row sum; the returned width
+    holds F_0 to F_top.  `rows`: `adjacency_rows(h)`, when the caller has
+    it."""
     r, u = check_regular_uniform(h)
     params = Params(r, u)
     if rows is None:
         rows = adjacency_rows(h)
-    n = h.n
-    shift, c = params.u - 2, params.k  # c is k for F_2, then q
-    prev = [[1 if p == j else 0 for j in range(n)] for p in range(n)]
-    cur = adjacency(h, rows)
-    yield prev
-    yield cur
-    while True:
-        nxt = []
-        for p in range(n):
-            acc = [-shift * x - c * y for x, y in zip(cur[p], prev[p])]
-            for z, w in rows[p]:
-                acc = [a + w * b for a, b in zip(acc, cur[z])]
-            nxt.append(acc)
-        prev, cur, c = cur, nxt, params.q
+    width = _field_width(params.k * params.q ** max(top - 1, 0))
+    nbrs = _neighbour_lists(rows)
+
+    def walks() -> Iterator[list[int]]:
+        shift, c = params.u - 2, params.k  # c is k for F_2, then q
+        prev = [1 << (width * x) for x in range(h.n)]
+        cur = _times(nbrs, prev)
+        yield prev
         yield cur
+        while True:
+            prev, cur, c = cur, [a - shift * b - c * p for a, b, p in
+                                 zip(_times(nbrs, cur), cur, prev)], params.q
+            yield cur
+
+    return width, walks()
 
 
 def nbw_count_matrix(h: Hypergraph, i: int) -> list[list[int]]:
-    """F_i applied to the adjacency matrix (see `_walk_matrices`).  Entry
+    """F_i applied to the adjacency matrix (see `_walk_rows`).  Entry
     (x, y) counts the non-backtracking walks of length i from x to y;
     entries stay >= 0."""
     if i < 0:
         raise ValueError("length must be non-negative")
-    cur = next(islice(_walk_matrices(h), i, None))
+    width, walks = _walk_rows(h, i)
+    cur = [_fields(row, width, h.n) for row in next(islice(walks, i, None))]
     bad = next(((p, q_) for p, row in enumerate(cur) for q_, v in enumerate(row)
                 if v < 0), None)
     if bad is not None:
@@ -341,10 +445,12 @@ def nbw_count_matrix(h: Hypergraph, i: int) -> list[list[int]]:
 def girth_via_trace(h: Hypergraph, max_i: int = 12,
                     rows: Optional[list] = None) -> Optional[int]:
     """Smallest g <= max_i with tr F_g(A) != 0 and tr F_i(A) = 0 for i < g;
-    None when every trace through max_i vanishes (girth > max_i).  `rows`:
-    `adjacency_rows(h)`, when the caller has it."""
-    for g, cur in enumerate(_walk_matrices(h, rows)):
-        if g and any(cur[p][p] for p in range(h.n)):
+    None when every trace through max_i vanishes (girth > max_i).  The
+    entries are >= 0, so the trace vanishes when every diagonal field does.
+    `rows`: `adjacency_rows(h)`, when the caller has it."""
+    width, walks = _walk_rows(h, max_i, rows)
+    for g, cur in enumerate(walks):
+        if g and any(_field(row, p, width) for p, row in enumerate(cur)):
             return g
         if g >= max_i:
             return None
@@ -365,43 +471,58 @@ class IntersectionNumbers:
 
 
 def distance_regularity_check(h: Hypergraph, rows: Optional[list] = None,
-                              dist: Optional[list] = None) -> IntersectionNumbers:
+                              shells: Optional[list] = None) -> IntersectionNumbers:
     """Checks whether the weighted neighbor counts depend only on distance;
-    on failure `witness` is the first ordered pair disagreeing.  `rows` and
-    `dist`: `adjacency_rows(h)` and `distance_matrix(h)[0]`, when the caller
-    has them."""
+    on failure `witness` is the first ordered pair (x, y) disagreeing.
+
+    With D_i the 0/1 distance-i matrix, entry (x, y) of A D_i is the weight
+    of x's neighbours at distance i from y, which is c, a or b of the pair
+    as d(x, y) is i+1, i or i-1.  So the point graph is distance-regular
+    exactly when A D_i = b_{i-1} D_{i-1} + a_i D_i + c_{i+1} D_{i+1} for
+    every i, with b_{i-1}, a_i and c_{i+1} read at the first pair at
+    distance i-1, i and i+1.  Both sides are proved equal row by row on
+    packed rows; a differing row x is decoded only to find its first
+    differing y, and the witness is the first such (x, y) over all i.
+    `rows` and `shells`: `adjacency_rows(h)` and `spheres(h, rows)`, when
+    the caller has them."""
     if rows is None:
         rows = adjacency_rows(h)
-    if not is_connected(h, rows):
+    if shells is None:
+        shells = spheres(h, rows)
+    if not _reaches_all(shells, h.n):
         raise ValueError("distance-regularity needs a connected hypergraph")
-    if dist is None:
-        dist, _ = distance_matrix(h, rows)
-    d = max(max(row) for row in dist)
-    a_num: list[Optional[int]] = [None] * (d + 1)
-    b_num: list[Optional[int]] = [None] * d
-    c_num: list[Optional[int]] = [None] * d
-    for x in range(h.n):
-        for y in range(h.n):
-            i = dist[x][y]
-            closer = level = farther = 0
-            for z, w in rows[x]:
-                dz = dist[z][y]
-                if dz == i - 1:
-                    closer += w
-                elif dz == i:
-                    level += w
-                else:
-                    farther += w
-            for store, value, top in ((a_num, level, i), (b_num, farther, i),
-                                      (c_num, closer, i - 1)):
-                if top < 0 or top >= len(store):
-                    continue
-                if store[top] is None:
-                    store[top] = value
-                elif store[top] != value:
-                    return IntersectionNumbers(False, d, (), (), (), witness=(x, y))
-    return IntersectionNumbers(
-        True, d,
-        tuple(v for v in a_num if v is not None),
-        tuple(v for v in b_num if v is not None),
-        tuple(v for v in c_num if v is not None))
+    d = len(shells) - 1
+    nbrs = _neighbour_lists(rows)
+    width = _sphere_width(rows)
+    # the first pair at each distance: x with a nonempty sphere, lowest y
+    first = []
+    for layer in shells:
+        x = next(x for x, bits in enumerate(layer) if bits)
+        first.append((x, _first_difference(layer[x], 0, width)))
+    a, b, c = [], [], []
+    witness = None
+    rows_left = h.n  # once a witness is found, only rows up to its x matter
+    zero = [0] * h.n
+    for i in range(d + 1):
+        below = shells[i - 1] if i else zero
+        level = shells[i]
+        above = shells[i + 1] if i < d else zero
+        get = level.__getitem__
+        bi, ai, ci = [_field(sum(map(get, nbrs[first[j][0]])), first[j][1], width)
+                      if 0 <= j <= d else 0 for j in (i - 1, i, i + 1)]
+        if i:
+            b.append(bi)
+        a.append(ai)
+        if i < d:
+            c.append(ci)
+        prod = _times(nbrs[:rows_left], level)
+        want = [bi * p + ai * q + ci * s
+                for p, q, s in zip(below[:rows_left], level, above)]
+        if prod != want:
+            x = next(x for x, (p, w) in enumerate(zip(prod, want)) if p != w)
+            pair = (x, _first_difference(prod[x], want[x], width))
+            witness = pair if witness is None else min(witness, pair)
+            rows_left = x + 1
+    if witness is not None:
+        return IntersectionNumbers(False, d, (), (), (), witness=witness)
+    return IntersectionNumbers(True, d, tuple(a), tuple(b), tuple(c))

@@ -11,6 +11,7 @@ same recurrences run in float arithmetic.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -523,11 +524,28 @@ def largest_zero_G(params: Params, j: int) -> float:
     return largest_zero_gc(params, j, 1)
 
 
+def _float_key(x: float) -> int:
+    """An integer that orders floats as their values do, with -0.0 just
+    below 0.0; adjacent floats get adjacent keys."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -1 - (bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _key_float(key: int) -> float:
+    """The float whose `_float_key` is key."""
+    bits = key if key >= 0 else (-1 - key) | -0x8000_0000_0000_0000
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
 def largest_zero_gc(params: Params, d: int, c: Number) -> float:
     """Largest zero of g_c = c*(F_0+...+F_{d-1}) + F_d, the second largest
-    eigenvalue of T(r, u, d, c): bisection on `zeros_above` from k down to a
-    point below every Gershgorin column disc of T, the smallest float found
-    with no zero above it."""
+    eigenvalue of T(r, u, d, c), as the float a bisection of the value on
+    `zeros_above` from k down to a point below every Gershgorin column disc
+    of T returns: the smallest float found with no zero above it.  The
+    count is bisected on `_float_key`, at most 64 passes even for a zero at
+    0, where halving the value walks the subnormals; `_bisect` then takes
+    the value bisection's path against the boundary found, which fixes the
+    sign of a zero at 0 as that path does."""
     if d < 1:
         raise ValueError("need d >= 1")
     if c < 1:
@@ -539,7 +557,15 @@ def largest_zero_gc(params: Params, d: int, c: Number) -> float:
     if zeros_above(params, d, c, lo) != d or zeros_above(params, d, c, k) != 0:
         raise ArithmeticError(f"the zeros of g_c for T({params.r},{params.u},"
                               f"{d},{c}) do not all lie in [{lo}, {k}]")
-    return _bisect(lambda x: 0.5 - zeros_above(params, d, c, x), k, lo)
+    below, edge = _float_key(lo), _float_key(k)
+    while edge - below > 1:
+        mid = (below + edge) // 2
+        if zeros_above(params, d, c, _key_float(mid)):
+            below = mid
+        else:
+            edge = mid
+    top = _key_float(edge)  # not 0.0: -0.0 and 0.0 get the same count
+    return _bisect(lambda x: (x >= top) - 0.5, k, lo)
 
 
 def orthogonality_quadrature_check(params: Params, i: int, j: int,

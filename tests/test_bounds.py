@@ -127,6 +127,33 @@ def test_closed_form_settles_d_exactly_near_a_zero():
     assert moved >= 20
 
 
+
+def test_closed_form_loose_ztol_gives_a_sound_d_or_a_domain_error():
+    # a loose ztol lets `select_diameter` stop below the d that theta needs;
+    # the float branch must then settle d by the signs of G_(d-1) and G_d at
+    # theta, or refuse with ValueError, never fail with ArithmeticError
+    settled = 0
+    for r in range(2, 6):
+        for u in range(2, 4):
+            params = Params(r, u)
+            top = u - 2 + 2 * math.sqrt(params.q)
+            for n in range(1, 40):
+                theta = math.sqrt(n)
+                if theta >= top:
+                    break
+                want = closed_form_h_bound(params, theta)
+                for ztol in (1e-2, 1e-1):
+                    try:
+                        b = closed_form_h_bound(params, theta, ztol=ztol)
+                    except ValueError:
+                        continue
+                    # the default ztol picks the sound d: G_(d-1) > 0 >= G_d
+                    # at theta, up to round-off at a theta on a zero of G_d
+                    assert (b.value, b.params["d"]) == (want.value, want.params["d"]), \
+                        (params, n, ztol)
+                    settled += b.params["d"] != select_diameter(params, theta, ztol)
+    assert settled >= 10
+
 def test_closed_form_petersen_point():
     b = closed_form_h_bound(P32, 1)
     assert b.value == 10

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import time
 from fractions import Fraction
@@ -371,6 +372,18 @@ def test_closed_form_settles_d_exactly_at_a_rational_theta(capsys, argv, d):
     assert text_value(out, "value") == "10"
 
 
+
+def test_closed_form_loose_tol_settles_d_at_a_sqrt_theta(capsys):
+    # --tol 1e-1 lets the float scan stop at d = 2, whose largest zero lies
+    # below sqrt3; this once exited 3 with "internal: c = 0.63... < 1"
+    argv = ("bound", "closed-form", "--r", "2", "--u", "2", "--theta=sqrt3")
+    code, out, err = run(capsys, *argv, "--tol", "1e-1")
+    assert code == 0, err
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == want
+
+
 def test_bound_defect_region(capsys):
     code, out, _ = run(capsys, "bound", "defect-region", "--r", "8", "--u", "2",
                        "--d", "2", "--e", "8")
@@ -400,6 +413,22 @@ def test_analyze_petersen(tmp_path, capsys):
     assert "valid=yes" in text_value(out, "distance_regular")
     assert text_value(out, "spectrum_correspondence") == "ok"
 
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "analyze")
+
+
+@pytest.mark.parametrize("name", sorted(f[:-4] for f in os.listdir(GOLDEN)
+                                        if f.endswith(".txt")))
+def test_analyze_json_is_byte_identical_to_the_recorded_output(capsys, name):
+    # recorded before the integer layers moved to packed rows and sphere
+    # bitsets: OA(3,7), OA(4,11), OA(3,13), configuration-model inputs with
+    # m < n and m > n, an irregular and a disconnected input
+    code, out, err = run(capsys, "analyze", os.path.join(GOLDEN, name + ".txt"),
+                         "--format", "json")
+    assert code == 0, err
+    with open(os.path.join(GOLDEN, name + ".json")) as fh:
+        assert out == fh.read()
 
 def test_analyze_json_precision(tmp_path, capsys):
     f = tmp_path / "petersen.hg"

@@ -2,20 +2,31 @@
 and distance-regularity."""
 
 import math
+import random
 
 import pytest
 
+from hyplp import hypergraph
 from hyplp.constructions import named_fixture
 from hyplp.hypergraph import (Hypergraph, HypergraphFormatError,
-                              NotRegularUniformError, adjacency,
-                              adjacency_rows, check_regular_uniform, degrees, diameter,
+                              NotRegularUniformError, _fields, adjacency,
+                              adjacency_multisets, adjacency_rows,
+                              check_regular_uniform, degrees, diameter,
                               distance_matrix, distance_regularity_check,
                               dual, girth, girth_via_trace, is_connected,
-                              nbw_count_matrix)
-from walk_oracles import incidence_graph, nbw_count_oracle
+                              nbw_count_matrix, spheres)
+from conftest import random_regular_uniform
+from walk_oracles import (bfs_distances, dense_walk_matrix,
+                          distance_regularity_oracle, incidence_girth,
+                          incidence_graph, nbw_count_oracle)
 
 PRISM = Hypergraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                        (0, 3), (1, 4), (2, 5)])
+# a 4-regular multigraph from the seeded corpus, four of its pairs doubled
+DOUBLED = Hypergraph(6, [(2, 5), (1, 3), (0, 5), (1, 4), (3, 4), (0, 5), (2, 5),
+                         (1, 2), (2, 3), (1, 3), (0, 4), (0, 4)])
+# 2-regular 3-uniform, edges 0 and 1 share the pair {0, 1}
+SHARED_PAIR = Hypergraph(6, [(0, 1, 2), (0, 1, 3), (2, 4, 5), (3, 4, 5)])
 
 
 def test_constructor_normalizes_and_validates():
@@ -83,6 +94,12 @@ def test_adjacency_counts_multiplicity():
     assert adjacency(h) == [[0, 2, 0], [2, 0, 1], [0, 1, 0]]
 
 
+def test_adjacency_multisets_list_each_neighbour_by_multiplicity(corpus):
+    for h in corpus + [DOUBLED, SHARED_PAIR, Hypergraph(3, [(0, 1)])]:
+        assert list(adjacency_multisets(h)) == [
+            [y for y, w in row for _ in range(w)] for row in adjacency_rows(h)]
+
+
 def test_adjacency_rows_are_the_nonzero_entries(corpus):
     for h in corpus + [Hypergraph(2, [(0, 1), (0, 1)])]:
         want = [[0] * h.n for _ in range(h.n)]
@@ -132,6 +149,15 @@ def test_distance_matrix_and_diameter():
         diameter(two)
 
 
+def test_distances_from_spheres_match_bfs(corpus):
+    two = Hypergraph(7, [(0, 1), (0, 1), (2, 3, 4), (3, 4, 5)])
+    for h in corpus + [DOUBLED, SHARED_PAIR, two, Hypergraph(1, [])]:
+        dist, connected = distance_matrix(h)
+        assert dist == bfs_distances(h)
+        assert connected == is_connected(h) == (min(map(min, dist)) >= 0)
+        assert len(spheres(h)) - 1 == max(map(max, dist))
+
+
 def test_girth_fixtures():
     assert girth(named_fixture("petersen")) == 5
     assert girth(named_fixture("k4")) == 3
@@ -144,6 +170,23 @@ def test_girth_fixtures():
     assert girth(Hypergraph(4, [(0, 1, 2), (0, 1, 3)])) == 2  # edges sharing a pair
     assert girth(Hypergraph(3, [(0, 1), (1, 2)])) == math.inf
     assert girth(Hypergraph(3, [(0, 1, 2)])) == math.inf
+
+
+def test_girth_from_the_smaller_side(corpus):
+    # the searches start on the vertices when n <= m and on the edges when
+    # m < n; a hypergraph and its dual share the incidence graph
+    pet = named_fixture("petersen")  # n = 10 < m = 15
+    assert girth(pet) == girth(dual(pet)) == 5  # dual: n = 15 > m = 10
+    assert girth(SHARED_PAIR) == 2 and SHARED_PAIR.m < SHARED_PAIR.n
+    assert girth(DOUBLED) == 2 and DOUBLED.m > DOUBLED.n
+    assert girth(Hypergraph(5, [(0, 1, 2), (2, 3, 4)])) == math.inf  # m < n
+    assert girth(Hypergraph(3, [(0, 1), (1, 2)])) == math.inf  # m < n
+    assert girth(Hypergraph(2, [])) == math.inf
+    heavy = 0
+    for h in corpus:
+        assert girth(h) == incidence_girth(h), (h.n, h.m)
+        heavy += h.m < h.n
+    assert heavy >= 5
 
 
 def girth_by_edge_deletion(h):
@@ -206,6 +249,58 @@ def test_nbw_matrix_matches_oracle_on_fixtures():
                     assert want[x][y] == nbw_count_oracle(h, x, y, i), (name, i, x, y)
 
 
+def test_nbw_matrix_counts_walks_over_repeated_edges():
+    # A[x][y] = 2 for a doubled pair: the packed product adds row z twice
+    for h, imax in ((DOUBLED, 5), (SHARED_PAIR, 6)):
+        for i in range(imax + 1):
+            got = nbw_count_matrix(h, i)
+            for x in range(h.n):
+                for y in range(h.n):
+                    assert got[x][y] == nbw_count_oracle(h, x, y, i), (h, i, x, y)
+
+
+def test_nbw_matrix_beyond_64_bit_entries(corpus):
+    # the first length whose row sum k q^(i-1) exceeds n * 2^64, so the
+    # largest entry of a row exceeds 2^64
+    for h in [named_fixture("fano"), DOUBLED, SHARED_PAIR] + corpus[:2]:
+        r, u = check_regular_uniform(h)
+        i = 1
+        while r * (u - 1) * ((r - 1) * (u - 1)) ** (i - 1) <= h.n * 2 ** 64:
+            i += 1
+        got = nbw_count_matrix(h, i)
+        assert got == dense_walk_matrix(h, r, u, i)
+        assert max(map(max, got)) >= 2 ** 64
+        assert all(sum(row) == r * (u - 1) * ((r - 1) * (u - 1)) ** (i - 1)
+                   for row in got)
+
+
+def test_signed_fields_decode_exactly():
+    rng = random.Random(7)
+    for width in (2, 3, 5, 8, 13, 64, 67):
+        half = 1 << (width - 1)
+        for count in (1, 2, 7, 30):
+            vals = [rng.randrange(-half, half) for _ in range(count)]
+            vals[rng.randrange(count)] = -half
+            packed = sum(v << (width * y) for y, v in enumerate(vals))
+            assert _fields(packed, width, count) == vals
+
+
+def test_nbw_matrix_negative_field_trips_the_assertion(monkeypatch):
+    # F_i(A) >= 0 for every regular uniform input, so only a fault in the
+    # products can make a field negative; the decoded sign must show it
+    width = 6
+
+    def fake(h, top, rows=None):
+        def pack(vals):
+            return sum(v << (width * y) for y, v in enumerate(vals))
+        return width, iter([[pack([1, 0, 0, 0]), pack([0, 1, -1, 2]),
+                             pack([0, 0, 1, 0]), pack([0, 0, 0, 1])]])
+
+    monkeypatch.setattr(hypergraph, "_walk_rows", fake)
+    with pytest.raises(AssertionError, match=r"negative walk count at \(1, 2\)"):
+        nbw_count_matrix(named_fixture("k4"), 0)
+
+
 def test_nbw_row_sums_count_all_walks(corpus):
     # total non-backtracking walks of length i from any vertex is k q^(i-1)
     for h in corpus[:8]:
@@ -260,6 +355,29 @@ def test_distance_regularity_rejects_prism():
     assert rep.witness is not None
     x, y = rep.witness
     assert 0 <= x < 6 and 0 <= y < 6
+
+
+def test_distance_regularity_witness_is_the_first_pair():
+    # pinned from the pairwise check the packed identities replaced
+    assert distance_regularity_check(PRISM).witness == (0, 3)
+    assert distance_regularity_check(DOUBLED).witness == (1, 0)
+
+
+def test_distance_regularity_matches_the_pairwise_oracle(corpus):
+    rng = random.Random(20261018)
+    extra = [random_regular_uniform(rng, r, u, n)
+             for r, u, n in ((3, 2, 30), (2, 3, 30), (4, 2, 16), (2, 4, 24))]
+    names = ("petersen", "heawood", "k33", "k44-minus", "fano", "oa33",
+             "oa45-minus", "k55")
+    hs = corpus + [named_fixture(x) for x in names] + [DOUBLED, SHARED_PAIR, PRISM]
+    witnesses = set()
+    for h in hs + [h for h in extra if h is not None and is_connected(h)]:
+        rep = distance_regularity_check(h)
+        valid, a, b, c, witness = distance_regularity_oracle(h)
+        assert (rep.valid, rep.a, rep.b, rep.c, rep.witness) == (valid, a, b, c, witness)
+        assert rep.diameter == diameter(h)
+        witnesses.add(witness)
+    assert len(witnesses) >= 6
 
 
 def test_distance_regularity_needs_connected():

@@ -2,6 +2,7 @@
 tridiagonal arrays, zeros, and the weight-function quadrature."""
 
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 import sympy
 
 from hyplp import orthopoly
+from hyplp.bounds import tau2_lower
 from hyplp.orthopoly import (FPoly, Params, TridiagonalArray, char_poly_check,
                              f_eval, f_monomial, f_values, fbasis_to_monomial,
                              g_eval, g_identity_check, largest_zero_G,
@@ -301,6 +303,44 @@ def test_largest_zero_gc_refuses_a_count_outside_its_bracket(monkeypatch):
     with pytest.raises(ArithmeticError):
         largest_zero_G(Params(3, 2), 3)
 
+
+
+ZEROS_FILE = os.path.join(os.path.dirname(__file__), "data", "largest_zeros.txt")
+
+
+def test_largest_zeros_keep_their_floats():
+    # recorded from the value bisection the bounded search replaced; the
+    # 27 exact zeros keep their sign, which analyze prints
+    rows = 0
+    with open(ZEROS_FILE) as fh:
+        for line in fh:
+            if line.startswith("#"):
+                continue
+            r, u, d, c, want = line.split()
+            p, d = Params(int(r), int(u)), int(d)
+            got = largest_zero_G(p, d) if c == "1" else largest_zero_gc(p, d, Fraction(c))
+            assert got.hex() == want, (r, u, d, c)
+            rows += 1
+    assert rows == 2419
+
+
+@pytest.mark.parametrize("params, n, lam", [(Params(4, 3), 15, 0.0),
+                                            (Params(3, 2), 6, -0.0),
+                                            (Params(3, 2), 10, 1.0)])
+def test_largest_zero_gc_makes_at_most_66_counts(monkeypatch, params, n, lam):
+    # a zero at exactly 0 once cost 1,081 counts: bisecting the float value
+    # walks through the subnormals towards it
+    calls = []
+    count = orthopoly.zeros_above
+
+    def counted(*args):
+        calls.append(args[3])
+        return count(*args)
+
+    monkeypatch.setattr(orthopoly, "zeros_above", counted)
+    got = tau2_lower(params, n)[2]
+    assert got.hex() == lam.hex()
+    assert len(calls) <= 66
 
 def test_quadrature_orthogonality():
     for r, u in [(3, 2), (4, 2), (3, 3), (2, 3), (2, 5)]:

@@ -210,8 +210,9 @@ def test_correspondence_on_fixtures():
 
 
 def _tampered_rows(monkeypatch, n, entry):
-    """Make `adjacency_rows` off by one at `entry` on the hypergraph with n
-    vertices (the primal or the dual), symmetrically."""
+    """Make the adjacency rows off by one at `entry` on the hypergraph with
+    n vertices (the primal or the dual), symmetrically: both the rows
+    `adjacency_rows` returns and those `adjacency_multisets` streams."""
     real = spectra.adjacency_rows
 
     def fake(h):
@@ -225,6 +226,8 @@ def _tampered_rows(monkeypatch, n, entry):
         return rows
 
     monkeypatch.setattr(spectra, "adjacency_rows", fake)
+    monkeypatch.setattr(spectra, "adjacency_multisets", lambda h: (
+        [y for y, w in row for _ in range(w)] for row in fake(h)))
 
 
 def test_correspondence_names_a_tampered_primal_entry(monkeypatch):
@@ -343,6 +346,18 @@ def test_analysis_fields_match_the_public_functions():
             assert ([m for _, m in an.spectrum.clusters]
                     == [m for _, m in dense.clusters])
 
+
+
+def test_dual_rows_only_for_the_dual_side_spectrum():
+    # the correspondence check streams the dual's rows; only a spectrum
+    # taken from A* (m < n) keeps them all
+    for h, kept in ((named_fixture("petersen"), False),
+                    (dual(named_fixture("petersen")), True)):
+        an = Analysis(h)
+        assert an.spectrum.n == h.n
+        assert an.correspondence().ok
+        assert an.distance_regularity().valid
+        assert ("dual_rows" in vars(an)) == kept
 
 def test_correspondence_heawood_explicit():
     # incidence spectrum of the Fano hypergraph squared: {spec(A)+3} u {spec(A*)+3}

@@ -1,6 +1,9 @@
-"""Test-side oracles for the hypergraph module: a dense incidence graph and
-non-backtracking walks counted one by one.  Slow and independent of the
-matrix code they check."""
+"""Test-side oracles for the hypergraph module: a dense incidence graph,
+non-backtracking walks counted one by one, the walk recurrence, distances,
+distance-regularity and girth on dense lists.  Slow and independent of the
+packed-row code they check."""
+
+import math
 
 from hyplp.hypergraph import Hypergraph
 
@@ -56,3 +59,107 @@ def nbw_count_oracle(h: Hypergraph, x: int, y: int, i: int,
         for v in edge:
             incident[v].append(j)
     return nbw_counts_from(h, x, i, incident, cap)[y]
+
+
+def dense_adjacency(h: Hypergraph) -> list[list[int]]:
+    """A[x][y] = number of edges holding both x and y, from the edge list."""
+    a = [[0] * h.n for _ in range(h.n)]
+    for edge in h.edges:
+        for x in edge:
+            for y in edge:
+                if x != y:
+                    a[x][y] += 1
+    return a
+
+
+def dense_walk_matrix(h: Hypergraph, r: int, u: int, i: int) -> list[list[int]]:
+    """F_i(A) by the integer recurrence on dense lists: F_0 = I, F_1 = A,
+    F_2 = A^2 - (u-2)A - kI, F_{j+1} = (A - (u-2)I) F_j - q F_{j-1}."""
+    n = h.n
+    a = dense_adjacency(h)
+    k, q = r * (u - 1), (r - 1) * (u - 1)
+    prev = [[int(x == y) for y in range(n)] for x in range(n)]
+    cur = a
+    if i == 0:
+        return prev
+    for j in range(1, i):
+        c = k if j == 1 else q
+        nxt = [[sum(a[x][z] * cur[z][y] for z in range(n))
+                - (u - 2) * cur[x][y] - c * prev[x][y] for y in range(n)]
+               for x in range(n)]
+        prev, cur = cur, nxt
+    return cur
+
+
+def bfs_distances(h: Hypergraph) -> list[list[int]]:
+    """Point-graph distances by one BFS per source on the dense adjacency;
+    -1 when unreachable."""
+    a = dense_adjacency(h)
+    out = []
+    for src in range(h.n):
+        dist = [-1] * h.n
+        dist[src] = 0
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in range(h.n):
+                    if a[x][y] and dist[y] < 0:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        out.append(dist)
+    return out
+
+
+def distance_regularity_oracle(h: Hypergraph):
+    """(valid, a, b, c, witness) pair by pair, in the order x, then y: the
+    weights of x's neighbours one step closer to, level with and one step
+    farther from y must match those of the first pair at the same
+    distance; the witness is the first pair that does not."""
+    a_mat = dense_adjacency(h)
+    dist = bfs_distances(h)
+    d = max(map(max, dist))
+    first: dict[int, tuple[int, int, int]] = {}
+    for x in range(h.n):
+        for y in range(h.n):
+            i = dist[x][y]
+            counts = [0, 0, 0]
+            for z in range(h.n):
+                if a_mat[x][z]:
+                    counts[dist[z][y] - i + 1] += a_mat[x][z]
+            closer, level, farther = counts
+            want = first.setdefault(i, (closer, level, farther))
+            if ((i > 0 and closer != want[0]) or level != want[1]
+                    or (i < d and farther != want[2])):
+                return False, (), (), (), (x, y)
+    return (True, tuple(first[i][1] for i in range(d + 1)),
+            tuple(first[i][2] for i in range(d)),
+            tuple(first[i][0] for i in range(1, d + 1)), None)
+
+
+def incidence_girth(h: Hypergraph):
+    """Half the shortest cycle of the incidence graph, by a BFS from every
+    node of both sides; math.inf when acyclic."""
+    b = incidence_graph(h)
+    size = len(b)
+    best = math.inf
+    for root in range(size):
+        dist = [-1] * size
+        parent = [-1] * size
+        dist[root] = 0
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in range(size):
+                    if not b[x][y]:
+                        continue
+                    if dist[y] < 0:
+                        dist[y] = dist[x] + 1
+                        parent[y] = x
+                        nxt.append(y)
+                    elif parent[x] != y:
+                        best = min(best, dist[x] + dist[y] + 1)
+            frontier = nxt
+    return best // 2 if best != math.inf else math.inf
