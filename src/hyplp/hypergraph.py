@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
@@ -25,7 +26,6 @@ __all__ = [
     "IntersectionNumbers",
     "check_regular_uniform",
     "adjacency_rows",
-    "adjacency_multisets",
     "adjacency",
     "incident",
     "dual",
@@ -36,6 +36,7 @@ __all__ = [
     "girth",
     "nbw_count_matrix",
     "girth_via_trace",
+    "gram_mismatches",
     "distance_regularity_check",
 ]
 
@@ -174,7 +175,7 @@ def adjacency_rows(h: Hypergraph) -> list[list[tuple[int, int]]]:
     return [sorted(c.items()) for c in counts]
 
 
-def adjacency_multisets(h: Hypergraph) -> Iterator[list[int]]:
+def _adjacency_multisets(h: Hypergraph) -> Iterator[list[int]]:
     """The rows of the adjacency one at a time, row x as the sorted list of
     x's neighbours with y listed A[x][y] times, gathered from the edges
     through x: a caller that streams them never holds them all.
@@ -455,6 +456,57 @@ def girth_via_trace(h: Hypergraph, max_i: int = 12,
         if g >= max_i:
             return None
 
+
+
+def gram_mismatches(h: Hypergraph, rows: Optional[list] = None,
+                    hd: Optional[Hypergraph] = None):
+    """For regular uniform h, with N the n x m vertex-edge incidence matrix,
+    A the adjacency and A* that of the dual: the first entry (i, j, gram,
+    want) where N N^T differs from A + rI, and the first where N^T N
+    differs from A* + uI, each None when the two agree.  `rows` and `hd`:
+    `adjacency_rows(h)` and `dual(h)`, when the caller has them.
+
+    Row x of N N^T is the sum of the 0/1 rows of the edges through x, on
+    packed rows.  N^T N goes one row at a time as sorted lists with
+    repeats: row j lists the edges through each member of edge j, and is
+    row j of A* + uI exactly when it lists j u times and, without j,
+    equals row j of `_adjacency_multisets(hd)`.  So no row of A* is kept,
+    and the cost is the number of ones of N times r * u."""
+    r, u = check_regular_uniform(h)
+    if rows is None:
+        rows = adjacency_rows(h)
+    if hd is None:
+        hd = dual(h)
+    return _primal_gram_mismatch(h, hd, r, rows), _dual_gram_mismatch(h, hd, u)
+
+
+def _primal_gram_mismatch(h: Hypergraph, hd: Hypergraph, r: int, rows):
+    # entries of N N^T are at most r, those of A + rI at most r plus the
+    # largest entry of `rows`
+    width = _field_width(r + max((w for row in rows for _, w in row), default=0))
+    unit = [1 << (width * y) for y in range(h.n)]
+    # the dual's edges are the edges through each vertex
+    gram = _times(hd.edges, _times(h.edges, unit))
+    want = [a + r * e for a, e in zip(_times(_neighbour_lists(rows), unit), unit)]
+    if gram == want:
+        return None
+    x = next(x for x, (g, w) in enumerate(zip(gram, want)) if g != w)
+    y = _first_difference(gram[x], want[x], width)
+    return x, y, _field(gram[x], y, width), _field(want[x], y, width)
+
+
+def _dual_gram_mismatch(h: Hypergraph, hd: Hypergraph, u: int):
+    edges_through = hd.edges
+    for j, (members, near) in enumerate(zip(h.edges, _adjacency_multisets(hd))):
+        gram = sorted(chain.from_iterable(map(edges_through.__getitem__, members)))
+        lo, hi = bisect_left(gram, j), bisect_right(gram, j)
+        if hi - lo != u or gram[:lo] + gram[hi:] != near:
+            want = Counter(near)
+            want[j] += u
+            gram = Counter(gram)
+            l = min(l for l in gram.keys() | want.keys() if gram[l] != want[l])
+            return j, l, gram[l], want[l]
+    return None
 
 @dataclass(frozen=True)
 class IntersectionNumbers:

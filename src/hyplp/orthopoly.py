@@ -524,28 +524,33 @@ def largest_zero_G(params: Params, j: int) -> float:
     return largest_zero_gc(params, j, 1)
 
 
+_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
+
+
 def _float_key(x: float) -> int:
     """An integer that orders floats as their values do, with -0.0 just
     below 0.0; adjacent floats get adjacent keys."""
-    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    bits = _INT64.unpack(_DOUBLE.pack(x))[0]
     return bits if bits >= 0 else -1 - (bits & 0x7FFF_FFFF_FFFF_FFFF)
 
 
 def _key_float(key: int) -> float:
     """The float whose `_float_key` is key."""
     bits = key if key >= 0 else (-1 - key) | -0x8000_0000_0000_0000
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
+    return _DOUBLE.unpack(_INT64.pack(bits))[0]
 
 
 def largest_zero_gc(params: Params, d: int, c: Number) -> float:
     """Largest zero of g_c = c*(F_0+...+F_{d-1}) + F_d, the second largest
-    eigenvalue of T(r, u, d, c), as the float a bisection of the value on
-    `zeros_above` from k down to a point below every Gershgorin column disc
-    of T returns: the smallest float found with no zero above it.  The
-    count is bisected on `_float_key`, at most 64 passes even for a zero at
-    0, where halving the value walks the subnormals; `_bisect` then takes
-    the value bisection's path against the boundary found, which fixes the
-    sign of a zero at 0 as that path does."""
+    eigenvalue of T(r, u, d, c): the smallest float with no zero above it,
+    between k and a point below every Gershgorin column disc of T.
+
+    The count `zeros_above` is bisected on `_float_key`, so the search
+    takes at most 64 passes, also for a zero at or near 0, where halving
+    the value walks through the subnormals.  It returns the float a
+    bisection of the value returns, with one exception that path decides:
+    -0.0 and 0.0 get the same count, and for a zero at 0 the value path
+    ends on either, so `_bisect` takes that path against the sign alone."""
     if d < 1:
         raise ValueError("need d >= 1")
     if c < 1:
@@ -564,8 +569,10 @@ def largest_zero_gc(params: Params, d: int, c: Number) -> float:
             below = mid
         else:
             edge = mid
-    top = _key_float(edge)  # not 0.0: -0.0 and 0.0 get the same count
-    return _bisect(lambda x: (x >= top) - 0.5, k, lo)
+    top = _key_float(edge)
+    if top:
+        return top
+    return _bisect(lambda x: (x >= 0.0) - 0.5, k, lo)
 
 
 def orthogonality_quadrature_check(params: Params, i: int, j: int,

@@ -8,21 +8,16 @@ external linear-algebra dependencies.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import mul
 from typing import Optional, Sequence
 
 from .hypergraph import (Hypergraph, IntersectionNumbers,
-                         NotRegularUniformError, _field, _field_width,
-                         _first_difference, _neighbour_lists, _reaches_all,
-                         _times, adjacency, adjacency_rows,
+                         NotRegularUniformError, adjacency, adjacency_rows,
                          check_regular_uniform, distance_regularity_check,
-                         dual, girth_via_trace, is_connected,
-                         adjacency_multisets, spheres)
+                         dual, girth_via_trace, gram_mismatches, is_connected,
+                         spheres)
 from .tridiagonal import _EPS, ql_eigenvalues
 
 __all__ = [
@@ -131,8 +126,8 @@ class CheckReport:
 class Analysis:
     """The derived objects of one hypergraph, each built on first use and
     then kept: the adjacency as sparse rows and as a dense matrix, the dual
-    and its adjacency rows, the distance spheres with the connectivity and
-    diameter they give, and the adjacency spectrum.  `analyze` reads every
+    and its adjacency rows, connectivity, the distance spheres and the
+    adjacency spectrum.  `analyze` reads every
     report field from one instance, so the spectrum is computed once and
     the dual built once; the dual's adjacency rows are built only when the
     spectrum comes from A* (m < n).  `second_eigenvalue` and `is_ramanujan`
@@ -150,12 +145,12 @@ class Analysis:
         return adjacency(self.h, self.rows)
 
     @cached_property
-    def spheres(self) -> list[list[int]]:
-        return spheres(self.h, self.rows)
+    def connected(self) -> bool:
+        return is_connected(self.h, self.rows)
 
     @cached_property
-    def connected(self) -> bool:
-        return _reaches_all(self.spheres, self.h.n)
+    def spheres(self) -> list[list[int]]:
+        return spheres(self.h, self.rows)
 
     @cached_property
     def dual(self) -> Hypergraph:
@@ -229,46 +224,6 @@ def is_ramanujan(h: Hypergraph, tol: float = 1e-9) -> bool:
     return Analysis(h).is_ramanujan(tol)
 
 
-def _primal_gram_mismatch(h: Hypergraph, hd: Hypergraph, r: int,
-                          rows: Sequence[Sequence[tuple[int, int]]]):
-    """First entry (x, y, gram, want) where N N^T differs from A + rI, A
-    the matrix with sparse `rows`; None when they agree.  Row x of N N^T is
-    the sum of the 0/1 rows of the edges through x (`hd.edges[x]`), done on
-    packed rows: r additions per row.  Its entries are at most r, and those
-    of A + rI at most r plus the largest entry of `rows`."""
-    width = _field_width(r + max((w for row in rows for _, w in row), default=0))
-    unit = [1 << (width * y) for y in range(h.n)]
-    edge_rows = _times(h.edges, unit)
-    gram = _times(hd.edges, edge_rows)
-    want = [a + r * e for a, e in zip(_times(_neighbour_lists(rows), unit), unit)]
-    if gram == want:
-        return None
-    x = next(x for x, (g, w) in enumerate(zip(gram, want)) if g != w)
-    y = _first_difference(gram[x], want[x], width)
-    return x, y, _field(gram[x], y, width), _field(want[x], y, width)
-
-
-def _dual_gram_mismatch(h: Hypergraph, hd: Hypergraph, u: int):
-    """First entry (j, l, gram, want) where N^T N differs from A* + uI, A*
-    the adjacency of the dual `hd`; None when they agree.  One row at a
-    time, as sorted lists with repeats: row j of N^T N lists the edges
-    through each member of edge j, and is A* + uI exactly when it lists j
-    u times and, without j, equals row j of `adjacency_multisets(hd)`.  The
-    cost is the number of ones of N times r * u, and no row of A* is
-    kept."""
-    edges_through = hd.edges
-    for j, (members, near) in enumerate(zip(h.edges, adjacency_multisets(hd))):
-        gram = sorted(chain.from_iterable(map(edges_through.__getitem__, members)))
-        lo, hi = bisect_left(gram, j), bisect_right(gram, j)
-        if hi - lo != u or gram[:lo] + gram[hi:] != near:
-            want = Counter(near)
-            want[j] += u
-            gram = Counter(gram)
-            l = min(l for l in gram.keys() | want.keys() if gram[l] != want[l])
-            return j, l, gram[l], want[l]
-    return None
-
-
 def spectrum_correspondence_check(h: Hypergraph,
                                   rows: Optional[list] = None,
                                   hd: Optional[Hypergraph] = None) -> CheckReport:
@@ -280,9 +235,9 @@ def spectrum_correspondence_check(h: Hypergraph,
     and N N^T, N^T N share their nonzero eigenvalues with multiplicity, so
     spec(A)+r padded with m zeros equals spec(A*)+u padded with n zeros.
     Needs O(nnz * max(r, u)) time and no dense matrix, and holds one row of
-    A* at a time.  `rows` and `hd` are `adjacency_rows(h)` and `dual(h)`,
-    when the caller has them.  A failure names the first mismatching
-    entry."""
+    A* at a time (`gram_mismatches`).  `rows` and `hd` are
+    `adjacency_rows(h)` and `dual(h)`, when the caller has them.  A
+    failure names the first mismatching entry."""
     r, u = check_regular_uniform(h)
     if r < 2:
         raise ValueError("needs r >= 2 so the dual is defined")
@@ -292,12 +247,10 @@ def spectrum_correspondence_check(h: Hypergraph,
         raise ValueError("needs connected input")
     if hd is None:
         hd = dual(h)
+    primal, dual_side = gram_mismatches(h, rows, hd)
     detail: list[str] = []
-    # the dual's edges are incident(h): the edges through each vertex
-    bad = _primal_gram_mismatch(h, hd, r, rows)
-    if bad is not None:
-        detail.append("N N^T != A + {}I at ({}, {}): {} vs {}".format(r, *bad))
-    bad = _dual_gram_mismatch(h, hd, u)
-    if bad is not None:
-        detail.append("N^T N != A* + {}I at ({}, {}): {} vs {}".format(u, *bad))
+    if primal is not None:
+        detail.append("N N^T != A + {}I at ({}, {}): {} vs {}".format(r, *primal))
+    if dual_side is not None:
+        detail.append("N^T N != A* + {}I at ({}, {}): {} vs {}".format(u, *dual_side))
     return CheckReport(not detail, tuple(detail))

@@ -9,8 +9,8 @@ import pytest
 from hyplp import hypergraph
 from hyplp.constructions import named_fixture
 from hyplp.hypergraph import (Hypergraph, HypergraphFormatError,
-                              NotRegularUniformError, _fields, adjacency,
-                              adjacency_multisets, adjacency_rows,
+                              NotRegularUniformError, _adjacency_multisets,
+                              _fields, adjacency, adjacency_rows,
                               check_regular_uniform, degrees, diameter,
                               distance_matrix, distance_regularity_check,
                               dual, girth, girth_via_trace, is_connected,
@@ -96,7 +96,7 @@ def test_adjacency_counts_multiplicity():
 
 def test_adjacency_multisets_list_each_neighbour_by_multiplicity(corpus):
     for h in corpus + [DOUBLED, SHARED_PAIR, Hypergraph(3, [(0, 1)])]:
-        assert list(adjacency_multisets(h)) == [
+        assert list(_adjacency_multisets(h)) == [
             [y for y, w in row for _ in range(w)] for row in adjacency_rows(h)]
 
 

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from hyplp import cli, spectra
+from hyplp import cli, hypergraph, spectra
 from hyplp.constructions import (hypergraph_from_oa, mols_cyclic, named_fixture,
                                  oa_from_mols)
 from hyplp.hypergraph import Hypergraph, adjacency, check_regular_uniform, dual
@@ -212,7 +212,7 @@ def test_correspondence_on_fixtures():
 def _tampered_rows(monkeypatch, n, entry):
     """Make the adjacency rows off by one at `entry` on the hypergraph with
     n vertices (the primal or the dual), symmetrically: both the rows
-    `adjacency_rows` returns and those `adjacency_multisets` streams."""
+    `adjacency_rows` returns and those the dual side of the check streams."""
     real = spectra.adjacency_rows
 
     def fake(h):
@@ -226,7 +226,7 @@ def _tampered_rows(monkeypatch, n, entry):
         return rows
 
     monkeypatch.setattr(spectra, "adjacency_rows", fake)
-    monkeypatch.setattr(spectra, "adjacency_multisets", lambda h: (
+    monkeypatch.setattr(hypergraph, "_adjacency_multisets", lambda h: (
         [y for y, w in row for _ in range(w)] for row in fake(h)))
 
 
