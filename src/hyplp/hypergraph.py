@@ -504,8 +504,8 @@ def _dual_gram_mismatch(h: Hypergraph, hd: Hypergraph, u: int):
             want = Counter(near)
             want[j] += u
             gram = Counter(gram)
-            l = min(l for l in gram.keys() | want.keys() if gram[l] != want[l])
-            return j, l, gram[l], want[l]
+            col = min(y for y in gram.keys() | want.keys() if gram[y] != want[y])
+            return j, col, gram[col], want[col]
     return None
 
 @dataclass(frozen=True)
