@@ -457,7 +457,6 @@ def girth_via_trace(h: Hypergraph, max_i: int = 12,
             return None
 
 
-
 def gram_mismatches(h: Hypergraph, rows: Optional[list] = None,
                     hd: Optional[Hypergraph] = None):
     """For regular uniform h, with N the n x m vertex-edge incidence matrix,
@@ -507,6 +506,7 @@ def _dual_gram_mismatch(h: Hypergraph, hd: Hypergraph, u: int):
             col = min(y for y in gram.keys() | want.keys() if gram[y] != want[y])
             return j, col, gram[col], want[col]
     return None
+
 
 @dataclass(frozen=True)
 class IntersectionNumbers:

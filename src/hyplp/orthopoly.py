@@ -546,8 +546,8 @@ def largest_zero_gc(params: Params, d: int, c: Number) -> float:
     between k and a point below every Gershgorin column disc of T.
 
     The count `zeros_above` is bisected on `_float_key`, so the search
-    takes at most 64 passes, also for a zero at or near 0, where halving
-    the value walks through the subnormals.  It returns the float a
+    takes at most 64 passes after the two that check the bracket, also for
+    a zero at or near 0, where halving the value walks the subnormals.  It returns the float a
     bisection of the value returns, with one exception that path decides:
     -0.0 and 0.0 get the same count, and for a zero at 0 the value path
     ends on either, so `_bisect` takes that path against the sign alone."""

@@ -127,11 +127,11 @@ class Analysis:
     """The derived objects of one hypergraph, each built on first use and
     then kept: the adjacency as sparse rows and as a dense matrix, the dual
     and its adjacency rows, connectivity, the distance spheres and the
-    adjacency spectrum.  `analyze` reads every
-    report field from one instance, so the spectrum is computed once and
-    the dual built once; the dual's adjacency rows are built only when the
-    spectrum comes from A* (m < n).  `second_eigenvalue` and `is_ramanujan`
-    are thin calls into a fresh one."""
+    adjacency spectrum.  `analyze` reads every report field from one
+    instance, so the spectrum is computed once and the dual built once;
+    the dual's adjacency rows are built only when the spectrum comes from
+    A* (m < n).  `second_eigenvalue` and `is_ramanujan` are thin calls into
+    a fresh one."""
 
     def __init__(self, h: Hypergraph) -> None:
         self.h = h
