@@ -25,6 +25,7 @@ PRISM = Hypergraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
 # a 4-regular multigraph from the seeded corpus, four of its pairs doubled
 DOUBLED = Hypergraph(6, [(2, 5), (1, 3), (0, 5), (1, 4), (3, 4), (0, 5), (2, 5),
                          (1, 2), (2, 3), (1, 3), (0, 4), (0, 4)])
+# three parallel edges: every walk from a vertex ends at one vertex
 TRIPLE = Hypergraph(2, [(0, 1)] * 3)
 # 2-regular 3-uniform, edges 0 and 1 share the pair {0, 1}
 SHARED_PAIR = Hypergraph(6, [(0, 1, 2), (0, 1, 3), (2, 4, 5), (3, 4, 5)])
@@ -262,8 +263,8 @@ def test_nbw_matrix_counts_walks_over_repeated_edges():
 
 def test_nbw_matrix_beyond_64_bit_entries(corpus):
     # the first length whose row sum k q^(i-1) exceeds n * 2^64, so the
-    # largest entry of a row exceeds 2^64; on three parallel edges every
-    # walk from x ends at one vertex, so an entry meets the row-sum bound
+    # largest entry of a row exceeds 2^64; on TRIPLE an entry meets the
+    # row-sum bound the field width is taken from
     for h in [named_fixture("fano"), DOUBLED, SHARED_PAIR, TRIPLE] + corpus[:2]:
         r, u = check_regular_uniform(h)
         i = 1
