@@ -9,10 +9,10 @@ BoundResult (value + provenance + optional certificate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence, Union
 
+from ._record import Record
 from .orthopoly import (FPoly, Params, _bisect, _gc_monomial, _has_root,
                         _poly_deriv, _poly_divmod, _poly_mul, _poly_roots,
                         f_eval, f_monomial, f_values, g_eval, largest_zero_G,
@@ -44,7 +44,7 @@ __all__ = [
     "biregular_bound",
 ]
 
-Number = Union[int, float, Fraction]
+Number = int | float | Fraction
 
 ZTOL = 1e-9
 # largest diameter the closed form searches: the selection itself is cheap,
@@ -66,20 +66,18 @@ class LPConditionError(ValueError):
         super().__init__(f"violated {condition}: witness {witness}")
 
 
-@dataclass(frozen=True)
-class Refinement:
+class Refinement(Record):
     name: str
     before: Number
     after: Number
     note: str = ""
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(Record):
     value: Number
     theorem: str
     params: dict
-    certificate: Optional[FPoly] = None
+    certificate: FPoly | None = None
     refinements: tuple[Refinement, ...] = ()
     notes: tuple[str, ...] = ()
 
@@ -111,8 +109,8 @@ def _as_fraction(x: Number) -> Fraction:
 
 
 def lp_bound_evaluate(params: Params, f: FPoly,
-                      taus: Optional[Sequence[Number]] = None,
-                      theta: Optional[Number] = None) -> BoundResult:
+                      taus: Sequence[Number] | None = None,
+                      theta: Number | None = None) -> BoundResult:
     """Order bound f(k)/f_0 from a polynomial whose hypotheses are verified:
     f_0 > 0, f_i >= 0, f(k) > 0, and f <= 0 at the given eigenvalue points
     (taus mode) or on the whole interval [-r, theta] (interval mode).
@@ -417,7 +415,7 @@ def integrality_refinements(b: BoundResult, params: Params) -> BoundResult:
     steps.append(Refinement("divisibility", value, new,
                             f"largest v with {params.r}v divisible by {params.u}"))
     value = new
-    return replace(b, value=value, refinements=tuple(steps))
+    return b.replace(value=value, refinements=tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +447,15 @@ def diameter_order_bound(params: Params, ell: int) -> BoundResult:
                        notes=notes)
 
 
-@dataclass(frozen=True)
-class DssCheck:
+class DssCheck(Record):
     passed: bool
     slack: Number
     order_bound: Number
-    params: dict = field(default_factory=dict)
+    params: dict = None  # None: a fresh {} for each record
+
+    def __post_init__(self):
+        if self.params is None:
+            object.__setattr__(self, "params", {})
 
 
 def dss_gen_bound(params: Params, d: int, n: int, lam: Number) -> DssCheck:
@@ -540,7 +541,7 @@ def duality_transform(r: int, u: int, theta: Number):
     return u, r, theta + (r - u), Fraction(u, r)
 
 
-def ru1_bound(r: int, u: int) -> Optional[BoundResult]:
+def ru1_bound(r: int, u: int) -> BoundResult | None:
     """Order cap u(r+1) at second eigenvalue 1, available once r is large
     enough relative to u; None when the degree condition fails."""
     if u < 3:

@@ -13,8 +13,8 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import bounds
@@ -384,10 +384,10 @@ def cmd_analyze(args) -> int:
 # tables
 
 def _data_text(name: str) -> str:
-    # imported here: importlib.resources pulls in pathlib, tempfile and
-    # zipfile, about 2.4 MB of resident memory that only `table` needs
-    from importlib import resources
-    return resources.files("hyplp.data").joinpath(name).read_text()
+    # a plain read of the package-data file: importlib.resources would load
+    # typing, pathlib, tempfile and more, about 29 ms per `table` command
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _csv_rows(name: str) -> list[dict]:
@@ -447,7 +447,7 @@ def catalog_cell(row: dict, degree: int | None):
     else:
         if tag == "noSRG":
             cut = bounds.strictly_below_int(b.value)
-            b = replace(b, value=cut, refinements=b.refinements + (
+            b = b.replace(value=cut, refinements=b.refinements + (
                 Refinement("no-attaining-object", raw, cut,
                            row.get("note") or "equality ruled out by census"),))
         b = bounds.integrality_refinements(b, params)

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from collections.abc import Callable, Sequence
 
+from ._record import Record
 from .hypergraph import Hypergraph, check_regular_uniform, diameter, girth
 from .spectra import second_eigenvalue
 
@@ -25,8 +25,7 @@ class OAValidationError(ValueError):
     """Raised when an array fails the orthogonal-array pair condition."""
 
 
-@dataclass(frozen=True)
-class OrthogonalArray:
+class OrthogonalArray(Record):
     """rows x cols array over symbols 0..alphabet-1; every pair of distinct
     rows must show each ordered symbol pair exactly once (so cols = alphabet^2)."""
 
@@ -71,7 +70,7 @@ class OrthogonalArray:
         return "\n".join(out) + "\n"
 
 
-def oa_validate(oa: OrthogonalArray) -> tuple[bool, Optional[str]]:
+def oa_validate(oa: OrthogonalArray) -> tuple[bool, str | None]:
     """Check the defining property: in any two rows each ordered symbol pair
     occurs exactly once.  Returns (ok, witness)."""
     if oa.cols != oa.alphabet ** 2:

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import reduce
 from itertools import chain, islice
 from operator import or_
-from typing import Iterable, Iterator, Optional, Sequence
 
+from ._record import Record
 from .orthopoly import Params
 
 __all__ = [
@@ -53,54 +53,45 @@ class NotRegularUniformError(ValueError):
     """Raised when a hypergraph fails the (r, u)-regularity check; carries the
     first offending vertex or edge."""
 
-    def __init__(self, message: str, vertex: Optional[int] = None,
-                 edge: Optional[int] = None) -> None:
+    def __init__(self, message: str, vertex: int | None = None,
+                 edge: int | None = None) -> None:
         super().__init__(message)
         self.vertex = vertex
         self.edge = edge
 
 
-class Hypergraph:
-    """Immutable hypergraph on vertices 0..n-1.  Equality is label-sensitive."""
+class Hypergraph(Record):
+    """Immutable hypergraph on vertices 0..n-1.  Equality is label-sensitive.
+    `edges` may be given as any iterable of vertex sequences."""
 
-    __slots__ = ("n", "edges")
+    n: int
+    edges: tuple[tuple[int, ...], ...]
 
-    def __init__(self, n: int, edges: Iterable[Sequence[int]]) -> None:
-        if n < 1:
+    def __post_init__(self) -> None:
+        if self.n < 1:
             raise ValueError("need at least one vertex")
         norm = []
-        for idx, edge in enumerate(edges):
+        for idx, edge in enumerate(self.edges):
             members = sorted(edge)
             if len(members) < 2:
                 raise ValueError(f"edge {idx} has fewer than two vertices")
             if len(set(members)) != len(members):
                 raise ValueError(f"edge {idx} repeats a vertex")
-            if members[0] < 0 or members[-1] >= n:
-                raise ValueError(f"edge {idx} has a vertex outside 0..{n - 1}")
+            if members[0] < 0 or members[-1] >= self.n:
+                raise ValueError(f"edge {idx} has a vertex outside 0..{self.n - 1}")
             norm.append(tuple(members))
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
-
-    def __setattr__(self, *_: object) -> None:
-        raise AttributeError("Hypergraph is immutable")
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Hypergraph)
-                and self.n == other.n and self.edges == other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, m={self.m})"
 
     @classmethod
     def from_text(cls, text: str) -> "Hypergraph":
-        header: Optional[tuple[int, int]] = None
+        header: tuple[int, int] | None = None
         edges: list[list[int]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -187,7 +178,7 @@ def _adjacency_multisets(h: Hypergraph) -> Iterator[list[int]]:
         yield near[:bisect_left(near, x)] + near[bisect_right(near, x):]
 
 
-def adjacency(h: Hypergraph, rows: Optional[list] = None) -> list[list[int]]:
+def adjacency(h: Hypergraph, rows: list | None = None) -> list[list[int]]:
     """Point-graph adjacency with multiplicity: A[x][y] = number of edges
     containing both x and y (x != y); zero diagonal.  The dense form of
     `adjacency_rows(h)`, which a caller that has it passes as `rows`."""
@@ -287,7 +278,7 @@ def _sphere_width(rows) -> int:
     return _field_width(max((sum(w for _, w in row) for row in rows), default=0))
 
 
-def spheres(h: Hypergraph, rows: Optional[list] = None) -> list[list[int]]:
+def spheres(h: Hypergraph, rows: list | None = None) -> list[list[int]]:
     """Breadth-first search from every vertex at once: entry [d][x] is row
     x of the 0/1 distance-d matrix D_d packed at `_sphere_width`, field y
     set when y lies at distance exactly d from x, for d from 0 to the
@@ -317,7 +308,7 @@ def _reaches_all(shells: list[list[int]], n: int) -> bool:
     return sum(layer[0].bit_count() for layer in shells) == n
 
 
-def distance_matrix(h: Hypergraph, rows: Optional[list] = None
+def distance_matrix(h: Hypergraph, rows: list | None = None
                     ) -> tuple[list[list[int]], bool]:
     """Point-graph distances read off `spheres(h, rows)`; unreachable pairs
     get -1 and the second return value reports connectivity.  `rows`:
@@ -338,7 +329,7 @@ def distance_matrix(h: Hypergraph, rows: Optional[list] = None
     return dist, _reaches_all(shells, h.n)
 
 
-def is_connected(h: Hypergraph, rows: Optional[list] = None) -> bool:
+def is_connected(h: Hypergraph, rows: list | None = None) -> bool:
     if rows is None:
         rows = adjacency_rows(h)
     seen = [False] * h.n
@@ -398,7 +389,7 @@ def girth(h: Hypergraph):
     return int(best) // 2 if best != math.inf else math.inf
 
 
-def _walk_rows(h: Hypergraph, top: int, rows: Optional[list] = None
+def _walk_rows(h: Hypergraph, top: int, rows: list | None = None
                ) -> tuple[int, Iterator[list[int]]]:
     """F_0(A), F_1(A), F_2(A), ... for the adjacency A of a regular uniform
     hypergraph, as packed rows, by the integer recurrence F_0 = I, F_1 = A,
@@ -444,7 +435,7 @@ def nbw_count_matrix(h: Hypergraph, i: int) -> list[list[int]]:
 
 
 def girth_via_trace(h: Hypergraph, max_i: int = 12,
-                    rows: Optional[list] = None) -> Optional[int]:
+                    rows: list | None = None) -> int | None:
     """Smallest g <= max_i with tr F_g(A) != 0 and tr F_i(A) = 0 for i < g;
     None when every trace through max_i vanishes (girth > max_i).  The
     entries are >= 0, so the trace vanishes when every diagonal field does.
@@ -457,8 +448,8 @@ def girth_via_trace(h: Hypergraph, max_i: int = 12,
             return None
 
 
-def gram_mismatches(h: Hypergraph, rows: Optional[list] = None,
-                    hd: Optional[Hypergraph] = None):
+def gram_mismatches(h: Hypergraph, rows: list | None = None,
+                    hd: Hypergraph | None = None):
     """For regular uniform h, with N the n x m vertex-edge incidence matrix,
     A the adjacency and A* that of the dual: the first entry (i, j, gram,
     want) where N N^T differs from A + rI, and the first where N^T N
@@ -508,8 +499,7 @@ def _dual_gram_mismatch(h: Hypergraph, hd: Hypergraph, u: int):
     return None
 
 
-@dataclass(frozen=True)
-class IntersectionNumbers:
+class IntersectionNumbers(Record):
     """Distance-regularity report for the (multigraph) point graph: c_i, a_i,
     b_i count edge-weighted neighbors one step closer to, level with, and one
     step farther from a reference vertex."""
@@ -519,11 +509,11 @@ class IntersectionNumbers:
     a: tuple[int, ...]
     b: tuple[int, ...]
     c: tuple[int, ...]
-    witness: Optional[tuple[int, int]] = None
+    witness: tuple[int, int] | None = None
 
 
-def distance_regularity_check(h: Hypergraph, rows: Optional[list] = None,
-                              shells: Optional[list] = None) -> IntersectionNumbers:
+def distance_regularity_check(h: Hypergraph, rows: list | None = None,
+                              shells: list | None = None) -> IntersectionNumbers:
     """Checks whether the weighted neighbor counts depend only on distance;
     on failure `witness` is the first ordered pair (x, y) disagreeing.
 

@@ -13,14 +13,15 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import zip_longest
-from typing import Optional, Sequence, Union
 
-Exact = Union[int, Fraction]
-Number = Union[int, Fraction, float]
+from ._record import Record
+
+Exact = int | Fraction
+Number = int | Fraction | float
 
 _TINY = sys.float_info.min
 
@@ -45,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(Record):
     """Degree pair (r, u): every vertex in r edges, every edge with u vertices."""
 
     r: int
@@ -190,8 +190,7 @@ def linearization(params: Params, i: int, j: int) -> dict[int, Fraction]:
     return {l: c for l, c in enumerate(coeffs) if c != 0}
 
 
-@dataclass(frozen=True)
-class FPoly:
+class FPoly(Record):
     """Polynomial sum_i coeffs[i] * F_i with exact rational coefficients."""
 
     params: Params
@@ -227,8 +226,7 @@ class FPoly:
         return Fraction(self(Fraction(self.params.k)))
 
 
-@dataclass(frozen=True)
-class TridiagonalArray:
+class TridiagonalArray(Record):
     """Quotient array T(r, u, d, c): (d+1) x (d+1) tridiagonal matrix with
     superdiagonal (1, ..., 1, c), diagonal (0, s-1, ..., s-1, s(t+1)-c) and
     subdiagonal (s(t+1), st, ..., st).  Its characteristic polynomial is
@@ -408,7 +406,7 @@ def _sign_changes(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
 
 
 def positive_witness(p: Sequence[Exact], a: Exact,
-                     b: Exact) -> Optional[tuple[Fraction, Fraction]]:
+                     b: Exact) -> tuple[Fraction, Fraction] | None:
     """Decide exactly whether p (rational monomial coefficients, lowest
     first) is <= 0 on [a, b], for rationals a <= b: None when it is, else a
     witness (x, p(x)) with x in [a, b] and p(x) > 0.

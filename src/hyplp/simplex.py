@@ -21,8 +21,9 @@ from the slack basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
+
+from ._record import Record
 
 __all__ = ["SimplexResult", "Unbounded", "Tableau"]
 
@@ -39,8 +40,7 @@ class Unbounded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SimplexResult:
+class SimplexResult(Record):
     x: tuple[float, ...]
     value: float
     duals: tuple[float, ...]

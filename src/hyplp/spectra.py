@@ -8,11 +8,11 @@ external linear-algebra dependencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
 from operator import mul
-from typing import Optional, Sequence
 
+from ._record import Record
 from .hypergraph import (Hypergraph, IntersectionNumbers,
                          NotRegularUniformError, adjacency, adjacency_rows,
                          check_regular_uniform, distance_regularity_check,
@@ -33,8 +33,7 @@ __all__ = [
 _SYMMETRY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Eigenvalues in non-increasing order plus clusters of near-equal values
     as (representative, multiplicity) pairs."""
 
@@ -115,8 +114,7 @@ def symmetric_eigenvalues(m: Sequence[Sequence[float]],
     return Spectrum.from_values(ql_eigenvalues(diag, off), ctol=ctol)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Boolean verdict plus a human-readable mismatch trail."""
 
     ok: bool
@@ -202,7 +200,7 @@ class Analysis:
             raise ValueError("diameter undefined for a disconnected hypergraph")
         return len(self.spheres) - 1
 
-    def girth_by_trace(self, max_i: int = 12) -> Optional[int]:
+    def girth_by_trace(self, max_i: int = 12) -> int | None:
         return girth_via_trace(self.h, max_i, self.rows)
 
     def distance_regularity(self) -> IntersectionNumbers:
@@ -225,8 +223,8 @@ def is_ramanujan(h: Hypergraph, tol: float = 1e-9) -> bool:
 
 
 def spectrum_correspondence_check(h: Hypergraph,
-                                  rows: Optional[list] = None,
-                                  hd: Optional[Hypergraph] = None) -> CheckReport:
+                                  rows: list | None = None,
+                                  hd: Hypergraph | None = None) -> CheckReport:
     """Prove the incidence-graph spectrum relation exactly.  With N the
     n x m vertex-edge incidence matrix, A the adjacency of h and A* that of
     its dual, check N N^T = A + rI and N^T N = A* + uI entry by entry in

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 _EPS = 2.220446049250313e-16
 # QL sweeps one eigenvalue may take before the iteration gives up

@@ -3,7 +3,6 @@ integrality cuts, diameter and defect bounds, duality, and inversion."""
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -327,7 +326,7 @@ def test_lp_optimize_clamps_round_off_duals(monkeypatch):
             duals = list(res.duals)
             duals[duals.index(0.0)] -= 3.3e-18
             hits.append(min(duals))
-            return replace(res, duals=tuple(duals))
+            return res.replace(duals=tuple(duals))
 
     monkeypatch.setattr(bounds, "Tableau", Noisy)
     b = lp_bound_optimize(Params(4, 2), SQRT2, 6)

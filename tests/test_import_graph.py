@@ -1,0 +1,43 @@
+"""Start-up cost: `dataclasses` imports `inspect`, which imports `ast`, `dis`
+and `tokenize`, and with `typing` that was about 30 ms of every process's
+start-up, against well under 1 ms of arithmetic in `bound closed-form`.  In
+an isolated interpreter, neither importing the CLI nor running a bound, a
+certificate check, an analysis or a verified table may load them."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+HEAVY = ("dataclasses", "typing", "inspect", "ast")
+
+CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from hyplp import cli
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps([codes, [m for m in json.loads(sys.argv[3]) if m in sys.modules]]))
+"""
+
+
+def test_cli_commands_load_no_dataclasses_typing_inspect_or_ast(tmp_path):
+    cert = tmp_path / "petersen.cert"
+    cert.write_text("3 2 3\n5 5 3 1\n")
+    commands = [
+        ["bound", "lp", "--r", "3", "--u", "2", "--theta", "1", "--degree", "4"],
+        ["bound", "lp", "--r", "3", "--u", "2", "--theta", "1", "--cert", str(cert)],
+        ["analyze", str(ROOT / "tests" / "data" / "analyze" / "oa-3-7.txt")],
+        ["table", "table1", "--verify"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", CHILD, str(ROOT / "src"),
+         json.dumps(commands), json.dumps(HEAVY)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0] * len(commands)
+    assert loaded == []
