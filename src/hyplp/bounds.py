@@ -13,12 +13,13 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from ._record import Record
-from .orthopoly import (FPoly, Params, _bisect, _gc_monomial, _has_root,
-                        _poly_deriv, _poly_divmod, _poly_mul, _poly_roots,
-                        f_eval, f_monomial, f_values, g_eval, largest_zero_G,
-                        largest_zero_gc, monomial_to_fbasis, positive_witness,
-                        zeros_above)
+from .orthopoly import (FPoly, Params, _bisect, _f_iter, _gc_monomial,
+                        _has_root, _poly_deriv, _poly_divmod, _poly_mul,
+                        _poly_roots, f_monomial, f_values, g_eval,
+                        largest_zero_G, largest_zero_gc, monomial_to_fbasis,
+                        positive_witness)
 from .simplex import Tableau, Unbounded
+from .surd import Surd
 
 __all__ = [
     "BoundResult",
@@ -44,9 +45,8 @@ __all__ = [
     "biregular_bound",
 ]
 
-Number = int | float | Fraction
+Number = int | float | Fraction | Surd
 
-ZTOL = 1e-9
 # largest diameter the closed form searches: the selection itself is cheap,
 # but past it the exact certificate grows with d (at (3, 2), d = 374 ran
 # 587 s in `_poly_mul(gc, gc)` and `monomial_to_fbasis`)
@@ -293,78 +293,66 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
 # closed-form bound and refinements
 
 
-def select_diameter(params: Params, theta: Number, ztol: float = ZTOL) -> int:
-    """Smallest d with theta <= (largest zero of G_d) + ztol, i.e. with a
-    zero of G_d above theta - ztol.  A theta that needs d above
-    DIAMETER_CAP is refused."""
-    th = float(theta)
-    for d in range(1, DIAMETER_CAP + 1):
-        if zeros_above(params, d, 1, th - ztol):
-            return d
-    raise ValueError(
-        f"theta = {th} needs a diameter d above the cap "
-        f"{DIAMETER_CAP}: the largest zero of G_d stays below theta "
-        f"up to d = {DIAMETER_CAP} and approaches u-2+2*sqrt(q) = "
-        f"{_lambda_top(params)} only as d grows")
+def _scan_G(params: Params, x: Number, dmax: int):
+    """(d, G_{d-1}(x), F_d(x)) for the smallest d <= dmax with G_d(x) <= 0,
+    else (dmax + 1, G_dmax(x), None): one pass of the F-recurrence with a
+    running sum, decided exactly for int, Fraction and Surd x.
+
+    The largest zeros lambda_d of G_d increase with d, and G_d has exactly
+    one zero above lambda_{d-1} (interlacing), with G_d > 0 above its
+    largest zero.  So the scan, which has G_{d-1}(x) > 0, i.e. x >
+    lambda_{d-1}, at each step, stops at the d with lambda_{d-1} < x <=
+    lambda_d.  In floats it stops at the first fl(G_{d-1} + F_d) <= 0, so
+    -F_d >= G_{d-1} > 0 there, and c = -F_d/G_{d-1} >= 1 after rounding."""
+    values = _f_iter(params, Fraction(x) if isinstance(x, int) else x)
+    g = next(values)
+    for d, fd in zip(range(1, dmax + 1), values):
+        if g + fd <= 0:
+            return d, g, fd
+        g += fd
+    return dmax + 1, g, None
 
 
-def closed_form_h_bound(params: Params, theta: Number, ztol: float = ZTOL) -> BoundResult:
+def select_diameter(params: Params, theta: Number):
+    """(d, G_{d-1}(theta), F_d(theta)) for the smallest d with G_d(theta)
+    <= 0, the d with lambda_{d-1} < theta <= lambda_d.  A theta that needs
+    d above DIAMETER_CAP is refused."""
+    d, gd1, fd = _scan_G(params, theta, DIAMETER_CAP)
+    if fd is None:
+        raise ValueError(
+            f"theta = {float(theta)} needs a diameter d above the cap "
+            f"{DIAMETER_CAP}: the largest zero of G_d stays below theta "
+            f"up to d = {DIAMETER_CAP} and approaches u-2+2*sqrt(q) = "
+            f"{_lambda_top(params)} only as d grows")
+    return d, gd1, fd
+
+
+def closed_form_h_bound(params: Params, theta: Number) -> BoundResult:
     """Largest order compatible with second eigenvalue <= theta:
     1 + sum_{j<=d-2} kq^j + kq^(d-1)/c with c = -F_d(theta)/G_{d-1}(theta),
-    where d puts theta between consecutive largest zeros of G."""
+    where d is the smallest index with G_d(theta) <= 0.  Exact for int,
+    Fraction and Surd theta, with a certificate for a rational theta."""
     k, q = params.k, params.q
-    top = _lambda_top(params)
-    th = float(theta)
-    if th >= top:
-        raise ValueError(f"theta must be < {top}")
-    if th < -k - 1e-9:
+    # theta < u-2+2*sqrt(q), decided exactly for an int, Fraction or Surd
+    y = theta - (params.u - 2)
+    if y >= 0 and y * y >= 4 * q:
+        raise ValueError(f"theta must be < {_lambda_top(params)}")
+    if theta < -k:
         raise ValueError(f"theta must be >= -k = {-k}")
-    d = select_diameter(params, theta, ztol)
-    exact = _is_exact(theta)
+    d, gd1, fd = select_diameter(params, theta)
+    c = -fd / gd1  # >= 1, since G_d = G_{d-1} + F_d <= 0 < G_{d-1}
+    value = moore_order(params, d - 1) + k * q ** (d - 1) / c
     certificate = None
-    if exact:
-        # the float pick can be one off for a theta within ztol of a zero;
-        # settle d exactly by G_{d-1}(t) > 0 >= G_d(t), G_d = G_{d-1} + F_d
-        t = _as_fraction(theta)
-        vals = f_values(params, d + 1, t)
-        gd1 = sum(vals[:d])
-        if gd1 + vals[d] > 0:
-            gd1, d = gd1 + vals[d], d + 1
-        elif gd1 <= 0:
-            gd1, d = gd1 - vals[d - 1], d - 1
-        fd = vals[d]
-        if not gd1 > 0 >= gd1 + fd:
-            raise ArithmeticError(f"no d with G_(d-1) > 0 >= G_d at theta = {t}")
-        c: Number = -fd / gd1  # >= 1, since G_d = G_{d-1} + F_d <= 0
-        value: Number = moore_order(params, d - 1) + Fraction(k * q ** (d - 1)) / c
-        gc = _gc_monomial(params, d, _as_fraction(c))
-        # g_c(t) = 0 by the choice of c, so x - t divides g_c^2 exactly
-        fcoeffs = _poly_divmod(_poly_mul(gc, gc), [-t, Fraction(1)])[0]
+    if _is_exact(theta):
+        gc = _gc_monomial(params, d, c)
+        # g_c(theta) = 0 by the choice of c, so x - theta divides g_c^2 exactly
+        fcoeffs = _poly_divmod(_poly_mul(gc, gc), [-theta, Fraction(1)])[0]
         fb = monomial_to_fbasis(params, fcoeffs)
         if all(v >= 0 for v in fb):
             certificate = FPoly(params, tuple(fb))
             check = Fraction(certificate.at_k()) / fb[0]
             if check != value:
                 raise ArithmeticError(f"certificate value {check} != bound {value}")
-    else:
-        gd1 = g_eval(params, d - 1, th)
-        fd = f_eval(params, d, th)
-        c = -fd / gd1
-        # a loose ztol can stop the scan at a d whose largest zero lies
-        # below theta, G_d(th) = G_(d-1) + F_d > 0: step d up until
-        # G_(d-1)(th) > 0 >= G_d(th), as the exact branch settles it
-        while c < 1 - 1e-6 and gd1 > 0 and gd1 + fd > 0:
-            if d == DIAMETER_CAP:
-                raise ValueError(f"theta = {th} needs a diameter d above the "
-                                 f"cap {DIAMETER_CAP}")
-            d += 1
-            gd1 = g_eval(params, d - 1, th)
-            fd = f_eval(params, d, th)
-            c = -fd / gd1
-        if c < 1 - 1e-6:
-            raise ArithmeticError(f"c = {c} < 1 for theta = {th}")
-        c = max(c, 1.0)
-        value = moore_order(params, d - 1) + k * q ** (d - 1) / c
     pdict = {"r": params.r, "u": params.u, "theta": theta, "d": d, "c": c}
     notes = (f"equality exactly for the unique-shortest-path geometry with "
              f"array T({params.r},{params.u},{d},{c})",)
@@ -372,26 +360,17 @@ def closed_form_h_bound(params: Params, theta: Number, ztol: float = ZTOL) -> Bo
                        notes=notes)
 
 
-def _near_integer(x: Number, tol: float = 1e-9):
-    if _is_exact(x):
-        xf = _as_fraction(x)
-        return (int(xf), True) if xf.denominator == 1 else (None, False)
-    r = round(x)
-    return (int(r), True) if abs(x - r) <= tol else (None, False)
-
-
 def strictly_below_int(value: Number) -> int:
     """Largest integer strictly below value (value itself when fractional
     floors down, an exact integer steps down by one)."""
-    n, is_int = _near_integer(value)
-    return n - 1 if is_int else math.floor(value)
+    n = math.floor(value)
+    return n - 1 if n == value else n
 
 
 def largest_divisible_order(bound: Number, r: int, u: int) -> int:
     """Largest integer v <= bound with r*v divisible by u (edge count rv/u
     must be an integer)."""
-    n, is_int = _near_integer(bound)
-    v = n if is_int else math.floor(bound)
+    v = math.floor(bound)
     while (r * v) % u:
         v -= 1
     return v
@@ -405,8 +384,7 @@ def integrality_refinements(b: BoundResult, params: Params) -> BoundResult:
     value = b.value
     c = b.params.get("c")
     if c is not None:
-        _, c_int = _near_integer(c)
-        if not c_int:
+        if math.floor(c) != c:
             new = strictly_below_int(value)
             steps.append(Refinement("c-integrality", value, new,
                                     f"c = {c} not an integer, equality impossible"))
@@ -463,7 +441,7 @@ def dss_gen_bound(params: Params, d: int, n: int, lam: Number) -> DssCheck:
     of a diameter-d instance on n vertices; exposes n <= G_d(k) - |G_d(lam)|."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    if abs(float(lam) - params.k) < 1e-12:
+    if lam == params.k:
         raise ValueError("lam must differ from k")
     lhs = abs(g_eval(params, d, lam))
     rhs = moore_order(params, d) - n
@@ -471,32 +449,35 @@ def dss_gen_bound(params: Params, d: int, n: int, lam: Number) -> DssCheck:
                     {"r": params.r, "u": params.u, "d": d, "n": n, "lam": lam})
 
 
-def imp2_bound(params: Params, d: int, tau2: float, ztol: float = ZTOL) -> BoundResult:
+def imp2_bound(params: Params, d: int, tau2: Number) -> BoundResult:
     """Order bound for diameter-d instances by the position of tau2 relative
-    to the largest zeros of G_{d-1} and G_d."""
+    to the largest zeros lambda_{d-1} and lambda_d of G_{d-1} and G_d.  The
+    scan of `_scan_G` up to d decides it: tau2 <= lambda_{d-1} when it stops
+    before d, tau2 >= lambda_d when it does not stop at d or stops there with
+    G_d(tau2) = 0."""
     if d < 1:
         raise ValueError("d must be >= 1")
     k, q = params.k, params.q
-    t = float(tau2)
     pdict = {"r": params.r, "u": params.u, "d": d, "tau2": tau2}
-    if not zeros_above(params, d, 1, t + ztol):
-        gdt = g_eval(params, d, t)
-        value = moore_order(params, d) - max(gdt, 0.0)
+    stop, g, f = _scan_G(params, tau2, d)
+    if stop < d:
+        value = moore_order(params, d - 1)
+        pdict["case"] = "at-or-below-lambda_{d-1}"
+        notes = ("tau2 in the range of smaller diameter; order capped one level down",)
+    elif f is None or g + f == 0:
+        gdt = g if f is None else g + f  # G_d(tau2) >= 0
+        value = moore_order(params, d) - gdt
         pdict["case"] = "at-or-above-lambda_d"
-        notes = (f"n <= G_d(k) - G_d(tau2) with G_d(tau2) = {gdt:.6g}",)
-    elif d == 1 or not zeros_above(params, d - 1, 1, t - ztol):
-        c = -f_eval(params, d, t) / g_eval(params, d - 1, t)
+        notes = (f"n <= G_d(k) - G_d(tau2) with G_d(tau2) = {float(gdt):.6g}",)
+    else:
+        c = -f / g
         value = moore_order(params, d - 1) + k * q ** (d - 1) / c
-        rhs = moore_order(params, d) + g_eval(params, d, t)
-        if value > rhs + 1e-7 * max(1.0, abs(rhs)):
+        rhs = float(moore_order(params, d) + g + f)
+        if float(value) > rhs + 1e-7 * max(1.0, abs(rhs)):
             raise ArithmeticError(f"bound {value} exceeds comparison value {rhs}")
         pdict.update({"case": "between", "c": c})
         strict = " (strict, q >= 6)" if q >= 6 else ""
         notes = (f"sharper than G_d(k) + G_d(tau2) = {rhs:.6g}{strict}",)
-    else:
-        value = moore_order(params, d - 1)
-        pdict["case"] = "at-or-below-lambda_{d-1}"
-        notes = ("tau2 in the range of smaller diameter; order capped one level down",)
     return BoundResult(value, "IMP2", pdict, notes=notes)
 
 
@@ -518,19 +499,20 @@ def defect_region(params: Params, d: int, e: Number) -> tuple[float, float, floa
     return lower, largest_zero_G(params, d), upper
 
 
-def defect_lower_bounds(params: Params, d: int, tau2: float,
-                        ztol: float = ZTOL) -> float:
-    """Minimum defect forced by tau2 at diameter d (three ranges relative to
-    the largest zeros of G_{d-1} and G_d)."""
+def defect_lower_bounds(params: Params, d: int, tau2: Number) -> Number:
+    """Minimum defect forced by tau2 at diameter d, in the three ranges of
+    `imp2_bound`: kq^(d-1) at or below lambda_{d-1}, G_d(tau2) above
+    lambda_d, and kq^(d-1) G_d(tau2) / F_d(tau2) from lambda_{d-1} up to
+    lambda_d, where it is 0."""
     if d < 1:
         raise ValueError("d must be >= 1")
     cap = params.k * params.q ** (d - 1)
-    t = float(tau2)
-    if not zeros_above(params, d, 1, t + ztol):
-        return max(g_eval(params, d, t), 0.0)
-    if d == 1 or not zeros_above(params, d - 1, 1, t - ztol):
-        return cap * g_eval(params, d, t) / f_eval(params, d, t)
-    return float(cap)
+    stop, g, f = _scan_G(params, tau2, d)
+    if stop < d:
+        return cap
+    if f is None:
+        return g
+    return cap * (g + f) / f
 
 
 def duality_transform(r: int, u: int, theta: Number):

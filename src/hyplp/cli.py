@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import bounds
+from . import bounds, surd
 from .bounds import BoundResult, Refinement
 from .constructions import (OrthogonalArray, fixture_names, hypergraph_from_oa,
                             mols_cyclic, named_fixture, oa_from_mols,
@@ -40,7 +40,8 @@ class UsageError(Exception):
 
 def parse_theta(token: str):
     """Accepts an integer, a rational (p/q or decimal), or sqrtN for a
-    positive integer N.  Rationals stay exact; sqrtN becomes a float."""
+    positive integer N.  All stay exact: sqrtN is an int for a perfect
+    square N, else a Surd, the element sqrt(N) of Q(sqrt N)."""
     tok = token.strip()
     if tok.startswith("sqrt"):
         try:
@@ -49,7 +50,7 @@ def parse_theta(token: str):
             raise UsageError(f"cannot parse {token!r}: sqrtN needs an integer N")
         if n <= 0:
             raise UsageError(f"cannot parse {token!r}: sqrtN needs N > 0")
-        return math.sqrt(n)
+        return surd.sqrt(n)
     try:
         value = Fraction(tok)
     except (ValueError, ZeroDivisionError):
@@ -59,7 +60,7 @@ def parse_theta(token: str):
 
 
 def _positive_float(token: str) -> float:
-    """--tol: a finite float above 0, else an argparse error naming it (exit 2)."""
+    """lp --tol: a finite float above 0, else an argparse error naming it (exit 2)."""
     try:
         value = float(token)
     except ValueError:
@@ -113,11 +114,14 @@ def load_certificate(path: str, params: Params) -> FPoly:
 # rendering
 
 def fmt(x) -> str:
-    """Text/csv cell: ints plain, rationals exact as p/q, floats to 5 decimals."""
+    """Text/csv cell: ints plain, rationals exact as p/q, floats and surds
+    a + b*sqrtN to 5 decimals."""
     if isinstance(x, bool):
         return "yes" if x else "no"
     if isinstance(x, int):
         return str(x)
+    if isinstance(x, surd.Surd):
+        return f"{float(x):.5f}"
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return str(x.numerator)
@@ -140,9 +144,12 @@ def fmt_flat(x) -> str:
 
 
 def jval(x):
-    """JSON payload keeps full precision; rationals serialize as p/q strings."""
+    """JSON payload keeps full precision; rationals serialize as p/q strings
+    and surds as exact a + b*sqrtN strings."""
     if isinstance(x, bool):
         return x
+    if isinstance(x, surd.Surd):
+        return str(x)
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, float) and math.isinf(x):
@@ -224,7 +231,7 @@ def cmd_bound(args) -> int:
 
     if sub == "closed-form":
         theta = parse_theta(args.theta)
-        b = bounds.closed_form_h_bound(params, theta, ztol=args.tol)
+        b = bounds.closed_form_h_bound(params, theta)
         b = bounds.integrality_refinements(b, params)
         emit_pairs(bound_pairs(b), args.format, out)
         return 0
@@ -256,7 +263,7 @@ def cmd_bound(args) -> int:
 
     if sub == "imp2":
         tau2 = parse_theta(args.theta)
-        b = bounds.imp2_bound(params, args.d, tau2, ztol=args.tol)
+        b = bounds.imp2_bound(params, args.d, tau2)
         emit_pairs(bound_pairs(b), args.format, out)
         return 0
 
@@ -442,8 +449,7 @@ def catalog_cell(row: dict, degree: int | None):
     if tag == "LP":
         printed = _truncate_one_decimal(raw)
     elif tag == "attained":
-        near = round(float(raw))
-        printed = str(near) if abs(float(raw) - near) < 1e-6 else fmt(raw)
+        printed = fmt(raw)
     else:
         if tag == "noSRG":
             cut = bounds.strictly_below_int(b.value)
@@ -601,10 +607,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_bound)
         return p
 
-    bound_sub("closed-form", theta=True, tol=bounds.ZTOL)
+    bound_sub("closed-form", theta=True)
     bound_sub("lp", theta=True, degree=True, cert=True, tol=bounds.OPT_TOL)
     bound_sub("dss", theta=True, d=True, n=True)
-    bound_sub("imp2", theta=True, d=True, tol=bounds.ZTOL)
+    bound_sub("imp2", theta=True, d=True)
     bound_sub("diam", ell=True)
     bound_sub("ru1")
     bound_sub("tau2-lower", n=True)
@@ -657,7 +663,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left (`| head -1`): stop without a traceback, with the
+        # status a shell gives a SIGPIPE death; stdout now points at devnull,
+        # so the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (UsageError, ValueError) as exc:
         # ValueError covers the format, array, regularity and LP-condition
         # errors: all of them are about the input

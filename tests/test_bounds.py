@@ -1,6 +1,7 @@
 """Order bounds: closed form, certificates, LP evaluation/optimization,
 integrality cuts, diameter and defect bounds, duality, and inversion."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from hyplp import bounds, simplex
+from hyplp import bounds, orthopoly, simplex, surd
 from hyplp.bounds import (BoundResult, DssCheck, LPConditionError, Refinement,
                           biregular_bound, closed_form_h_bound,
                           defect_lower_bounds, defect_region,
@@ -37,12 +38,15 @@ def test_moore_order_values():
 
 
 def test_select_diameter():
-    assert select_diameter(P32, -1) == 1
-    assert select_diameter(P32, -3) == 1
-    assert select_diameter(P32, 1) == 2
-    assert select_diameter(P32, 1 + 1e-12) == 2
-    assert select_diameter(P32, 1.2) == 3
-    assert select_diameter(P32, SQRT2) == 3
+    # lambda_1 = -1 and lambda_2 = 1 at (3, 2): theta = lambda_d picks d
+    assert select_diameter(P32, -1)[0] == 1
+    assert select_diameter(P32, -3)[0] == 1
+    assert select_diameter(P32, 1)[0] == 2
+    assert select_diameter(P32, 1 + 1e-12)[0] == 3
+    assert select_diameter(P32, 1.2)[0] == 3
+    assert select_diameter(P32, SQRT2)[0] == 3
+    # with G_{d-1}(theta) and F_d(theta), exact for an exact theta
+    assert select_diameter(P32, surd.sqrt(2)) == (3, surd.sqrt(2), -3 * surd.sqrt(2))
 
 
 def lambda_d_numpy(params, d):
@@ -54,13 +58,25 @@ def lambda_d_numpy(params, d):
     return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[-2]
 
 
-def linear_select_diameter(params, theta):
-    """select_diameter's predicate, checked at d = 1, 2, 3, ... in turn."""
-    th = float(theta)
+@functools.lru_cache(maxsize=None)
+def cached_lambda_d(params, d):
+    return lambda_d_numpy(params, d)
+
+
+def reference_diameter(params, theta):
+    """The d with lambda_{d-1} < theta <= lambda_d, walking up numpy's
+    lambda_d; within 1e-9 of lambda_d, the side of that simple zero is the
+    sign of G_d(theta), computed exactly for an exact theta."""
     d = 1
-    while lambda_d_numpy(params, d) < th - bounds.ZTOL:
+    while True:
+        gap = float(theta) - cached_lambda_d(params, d)
+        if abs(gap) <= 1e-9:
+            assert not isinstance(theta, float), (params, theta, d)
+            if g_eval(params, d, theta) <= 0:
+                return d
+        elif gap < 0:
+            return d
         d += 1
-    return d
 
 
 def test_select_diameter_matches_a_linear_scan():
@@ -74,84 +90,95 @@ def test_select_diameter_matches_a_linear_scan():
         p = Params(r, u)
         if float(theta) >= bounds._lambda_top(p):
             continue
-        d = select_diameter(p, theta)
-        assert d == linear_select_diameter(p, theta), (r, u, theta)
+        d = select_diameter(p, theta)[0]
+        assert d == reference_diameter(p, theta), (r, u, theta)
         ds.add(d)
     assert len(thetas) > 70 and {1, 2, 3, 4} <= ds
 
 
-def test_select_diameter_refuses_beyond_the_cap(monkeypatch):
-    calls = []
-    real = bounds.zeros_above
+def test_select_diameter_matches_an_exact_reference_on_sqrt_thetas():
+    # every theta = sqrt(N), N < 200, below the spectral top for r <= 11,
+    # u <= 6: the sign scan in Q(sqrt N) against numpy's lambda_d, with the
+    # zeros theta sits on exactly, (3, 3, sqrt5) and (4, 3, sqrt7), decided
+    # by the exact G_d
+    checked, ties = 0, 0
+    for r in range(2, 12):
+        for u in range(2, 7):
+            p = Params(r, u)
+            for n in range(1, 200):
+                theta = surd.sqrt(n)
+                if float(theta) >= bounds._lambda_top(p):
+                    break
+                d = select_diameter(p, theta)[0]
+                assert d == reference_diameter(p, theta), (r, u, n)
+                ties += g_eval(p, d, theta) == 0
+                checked += 1
+    assert checked > 4000 and ties >= 2
 
-    def counted(params, d, c, x):
-        calls.append(d)
-        return real(params, d, c, x)
+
+def test_select_diameter_refuses_beyond_the_cap(monkeypatch):
+    # one pass of the recurrence, F_0 up to F_cap, and no zero search
+    pulled = []
+    real = bounds._f_iter
+
+    def counted(params, x):
+        for value in real(params, x):
+            pulled.append(value)
+            yield value
 
     def no_zero_search(*args):
         raise AssertionError("select_diameter should not compute lambda_d")
 
-    monkeypatch.setattr(bounds, "zeros_above", counted)
+    monkeypatch.setattr(bounds, "_f_iter", counted)
     monkeypatch.setattr(bounds, "largest_zero_G", no_zero_search)
     monkeypatch.setattr(bounds, "largest_zero_gc", no_zero_search)
-    with pytest.raises(ValueError) as info:
-        select_diameter(P32, 2.8284)
-    msg = str(info.value)
-    assert "2.8284" in msg and "2.828427" in msg and str(bounds.DIAMETER_CAP) in msg
-    # one root count per diameter up to the cap, and nothing else
-    assert calls == list(range(1, bounds.DIAMETER_CAP + 1))
-    calls.clear()
-    assert select_diameter(P32, 2.82) == 41 == linear_select_diameter(P32, 2.82)
-    assert len(calls) == 41
+    monkeypatch.setattr(orthopoly, "zeros_above", no_zero_search)
+    for theta in (2.8284, Fraction(28284, 10000)):
+        pulled.clear()
+        with pytest.raises(ValueError) as info:
+            select_diameter(P32, theta)
+        msg = str(info.value)
+        assert "2.8284" in msg and "2.828427" in msg and str(bounds.DIAMETER_CAP) in msg
+        assert len(pulled) == bounds.DIAMETER_CAP + 1
+    pulled.clear()
+    assert select_diameter(P32, 2.82)[0] == 41 == reference_diameter(P32, 2.82)
+    assert len(pulled) == 42
 
 
 def test_closed_form_settles_d_exactly_near_a_zero():
     # rational thetas at a largest zero of G_d, or 1e-10 either side of it:
-    # within ZTOL the float pick may be one off, and the exact branch must
-    # still end with G_{d-1}(theta) > 0 >= G_d(theta)
+    # the scan must end with G_{d-1}(theta) > 0 >= G_d(theta)
     cases = [(P32, Fraction(1))]
     for params in (P32, P33, Params(4, 2), Params(5, 3)):
         for d in range(1, 5):
             cases.append((params, Fraction(largest_zero_G(params, d))))
-    moved = 0
     for params, zero in cases:
         for theta in (zero - Fraction(1, 10 ** 10), zero, zero + Fraction(1, 10 ** 10)):
-            for ztol in (bounds.ZTOL, 1e-30):
-                b = closed_form_h_bound(params, theta, ztol=ztol)
-                d = b.params["d"]
-                assert g_eval(params, d - 1, theta) > 0 >= g_eval(params, d, theta), \
-                    (params, theta, ztol)
-                assert b.params["c"] >= 1
-                moved += d != select_diameter(params, theta, ztol)
-    assert moved >= 20
+            b = closed_form_h_bound(params, theta)
+            d = b.params["d"]
+            assert g_eval(params, d - 1, theta) > 0 >= g_eval(params, d, theta), \
+                (params, theta)
+            assert b.params["c"] >= 1
 
 
+def test_closed_form_sqrt_thetas_are_exact():
+    # (3, 3, sqrt5) and (4, 3, sqrt7) sit exactly on lambda_2, so c = 1;
+    # Heawood meets the (3, 2) bound at sqrt2 with c = 3
+    for params, n, d, c, value in ((P33, 5, 2, 1, 31), (Params(4, 3), 7, 2, 1, 57),
+                                   (P32, 2, 3, 3, 14)):
+        b = closed_form_h_bound(params, surd.sqrt(n))
+        assert b.params["d"] == d and b.value == value
+        assert b.params["c"] == c and isinstance(b.params["c"], (int, Fraction))
+        assert b.certificate is None
+        steps = integrality_refinements(b, params).refinements
+        assert [step.name for step in steps] == ["divisibility"]
+    b = closed_form_h_bound(Params(4, 2), surd.sqrt(2))
+    assert b.value == Fraction(121, 5) - Fraction(18, 5) * surd.sqrt(2)
+    assert str(b.value) == "121/5 - 18/5*sqrt2"
+    assert float(b.value) == pytest.approx(19.108834, abs=1e-5)
+    assert [step.name for step in integrality_refinements(b, Params(4, 2)).refinements] \
+        == ["c-integrality", "divisibility"]
 
-def test_closed_form_loose_ztol_gives_a_sound_d_or_a_domain_error():
-    # a loose ztol lets `select_diameter` stop below the d that theta needs;
-    # the float branch must then settle d by the signs of G_(d-1) and G_d at
-    # theta, or refuse with ValueError, never fail with ArithmeticError
-    settled = 0
-    for r in range(2, 6):
-        for u in range(2, 4):
-            params = Params(r, u)
-            top = u - 2 + 2 * math.sqrt(params.q)
-            for n in range(1, 40):
-                theta = math.sqrt(n)
-                if theta >= top:
-                    break
-                want = closed_form_h_bound(params, theta)
-                for ztol in (1e-2, 1e-1):
-                    try:
-                        b = closed_form_h_bound(params, theta, ztol=ztol)
-                    except ValueError:
-                        continue
-                    # the default ztol picks the sound d: G_(d-1) > 0 >= G_d
-                    # at theta, up to round-off at a theta on a zero of G_d
-                    assert (b.value, b.params["d"]) == (want.value, want.params["d"]), \
-                        (params, n, ztol)
-                    settled += b.params["d"] != select_diameter(params, theta, ztol)
-    assert settled >= 10
 
 def test_closed_form_petersen_point():
     b = closed_form_h_bound(P32, 1)
@@ -532,21 +559,29 @@ def test_imp2_cases():
     b = imp2_bound(Params(8, 2), 2, 2.19258)
     assert b.params["case"] == "between"
     assert b.value == pytest.approx(64.99977, abs=1e-3)
-    b = imp2_bound(P32, 2, 0.5)
+    b = imp2_bound(P32, 2, Fraction(1, 2))
     assert b.params["case"] == "between"
-    assert b.params["c"] == pytest.approx(11 / 6, abs=1e-9)
-    assert b.value == pytest.approx(4 + 6 / (11 / 6), abs=1e-9)
+    assert b.params["c"] == Fraction(11, 6)
+    assert b.value == 4 + 6 / Fraction(11, 6)
     b = imp2_bound(P32, 2, -1.0)
     assert b.params["case"] == "at-or-below-lambda_{d-1}"
     assert b.value == 4
     b = imp2_bound(P32, 2, 1.5)
     assert b.params["case"] == "at-or-above-lambda_d"
     assert b.value == pytest.approx(10 - 1.75, abs=1e-9)
-    # within ZTOL of lambda_2 = 1 and of lambda_1 = -1 counts as on them
-    assert imp2_bound(P32, 2, 1 - 1e-10).params["case"] == "at-or-above-lambda_d"
-    assert imp2_bound(P32, 2, 1 - 1e-8).params["case"] == "between"
-    assert imp2_bound(P32, 2, -1 + 1e-10).params["case"] == "at-or-below-lambda_{d-1}"
-    assert imp2_bound(P32, 2, -1 + 1e-8).params["case"] == "between"
+    # lambda_1 = -1 and lambda_2 = 1 at (3, 2), decided exactly: on a zero
+    # counts as on it, 1e-10 inside it as between
+    b = imp2_bound(P32, 2, 1)
+    assert b.params["case"] == "at-or-above-lambda_d" and b.value == 10
+    b = imp2_bound(P32, 2, -1)
+    assert b.params["case"] == "at-or-below-lambda_{d-1}" and b.value == 4
+    for tau in (1 - Fraction(1, 10 ** 10), -1 + Fraction(1, 10 ** 10),
+                1 - 1e-10, -1 + 1e-10):
+        assert imp2_bound(P32, 2, tau).params["case"] == "between", tau
+    b = imp2_bound(P33, 2, surd.sqrt(5))
+    assert b.params["case"] == "at-or-above-lambda_d" and b.value == 31
+    b = imp2_bound(P33, 2, 2)
+    assert (b.params["case"], b.params["c"], b.value) == ("between", Fraction(4, 3), 25)
 
 
 def test_imp2_between_stays_below_comparison():

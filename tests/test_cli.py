@@ -7,17 +7,21 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from hyplp import bounds, cli, spectra
+from hyplp import bounds, cli, spectra, surd
 from hyplp.cli import (UsageError, fmt, jval, load_certificate, main,
                        parse_theta)
 from hyplp.constructions import named_fixture
 from hyplp.hypergraph import Hypergraph
 from hyplp.orthopoly import FPoly, Params
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -38,8 +42,11 @@ def test_parse_theta():
     assert parse_theta("-1") == -1
     assert parse_theta("3/2") == Fraction(3, 2)
     assert parse_theta("0.5") == Fraction(1, 2)
-    assert parse_theta("sqrt2") == pytest.approx(math.sqrt(2))
-    assert parse_theta(" sqrt10 ") == pytest.approx(math.sqrt(10))
+    # sqrtN is exact: an int for a square N, else a Surd whose float is
+    # math.sqrt(N) to the bit
+    assert parse_theta("sqrt2") == surd.sqrt(2) and isinstance(parse_theta("sqrt2"), surd.Surd)
+    assert float(parse_theta(" sqrt10 ")) == math.sqrt(10)
+    assert parse_theta("sqrt9") == 3 and isinstance(parse_theta("sqrt9"), int)
     for bad in ("sqrtx", "sqrt0", "sqrt-3", "abc", "1/0", ""):
         with pytest.raises(UsageError):
             parse_theta(bad)
@@ -292,7 +299,8 @@ def test_bound_imp2(capsys):
                        "--d", "2", "--theta", "0.5")
     assert code == 0
     assert text_value(out, "case") == "between"
-    assert text_value(out, "value").startswith("7.27")
+    assert text_value(out, "value") == "80/11"
+    assert text_value(out, "c") == "11/6"
 
 
 def test_bound_diam(capsys):
@@ -322,49 +330,46 @@ def test_bound_tau2_lower(capsys):
 
 
 def test_tol_only_where_a_tolerance_is_read(capsys):
+    # only lp reads a tolerance (OPT_TOL); closed-form and imp2 decide
+    # exactly and once took a --tol for a float diameter pick
     code, _, err = run(capsys, "bound", "tau2-lower", "--r", "3", "--u", "2",
                        "--n", "10", "--tol", "1")
     assert code == 2 and "--tol" in err
     for argv in (["dss", "--theta", "2", "--d", "2", "--n", "32"],
-                 ["diam", "--ell", "2"], ["ru1"], ["defect-region", "--e", "8"]):
-        code, _, err = run(capsys, "bound", argv[0], "--r", "8", "--u", "2",
-                           *argv[1:], "--tol", "1")
-        assert code == 2 and "--tol" in err, argv
-    for argv in (["closed-form", "--theta", "2"], ["imp2", "--theta", "2", "--d", "2"],
-                 ["lp", "--theta", "2", "--degree", "3"]):
-        code, _, _ = run(capsys, "bound", argv[0], "--r", "5", "--u", "2",
-                         *argv[1:], "--tol", "1e-9")
-        assert code == 0, argv
+                 ["diam", "--ell", "2"], ["ru1"], ["defect-region", "--e", "8"],
+                 ["closed-form", "--theta", "2"], ["imp2", "--theta", "2", "--d", "2"]):
+        code, out, err = run(capsys, "bound", argv[0], "--r", "8", "--u", "2",
+                             *argv[1:], "--tol", "1e-9")
+        assert code == 2 and not out and "unrecognized arguments: --tol" in err, argv
+    code, _, _ = run(capsys, "bound", "lp", "--r", "5", "--u", "2", "--theta", "2",
+                     "--degree", "3", "--tol", "1e-9")
+    assert code == 0
 
 
 @pytest.mark.parametrize("tol", ["0", "-5"])
-@pytest.mark.parametrize("argv", [["closed-form", "--theta", "1"],
-                                  ["imp2", "--theta", "1", "--d", "2"],
-                                  ["lp", "--theta", "1", "--degree", "4"]])
+@pytest.mark.parametrize("argv", [["--theta", "1", "--degree", "4"],
+                                  ["--theta", "sqrt2", "--degree", "6"],
+                                  ["--theta", "1/2", "--degree", "3"]])
 def test_tol_must_be_positive(capsys, argv, tol):
-    # 0 once fell back to the default, and a negative tolerance moved the
-    # closed form's diameter pick or switched off the optimizer's dual clamp
-    code, out, err = run(capsys, "bound", argv[0], "--r", "3", "--u", "2",
-                         *argv[1:], "--tol", tol)
+    # 0 once fell back to the default, and a negative tolerance switched
+    # off the optimizer's dual clamp
+    code, out, err = run(capsys, "bound", "lp", "--r", "3", "--u", "2",
+                         *argv, "--tol", tol)
     assert code == 2 and not out
     assert "argument --tol: needs a positive number" in err, err
 
 
 def test_tol_defaults_come_from_bounds():
-    parser = cli.build_parser()
-    for argv, default in ((["closed-form", "--theta", "1"], bounds.ZTOL),
-                          (["imp2", "--theta", "1", "--d", "2"], bounds.ZTOL),
-                          (["lp", "--theta", "1", "--degree", "4"], bounds.OPT_TOL)):
-        args = parser.parse_args(["bound", argv[0], "--r", "3", "--u", "2", *argv[1:]])
-        assert args.tol == default, argv
+    args = cli.build_parser().parse_args(
+        ["bound", "lp", "--r", "3", "--u", "2", "--theta", "1", "--degree", "4"])
+    assert args.tol == bounds.OPT_TOL
 
 
 @pytest.mark.parametrize("argv, d", [(["--theta=10000000001/10000000000"], "3"),
-                                     (["--theta", "1", "--tol", "1e-30"], "2")])
+                                     (["--theta", "1"], "2")])
 def test_closed_form_settles_d_exactly_at_a_rational_theta(capsys, argv, d):
-    # lambda_2 = 1 at (3, 2): a theta 1e-10 above it lies within ZTOL, so the
-    # float pick says d = 2, and theta = 1 with ztol 1e-30 gives the float
-    # count nothing above 1 - ztol = 1.0, so it says d = 3; both once exited 3
+    # lambda_2 = 1 at (3, 2): theta = 1 is on it, so d = 2, and a theta
+    # 1e-10 above it needs d = 3; a float pick once exited 3 on both
     code, out, err = run(capsys, "bound", "closed-form", "--r", "3", "--u", "2",
                          *argv)
     assert code == 0, err
@@ -372,16 +377,48 @@ def test_closed_form_settles_d_exactly_at_a_rational_theta(capsys, argv, d):
     assert text_value(out, "value") == "10"
 
 
-
-def test_closed_form_loose_tol_settles_d_at_a_sqrt_theta(capsys):
-    # --tol 1e-1 lets the float scan stop at d = 2, whose largest zero lies
-    # below sqrt3; this once exited 3 with "internal: c = 0.63... < 1"
+def test_closed_form_settles_d_exactly_at_a_sqrt_theta(capsys):
+    # the 12-cycle meets the (2, 2) bound at sqrt3 with d = 6 and c = 2,
+    # exactly; the float closed form had c = 2.0000000000000053, and with
+    # --tol 1e-1 it once exited 3 with "internal: c = 0.63... < 1"
     argv = ("bound", "closed-form", "--r", "2", "--u", "2", "--theta=sqrt3")
-    code, out, err = run(capsys, *argv, "--tol", "1e-1")
+    code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 0, err
-    code, want, _ = run(capsys, *argv)
-    assert code == 0
-    assert out == want
+    got = json.loads(out)
+    assert (got["theta"], got["d"], got["c"], got["value"]) == ("sqrt3", 6, 2, 12)
+    assert "T(2,2,6,2)" in got["note"]
+    code, out, err = run(capsys, *argv, "--tol", "1e-1")
+    assert code == 2 and not out and "--tol" in err
+
+
+def test_h_catalog_json_prints_sqrt_cells_exactly(capsys):
+    code, out, err = run(capsys, "table", "h-catalog", "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    cells = {(row["r"], row["u"], row["theta"]): row["bound"] for row in rows}
+    assert cells[(4, 2, "sqrt2")] == "121/5 - 18/5*sqrt2"
+    assert cells[(3, 3, "sqrt5")] == 31 and cells[(4, 3, "sqrt7")] == 57
+    assert cells[(3, 2, "sqrt2")] == 14
+    sqrt_rows = [row for row in rows if row["theta"].startswith("sqrt")]
+    assert len(sqrt_rows) == 25
+    assert all(isinstance(row["bound"], int) or "sqrt" in row["bound"]
+               for row in sqrt_rows)
+
+
+def test_a_closed_pipe_ends_quietly_with_141():
+    # `hyplp ... | head -1`: the reader is gone before the output is; the
+    # status is a shell's for a SIGPIPE death, 1 being --verify's
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyplp", "table", "h-catalog", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_bound_defect_region(capsys):

@@ -1,6 +1,7 @@
 """Orthogonal polynomial family: recurrence, basis changes, linearization,
 tridiagonal arrays, zeros, and the weight-function quadrature."""
 
+import itertools
 import math
 import os
 import random
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 import sympy
 
-from hyplp import orthopoly
+from hyplp import orthopoly, surd
 from hyplp.bounds import tau2_lower
 from hyplp.orthopoly import (FPoly, Params, TridiagonalArray, char_poly_check,
                              f_eval, f_monomial, f_values, fbasis_to_monomial,
@@ -63,6 +64,18 @@ def test_monomial_matches_sympy():
             got = f_monomial(p, i)
             want = [oracle[i].coeff(x, e) for e in range(i + 1)]
             assert list(got) == want, (r, u, i)
+
+
+def test_f_iter_repeats_f_values_bit_for_bit():
+    # the scan's generator and f_values are two loops over one recurrence
+    rng = random.Random(8)
+    for r, u in GRID:
+        p = Params(r, u)
+        for x in (rng.uniform(-5, 5), Fraction(rng.randrange(-40, 40), 7),
+                  rng.randrange(-9, 9), surd.sqrt(rng.choice((2, 3, 5, 7)))):
+            got = list(itertools.islice(orthopoly._f_iter(p, x), 13))
+            want = f_values(p, 12, x)
+            assert got == want and list(map(type, got)) == list(map(type, want)), (r, u, x)
 
 
 def test_f_values_exact_at_rationals():

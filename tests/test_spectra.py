@@ -166,7 +166,7 @@ def test_ramanujan_fixtures():
 
 
 def test_spectrum_clustering():
-    spec = Spectrum.from_values([0.5, 1.0, 1.0 + 1e-9], ctol=1e-7)
+    spec = Spectrum.from_values([0.5, 1.0, 1.0 + 1e-9])
     assert spec.values == (1.0 + 1e-9, 1.0, 0.5)
     assert len(spec.clusters) == 2
     assert spec.clusters[0][1] == 2
