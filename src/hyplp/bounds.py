@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .orthopoly import (FPoly, Params, _bisect, _f_iter, _gc_monomial,
-                        _has_root, _poly_deriv, _poly_divmod, _poly_mul,
+                        _poly_deriv, _poly_divmod, _poly_eval, _poly_mul,
                         _poly_roots, f_monomial, f_values, g_eval,
                         largest_zero_G, largest_zero_gc, monomial_to_fbasis,
                         positive_witness)
@@ -96,12 +96,18 @@ def _lambda_top(params: Params) -> float:
     return params.u - 2 + 2 * math.sqrt(params.q)
 
 
-def _is_exact(x: Number) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+def _exact(x: Number) -> Fraction | Surd:
+    """x as the exact number it is: a Surd stays a Surd, and an int,
+    Fraction or float becomes the Fraction equal to it."""
+    return x if isinstance(x, Surd) else Fraction(x)
 
 
-def _as_fraction(x: Number) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _require_below_top(params: Params, theta: Number) -> None:
+    """Refuse theta >= u-2+2*sqrt(q), decided exactly on the number theta
+    is: y = theta - (u-2) is below the top when y < 0 or y^2 < 4q."""
+    y = _exact(theta) - (params.u - 2)
+    if y >= 0 and y * y >= 4 * params.q:
+        raise ValueError(f"theta must be < {_lambda_top(params)}")
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +121,11 @@ def lp_bound_evaluate(params: Params, f: FPoly,
     f_0 > 0, f_i >= 0, f(k) > 0, and f <= 0 at the given eigenvalue points
     (taus mode) or on the whole interval [-r, theta] (interval mode).
 
-    Both modes decide f <= 0 exactly, by a Sturm count in rationals
-    (`positive_witness`).  An int or Fraction theta is proved on exactly
-    [-r, theta].  A float theta is proved on [-r, theta+] with theta+ the
-    next float above it: `math.sqrt` rounds correctly, so for theta =
-    sqrt(N) that interval contains the true root, and f <= 0 on the larger
-    interval implies it on the smaller.  A float tau stands, by the same
-    argument, for the interval [tau-, tau+] between its neighbouring
-    floats: f <= 0 is proved on all of it, f < 0 there when f has no root
-    in it, and equality is never claimed for it."""
+    Every tau and theta is taken as the exact number it is: a Surd stays a
+    Surd, and an int, Fraction or float is the rational it equals.  Taus
+    mode computes each f(tau) exactly: f(tau) < 0 is strict, f(tau) = 0
+    meets equality.  Interval mode decides f <= 0 on exactly [-r, theta] by
+    a Sturm count (`positive_witness`)."""
     if f.params != params:
         raise ValueError("polynomial was built for different (r, u)")
     if (taus is None) == (theta is None):
@@ -142,34 +144,23 @@ def lp_bound_evaluate(params: Params, f: FPoly,
     mono = f.to_monomial()
 
     if taus is not None:
-        if len(set(float(t) for t in taus)) != len(taus):
+        points = [_exact(t) for t in taus]
+        if len(set(points)) != len(points):
             raise ValueError("taus must be distinct")
-        strict, near = [], []
-        for t in taus:
-            if _is_exact(t):
-                lo = hi = _as_fraction(t)
-            else:
-                lo = Fraction(math.nextafter(float(t), -math.inf))
-                hi = Fraction(math.nextafter(float(t), math.inf))
-            witness = positive_witness(mono, lo, hi)
-            if witness is not None:
-                raise LPConditionError("f(tau) <= 0", witness)
-            if not _has_root(mono, lo, hi):
+        strict = []
+        for t, x in zip(taus, points):
+            v = _poly_eval(mono, x)
+            if v > 0:
+                raise LPConditionError("f(tau) <= 0", (x, v))
+            if v < 0:
                 strict.append(t)
-            elif lo != hi:
-                near.append(t)
         pdict["taus"] = tuple(taus)
-        if not strict and not near:
-            notes.append("f vanishes at every given tau (equality conditions met)")
         if strict:
             notes.append(f"f < 0 strictly at {strict}; equality impossible there")
-        if near:
-            notes.append(f"f has a root within one ulp of the float taus {near}; "
-                         f"equality there is not proved")
+        else:
+            notes.append("f vanishes at every given tau (equality conditions met)")
     else:
-        lo = Fraction(-params.r)
-        hi = (_as_fraction(theta) if _is_exact(theta)
-              else Fraction(math.nextafter(float(theta), math.inf)))
+        lo, hi = Fraction(-params.r), _exact(theta)
         if hi < lo:
             raise ValueError("theta below -r leaves an empty interval")
         witness = positive_witness(mono, lo, hi)
@@ -178,10 +169,8 @@ def lp_bound_evaluate(params: Params, f: FPoly,
         pdict["theta"] = theta
         notes.append(f"f <= 0 certified on [{float(lo)}, {float(hi)}] "
                      f"by an exact Sturm count")
-        if _is_exact(theta):
-            fth = f(_as_fraction(theta))
-            if fth == 0:
-                notes.append("f vanishes at theta")
+        if _poly_eval(mono, hi) == 0:
+            notes.append("f vanishes at theta")
 
     positive = tuple(i for i, fi in enumerate(coeffs) if i and fi > 0)
     notes.append(f"positive F-coefficients at indices {positive}")
@@ -204,10 +193,8 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
     interval `lp_bound_evaluate` proves for theta as given."""
     if s < 1:
         raise ValueError("degree must be >= 1")
-    top = _lambda_top(params)
+    _require_below_top(params, theta)
     th = float(theta)
-    if th >= top:
-        raise ValueError(f"theta must be < {top}")
     lo = -float(params.r)
     if th < lo:
         raise ValueError("theta below -r")
@@ -333,17 +320,14 @@ def closed_form_h_bound(params: Params, theta: Number) -> BoundResult:
     where d is the smallest index with G_d(theta) <= 0.  Exact for int,
     Fraction and Surd theta, with a certificate for a rational theta."""
     k, q = params.k, params.q
-    # theta < u-2+2*sqrt(q), decided exactly for an int, Fraction or Surd
-    y = theta - (params.u - 2)
-    if y >= 0 and y * y >= 4 * q:
-        raise ValueError(f"theta must be < {_lambda_top(params)}")
+    _require_below_top(params, theta)
     if theta < -k:
         raise ValueError(f"theta must be >= -k = {-k}")
     d, gd1, fd = select_diameter(params, theta)
     c = -fd / gd1  # >= 1, since G_d = G_{d-1} + F_d <= 0 < G_{d-1}
     value = moore_order(params, d - 1) + k * q ** (d - 1) / c
     certificate = None
-    if _is_exact(theta):
+    if isinstance(theta, (int, Fraction)):
         gc = _gc_monomial(params, d, c)
         # g_c(theta) = 0 by the choice of c, so x - theta divides g_c^2 exactly
         fcoeffs = _poly_divmod(_poly_mul(gc, gc), [-theta, Fraction(1)])[0]
@@ -553,7 +537,4 @@ def tau2_lower(params: Params, n: int):
 def biregular_bound(params: Params, base: BoundResult) -> Number:
     """Scale an order bound to the two-sided count of the incidence graph:
     (r+u)/u times the base value."""
-    scale = Fraction(params.r + params.u, params.u)
-    if _is_exact(base.value):
-        return scale * _as_fraction(base.value)
-    return float(scale) * base.value
+    return Fraction(params.r + params.u, params.u) * base.value

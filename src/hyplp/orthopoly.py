@@ -19,6 +19,7 @@ from functools import lru_cache, partial
 from itertools import zip_longest
 
 from ._record import Record
+from .surd import Surd
 
 Exact = int | Fraction
 Number = int | Fraction | float
@@ -296,7 +297,16 @@ def _poly_trim(p: Sequence[Exact]) -> list:
     return p
 
 
-def _poly_eval(p: Sequence[Exact], x: Exact) -> Exact:
+def _poly_eval(p: Sequence[Exact], x: Exact | Surd) -> Exact | Surd:
+    if isinstance(x, Surd):
+        # Horner modulo x^2 = 2a x - m, the minimal polynomial of x = a +
+        # b sqrt(n): the running value c0 + c1 x keeps rational c0 and c1,
+        # and at x = sqrt(n) each step is one multiply-add by -m = n
+        two_a, m = 2 * x.a, x.a * x.a - x.b * x.b * x.n
+        c0 = c1 = 0
+        for c in reversed(p):
+            c0, c1 = c - m * c1, (c0 + two_a * c1) if two_a else c0
+        return Surd(c0 + c1 * x.a, c1 * x.b, x.n) if c1 else c0
     acc = 0
     for c in reversed(p):
         acc = acc * x + c
@@ -416,16 +426,17 @@ def _sturm_chain(g: Sequence[Fraction]) -> list[list[Fraction]]:
     return chain
 
 
-def _sign_changes(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
+def _sign_changes(chain: Sequence[Sequence[Fraction]], x: Fraction | Surd) -> int:
     signs = [v > 0 for v in (_poly_eval(p, x) for p in chain) if v != 0]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def positive_witness(p: Sequence[Exact], a: Exact,
-                     b: Exact) -> tuple[Fraction, Fraction] | None:
+def positive_witness(p: Sequence[Exact], a: Exact, b: Exact | Surd
+                     ) -> tuple[Fraction | Surd, Fraction | Surd] | None:
     """Decide exactly whether p (rational monomial coefficients, lowest
-    first) is <= 0 on [a, b], for rationals a <= b: None when it is, else a
-    witness (x, p(x)) with x in [a, b] and p(x) > 0.
+    first) is <= 0 on [a, b], for a rational a and a rational or Surd b >= a:
+    None when it is, else a witness (x, p(x)) with x in [a, b] and p(x) > 0.
+    x is rational unless it is the Surd b itself.
 
     p changes sign exactly at the roots of its odd-multiplicity part g, and
     a Sturm chain of g counts those in (lo, hi] as V(lo) - V(hi)
@@ -433,9 +444,11 @@ def positive_witness(p: Sequence[Exact], a: Exact,
     none in (a, b), one point off the roots of p decides the sign.  Else p
     > 0 somewhere; split at points where p < 0, following a root of g.  Two
     such points enclose an even number of sign changes, so a part left with
-    one root has an endpoint a or b where p = 0, and p > 0 next to it."""
+    one root has an endpoint a or b where p = 0, and p > 0 next to it.  A
+    Surd b is first replaced by a rational h below it with no root of g in
+    (h, b), so every split point is rational."""
     p = _poly_trim([Fraction(c) for c in p])
-    lo, hi = Fraction(a), Fraction(b)
+    lo, hi = Fraction(a), b if isinstance(b, Surd) else Fraction(b)
     if lo > hi:
         raise ValueError("need a <= b")
     for x in (lo, hi):
@@ -445,9 +458,25 @@ def positive_witness(p: Sequence[Exact], a: Exact,
     if lo == hi or len(p) == 1:
         return None
     chain = _sturm_chain(_odd_multiplicity_part(p))
-    roots = _sign_changes(chain, lo) - _sign_changes(chain, hi)
-    if _poly_eval(chain[0], hi) == 0:
-        roots -= 1
+    # g has V(lo) - top roots in (lo, hi)
+    top = _sign_changes(chain, hi) + (_poly_eval(chain[0], hi) == 0)
+    v_lo = _sign_changes(chain, lo)
+    roots = v_lo - top
+    if isinstance(hi, Surd):
+        # once g has no root in (h, hi), as for every h > lo when roots is
+        # 0, and p(h) != 0, p keeps the sign of p(h) on [h, hi); hi is
+        # irrational, so the dyadic h below it get there as they close in
+        s = 64
+        while True:
+            h = Fraction(math.floor(hi * (1 << s)), 1 << s)
+            v = _poly_eval(p, h)
+            if (lo < h and v != 0
+                    and (roots == 0 or _sign_changes(chain, h) == top)):
+                break
+            s *= 2
+        if v > 0:
+            return h, v
+        hi = h
     while True:
         # p has at most deg p roots, so one of these deg p + 1 points is not one
         for j in range(2, len(p) + 2):
@@ -459,25 +488,11 @@ def positive_witness(p: Sequence[Exact], a: Exact,
             return x, v
         if roots == 0:
             return None
-        left = _sign_changes(chain, lo) - _sign_changes(chain, x)
-        if left:
-            hi, roots = x, left
+        v_x = _sign_changes(chain, x)
+        if v_lo - v_x:
+            hi, roots = x, v_lo - v_x
         else:
-            lo = x
-
-
-def _has_root(p: Sequence[Exact], a: Exact, b: Exact) -> bool:
-    """Whether the rational polynomial p vanishes somewhere on [a, b], for
-    rationals a <= b: a Sturm count of its square-free part p / gcd(p, p'),
-    which has the roots of p, each once."""
-    p = _poly_trim([Fraction(c) for c in p])
-    lo, hi = Fraction(a), Fraction(b)
-    if _poly_eval(p, lo) == 0 or _poly_eval(p, hi) == 0:
-        return True
-    if len(p) == 1:
-        return False
-    chain = _sturm_chain(_poly_divmod(p, _poly_gcd(p, _poly_deriv(p)))[0])
-    return _sign_changes(chain, lo) != _sign_changes(chain, hi)
+            lo, v_lo = x, v_x
 
 
 def _gc_monomial(params: Params, d: int, c: Fraction) -> list[Fraction]:

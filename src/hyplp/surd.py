@@ -101,7 +101,8 @@ class Surd:
         return -self if self.sign() < 0 else self
 
     def __lt__(self, other):
-        return _sign(self - other) < 0
+        # against 0, the common case in a Sturm count, skip the subtraction
+        return _sign(self - other if other else self) < 0
 
     def __eq__(self, other):
         # b != 0 makes a Surd irrational, unequal to every int and Fraction

@@ -264,22 +264,46 @@ def test_lp_evaluate_proves_float_taus_exactly():
     with pytest.raises(LPConditionError) as e:
         lp_bound_evaluate(P32, above, taus=[SQRT2])
     assert "f(tau) <= 0" in str(e.value)
-    # x^2 - 2 changes sign at sqrt(2), inside the float's bracket, so the
-    # float alone cannot show f <= 0 at the true root
-    with pytest.raises(LPConditionError):
+    # a float tau is the rational it holds: the double SQRT2 lies above
+    # sqrt(2), where x^2 - 2 is positive, and the witness is that rational
+    with pytest.raises(LPConditionError) as e:
         lp_bound_evaluate(P32, FPoly(P32, (1, 0, 1)), taus=[SQRT2])
-    # (x - 2)(x^2 - 2)^2 touches 0 at sqrt(2) from below: f <= 0 is proved
-    # on the bracket, and equality there is neither claimed nor ruled out
+    assert e.value.witness == (Fraction(SQRT2), Fraction(SQRT2) ** 2 - 2)
+    # (x - 2)(x^2 - 2)^2 touches 0 at sqrt(2) from below, so it is negative
+    # at the double SQRT2: strict there, as at 1.0 and -1
     touch = FPoly(P33, (34, 77, 20, 14, 2, 1))
     b = lp_bound_evaluate(P33, touch, taus=[SQRT2, 1.0, -1])
     assert b.value == 136
-    assert not any("equality conditions met" in note for note in b.notes)
-    assert "f < 0 strictly at [1.0, -1]; equality impossible there" in b.notes
-    assert any("within one ulp" in note and str(SQRT2) in note for note in b.notes)
-    # x^2 - 2 - 1e-10 < 0 on the whole bracket of sqrt(2)
+    assert b.notes[0] == (f"f < 0 strictly at [{SQRT2}, 1.0, -1]; "
+                          f"equality impossible there")
+    # x^2 - 2 - 1e-10 < 0 at the double SQRT2
     below = FPoly(P32, (Fraction(10**10 - 1, 10**10), Fraction(0), Fraction(1)))
     b = lp_bound_evaluate(P32, below, taus=[SQRT2])
     assert b.notes[0] == f"f < 0 strictly at [{SQRT2}]; equality impossible there"
+    # at the exact sqrt(2), the touch polynomial meets equality
+    b = lp_bound_evaluate(P33, touch, taus=[surd.sqrt(2), 1, -1])
+    assert b.value == 136
+    assert b.notes[0] == "f < 0 strictly at [1, -1]; equality impossible there"
+    b = lp_bound_evaluate(P33, touch, taus=[surd.sqrt(2)])
+    assert b.notes[0] == "f vanishes at every given tau (equality conditions met)"
+    # x^2 - 2 changes sign at sqrt(2): 0 there, and positive at 1 + sqrt(2)
+    b = lp_bound_evaluate(P32, FPoly(P32, (1, 0, 1)), taus=[surd.sqrt(2)])
+    assert b.notes[0] == "f vanishes at every given tau (equality conditions met)"
+    with pytest.raises(LPConditionError) as e:
+        lp_bound_evaluate(P32, FPoly(P32, (1, 0, 1)), taus=[1 + surd.sqrt(2)])
+    assert e.value.witness == (1 + surd.sqrt(2), 1 + 2 * surd.sqrt(2))
+
+
+def test_lp_evaluate_decides_taus_distinct_exactly():
+    # both taus round to the double 1.0, but they are distinct numbers; the
+    # Petersen certificate (x - 1)(x + 2)^2 is 0 at 1 and negative below it
+    below = 1 - Fraction(1, 10 ** 20)
+    b = lp_bound_evaluate(P32, PETERSEN_CERT, taus=[1, below])
+    assert b.value == 10
+    assert b.notes[0] == f"f < 0 strictly at {[below]}; equality impossible there"
+    for same in ([1, 1.0], [1, Fraction(2, 2)], [surd.sqrt(2), surd.sqrt(2) + 1 - 1]):
+        with pytest.raises(ValueError, match="distinct"):
+            lp_bound_evaluate(P32, PETERSEN_CERT, taus=same)
 
 
 def test_lp_evaluate_interval_mode_exact_value():
@@ -722,7 +746,10 @@ def test_biregular_bound_scales():
     base = closed_form_h_bound(P32, 1)
     assert biregular_bound(P32, base) == 25
     floatbase = BoundResult(10.0, "CLOSED_FORM", {})
-    assert biregular_bound(P32, floatbase) == pytest.approx(25.0)
+    assert biregular_bound(P32, floatbase) == 25.0
+    # a value in Q(sqrt 2) scales within it: (4 + 2)/2 (121/5 - 18/5 sqrt 2)
+    surdbase = closed_form_h_bound(Params(4, 2), surd.sqrt(2))
+    assert biregular_bound(Params(4, 2), surdbase) == Fraction(363, 5) - Fraction(54, 5) * surd.sqrt(2)
 
 
 def test_bound_result_rejects_non_finite():

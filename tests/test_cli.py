@@ -184,22 +184,57 @@ def test_bound_lp_cert_accepts_root_at_theta(tmp_path, capsys):
         bounds.closed_form_h_bound(Params(3, 3), Fraction(7, 2)).value)
 
 
-def test_bound_lp_cert_sqrt_theta_rounds_outward(tmp_path, capsys):
-    # sqrt2 is checked on [-r, theta+], theta+ the next float above
-    # math.sqrt(2): a certificate vanishing exactly at theta+ passes, one
-    # vanishing just below sqrt(2) leaves f > 0 on part of [-r, sqrt(2)]
-    up = Fraction(math.nextafter(math.sqrt(2), math.inf))
+def test_bound_lp_cert_sqrt_theta_is_exact(tmp_path, capsys):
+    # sqrt2 is checked on exactly [-r, sqrt(2)]: a closed-form certificate
+    # f = g_c^2 / (x - t) vanishing at t = the double math.sqrt(2) or the
+    # one above it (both above sqrt(2)) passes; at t = the double below or
+    # 1e-15 below sqrt(2), f > 0 on (t, sqrt(2)], and sqrt(2) itself is the
+    # witness
+    sqrt2 = math.sqrt(2)
     down = Fraction(math.isqrt(2 * 10 ** 30), 10 ** 15)
-    assert down ** 2 < 2 < up ** 2
-    for theta, accepted in ((up, True), (down, False)):
+    cases = ((Fraction(sqrt2), True), (Fraction(math.nextafter(sqrt2, math.inf)), True),
+             (Fraction(math.nextafter(sqrt2, -math.inf)), False), (down, False))
+    for theta, accepted in cases:
+        assert (theta ** 2 > 2) == accepted
         cert = write_certificate(tmp_path / "sqrt.cert", 3, 2,
                                  closed_form_coeffs(3, 2, theta))
         code, out, err = run(capsys, "bound", "lp", "--r", "3", "--u", "2",
                              "--theta", "sqrt2", "--cert", cert)
         if accepted:
             assert code == 0 and text_value(out, "theorem") == "LP_CERT", err
+            assert "certified on [-3.0, 1.4142135623730951]" in out
         else:
             assert code == 2 and err.startswith("error: violated f <= 0")
+            assert "witness (Surd('sqrt2'), Surd(" in err
+
+
+def test_bound_lp_cert_accepts_root_at_sqrt_theta(tmp_path, capsys):
+    # f = x^2 - 5 = F_0 + 2 F_1 + F_2 at (2, 4) is <= 0 on [-2, sqrt(5)] and
+    # 0 at sqrt(5): the float bracket [-2, theta+] once refused it
+    cert = write_certificate(tmp_path / "sqrt5.cert", 2, 4, [1, 2, 1])
+    code, out, err = run(capsys, "bound", "lp", "--r", "2", "--u", "4",
+                         "--theta", "sqrt5", "--cert", cert)
+    assert code == 0, err
+    assert text_value(out, "theorem") == "LP_CERT"
+    assert text_value(out, "value") == "31"
+    assert "note2: f vanishes at theta" in out.splitlines()
+    # x^2 - 4 is positive at sqrt(5) itself, the witness printed exactly
+    cert = write_certificate(tmp_path / "sqrt4.cert", 2, 4, [2, 2, 1])
+    code, out, err = run(capsys, "bound", "lp", "--r", "2", "--u", "4",
+                         "--theta", "sqrt5", "--cert", cert)
+    assert code == 2
+    assert "witness (Surd('sqrt5'), Fraction(1, 1))" in err
+
+
+def test_bound_lp_decides_the_spectral_top_exactly(capsys):
+    # 2.82842712474619009 lies below the top 2 sqrt(2) = 2.8284271247461900976...
+    # of (3, 2), though its double rounds up past it: it reaches the LP,
+    # which finds degree 4 too low; 2.82842712474619010 lies above the top
+    argv = ["bound", "lp", "--r", "3", "--u", "2", "--degree", "4"]
+    code, _, err = run(capsys, *argv, "--theta=2.82842712474619009")
+    assert code == 2 and err.startswith("error: degree 4 is too low"), err
+    code, _, err = run(capsys, *argv, "--theta=2.82842712474619010")
+    assert code == 2 and err.startswith("error: theta must be <"), err
 
 
 def test_bound_lp_cert_failure_exit_code(tmp_path, capsys):

@@ -378,6 +378,14 @@ def test_quadrature_norms_match_degree_counts():
                 want, rel=1e-4), (r, u, i)
 
 
+def to_sympy(x):
+    """An int, Fraction or Surd as the exact sympy number."""
+    if isinstance(x, surd.Surd):
+        return to_sympy(x.a) + to_sympy(x.b) * sympy.sqrt(x.n)
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
 def sympy_nonpositive(coeffs, a, b):
     """Whether sum coeffs[i] x^i <= 0 on [a, b], decided from sympy's real
     root isolation.  Each isolating interval holds one root and, unless it
@@ -388,8 +396,7 @@ def sympy_nonpositive(coeffs, a, b):
     x = sympy.Symbol("x")
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                        for c in reversed(coeffs)], x)
-    a, b = sympy.Rational(a.numerator, a.denominator), \
-        sympy.Rational(b.numerator, b.denominator)
+    a, b = to_sympy(a), to_sympy(b)
     if poly.is_zero:
         return True
     points = {a, b}
@@ -398,7 +405,17 @@ def sympy_nonpositive(coeffs, a, b):
         points.update(e for e in (s, t) if a <= e <= b)
     points = sorted(points)
     points += [(p + q) / 2 for p, q in zip(points, points[1:])]
-    return all(poly.eval(p) <= 0 for p in points)
+    return all(sympy_value(poly.all_coeffs(), p) <= 0 for p in points)
+
+
+def sympy_value(coeffs, point):
+    """The polynomial with sympy coefficients (leading first) at point, by
+    Horner with each step expanded: at a + b*sqrt(n) every step stays in
+    that form, where `Poly.eval` goes through slow general expressions."""
+    acc = sympy.Integer(0)
+    for c in coeffs:
+        acc = sympy.expand(acc * point + c)
+    return acc
 
 
 def random_test_polynomial(rng, a, b):
@@ -443,6 +460,31 @@ def test_positive_witness_matches_sympy():
             assert v == sum(c * x ** i for i, c in enumerate(coeffs))
         verdicts.add(want)
     assert verdicts == {True, False}
+    # b = sqrt(n): roots at b from factors x^2 - n, and roots near b from
+    # the rationals on either side of it that the random polynomial uses
+    verdicts = set()
+    for trial in range(100):
+        n = rng.choice((2, 3, 5, 7, 18, 50))
+        b = surd.sqrt(n)
+        scale = 10 ** rng.randint(1, 8)
+        near = Fraction(math.floor(b * scale) + rng.randint(0, 1), scale)
+        a = near - Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        coeffs = random_test_polynomial(rng, a, near)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            coeffs = _poly_mul(coeffs, [Fraction(-n), Fraction(0), Fraction(1)])
+        got = positive_witness(coeffs, a, b)
+        want = sympy_nonpositive(coeffs, a, b)
+        assert (got is None) == want, (coeffs, a, n, got)
+        if got is not None:
+            x, v = got
+            # every split point is rational; only b itself is a Surd
+            assert isinstance(x, Fraction) or x == b, x
+            assert a <= x <= b and v > 0
+            assert v == _poly_eval(coeffs, x)
+            assert to_sympy(v) == sympy_value([to_sympy(c) for c in reversed(coeffs)],
+                                              to_sympy(x))
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_positive_witness_touching_and_endpoint_roots():
@@ -463,6 +505,32 @@ def test_positive_witness_touching_and_endpoint_roots():
     assert positive_witness([0], -1, 1) is None
     with pytest.raises(ValueError):
         positive_witness([-1], 1, 0)
+
+
+def test_positive_witness_at_a_sqrt_endpoint():
+    root5 = surd.sqrt(5)
+    # x^2 - 5 vanishes at the end sqrt(5) and is negative inside
+    assert positive_witness([-5, 0, 1], -2, root5) is None
+    # x^2 - 4 is positive at sqrt(5) itself, the only Surd witness
+    assert positive_witness([-4, 0, 1], -2, root5) == (root5, 1)
+    # -(x - c1)(x - c2) with sqrt(2) - 2^-64 < c1 < c2 < sqrt(2): negative
+    # at both ends, positive only between c1 and c2, so the rational h below
+    # sqrt(2) must close in past them
+    root2 = surd.sqrt(2)
+    c1, c2 = (Fraction(math.floor(root2 * 2 ** s), 2 ** s) for s in (100, 110))
+    assert Fraction(math.floor(root2 * 2 ** 64), 2 ** 64) < c1 < c2
+    bump = [-c1 * c2, c1 + c2, Fraction(-1)]
+    x, v = positive_witness(bump, 0, root2)
+    assert c1 < x < c2 and v > 0 and isinstance(x, Fraction)
+    # a closer to sqrt(2) than 2^-64: -(x - a) is <= 0 on [a, sqrt(2)], and
+    # -(x - a)^2 (x^2 - 2) is 0 at both ends and positive between them,
+    # where the witness must lie
+    assert positive_witness([c1, Fraction(-1)], c1, root2) is None
+    assert positive_witness([-c1, Fraction(1)], c1, root2) == (root2, root2 - c1)
+    hump = _poly_mul(_poly_mul([-c1, Fraction(1)], [-c1, Fraction(1)]),
+                     [Fraction(2), Fraction(0), Fraction(-1)])
+    x, v = positive_witness(hump, c1, root2)
+    assert c1 < x < root2 and v > 0 and isinstance(x, Fraction)
 
 
 def float_poly_from_roots(roots, lead):
