@@ -189,8 +189,11 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
     """Best degree-s certificate bound for eigenvalues in [-r, theta]:
     minimize 1 + sum f_j F_j(k) over f_j >= 0 with 1 + sum f_j F_j <= 0 on
     [-r, theta], solved in floats through its point-mass dual with
-    constraint generation, then verified as an exact certificate on the
-    interval `lp_bound_evaluate` proves for theta as given."""
+    constraint generation: the dual starts on the s + 1 Chebyshev-Lobatto
+    points of [-r, theta], and each round adds the point where f is
+    largest, among -r, theta and the roots of f' (`_poly_roots`).  The
+    result is verified as an exact certificate on the interval
+    `lp_bound_evaluate` proves for theta as given."""
     if s < 1:
         raise ValueError("degree must be >= 1")
     _require_below_top(params, theta)
@@ -203,8 +206,11 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
     too_low = (f"degree {s} is too low for [{lo}, {th}]: no polynomial with "
                f"f_j >= 0 stays <= 0 there; use a higher --degree")
 
-    npts = 200
-    points = [lo + (th - lo) * t / (npts - 1) for t in range(npts)] if th > lo else [lo]
+    # any seed set is sound: a dual unbounded on some points is unbounded
+    # on all of them; the optimum rests on at most s points, and the s + 1
+    # Chebyshev-Lobatto points of [lo, th] leave the rest to the rounds
+    points = ([lo + (th - lo) * (1 - math.cos(math.pi * t / s)) / 2
+               for t in range(s + 1)] if th > lo else [lo])
 
     def column(x: float) -> list[float]:
         vals = f_values(params, s, x)

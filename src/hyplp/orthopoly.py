@@ -15,7 +15,7 @@ import struct
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import zip_longest
 
 from ._record import Record
@@ -336,18 +336,51 @@ def _bisect(fun, x: float, y: float) -> float:
             y = mid
 
 
+def _newton(p: Sequence[float], dp: Sequence[float], x: float, y: float) -> float:
+    """The root of p between the floats x < y, where p is monotone and
+    p(x), p(y) are nonzero with opposite signs.  Newton steps on p with p'
+    from the midpoint, each kept inside the sign bracket, which shrinks to
+    every point evaluated; a step that leaves the bracket or fails to halve
+    the previous step is replaced by bisection (Numerical Recipes' rtsafe).
+    Stops when p(t) is exactly 0, when the bracket ends are adjacent floats
+    or when a step no longer moves t.  No step count and no tolerance."""
+    positive = _poly_eval(p, x) > 0
+    t, step = 0.5 * (x + y), math.inf
+    while True:
+        v = _poly_eval(p, t)
+        if v == 0:
+            return t
+        if (v > 0) == positive:
+            x = t
+        else:
+            y = t
+        mid = 0.5 * (x + y)
+        if mid == x or mid == y:
+            return t
+        d = _poly_eval(dp, t)
+        nxt = t - v / d if d else mid
+        # a nan or infinite step fails the bracket test too
+        if not x < nxt < y or abs(nxt - t) > 0.5 * step:
+            nxt = mid
+        if nxt == t:
+            return t
+        step, t = abs(nxt - t), nxt
+
+
 def _poly_roots(p: Sequence[float], a: float, b: float) -> list[float]:
     """Real roots of the float polynomial p in [a, b], ascending.
 
     Derivative cascade: the roots of p' cut [a, b] into pieces on which p
-    is monotone, so each piece holds at most one root, found by `_bisect`
-    on a sign change.  No grid, step count or tolerance.  A root where p
-    does not change sign is reported only when p evaluates to exactly 0
-    there (a cut or an endpoint); the zero polynomial has none."""
+    is monotone, so each piece holds at most one root, found on a sign
+    change by `_newton` with the p' the cascade already holds.  No grid,
+    step count or tolerance.  A root where p does not change sign is
+    reported only when p evaluates to exactly 0 there (a cut or an
+    endpoint); the zero polynomial has none."""
     p = _poly_trim(p)
     if len(p) == 1:
         return []
-    cuts = [a, *_poly_roots(_poly_deriv(p), a, b), b]
+    dp = _poly_deriv(p)
+    cuts = [a, *_poly_roots(dp, a, b), b]
     roots: list[float] = []
     for x, y in zip(cuts, cuts[1:]):
         vx, vy = _poly_eval(p, x), _poly_eval(p, y)
@@ -357,7 +390,7 @@ def _poly_roots(p: Sequence[float], a: float, b: float) -> list[float]:
             continue
         if vy == 0 or (vx > 0) == (vy > 0):
             continue
-        roots.append(_bisect(partial(_poly_eval, p), x, y))
+        roots.append(_newton(p, dp, x, y))
     if _poly_eval(p, b) == 0 and (not roots or roots[-1] != b):
         roots.append(b)
     return roots
@@ -397,12 +430,13 @@ def _poly_gcd(a: Sequence[Exact], b: Sequence[Exact]) -> list[Fraction]:
     return [Fraction(c) / a[-1] for c in a]
 
 
-def _odd_multiplicity_part(p: Sequence[Exact]) -> list[Fraction]:
+def _odd_multiplicity_part(p: Sequence[Exact], a0: Sequence[Fraction]) -> list[Fraction]:
     """Product of the distinct factors of p that divide it an odd number of
     times: the roots where p changes sign.  Yun's square-free decomposition
-    p = a_1 a_2^2 a_3^3 ..., keeping a_1 a_3 a_5 ..."""
+    p = a_1 a_2^2 a_3^3 ..., keeping a_1 a_3 a_5 ..., from a0 = gcd(p, p')
+    times any nonzero constant, which scales b and d alike and changes no
+    later gcd."""
     dp = _poly_deriv(p)
-    a0 = _poly_gcd(p, dp)
     b = _poly_divmod(p, a0)[0]
     d = _poly_sub(_poly_divmod(dp, a0)[0], _poly_deriv(b))
     out, odd = [Fraction(1)], True
@@ -418,10 +452,14 @@ def _odd_multiplicity_part(p: Sequence[Exact]) -> list[Fraction]:
 
 def _sturm_chain(g: Sequence[Fraction]) -> list[list[Fraction]]:
     """g, g', then negated remainders, each scaled by a positive constant
-    (which keeps every sign) to hold the coefficients small."""
+    (which keeps every sign) to hold the coefficients small, up to the last
+    nonzero one.  That is gcd(g, g') times a constant, so the chain ends in
+    a constant exactly when g has no repeated root."""
     chain = [list(g), _poly_deriv(g)]
     while len(chain[-1]) > 1:
         rem = _poly_divmod(chain[-2], chain[-1])[1]
+        if rem == [0]:
+            break
         chain.append([-c / abs(rem[-1]) for c in rem])
     return chain
 
@@ -440,13 +478,16 @@ def positive_witness(p: Sequence[Exact], a: Exact, b: Exact | Surd
 
     p changes sign exactly at the roots of its odd-multiplicity part g, and
     a Sturm chain of g counts those in (lo, hi] as V(lo) - V(hi)
-    (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, ch. 2).  With
-    none in (a, b), one point off the roots of p decides the sign.  Else p
-    > 0 somewhere; split at points where p < 0, following a root of g.  Two
-    such points enclose an even number of sign changes, so a part left with
-    one root has an endpoint a or b where p = 0, and p > 0 next to it.  A
-    Surd b is first replaced by a rational h below it with no root of g in
-    (h, b), so every split point is rational."""
+    (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, ch. 2).  The
+    chain of p itself serves when p is square-free, which its Euclid run
+    detects; for a p with a repeated root, that run ends at gcd(p, p'), from
+    which g is computed.  With none in (a, b), one point off the roots of p
+    decides the sign.  Else p > 0 somewhere; split at points where p < 0,
+    following a root of g.  Two such points enclose an even number of sign
+    changes, so a part left with one root has an endpoint a or b where p =
+    0, and p > 0 next to it.  A Surd b is first replaced by a rational h
+    below it with no root of g in (h, b), so every split point is
+    rational."""
     p = _poly_trim([Fraction(c) for c in p])
     lo, hi = Fraction(a), b if isinstance(b, Surd) else Fraction(b)
     if lo > hi:
@@ -457,7 +498,11 @@ def positive_witness(p: Sequence[Exact], a: Exact, b: Exact | Surd
             return x, v
     if lo == hi or len(p) == 1:
         return None
-    chain = _sturm_chain(_odd_multiplicity_part(p))
+    # a square-free p is its own odd-multiplicity part times a constant,
+    # which multiplies every chain member and changes no sign count
+    chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:
+        chain = _sturm_chain(_odd_multiplicity_part(p, chain[-1]))
     # g has V(lo) - top roots in (lo, hi)
     top = _sign_changes(chain, hi) + (_poly_eval(chain[0], hi) == 0)
     v_lo = _sign_changes(chain, lo)

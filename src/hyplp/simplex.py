@@ -8,8 +8,9 @@ refused.  The entering column is the one with the most negative reduced cost
 cycle on a degenerate vertex, so after a run of degenerate pivots the solver
 falls back to Bland's lowest-index rule (Bland 1977, Math. Oper. Res. 2(2)),
 which cannot cycle, until a pivot makes progress again.  The ratio test breaks
-ties by the lowest basic index.  Problems here stay tiny (tens of rows, a few
-hundred columns), which keeps dense pivoting cheap and reproducible.
+ties by the lowest basic index.  Problems here stay tiny (at most tens of
+rows and columns: the LP optimizer's degree s rows, its s + 1 seed columns and
+one column per round), which keeps dense pivoting cheap and reproducible.
 
 A `Tableau` keeps its optimal basis after the solve.  `add_column` adds a
 variable: the old optimum stays primal feasible, so only the new column needs

@@ -18,9 +18,30 @@ __all__ = ["Surd", "sqrt"]
 
 
 def sqrt(n: int):
-    """sqrt(n) exactly: an int for a perfect square n >= 0, else a Surd."""
+    """sqrt(n) exactly: an int for a perfect square n >= 0, else the Surd
+    m*sqrt(f) with n = m^2 f and f square-free, so that equal numbers are
+    equal Surds of one field: sqrt(8) is 2*sqrt(2)."""
     root = math.isqrt(n)
-    return root if root * root == n else Surd(Fraction(0), Fraction(1), n)
+    if root * root == n:
+        return root
+    m, f, rest, p = 1, 1, n, 2
+    while p * p * p <= rest:
+        while rest % p == 0:
+            rest //= p
+            if rest % p:
+                f *= p
+            else:
+                rest //= p
+                m *= p
+        p += 1
+    # rest has no prime factor below p and rest < p^3, so it is 1, a prime,
+    # or a product of two primes: a square only as the square of a prime
+    root = math.isqrt(rest)
+    if root * root == rest:
+        m *= root
+    else:
+        f *= rest
+    return Surd(Fraction(0), Fraction(m), f)
 
 
 def _make(a: Fraction, b: Fraction, n: int):

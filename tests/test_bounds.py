@@ -301,7 +301,8 @@ def test_lp_evaluate_decides_taus_distinct_exactly():
     b = lp_bound_evaluate(P32, PETERSEN_CERT, taus=[1, below])
     assert b.value == 10
     assert b.notes[0] == f"f < 0 strictly at {[below]}; equality impossible there"
-    for same in ([1, 1.0], [1, Fraction(2, 2)], [surd.sqrt(2), surd.sqrt(2) + 1 - 1]):
+    for same in ([1, 1.0], [1, Fraction(2, 2)], [surd.sqrt(2), surd.sqrt(2) + 1 - 1],
+                 [surd.sqrt(2), surd.sqrt(8) / 2]):
         with pytest.raises(ValueError, match="distinct"):
             lp_bound_evaluate(P32, PETERSEN_CERT, taus=same)
 
@@ -388,15 +389,16 @@ def test_lp_optimize_clamps_round_off_duals(monkeypatch):
     assert all(c >= 0 for c in b.certificate.coeffs[1:])
 
 
-# pivots of the whole (4, 2, sqrt 2, 6) call on the kept tableau: 15 when
-# measured; solving each round's LP from the slack basis took 84
+# pivots of the whole (4, 2, sqrt 2, 6) call on the kept tableau: 17 when
+# measured, over 13 rounds from the 7 Chebyshev seeds; solving each round's
+# LP from the slack basis took 118
 WARM_PIVOTS = 20
 
 
 def test_lp_optimize_pivot_count(monkeypatch):
     # a non-timing guard on the simplex: lowest-index pricing alone needed
     # 45,794 pivots here, and most-negative pricing from the slack basis in
-    # every round needs 84; the kept tableau prices only each round's new
+    # every round needs 118; the kept tableau prices only each round's new
     # column
     seen = []
 
@@ -457,9 +459,10 @@ def test_lp_optimize_warm_tableau_matches_a_cold_resolve(monkeypatch):
 
 
 def test_lp_optimize_separation_work_is_polynomial_in_s(monkeypatch):
-    # each round evaluates f at -r, theta and the roots of f' (at most s + 1
-    # points) and adds one column: O(s) calls of f_values, where a
-    # 10^4-point scan of [-r, theta] would make 10^4 per round
+    # the s + 1 seed columns, then each round evaluates f at -r, theta and
+    # the roots of f' (at most s + 1 points) and adds one column: O(s) calls
+    # of f_values, where a 10^4-point scan of [-r, theta] would make 10^4
+    # per round
     calls = []
     real = bounds.f_values
 
@@ -470,7 +473,7 @@ def test_lp_optimize_separation_work_is_polynomial_in_s(monkeypatch):
     monkeypatch.setattr(bounds, "f_values", counted)
     s = 6
     b = lp_bound_optimize(Params(4, 2), SQRT2, s)
-    seeds = 200
+    seeds = s + 1
     assert b.params["rounds"] >= 2
     assert len(calls) - seeds <= (s + 1) ** 2 * b.params["rounds"]
 

@@ -12,7 +12,7 @@ import pytest
 import sympy
 
 from hyplp import orthopoly, surd
-from hyplp.bounds import tau2_lower
+from hyplp.bounds import closed_form_h_bound, lp_bound_optimize, tau2_lower
 from hyplp.orthopoly import (FPoly, Params, TridiagonalArray, char_poly_check,
                              f_eval, f_monomial, f_values, fbasis_to_monomial,
                              g_eval, g_identity_check, largest_zero_G,
@@ -20,7 +20,8 @@ from hyplp.orthopoly import (FPoly, Params, TridiagonalArray, char_poly_check,
                              monomial_to_fbasis,
                              orthogonality_quadrature_check,
                              positive_witness, zeros_above)
-from hyplp.orthopoly import _poly_deriv, _poly_eval, _poly_mul, _poly_roots
+from hyplp.orthopoly import (_bisect, _newton, _poly_deriv, _poly_eval,
+                             _poly_mul, _poly_roots)
 
 GRID = [(3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 5), (4, 4), (6, 2)]
 
@@ -444,16 +445,30 @@ def random_test_polynomial(rng, a, b):
     return poly
 
 
+def lp_certificates():
+    """Two certificates as (monomial coefficients, -r, theta): the LP
+    optimum at (5, 3), theta 2, degree 6, which is square-free, and the
+    tight closed form g_c^2 / (x - theta) at (3, 2), theta 3/2, which has
+    double roots at the other zeros of g_c."""
+    opt = lp_bound_optimize(Params(5, 3), 2, 6).certificate
+    tight = closed_form_h_bound(Params(3, 2), Fraction(3, 2)).certificate
+    return [(opt.to_monomial(), Fraction(-5), Fraction(2)),
+            (tight.to_monomial(), Fraction(-3), Fraction(3, 2))]
+
+
 def test_positive_witness_matches_sympy():
     rng = random.Random(20261018)
     verdicts = set()
+    cases = [(coeffs, a, b, True) for coeffs, a, b in lp_certificates()]
     for trial in range(200):
         a = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
         b = a if trial % 10 == 0 else a + Fraction(rng.randint(1, 40), rng.randint(1, 6))
-        coeffs = random_test_polynomial(rng, a, b)
+        cases.append((random_test_polynomial(rng, a, b), a, b, None))
+    for coeffs, a, b, certified in cases:
         got = positive_witness(coeffs, a, b)
         want = sympy_nonpositive(coeffs, a, b)
         assert (got is None) == want, (coeffs, a, b, got)
+        assert certified in (None, want)
         if got is not None:
             x, v = got
             assert a <= x <= b and v > 0
@@ -485,6 +500,20 @@ def test_positive_witness_matches_sympy():
                                               to_sympy(x))
         verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def test_positive_witness_runs_euclid_once_on_square_free_input(monkeypatch):
+    # the Sturm chain of a square-free p is built from p itself; only a p
+    # with a repeated root also computes its odd-multiplicity part
+    (square_free, a, b), (tight, c, d) = lp_certificates()
+    calls = []
+    real = orthopoly._odd_multiplicity_part
+    monkeypatch.setattr(orthopoly, "_odd_multiplicity_part",
+                        lambda *args: calls.append(args) or real(*args))
+    assert positive_witness(square_free, a, b) is None
+    assert calls == []
+    assert positive_witness(tight, c, d) is None
+    assert len(calls) == 1
 
 
 def test_positive_witness_touching_and_endpoint_roots():
@@ -594,6 +623,76 @@ def test_poly_roots_edge_cases():
     assert _poly_roots([0.0, 0.0, 1.0], -1.0, 1.0) == [0.0]   # double root, exact
     assert _poly_roots([-1.0, 0.0, 1.0], -1.0, 1.0) == [-1.0, 1.0]
     assert _poly_roots([-1.0, 0.0, 1.0], 1.0, 1.0) == [1.0]
+
+
+def test_poly_roots_newton_step_matches_bisection(monkeypatch):
+    # seeded float polynomials of degree 1-8 on [a, b] = [-3, 2], with real
+    # roots spread out or in clusters 1e-6 and 1e-9 apart, and complex pairs
+    rng = random.Random(20261019)
+    a, b = -3.0, 2.0
+    compared = 0
+    for trial in range(1200):
+        deg = 1 + trial % 8
+        roots = [rng.uniform(-4.0, 3.0) for _ in range(deg)]
+        if deg >= 2 and trial % 5 == 1:
+            roots[-1] = roots[0] + rng.choice((1e-6, 1e-9))
+        p = float_poly_from_roots(roots, rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 2))
+        if deg >= 3 and trial % 5 == 2:
+            p = _poly_mul(float_poly_from_roots(roots[2:], 1.0),
+                          [rng.uniform(0.1, 2.0), rng.uniform(-1.0, 1.0), 1.0])
+        got = _poly_roots(p, a, b)
+        assert got == sorted(got) and all(a <= x <= b for x in got), (trial, got)
+        for x in got:
+            # Horner's rounding bound for p at x
+            noise = sum(abs(c) * abs(x) ** i for i, c in enumerate(p))
+            assert abs(_poly_eval(p, x)) <= 2 * (len(p) - 1) * 2.0 ** -52 * noise, (trial, x)
+        spread = sorted(roots)
+        if any(t - s < 1e-3 for s, t in zip(spread, spread[1:])):
+            # in a cluster both steps stop at points within float noise of
+            # the roots, not at the same points
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(orthopoly, "_newton",
+                      lambda q, dq, x, y: _bisect(lambda t: _poly_eval(q, t), x, y))
+            want = _poly_roots(p, a, b)
+        assert len(got) == len(want), (trial, got, want)
+        for x, w in zip(got, want):
+            # 1e-12 relative, plus how far Horner's rounding lets a float
+            # root sit from the true one, which passes 1e-12 on 10 of the
+            # ill-conditioned polynomials here (seen up to 5e-11)
+            noise = sum(abs(c) * abs(w) ** i for i, c in enumerate(p))
+            slack = 2 * (len(p) - 1) * 2.0 ** -52 * noise / abs(_poly_eval(_poly_deriv(p), w))
+            assert abs(x - w) <= 1e-12 * max(1.0, abs(w)) + slack, (trial, got, want)
+        compared += 1
+    assert compared >= 900
+
+
+def test_newton_step_needs_few_evaluations(monkeypatch):
+    # a non-timing guard: bisection takes one evaluation per halving, about
+    # 52 to narrow [1, 2] to adjacent floats; Newton converges quadratically
+    # at two evaluations (p and p') per step
+    p = float_poly_from_roots([-2.2, 0.3, 1.7], 1.0)
+    calls = []
+    real = orthopoly._poly_eval
+    monkeypatch.setattr(orthopoly, "_poly_eval", lambda *args: calls.append(1) or real(*args))
+    x = _newton(p, _poly_deriv(p), 1.0, 2.0)
+    assert abs(x - 1.7) <= 1e-15 and len(calls) <= 20
+
+
+def test_newton_step_degenerate_cases():
+    # p' = 0 at the first point, the midpoint 0: a bisection step instead
+    cube = [0.5, 0.0, 0.0, 1.0]
+    assert _newton(cube, _poly_deriv(cube), -2.0, 2.0) == pytest.approx(-0.5 ** (1 / 3),
+                                                                       rel=1e-15)
+    assert _poly_roots(cube, -2.0, 2.0) == [_newton(cube, _poly_deriv(cube), -2.0, 0.0)]
+    # a root at an endpoint, and one float inside it
+    assert _poly_roots([-1.0, 1.0], 1.0, 3.0) == [1.0]
+    up = 1.0 + 2.0 ** -52
+    assert _poly_roots([-up, 1.0], 1.0, 3.0) == [up]
+    # degree 1, and a root between the adjacent floats 0 and 5e-324
+    assert _newton([-0.1, 1.0], [1.0], -1.0, 1.0) == 0.1
+    tiny = 5e-324
+    assert _newton([-tiny, 2.0], [2.0], 0.0, tiny) in (0.0, tiny)
 
 
 def test_critical_points_find_a_peak_a_grid_misses():

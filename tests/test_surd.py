@@ -89,6 +89,24 @@ def test_field_operations_stay_exact():
         assert float(x * y) == pytest.approx(float(x) * float(y), rel=1e-12, abs=1e-12)
 
 
+def test_sqrt_takes_the_square_factor_out():
+    r2 = sqrt(2)
+    assert sqrt(8) == 2 * r2 and sqrt(8) / 2 == r2 and sqrt(8) / 2 - r2 == 0
+    assert sqrt(18) - sqrt(8) == r2 and sqrt(24) * sqrt(6) == 12
+    assert [str(sqrt(n)) for n in (8, 12, 18, 24, 50)] == [
+        "2*sqrt2", "2*sqrt3", "3*sqrt2", "2*sqrt6", "5*sqrt2"]
+    # primes above the cube root of n: a square of one, and a product of two
+    p, q = 1_000_003, 999_983
+    assert str(sqrt(2 * p * p)) == f"{p}*sqrt2" and str(sqrt(p * q)) == f"sqrt{p * q}"
+    for n in range(2, 3000):
+        x = sqrt(n)
+        if isinstance(x, int):
+            continue
+        m, f = x.b, x.n
+        assert x.a == 0 and m.denominator == 1 and m * m * f == n, n
+        assert all(f % (d * d) for d in range(2, math.isqrt(f) + 1)), n
+
+
 def test_mixing_fields_or_floats_is_refused():
     with pytest.raises(ValueError):
         sqrt(2) + sqrt(3)
