@@ -13,9 +13,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from ._record import Record
-from .orthopoly import (FPoly, Params, _bisect, _f_iter, _gc_monomial,
+from .orthopoly import (FPoly, Params, _f_iter, _float_bracket, _gc_monomial,
                         _poly_deriv, _poly_divmod, _poly_eval, _poly_mul,
-                        _poly_roots, f_monomial, f_values, g_eval,
+                        _poly_roots, _scaled_f, f_monomial, f_values, g_eval,
                         largest_zero_G, largest_zero_gc, monomial_to_fbasis,
                         positive_witness)
 from .simplex import Tableau, Unbounded
@@ -184,8 +184,7 @@ def lp_bound_evaluate(params: Params, f: FPoly,
 # LP optimization by constraint generation
 
 
-def lp_bound_optimize(params: Params, theta: Number, s: int,
-                      tol: float = OPT_TOL) -> BoundResult:
+def lp_bound_optimize(params: Params, theta: Number, s: int) -> BoundResult:
     """Best degree-s certificate bound for eigenvalues in [-r, theta]:
     minimize 1 + sum f_j F_j(k) over f_j >= 0 with 1 + sum f_j F_j <= 0 on
     [-r, theta], solved in floats through its point-mass dual with
@@ -238,7 +237,7 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
         viol, best_x = max(
             (1.0 + sum(c * v for c, v in zip(coeffs, f_values(params, s, x)[1:])), x)
             for x in (lo, *_poly_roots(_poly_deriv(mono), lo, th), th))
-        if viol < tol:
+        if viol < OPT_TOL:
             break
         if any(abs(best_x - p) < 1e-13 for p in points):
             break
@@ -258,22 +257,17 @@ def lp_bound_optimize(params: Params, theta: Number, s: int,
 
     # round-off leaves duals like -3e-18 where the LP optimum has 0; clamp
     # them so the exact check does not reject a certificate built here
-    exact = [Fraction(0) if abs(c) <= tol else Fraction(c) for c in coeffs]
-    # shift the residual violation (plus headroom) into f_0, then verify the
-    # exact-rational certificate on the whole interval; the headroom grows
-    # until the float search's residual error is covered
-    base = Fraction(max(viol, 0.0))
-    for head in (Fraction(1, 10 ** 5), Fraction(1, 10 ** 4),
-                 Fraction(1, 10 ** 3), Fraction(1, 10 ** 2)):
-        f = FPoly(params, tuple([Fraction(1) - base - head] + exact))
-        try:
-            checked = lp_bound_evaluate(params, f, theta=theta)
-            break
-        except LPConditionError as exc:
-            if exc.condition != INTERVAL_CONDITION:
-                raise
-    else:
-        raise ArithmeticError("could not certify the optimized polynomial")
+    exact = [Fraction(0) if abs(c) <= OPT_TOL else Fraction(c) for c in coeffs]
+    # shift the residual violation plus a headroom of 1e-5 into f_0, then
+    # verify the exact-rational certificate on the whole interval
+    f = FPoly(params, tuple([Fraction(1) - Fraction(max(viol, 0.0))
+                             - Fraction(1, 10 ** 5)] + exact))
+    try:
+        checked = lp_bound_evaluate(params, f, theta=theta)
+    except LPConditionError as exc:
+        if exc.condition != INTERVAL_CONDITION:
+            raise
+        raise ArithmeticError("could not certify the optimized polynomial") from exc
     pdict = dict(checked.params)
     pdict.update({"theta": theta, "s": s, "rounds": rounds,
                   "residual": float(viol), "points": len(points),
@@ -473,19 +467,28 @@ def imp2_bound(params: Params, d: int, tau2: Number) -> BoundResult:
 
 def defect_region(params: Params, d: int, e: Number) -> tuple[float, float, float]:
     """For diameter-d instances with defect at most e, tau2 lies in
-    [lower, upper]; the middle value is the largest zero of G_d (defect 0).
-    lower solves cap*G_d = e*F_d, and cap*G_d - e*F_d is (cap - e) times
-    g_c at c = cap/(cap - e); upper solves G_d = e above lambda_{d-1}."""
+    [lower, upper], proved; the middle value is the floor of lambda_d, the
+    largest zero of G_d (defect 0).  lower solves cap*G_d = e*F_d, which is
+    (cap - e) times g_c at c = cap/(cap - e), rounded down; upper solves
+    G_d = e above lambda_{d-1}, where G_d increases, rounded up."""
     if d < 2:
         raise ValueError("d must be >= 2")
-    k, q = params.k, params.q
-    cap = k * q ** (d - 1)
-    ef = float(e)
-    if not 0 <= ef < cap:
+    cap = params.k * params.q ** (d - 1)
+    e = Fraction(e)
+    if not 0 <= e < cap:
         raise ValueError(f"defect must lie in [0, {cap})")
-    lower = largest_zero_gc(params, d, cap / (cap - ef))
-    upper = _bisect(lambda t: g_eval(params, d, t) - ef,
-                    largest_zero_G(params, d - 1), float(k))
+
+    def below_e(t: float) -> bool:
+        # G_d(t) < e, exactly: m^d G_d = m^d G_(d-1) + m^d F_d at t = n/m
+        n, m = t.as_integer_ratio()
+        f, total = _scaled_f(params, d, n, m)[:2]
+        return e.denominator * (total + f) < e.numerator * m ** d
+
+    lower = largest_zero_gc(params, d, Fraction(cap) / (cap - e))
+    start = largest_zero_G(params, d - 1)
+    if not below_e(start):
+        raise ArithmeticError(f"G_{d} >= {e} at {start}, the floor of lambda_{d - 1}")
+    upper = _float_bracket(below_e, start, float(params.k))[1]
     return lower, largest_zero_G(params, d), upper
 
 

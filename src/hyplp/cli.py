@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds, surd
+from ._record import Record
 from .bounds import BoundResult, Refinement
 from .constructions import (OrthogonalArray, fixture_names, hypergraph_from_oa,
                             mols_cyclic, named_fixture, oa_from_mols,
@@ -57,17 +58,6 @@ def parse_theta(token: str):
         raise UsageError(
             f"cannot parse {token!r}: use an integer, p/q, a decimal, or sqrtN")
     return int(value) if value.denominator == 1 else value
-
-
-def _positive_float(token: str) -> float:
-    """lp --tol: a finite float above 0, else an argparse error naming it (exit 2)."""
-    try:
-        value = float(token)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"needs a positive number, got {token!r}")
-    return value
 
 
 def _read_input(path: str) -> str:
@@ -113,26 +103,34 @@ def load_certificate(path: str, params: Params) -> FPoly:
 # ---------------------------------------------------------------------------
 # rendering
 
+class Rounded(Record):
+    """A one-sided bound: text and csv print it to 5 decimals rounded up
+    for an upper bound (`up`), down for a lower one, so that the printed
+    decimal is still a bound; json prints the value itself."""
+
+    value: object
+    up: bool
+
+
 def fmt(x) -> str:
     """Text/csv cell: ints plain, rationals exact as p/q, floats and surds
-    a + b*sqrtN to 5 decimals."""
+    to 5 decimals, to nearest or, for a `Rounded`, exactly outward."""
+    up = None
+    if isinstance(x, Rounded):
+        x, up = x.value, x.up
     if isinstance(x, bool):
         return "yes" if x else "no"
-    if isinstance(x, int):
+    if not isinstance(x, (float, Fraction, surd.Surd)) or (
+            isinstance(x, Fraction) and x.denominator <= 10 ** 6):
         return str(x)
-    if isinstance(x, surd.Surd):
+    if math.isinf(x):
+        return "inf"
+    if up is None:
         return f"{float(x):.5f}"
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        if x.denominator > 10 ** 6:
-            return f"{float(x):.5f}"
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
-        return f"{x:.5f}"
-    return str(x)
+    scaled = (x if isinstance(x, surd.Surd) else Fraction(x)) * 10 ** 5
+    n = -math.floor(-scaled) if up else math.floor(scaled)
+    whole, frac = divmod(abs(n), 10 ** 5)
+    return f"{'-' if n < 0 else ''}{whole}.{frac:05d}"
 
 
 def fmt_flat(x) -> str:
@@ -146,6 +144,8 @@ def fmt_flat(x) -> str:
 def jval(x):
     """JSON payload keeps full precision; rationals serialize as p/q strings
     and surds as exact a + b*sqrtN strings."""
+    if isinstance(x, Rounded):
+        return jval(x.value)
     if isinstance(x, bool):
         return x
     if isinstance(x, surd.Surd):
@@ -206,7 +206,8 @@ def emit_grid(header, rows, provenance, how: str, out, trailer=None) -> None:
 
 
 def bound_pairs(b: BoundResult) -> list:
-    pairs = [("theorem", b.theorem), ("value", b.value)]
+    # every value is an upper bound on an order
+    pairs = [("theorem", b.theorem), ("value", Rounded(b.value, True))]
     for key, val in b.params.items():
         pairs.append((key, val))
     for ref in b.refinements:
@@ -242,7 +243,7 @@ def cmd_bound(args) -> int:
             f = load_certificate(args.cert, params)
             b = bounds.lp_bound_evaluate(params, f, theta=theta)
         elif args.degree:
-            b = bounds.lp_bound_optimize(params, theta, args.degree, tol=args.tol)
+            b = bounds.lp_bound_optimize(params, theta, args.degree)
         else:
             raise UsageError("bound lp needs --cert FILE or --degree S")
         emit_pairs(bound_pairs(b), args.format, out)
@@ -285,18 +286,20 @@ def cmd_bound(args) -> int:
 
     if sub == "tau2-lower":
         d, c, lam = bounds.tau2_lower(params, args.n)
-        emit_pairs([("tau2_lower", lam), ("d", d), ("c", c),
+        emit_pairs([("tau2_lower", Rounded(lam, False)), ("d", d), ("c", c),
                     ("meaning", f"every connected {args.r}-regular {args.u}-uniform "
                                 f"hypergraph on >= {args.n} vertices has tau2 >= "
-                                f"{lam:.5f}")],
+                                f"{fmt(Rounded(lam, False))}")],
                    args.format, out)
         return 0
 
     if sub == "defect-region":
         lower, lam_d, upper = bounds.defect_region(params, args.d, args.e)
-        emit_pairs([("lower", lower), ("lambda_d", lam_d), ("upper", upper),
+        emit_pairs([("lower", Rounded(lower, False)), ("lambda_d", lam_d),
+                    ("upper", Rounded(upper, True)),
                     ("meaning", f"an order within {args.e} of the diameter-{args.d} "
-                                f"ceiling forces tau2 in [{lower:.5f}, {upper:.5f}]")],
+                                f"ceiling forces tau2 in [{fmt(Rounded(lower, False))}, "
+                                f"{fmt(Rounded(upper, True))}]")],
                    args.format, out)
         return 0
 
@@ -376,7 +379,7 @@ def analyze_pairs(h: Hypergraph) -> list:
 
     d, c, lam = bounds.tau2_lower(params, h.n)
     pairs.append(("tau2_floor_at_order",
-                  {"value": lam, "d": d, "c": c,
+                  {"value": Rounded(lam, False), "d": d, "c": c,
                    "slack": tau2 - lam}))
     return pairs
 
@@ -495,9 +498,10 @@ def cmd_h_catalog(args) -> int:
     comparable = 0
     for cell in cells:
         r, u, theta, tag, raw, printed, expected, lp_opt, note = cell
-        line = [r, u, theta, tag, raw, printed]
+        # bound and lp_opt are upper bounds on an order
+        line = [r, u, theta, tag, Rounded(raw, True), printed]
         if args.degree:
-            line.append(lp_opt if lp_opt is not None else "")
+            line.append(Rounded(lp_opt, True) if lp_opt is not None else "")
         line += [expected, note]
         grid.append(line)
         if expected:
@@ -601,14 +605,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--degree", type=int)
         if flags.get("cert"):
             p.add_argument("--cert")
-        if flags.get("tol"):
-            p.add_argument("--tol", type=_positive_float, default=flags["tol"])
         _add_format(p)
         p.set_defaults(func=cmd_bound)
         return p
 
     bound_sub("closed-form", theta=True)
-    bound_sub("lp", theta=True, degree=True, cert=True, tol=bounds.OPT_TOL)
+    bound_sub("lp", theta=True, degree=True, cert=True)
     bound_sub("dss", theta=True, d=True, n=True)
     bound_sub("imp2", theta=True, d=True)
     bound_sub("diam", ell=True)

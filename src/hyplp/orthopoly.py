@@ -5,14 +5,14 @@ F_{i+1} = (x - u + 2) F_i - q F_{i-1}  (i >= 2, q = (r-1)(u-1))
 counts non-backtracking walks when evaluated at an adjacency matrix.  The
 partial sums G_i = F_0 + ... + F_i drive the order bounds.  Everything here
 is exact over the rationals unless a float is passed in, in which case the
-same recurrences run in float arithmetic.
+same recurrences run in float arithmetic; the zero count `zeros_above` is
+exact at a float too.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -23,8 +23,6 @@ from .surd import Surd
 
 Exact = int | Fraction
 Number = int | Fraction | float
-
-_TINY = sys.float_info.min
 
 __all__ = [
     "Params",
@@ -218,10 +216,6 @@ class FPoly(Record):
         if not self.coeffs:
             raise ValueError("FPoly needs at least one coefficient")
 
-    @classmethod
-    def from_monomial(cls, params: Params, coeffs: Sequence[Exact]) -> "FPoly":
-        return cls(params, tuple(monomial_to_fbasis(params, coeffs)))
-
     @property
     def degree(self) -> int:
         for l in range(len(self.coeffs) - 1, -1, -1):
@@ -247,7 +241,9 @@ class TridiagonalArray(Record):
     """Quotient array T(r, u, d, c): (d+1) x (d+1) tridiagonal matrix with
     superdiagonal (1, ..., 1, c), diagonal (0, s-1, ..., s-1, s(t+1)-c) and
     subdiagonal (s(t+1), st, ..., st).  Its characteristic polynomial is
-    (x - k) * (c * (F_0 + ... + F_{d-1}) + F_d)."""
+    (x - k) * (c * (F_0 + ... + F_{d-1}) + F_d), and the leading principal
+    minors of xI - T are F_0(x), ..., F_d(x) and that product, which
+    `zeros_above` counts."""
 
     params: Params
     d: int
@@ -315,25 +311,6 @@ def _poly_eval(p: Sequence[Exact], x: Exact | Surd) -> Exact | Surd:
 
 def _poly_deriv(p: Sequence[Exact]) -> list:
     return _poly_trim([i * c for i, c in enumerate(p)][1:] or [0])
-
-
-def _bisect(fun, x: float, y: float) -> float:
-    """Narrow a sign change of fun between the floats x and y by bisection
-    until the float midpoint stops moving, and return the end on x's side
-    (fun there has the sign of fun(x)); a midpoint where fun is exactly 0
-    is returned at once.  No step count and no tolerance."""
-    positive = fun(x) > 0
-    while True:
-        mid = 0.5 * (x + y)
-        if mid == x or mid == y:
-            return x
-        vm = fun(mid)
-        if vm == 0:
-            return mid
-        if (vm > 0) == positive:
-            x = mid
-        else:
-            y = mid
 
 
 def _newton(p: Sequence[float], dp: Sequence[float], x: float, y: float) -> float:
@@ -568,34 +545,48 @@ def char_poly_check(ta: TridiagonalArray) -> bool:
     return prev1 == expected
 
 
-def zeros_above(params: Params, d: int, c: Number, x: float) -> int:
-    """Number of zeros of g_c = c*(F_0+...+F_{d-1}) + F_d above the float x.
+def _scaled_f(params: Params, d: int, n: int, m: int) -> tuple[int, int, int, bool]:
+    """(m^d F_d(x), m^d G_(d-1)(x), the sign changes of F_0(x), ..., F_d(x)
+    with zero terms skipped, whether the last nonzero one is positive) at
+    x = n/m, for d >= 1 and m > 0: the F-recurrence with a running sum on
+    integers, with no gcd at any step.  A power of two m, as every float
+    has, multiplies as a shift, which keeps a subnormal x cheap."""
+    e = m.bit_length() - 1
+    times_m = (lambda v: v << e) if m == 1 << e else (lambda v: v * m)
+    shift, b, q = params.u - 2, params.k, params.q
+    prev, cur, total = 1, n, 1
+    changes, positive = n < 0, n >= 0
+    for _ in range(1, d):
+        total = times_m(total) + cur
+        # m^(i+1) F_(i+1) = (n - shift m) m^i F_i - b m^2 m^(i-1) F_(i-1)
+        prev, cur = cur, n * cur - times_m(shift * cur + b * times_m(prev))
+        b = q
+        if cur and (cur > 0) != positive:
+            changes, positive = changes + 1, not positive
+    return cur, times_m(total), changes, positive
+
+
+def zeros_above(params: Params, d: int, c: Number, x: Number) -> int:
+    """Number of zeros of g_c = c*(F_0+...+F_{d-1}) + F_d at or above x,
+    exactly, for c > 0 and x each an int, Fraction or float.
 
     The eigenvalues of T(r, u, d, c) are k and the zeros of g_c, all real
-    and simple.  The negative pivots q_i = (a_i - x) - b_{i-1}c_{i-1}/q_{i-1}
-    of T - xI count those below x (Givens 1954; Barth-Martin-Wilkinson,
-    Numer. Math. 9, 1967), with the diagonal a and the off-diagonal products
-    b*c used as they are, so no sqrt.  A zero pivot becomes a tiny negative,
-    as in LAPACK dstebz, so a zero at x does not count as above it.  One
-    O(d) float pass; the count leaves out k, and is 0 for x >= k."""
+    and simple, and the leading principal minors of xI - T are F_0(x), ...,
+    F_d(x) and (x - k) g_c(x).  Their sign changes count the eigenvalues
+    above x (Givens 1954; Barth-Martin-Wilkinson, Numer. Math. 9, 1967),
+    skipping a zero term: T is unreduced, so two adjacent minors never both
+    vanish.  Less [x < k], plus [g_c(x) = 0], that is the count."""
     if d < 1:
         raise ValueError("need d >= 1")
-    k, q, cf = float(params.k), float(params.q), float(c)
-    diag = [params.s - 1 - x] * (d - 1) + [k - cf - x]
-    prods = [k] + [q] * (d - 2) + [q * cf] if d > 1 else [k * cf]
-    # `or` turns a zero pivot into -_TINY; a pivot that overflows to -inf
-    # makes the next one a_i - 0, its limit
-    piv = -x or -_TINY
-    below = piv < 0
-    for a, bc in zip(diag, prods):
-        piv = a - bc / piv or -_TINY
-        below += piv < 0
-    return max(d - below, 0)
-
-
-def largest_zero_G(params: Params, j: int) -> float:
-    """Largest zero lambda_j of G_j = g_1 at d = j.  lambda_1 = -1 always."""
-    return largest_zero_gc(params, j, 1)
+    n, m = x.as_integer_ratio()
+    p, q = c.as_integer_ratio()
+    f, total, changes, positive = _scaled_f(params, d, n, m)
+    # q m^d g_c(x) and m (x - k), of the signs of g_c(x) and x - k
+    g = p * total + q * f
+    x_k = n - params.k * m
+    if x_k and g and ((x_k > 0) == (g > 0)) != positive:
+        changes += 1
+    return changes - (x_k < 0) + (g == 0)
 
 
 _DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
@@ -614,17 +605,30 @@ def _key_float(key: int) -> float:
     return _DOUBLE.unpack(_INT64.pack(bits))[0]
 
 
-def largest_zero_gc(params: Params, d: int, c: Number) -> float:
-    """Largest zero of g_c = c*(F_0+...+F_{d-1}) + F_d, the second largest
-    eigenvalue of T(r, u, d, c): the smallest float with no zero above it,
-    between k and a point below every Gershgorin column disc of T.
+def _float_bracket(holds, lo: float, hi: float) -> tuple[float, float]:
+    """Adjacent floats (a, b) with holds(a) true and holds(b) false, for a
+    predicate true at lo, false at hi and changing once between them: a
+    bisection on `_float_key`, so at most 64 calls of holds."""
+    below, above = _float_key(lo), _float_key(hi)
+    while above - below > 1:
+        mid = (below + above) // 2
+        if holds(_key_float(mid)):
+            below = mid
+        else:
+            above = mid
+    return _key_float(below), _key_float(above)
 
-    The count `zeros_above` is bisected on `_float_key`, so the search
-    takes at most 64 passes after the two that check the bracket, also for
-    a zero at or near 0, where halving the value walks the subnormals.  It returns the float a
-    bisection of the value returns, with one exception that path decides:
-    -0.0 and 0.0 get the same count, and for a zero at 0 the value path
-    ends on either, so `_bisect` takes that path against the sign alone."""
+
+def largest_zero_G(params: Params, j: int) -> float:
+    """Floor of the largest zero lambda_j of G_j = g_1 at d = j; lambda_1 = -1."""
+    return largest_zero_gc(params, j, 1)
+
+
+def largest_zero_gc(params: Params, d: int, c: Number) -> float:
+    """Floor of the largest zero of g_c = c*(F_0+...+F_{d-1}) + F_d, the
+    second largest eigenvalue of T(r, u, d, c): the largest float with a
+    zero at or above it by `zeros_above`, between k and a point below every
+    Gershgorin column disc of T.  A zero at 0 gives 0.0."""
     if d < 1:
         raise ValueError("need d >= 1")
     if c < 1:
@@ -636,17 +640,7 @@ def largest_zero_gc(params: Params, d: int, c: Number) -> float:
     if zeros_above(params, d, c, lo) != d or zeros_above(params, d, c, k) != 0:
         raise ArithmeticError(f"the zeros of g_c for T({params.r},{params.u},"
                               f"{d},{c}) do not all lie in [{lo}, {k}]")
-    below, edge = _float_key(lo), _float_key(k)
-    while edge - below > 1:
-        mid = (below + edge) // 2
-        if zeros_above(params, d, c, _key_float(mid)):
-            below = mid
-        else:
-            edge = mid
-    top = _key_float(edge)
-    if top:
-        return top
-    return _bisect(lambda x: (x >= 0.0) - 0.5, k, lo)
+    return _float_bracket(lambda x: zeros_above(params, d, c, x) > 0, lo, k)[0]
 
 
 def orthogonality_quadrature_check(params: Params, i: int, j: int,

@@ -674,6 +674,14 @@ def test_defect_region_validation():
         defect_region(P32, 2, 6)  # cap is k*q = 6
 
 
+def test_defect_region_refuses_a_bracket_where_G_d_reaches_e(monkeypatch):
+    # upper is bracketed from the floor of lambda_{d-1}, where G_d < 0 <= e;
+    # a bracket start with G_d >= e is an internal failure
+    monkeypatch.setattr(bounds, "largest_zero_G", lambda p, j: float(p.k))
+    with pytest.raises(ArithmeticError, match="floor of lambda_1"):
+        defect_region(Params(8, 2), 2, 8)
+
+
 def test_defect_lower_bounds_inverts_the_region():
     for p, d in [(Params(8, 2), 2), (P32, 3)]:
         for e in (1.0, 3.0, 5.0):

@@ -19,7 +19,8 @@ from hyplp.cli import (UsageError, fmt, jval, load_certificate, main,
                        parse_theta)
 from hyplp.constructions import named_fixture
 from hyplp.hypergraph import Hypergraph
-from hyplp.orthopoly import FPoly, Params
+from hyplp.orthopoly import (FPoly, Params, _gc_monomial, _poly_eval,
+                             _sign_changes, _sturm_chain)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -364,40 +365,70 @@ def test_bound_tau2_lower(capsys):
     assert text_value(out, "d") == "2" and text_value(out, "c") == "1"
 
 
+def below_2cos_2pi_over_7(x: Fraction) -> bool:
+    """x <= 2cos(2pi/7), exactly, for x > 0: 2cos(2pi/7) = 1.2469796... is
+    the largest root of t^3 + t^2 - 2t - 1, whose other roots are negative
+    and which is positive above it."""
+    assert x > 0
+    return x ** 3 + x ** 2 - 2 * x - 1 <= 0
+
+
+def test_seven_cycle_floor_is_a_theorem(capsys, tmp_path):
+    # the 7-cycle is a connected 2-regular 2-uniform hypergraph on 7
+    # vertices with tau2 = 2cos(2pi/7) = 1.2469796...; "tau2 >= 1.24698"
+    # and the json float 1.2469796037174672 were both above it
+    argv = ("bound", "tau2-lower", "--r", "2", "--u", "2", "--n", "7")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert text_value(out, "tau2_lower") == "1.24697"
+    assert text_value(out, "meaning").endswith("has tau2 >= 1.24697")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    value = json.loads(out)["tau2_lower"]
+    assert below_2cos_2pi_over_7(Fraction(value))
+    assert not below_2cos_2pi_over_7(Fraction(math.nextafter(value, math.inf)))
+    cycle = tmp_path / "c7.txt"
+    cycle.write_text("7 7\n" + "".join(f"{i} {(i + 1) % 7}\n" for i in range(7)))
+    code, out, _ = run(capsys, "analyze", str(cycle))
+    assert code == 0
+    assert text_value(out, "tau2_floor_at_order").startswith("value=1.24697, d=3, c=1")
+
+
+def test_printed_tau2_floors_lie_below_their_zeros(capsys):
+    # every printed floor v of r = 2..8, u = 2..5, n = 2..60 has the largest
+    # zero of g_c at or above it, by a Sturm chain of g_c; 649 of these
+    # 1,652 printed floors once lay above it
+    floors = 0
+    for r in range(2, 9):
+        for u in range(2, 6):
+            k = r * (u - 1)
+            for n in range(2, 61):
+                code, out, _ = run(capsys, "bound", "tau2-lower", "--r", str(r),
+                                   "--u", str(u), "--n", str(n))
+                assert code == 0
+                v = Fraction(text_value(out, "tau2_lower"))
+                d, c = int(text_value(out, "d")), Fraction(text_value(out, "c"))
+                chain = _sturm_chain(_gc_monomial(Params(r, u), d, c))
+                # V(v) - V(k) zeros in (v, k], plus one at v itself
+                at_v = _poly_eval(chain[0], v) == 0
+                assert _sign_changes(chain, v) - _sign_changes(chain, Fraction(k)) + at_v >= 1, (r, u, n)
+                floors += 1
+    assert floors == 1652
+
+
 def test_tol_only_where_a_tolerance_is_read(capsys):
-    # only lp reads a tolerance (OPT_TOL); closed-form and imp2 decide
-    # exactly and once took a --tol for a float diameter pick
+    # no subcommand reads a tolerance: closed-form and imp2 decide exactly
+    # and once took a --tol for a float diameter pick, and lp once took one
+    # for its stopping rule, now the constant OPT_TOL
     code, _, err = run(capsys, "bound", "tau2-lower", "--r", "3", "--u", "2",
                        "--n", "10", "--tol", "1")
     assert code == 2 and "--tol" in err
     for argv in (["dss", "--theta", "2", "--d", "2", "--n", "32"],
                  ["diam", "--ell", "2"], ["ru1"], ["defect-region", "--e", "8"],
-                 ["closed-form", "--theta", "2"], ["imp2", "--theta", "2", "--d", "2"]):
+                 ["closed-form", "--theta", "2"], ["imp2", "--theta", "2", "--d", "2"],
+                 ["lp", "--theta", "2", "--degree", "3"]):
         code, out, err = run(capsys, "bound", argv[0], "--r", "8", "--u", "2",
                              *argv[1:], "--tol", "1e-9")
         assert code == 2 and not out and "unrecognized arguments: --tol" in err, argv
-    code, _, _ = run(capsys, "bound", "lp", "--r", "5", "--u", "2", "--theta", "2",
-                     "--degree", "3", "--tol", "1e-9")
-    assert code == 0
-
-
-@pytest.mark.parametrize("tol", ["0", "-5"])
-@pytest.mark.parametrize("argv", [["--theta", "1", "--degree", "4"],
-                                  ["--theta", "sqrt2", "--degree", "6"],
-                                  ["--theta", "1/2", "--degree", "3"]])
-def test_tol_must_be_positive(capsys, argv, tol):
-    # 0 once fell back to the default, and a negative tolerance switched
-    # off the optimizer's dual clamp
-    code, out, err = run(capsys, "bound", "lp", "--r", "3", "--u", "2",
-                         *argv, "--tol", tol)
-    assert code == 2 and not out
-    assert "argument --tol: needs a positive number" in err, err
-
-
-def test_tol_defaults_come_from_bounds():
-    args = cli.build_parser().parse_args(
-        ["bound", "lp", "--r", "3", "--u", "2", "--theta", "1", "--degree", "4"])
-    assert args.tol == bounds.OPT_TOL
 
 
 @pytest.mark.parametrize("argv, d", [(["--theta=10000000001/10000000000"], "3"),
@@ -460,8 +491,10 @@ def test_bound_defect_region(capsys):
     code, out, _ = run(capsys, "bound", "defect-region", "--r", "8", "--u", "2",
                        "--d", "2", "--e", "8")
     assert code == 0
-    assert text_value(out, "lower") == "2.09503"
-    assert text_value(out, "upper") == "3.40512"
+    # the ends round outward: lower = 2.0950264..., upper = 3.4051248...
+    assert text_value(out, "lower") == "2.09502"
+    assert text_value(out, "upper") == "3.40513"
+    assert text_value(out, "meaning").endswith("in [2.09502, 3.40513]")
 
 
 def test_bound_domain_error_exit(capsys):

@@ -20,8 +20,9 @@ from hyplp.orthopoly import (FPoly, Params, TridiagonalArray, char_poly_check,
                              monomial_to_fbasis,
                              orthogonality_quadrature_check,
                              positive_witness, zeros_above)
-from hyplp.orthopoly import (_bisect, _newton, _poly_deriv, _poly_eval,
-                             _poly_mul, _poly_roots)
+from hyplp.orthopoly import (_gc_monomial, _newton, _poly_deriv, _poly_eval,
+                             _poly_mul, _poly_roots, _sign_changes,
+                             _sturm_chain)
 
 GRID = [(3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 5), (4, 4), (6, 2)]
 
@@ -294,11 +295,14 @@ def test_zeros_above_matches_numpy():
             if x != p.k and np.min(np.abs(eigs - x)) <= 1e-9 * scale:
                 continue
             want = int(np.sum(zeros > x))
-            assert zeros_above(p, d, c, float(x)) == want, (r, u, d, c, x)
-            cases += 1
+            # the count is exact at a float and at a rational x
+            for at in (float(x), Fraction(x).limit_denominator(10 ** 6)):
+                if at == x or np.min(np.abs(eigs - float(at))) > 1e-9 * scale:
+                    assert zeros_above(p, d, c, at) == want, (r, u, d, c, at)
+                    cases += 1
         # the largest zero, found by bisection on the same count
         assert largest_zero_gc(p, d, c) == pytest.approx(zeros[-1], abs=1e-13 * scale)
-    assert cases > 1500
+    assert cases > 3000
 
 
 def test_largest_zero_G_to_a_few_ulps():
@@ -323,23 +327,35 @@ ZEROS_FILE = os.path.join(os.path.dirname(__file__), "data", "largest_zeros.txt"
 
 
 def test_largest_zeros_keep_their_floats():
-    # recorded from the value bisection the bounded search replaced; the
-    # 27 exact zeros keep their sign, which analyze prints
+    # recorded from the float searches the exact count replaced: each row's
+    # floor x is proved here by a Sturm chain of g_c, not by zeros_above, to
+    # have the largest zero of g_c in [x, nextafter(x, +inf)); it lies
+    # within 9 ulps of the recorded float, and an exact zero gives +0.0
     rows = 0
     with open(ZEROS_FILE) as fh:
         for line in fh:
             if line.startswith("#"):
                 continue
             r, u, d, c, want = line.split()
-            p, d = Params(int(r), int(u)), int(d)
-            got = largest_zero_G(p, d) if c == "1" else largest_zero_gc(p, d, Fraction(c))
-            assert got.hex() == want, (r, u, d, c)
+            p, d, c = Params(int(r), int(u)), int(d), Fraction(c)
+            got = largest_zero_G(p, d) if c == 1 else largest_zero_gc(p, d, c)
+            chain = _sturm_chain(_gc_monomial(p, d, c))
+            x, above = Fraction(got), Fraction(math.nextafter(got, math.inf))
+            # V(a) - V(b) roots in (a, b]: one in [x, above), none from above on
+            at_x = _poly_eval(chain[0], x) == 0
+            assert _sign_changes(chain, x) - _sign_changes(chain, above) + at_x == 1, line
+            assert _poly_eval(chain[0], above) != 0, line
+            assert _sign_changes(chain, above) == _sign_changes(chain, Fraction(p.k)), line
+            recorded = float.fromhex(want)
+            assert abs(got - recorded) <= 9 * math.ulp(recorded), line
+            if recorded == 0:
+                assert math.copysign(1.0, got) == 1.0, line
             rows += 1
     assert rows == 2419
 
 
 @pytest.mark.parametrize("params, n, lam", [(Params(4, 3), 15, 0.0),
-                                            (Params(3, 2), 6, -0.0),
+                                            (Params(3, 2), 6, 0.0),
                                             (Params(3, 2), 10, 1.0)])
 def test_largest_zero_gc_makes_at_most_66_counts(monkeypatch, params, n, lam):
     # a zero at exactly 0 once cost 1,081 counts: bisecting the float value
@@ -623,6 +639,25 @@ def test_poly_roots_edge_cases():
     assert _poly_roots([0.0, 0.0, 1.0], -1.0, 1.0) == [0.0]   # double root, exact
     assert _poly_roots([-1.0, 0.0, 1.0], -1.0, 1.0) == [-1.0, 1.0]
     assert _poly_roots([-1.0, 0.0, 1.0], 1.0, 1.0) == [1.0]
+
+
+def _bisect(fun, x: float, y: float) -> float:
+    """Narrow a sign change of fun between the floats x and y by bisection
+    until the float midpoint stops moving, and return the end on x's side
+    (fun there has the sign of fun(x)); a midpoint where fun is exactly 0
+    is returned at once."""
+    positive = fun(x) > 0
+    while True:
+        mid = 0.5 * (x + y)
+        if mid == x or mid == y:
+            return x
+        vm = fun(mid)
+        if vm == 0:
+            return mid
+        if (vm > 0) == positive:
+            x = mid
+        else:
+            y = mid
 
 
 def test_poly_roots_newton_step_matches_bisection(monkeypatch):
