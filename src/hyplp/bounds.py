@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from ._record import Record
 from .orthopoly import (FPoly, Params, _f_iter, _float_bracket, _gc_monomial,
-                        _poly_deriv, _poly_divmod, _poly_eval, _poly_mul,
+                        _poly_deriv, _poly_eval, _poly_mul,
                         _poly_roots, _scaled_f, f_monomial, f_values, g_eval,
                         largest_zero_G, largest_zero_gc, monomial_to_fbasis,
-                        positive_witness)
+                        positive_witness, zeros_above)
 from .simplex import Tableau, Unbounded
 from .surd import Surd
 
@@ -48,8 +48,7 @@ __all__ = [
 Number = int | float | Fraction | Surd
 
 # largest diameter the closed form searches: the selection itself is cheap,
-# but past it the exact certificate grows with d (at (3, 2), d = 374 ran
-# 587 s in `_poly_mul(gc, gc)` and `monomial_to_fbasis`)
+# but past it the exact certificate grows with d (d = 374 takes 30 s at (3, 2))
 DIAMETER_CAP = 400
 # LP optimizer: stop once max f on [-r, theta] < OPT_TOL; fail after MAX_ROUNDS
 OPT_TOL = 1e-8
@@ -328,15 +327,26 @@ def closed_form_h_bound(params: Params, theta: Number) -> BoundResult:
     value = moore_order(params, d - 1) + k * q ** (d - 1) / c
     certificate = None
     if isinstance(theta, (int, Fraction)):
-        gc = _gc_monomial(params, d, c)
-        # g_c(theta) = 0 by the choice of c, so x - theta divides g_c^2 exactly
-        fcoeffs = _poly_divmod(_poly_mul(gc, gc), [-theta, Fraction(1)])[0]
-        fb = monomial_to_fbasis(params, fcoeffs)
-        if all(v >= 0 for v in fb):
-            certificate = FPoly(params, tuple(fb))
-            check = Fraction(certificate.at_k()) / fb[0]
-            if check != value:
-                raise ArithmeticError(f"certificate value {check} != bound {value}")
+        # with c = P/Q and theta = a/b in lowest terms, Q g_c = P G_(d-1) +
+        # Q F_d is in Z[x] and vanishes at theta, so by Gauss's lemma bx - a
+        # divides it in Z[x], and f = g_c^2/(x - theta) = (b/Q^2) (Q g_c) h
+        (P, Q), (a, b) = c.as_integer_ratio(), theta.as_integer_ratio()
+        qg = _gc_monomial(params, d, P, Q)
+        h = [0]  # synthetic division from the top: b h_(i-1) = qg_i + a h_i
+        for coeff in reversed(qg[1:]):
+            quot, rem = divmod(coeff + a * h[-1], b)
+            if rem:
+                break
+            h.append(quot)
+        if rem or qg[0] + a * h[-1]:
+            raise ArithmeticError(f"{b}x - {a} does not divide {Q} g_c exactly")
+        out = monomial_to_fbasis(params, _poly_mul(qg, h[:0:-1]))
+        if all(v >= 0 for v in out):
+            # the scale cancels in f(k)/f_0
+            fk = out[0] + k * _poly_eval(out[1:], q)
+            if fk * value.denominator != value.numerator * out[0]:
+                raise ArithmeticError(f"certificate value {fk}/{out[0]} != bound {value}")
+            certificate = FPoly(params, tuple(Fraction(b * v, Q * Q) for v in out))
     pdict = {"r": params.r, "u": params.u, "theta": theta, "d": d, "c": c}
     notes = (f"equality exactly for the unique-shortest-path geometry with "
              f"array T({params.r},{params.u},{d},{c})",)
@@ -490,6 +500,22 @@ def defect_region(params: Params, d: int, e: Number) -> tuple[float, float, floa
         raise ArithmeticError(f"G_{d} >= {e} at {start}, the floor of lambda_{d - 1}")
     upper = _float_bracket(below_e, start, float(params.k))[1]
     return lower, largest_zero_G(params, d), upper
+
+
+def defect_region_within(params: Params, d: int, e: Number,
+                         points: Sequence[Fraction], h: Fraction) -> bool:
+    """Whether lower, lambda_d and upper of `defect_region` lie within h of
+    the rationals in points, proved.  The first two are the largest zeros
+    of g_c at c = cap/(cap - e) and c = 1, with a zero at or above x - h
+    and none at x + h.  upper is the one zero of G_d - e above
+    lambda_(d-1) (G_d < 0 <= e up to lambda_d, and grows after it): x - h
+    lies above lambda_(d-1), with G_d < e there and G_d >= e at x + h."""
+    cap = params.k * params.q ** (d - 1)
+    lower, lam, upper = points
+    return (all(zeros_above(params, d, c, x - h) and not zeros_above(params, d, c, x + h)
+                for c, x in ((Fraction(cap) / (cap - e), lower), (1, lam)))
+            and zeros_above(params, d - 1, 1, upper - h) == 0
+            and g_eval(params, d, upper - h) < e <= g_eval(params, d, upper + h))
 
 
 def defect_lower_bounds(params: Params, d: int, tau2: Number) -> Number:

@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -36,6 +37,15 @@ class UsageError(Exception):
     ArithmeticError maps to 3)."""
 
 
+def _check_digits(text: str, what: str) -> str:
+    """text, unless it holds a number of more than 4300 digits, Python's
+    default limit for int-str conversion, which takes quadratic time:
+    `main` lifts the limit for output, and input keeps it here."""
+    if re.search(r"\d{4301}", text):
+        raise UsageError(f"{what} has a number of more than 4300 digits, the most hyplp reads")
+    return text
+
+
 # ---------------------------------------------------------------------------
 # parsing helpers
 
@@ -43,7 +53,7 @@ def parse_theta(token: str):
     """Accepts an integer, a rational (p/q or decimal), or sqrtN for a
     positive integer N.  All stay exact: sqrtN is an int for a perfect
     square N, else a Surd, the element sqrt(N) of Q(sqrt N)."""
-    tok = token.strip()
+    tok = _check_digits(token.strip(), "theta")
     if tok.startswith("sqrt"):
         try:
             n = int(tok[4:])
@@ -64,10 +74,10 @@ def _read_input(path: str) -> str:
     """The text of a file, or of stdin for "-"; an unreadable file is a
     usage error."""
     if path == "-":
-        return sys.stdin.read()
+        return _check_digits(sys.stdin.read(), "the input")
     try:
         with open(path) as fh:
-            return fh.read()
+            return _check_digits(fh.read(), path)
     except OSError as exc:
         raise UsageError(str(exc))
 
@@ -80,6 +90,7 @@ def load_certificate(path: str, params: Params) -> FPoly:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read certificate: {exc}")
+    _check_digits(text, "the certificate file")
     lines = [ln.strip() for ln in text.splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
     if len(lines) < 2:
@@ -206,12 +217,12 @@ def emit_grid(header, rows, provenance, how: str, out, trailer=None) -> None:
 
 
 def bound_pairs(b: BoundResult) -> list:
-    # every value is an upper bound on an order
+    # every value, and each end of a refinement, is an upper bound on an order
     pairs = [("theorem", b.theorem), ("value", Rounded(b.value, True))]
     for key, val in b.params.items():
         pairs.append((key, val))
     for ref in b.refinements:
-        text = f"{fmt(ref.before)} -> {fmt(ref.after)}"
+        text = f"{fmt(Rounded(ref.before, True))} -> {fmt(Rounded(ref.after, True))}"
         if ref.note:
             text += f" ({ref.note})"
         pairs.append((f"refinement [{ref.name}]", text))
@@ -406,34 +417,24 @@ def _csv_rows(name: str) -> list[dict]:
 
 
 def cmd_table1(args) -> int:
-    rows = _csv_rows("table1.csv")
-
-    def compute(row):
-        params = Params(int(row["r"]), int(row["u"]))
-        lower, lam, upper = bounds.defect_region(params, int(row["d"]), int(row["e"]))
-        return (int(row["r"]), int(row["u"]), int(row["d"]), int(row["v"]),
-                int(row["e"]), lower, lam, upper,
-                (row["lower"], row["lambda"], row["upper"]))
-
-    computed = [compute(row) for row in rows]
-
     header = ["r", "u", "d", "v", "e", "lower", "lambda", "upper"]
     provenance = {"r": "input", "u": "input", "d": "input",
                   "v": "census fixture", "e": "census fixture",
                   "lower": "defect-region", "lambda": "defect-region",
                   "upper": "defect-region"}
-    grid = [row[:8] for row in computed]
-
-    matches = sum(
-        1 for row in computed
-        if (f"{row[5]:.5f}", f"{row[6]:.5f}", f"{row[7]:.5f}") == row[8])
-    trailer = None
-    if args.verify:
-        trailer = f"{matches}/{len(computed)} rows match"
+    grid, matches = [], 0
+    for row in _csv_rows("table1.csv"):
+        r, u, d, v, e = (int(row[key]) for key in header[:5])
+        values = bounds.defect_region(Params(r, u), d, e)
+        grid.append([r, u, d, v, e, *values])
+        # a match prints the paper's decimals, each proved within 0.000005
+        printed = [f"{x:.5f}" for x in values]
+        if args.verify and printed == [row[key] for key in header[5:]]:
+            matches += bounds.defect_region_within(
+                Params(r, u), d, e, [Fraction(x) for x in printed], Fraction(1, 2 * 10 ** 5))
+    trailer = f"{matches}/{len(grid)} rows match" if args.verify else None
     emit_grid(header, grid, provenance, args.format, sys.stdout, trailer=trailer)
-    if args.verify and matches != len(computed):
-        return 1
-    return 0
+    return 1 if args.verify and matches != len(grid) else 0
 
 
 def _truncate_one_decimal(x) -> str:
@@ -664,6 +665,11 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # print exact numbers whole: lift Python's int-str digit limit, which is
+    # 0 when it is off, as in every Python before 3.10.7
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -683,6 +689,9 @@ def main(argv=None) -> int:
         # a numerical method failed on valid input: a fault of hyplp's
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -166,12 +166,13 @@ def f_monomial(params: Params, i: int) -> tuple[int, ...]:
     return _f_monomial_cached(params.r, params.u, i)
 
 
-def monomial_to_fbasis(params: Params, coeffs: Sequence[Exact]) -> list[Fraction]:
+def monomial_to_fbasis(params: Params, coeffs: Sequence[Exact]) -> list:
     """Rewrite a polynomial (monomial coefficients, lowest first) as
     sum f_i F_i; returns [f_0, ..., f_deg].  The basis is monic and
-    triangular, so this is exact back-substitution."""
-    work = _poly_trim([Fraction(c) for c in coeffs])
-    out = [Fraction(0)] * len(work)
+    triangular, so this is exact back-substitution, and integer
+    coefficients give integers."""
+    work = _poly_trim(coeffs)
+    out = [0] * len(work)
     for l in range(len(work) - 1, -1, -1):
         cl = work[l]
         out[l] = cl
@@ -191,7 +192,7 @@ def fbasis_to_monomial(params: Params, fcoeffs: Sequence[Exact]) -> list[Fractio
     return out
 
 
-def linearization(params: Params, i: int, j: int) -> dict[int, Fraction]:
+def linearization(params: Params, i: int, j: int) -> dict[int, int]:
     """Coefficients p_l with F_i * F_j = sum_l p_l F_l; only nonzero entries.
 
     For r > 2 every coefficient is non-negative, the support is exactly
@@ -234,7 +235,8 @@ class FPoly(Record):
 
     def at_k(self) -> Fraction:
         """f(k) = f_0 + sum_{i>=1} f_i k q^(i-1), exactly."""
-        return Fraction(self(Fraction(self.params.k)))
+        f0, *rest = self.coeffs
+        return f0 + self.params.k * _poly_eval(rest, self.params.q)
 
 
 class TridiagonalArray(Record):
@@ -377,8 +379,8 @@ def _poly_sub(a: Sequence[Exact], b: Sequence[Exact]) -> list:
     return _poly_trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _poly_mul(a: Sequence[Exact], b: Sequence[Exact]) -> list:
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -517,14 +519,15 @@ def positive_witness(p: Sequence[Exact], a: Exact, b: Exact | Surd
             lo, v_lo = x, v_x
 
 
-def _gc_monomial(params: Params, d: int, c: Fraction) -> list[Fraction]:
-    """Monomial coefficients of g_c = c*(F_0 + ... + F_{d-1}) + F_d."""
-    out = [Fraction(0)] * (d + 1)
+def _gc_monomial(params: Params, d: int, num: Exact, den: Exact = 1) -> list:
+    """Monomial coefficients of den*g_c at c = num/den, that is of
+    num*(F_0 + ... + F_{d-1}) + den*F_d: integers for integer num and den."""
+    out = [0] * (d + 1)
     for i in range(d):
         for j, cj in enumerate(f_monomial(params, i)):
-            out[j] += c * cj
+            out[j] += num * cj
     for j, cj in enumerate(f_monomial(params, d)):
-        out[j] += cj
+        out[j] += den * cj
     return out
 
 

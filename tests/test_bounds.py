@@ -20,8 +20,10 @@ from hyplp.bounds import (BoundResult, DssCheck, LPConditionError, Refinement,
                           lp_bound_evaluate, lp_bound_optimize, moore_order,
                           ru1_bound, select_diameter, strictly_below_int,
                           tau2_lower)
-from hyplp.cli import _csv_rows, parse_theta
-from hyplp.orthopoly import FPoly, Params, g_eval, largest_zero_G
+from hyplp.cli import _csv_rows, main, parse_theta
+from hyplp.orthopoly import (FPoly, Params, _gc_monomial, _poly_divmod,
+                             _poly_mul, g_eval, largest_zero_G,
+                             monomial_to_fbasis)
 
 P32 = Params(3, 2)
 P33 = Params(3, 3)
@@ -221,6 +223,79 @@ def test_closed_form_exact_and_float_paths_agree():
         exact = closed_form_h_bound(p, th)
         approx = closed_form_h_bound(p, float(th))
         assert float(exact.value) == pytest.approx(approx.value, abs=1e-8)
+
+
+def fraction_certificate(params, theta):
+    """Reference for the integer route of `closed_form_h_bound`: the
+    certificate in Fraction arithmetic, g_c^2/(x - theta) in monomial
+    coefficients rewritten in the F-basis; None when an F-coefficient is
+    negative."""
+    d, gd1, fd = select_diameter(params, theta)
+    gc = [Fraction(v) for v in _gc_monomial(params, d, -fd / gd1)]
+    f = _poly_divmod(_poly_mul(gc, gc), [-theta, Fraction(1)])[0]
+    fb = monomial_to_fbasis(params, f)
+    return tuple(fb) if all(v >= 0 for v in fb) else None
+
+
+def test_closed_form_certificate_matches_the_fraction_construction():
+    thetas = sorted({Fraction(n, m) for n in range(-24, 24) for m in (1, 2, 3, 7)})
+    checked = 0
+    for r in range(2, 7):
+        for u in range(2, 5):
+            params = Params(r, u)
+            for theta in (t / 4 for t in thetas):
+                try:
+                    b = closed_form_h_bound(params, theta)
+                except ValueError:
+                    continue  # at or above the spectral top, or below -k
+                expected = fraction_certificate(params, theta)
+                got = b.certificate and b.certificate.coeffs
+                assert got == expected, (r, u, theta)
+                assert expected is None or all(
+                    type(v) is Fraction for v in b.certificate.coeffs)
+                checked += 1
+    assert checked > 2000
+
+
+def test_closed_form_negative_coefficient_builds_no_certificate(monkeypatch):
+    # no theta of the sweep above gives one, so one is forced here
+    real = bounds.monomial_to_fbasis
+    monkeypatch.setattr(bounds, "monomial_to_fbasis",
+                        lambda params, coeffs: [*real(params, coeffs)[:-1], -1])
+    b = closed_form_h_bound(P32, 1)
+    assert b.value == 10 and b.certificate is None
+
+
+def test_closed_form_certificate_at_d_118():
+    # 1e-3 below the top at (3, 2): g_c has degree 118 and f degree 235
+    b = closed_form_h_bound(P32, Fraction("2.8274271247"))
+    d, c, f = b.params["d"], b.params["c"], b.certificate
+    assert d == 118 and f.degree == 2 * d - 1
+    g = g_eval(P32, d - 1, b.params["theta"])
+    assert c == -(g_eval(P32, d, b.params["theta"]) - g) / g
+    assert b.value == moore_order(P32, d - 1) + Fraction(3 * 2 ** (d - 1)) / c
+    assert float(b.value) == pytest.approx(7.313225264212306e35, rel=1e-15)
+    assert f.at_k() / f.coeffs[0] == b.value
+    assert all(v >= 0 for v in f.coeffs)
+
+
+def test_closed_form_refuses_a_quotient_that_does_not_divide(monkeypatch, capsys):
+    # a c off the zero of g_c at theta: bx - a cannot divide Q g_c, whether
+    # a step of the division or its remainder shows it
+    real = select_diameter
+
+    def shifted(params, theta):
+        d, gd1, fd = real(params, theta)
+        return d, gd1, fd - 1
+
+    monkeypatch.setattr(bounds, "select_diameter", shifted)
+    for theta in (1, Fraction(5, 2), Fraction(-1, 3)):
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            closed_form_h_bound(P32, theta)
+    assert main(["bound", "closed-form", "--r", "3", "--u", "2",
+                 "--theta", "5/2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal: 2x - 5 does not divide")
 
 
 def test_closed_form_domain_errors():

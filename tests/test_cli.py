@@ -92,6 +92,67 @@ def test_bound_closed_form_refinement_trail(capsys):
     assert "25 -> 24" in out
 
 
+def test_refinement_ends_round_up(capsys):
+    # both ends bound an order from above: 121/5 - 18/5 sqrt2 = 19.1088311...
+    # prints 19.10884, not the nearest 19.10883
+    code, out, _ = run(capsys, "bound", "closed-form", "--r", "4", "--u", "2",
+                       "--theta", "sqrt2")
+    assert code == 0
+    assert text_value(out, "refinement [c-integrality]").startswith("19.10884 -> 19 (")
+    code, out, _ = run(capsys, "bound", "closed-form", "--r", "4", "--u", "2",
+                       "--theta", "sqrt2", "--format", "json")
+    assert json.loads(out)["refinement [c-integrality]"].startswith("19.10884 -> 19 (")
+    # at d = 41 the value passes 10^12, where a float keeps no 5th decimal:
+    # 3542847961899.10254 through a float, 3542847961899.10272 exactly
+    b = bounds.closed_form_h_bound(Params(3, 2), Fraction("2.82"))
+    code, out, _ = run(capsys, "bound", "closed-form", "--r", "3", "--u", "2",
+                       "--theta", "2.82")
+    up = -math.floor(-b.value * 10 ** 5)
+    before = text_value(out, "refinement [c-integrality]").split(" -> ")[0]
+    assert before == f"{up // 10 ** 5}.{up % 10 ** 5:05d}" == "3542847961899.10272"
+    assert before != f"{float(b.value):.5f}"
+
+
+def test_exact_numbers_of_any_length_print(capsys):
+    # the certificate at this theta has coefficients of over 100,000 digits,
+    # past Python's 4300-digit limit for int-to-str conversion
+    theta = "2.7" + "0" * 298 + "1"
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "bound", "closed-form", "--r", "3", "--u", "2",
+                         "--theta", theta, "--format", "json")
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    payload = json.loads(out)
+    assert payload["value"] == 2664 and payload["d"] == 10
+    b = bounds.closed_form_h_bound(Params(3, 2), parse_theta(theta))
+    sys.set_int_max_str_digits(0)
+    try:
+        assert payload["certificate_f_basis"] == jval(list(b.certificate.coeffs))
+        assert max(len(str(v)) for v in payload["certificate_f_basis"]) > limit
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, text, err = run(capsys, "bound", "closed-form", "--r", "3", "--u", "2",
+                          "--theta", theta)
+    assert code == 0 and text_value(text, "value") == "2664", err
+
+
+def test_input_past_the_digit_limit_is_refused_and_says_so(tmp_path, capsys):
+    digits = "1" * (sys.int_info.default_max_str_digits + 1)
+    code, _, err = run(capsys, "bound", "closed-form", "--r", "3", "--u", "2",
+                       "--theta", "1/" + digits)
+    assert code == 2
+    assert "theta has a number of more than 4300 digits" in err
+    cert = tmp_path / "long.cert"
+    cert.write_text(f"3 2 3\n5 5 3 1/{digits}\n")
+    code, _, err = run(capsys, "bound", "lp", "--r", "3", "--u", "2",
+                       "--theta", "1", "--cert", str(cert))
+    assert code == 2 and "certificate file has a number of more than 4300" in err
+    hg = tmp_path / "long.hg"
+    hg.write_text(f"2 1\n0 {digits}\n")
+    code, _, err = run(capsys, "analyze", str(hg))
+    assert code == 2 and "more than 4300 digits" in err
+
+
 def test_bound_formats_agree(capsys):
     _, text_out, _ = run(capsys, "bound", "closed-form", "--r", "5", "--u", "3",
                          "--theta", "2")
@@ -583,6 +644,34 @@ def test_table1_verify(capsys):
     assert code == 0
     assert "11/11 rows match" in out
     assert "columns:" in out and "defect-region" in out
+
+
+def test_table1_verify_fails_a_row_it_cannot_prove(monkeypatch, capsys):
+    # every printed decimal must be proved within 0.000005 of its value
+    real = bounds.defect_region_within
+    calls = []
+
+    def refuse_first(*args):
+        calls.append(args)
+        return len(calls) > 1 and real(*args)
+
+    monkeypatch.setattr(bounds, "defect_region_within", refuse_first)
+    code, out, _ = run(capsys, "table", "table1", "--verify")
+    assert code == 1 and "10/11 rows match" in out and len(calls) == 11
+
+
+def test_defect_region_within_proves_only_correct_roundings():
+    h = Fraction(1, 2 * 10 ** 5)
+    for row in cli._csv_rows("table1.csv"):
+        params = Params(int(row["r"]), int(row["u"]))
+        d, e = int(row["d"]), int(row["e"])
+        points = [Fraction(row[key]) for key in ("lower", "lambda", "upper")]
+        assert bounds.defect_region_within(params, d, e, points, h)
+        for i in range(3):
+            for step in (-1, 1):
+                moved = list(points)
+                moved[i] += step * Fraction(1, 10 ** 5)
+                assert not bounds.defect_region_within(params, d, e, moved, h)
 
 
 def test_table1_csv(capsys):

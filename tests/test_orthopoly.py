@@ -136,6 +136,29 @@ def test_basis_roundtrip():
             assert back == [Fraction(c) for c in coeffs]
 
 
+def test_at_k_closed_form_matches_the_recurrence():
+    # f(k) = f_0 + sum_{i>=1} f_i k q^(i-1) against f_values at k
+    rng = random.Random(17)
+    for r, u in GRID:
+        p = Params(r, u)
+        for s in range(7):
+            coeffs = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+                      for _ in range(s + 1)]
+            at_k = FPoly(p, coeffs).at_k()
+            assert isinstance(at_k, Fraction)
+            assert at_k == sum(c * v for c, v in zip(coeffs, f_values(p, s, p.k)))
+
+
+def test_integer_polynomials_stay_integers():
+    p = Params(4, 3)
+    prod = _poly_mul(f_monomial(p, 3), f_monomial(p, 2))
+    fb = monomial_to_fbasis(p, prod)
+    assert all(type(v) is int for v in prod + fb)
+    assert fb == [Fraction(v) for v in monomial_to_fbasis(p, [Fraction(v) for v in prod])]
+    assert all(type(v) is int for v in _gc_monomial(p, 3, 7, 5))
+    assert _gc_monomial(p, 3, 7, 5) == [5 * v for v in _gc_monomial(p, 3, Fraction(7, 5))]
+
+
 def test_fpoly_eval_and_at_k():
     p = Params(6, 2)
     f = FPoly(p, (Fraction(153, 2), Fraction(64), Fraction(121, 4),
