@@ -373,7 +373,8 @@ def largest_divisible_order(bound: Number, r: int, u: int) -> int:
 def integrality_refinements(b: BoundResult, params: Params) -> BoundResult:
     """Sharpen an order bound: if the closed form's c is not an integer the
     bound drops strictly below, then the order drops to the nearest value
-    with integer edge count."""
+    with integer edge count.  A step is recorded only when it changes the
+    value."""
     steps = list(b.refinements)
     value = b.value
     c = b.params.get("c")
@@ -384,8 +385,9 @@ def integrality_refinements(b: BoundResult, params: Params) -> BoundResult:
                                     f"c = {c} not an integer, equality impossible"))
             value = new
     new = largest_divisible_order(value, params.r, params.u)
-    steps.append(Refinement("divisibility", value, new,
-                            f"largest v with {params.r}v divisible by {params.u}"))
+    if new != value:
+        steps.append(Refinement("divisibility", value, new,
+                                f"largest v with {params.r}v divisible by {params.u}"))
     value = new
     return b.replace(value=value, refinements=tuple(steps))
 

@@ -322,7 +322,11 @@ def _newton(p: Sequence[float], dp: Sequence[float], x: float, y: float) -> floa
     every point evaluated; a step that leaves the bracket or fails to halve
     the previous step is replaced by bisection (Numerical Recipes' rtsafe).
     Stops when p(t) is exactly 0, when the bracket ends are adjacent floats
-    or when a step no longer moves t.  No step count and no tolerance."""
+    or when a step no longer moves t.  Before a bisection step it also stops
+    when |p(t)| is within Horner's rounding bound 2 deg 2^-52 sum |p_i||t|^i
+    (Higham, Accuracy and Stability of Numerical Algorithms, 5.1): there the
+    computed sign of p is noise, and bisecting on it would only walk the
+    bracket down to adjacent floats.  No step count."""
     positive = _poly_eval(p, x) > 0
     t, step = 0.5 * (x + y), math.inf
     while True:
@@ -340,6 +344,9 @@ def _newton(p: Sequence[float], dp: Sequence[float], x: float, y: float) -> floa
         nxt = t - v / d if d else mid
         # a nan or infinite step fails the bracket test too
         if not x < nxt < y or abs(nxt - t) > 0.5 * step:
+            noise = _poly_eval([abs(c) for c in p], abs(t))
+            if abs(v) <= 2 * (len(p) - 1) * 2.0 ** -52 * noise:
+                return t
             nxt = mid
         if nxt == t:
             return t
@@ -360,9 +367,10 @@ def _poly_roots(p: Sequence[float], a: float, b: float) -> list[float]:
         return []
     dp = _poly_deriv(p)
     cuts = [a, *_poly_roots(dp, a, b), b]
+    # neighbouring pieces share an end: evaluate each cut once
+    values = [_poly_eval(p, x) for x in cuts]
     roots: list[float] = []
-    for x, y in zip(cuts, cuts[1:]):
-        vx, vy = _poly_eval(p, x), _poly_eval(p, y)
+    for x, y, vx, vy in zip(cuts, cuts[1:], values, values[1:]):
         if vx == 0:
             if not roots or roots[-1] != x:
                 roots.append(x)
@@ -370,7 +378,7 @@ def _poly_roots(p: Sequence[float], a: float, b: float) -> list[float]:
         if vy == 0 or (vx > 0) == (vy > 0):
             continue
         roots.append(_newton(p, dp, x, y))
-    if _poly_eval(p, b) == 0 and (not roots or roots[-1] != b):
+    if values[-1] == 0 and (not roots or roots[-1] != b):
         roots.append(b)
     return roots
 
@@ -631,7 +639,13 @@ def largest_zero_gc(params: Params, d: int, c: Number) -> float:
     """Floor of the largest zero of g_c = c*(F_0+...+F_{d-1}) + F_d, the
     second largest eigenvalue of T(r, u, d, c): the largest float with a
     zero at or above it by `zeros_above`, between k and a point below every
-    Gershgorin column disc of T.  A zero at 0 gives 0.0."""
+    Gershgorin column disc of T.  A zero at 0 gives 0.0.
+
+    The search settles the sign of the zero by one count at 0, finds the
+    binade of its modulus by `_last_true` over the powers of two, and only
+    then bisects on float keys inside that binade.  A count at n/2^j works
+    on integers of about d*j bits, and a zero near 1 needs no probe with a
+    large j.  The floor is one float, so the search order cannot change it."""
     if d < 1:
         raise ValueError("need d >= 1")
     if c < 1:
@@ -643,7 +657,34 @@ def largest_zero_gc(params: Params, d: int, c: Number) -> float:
     if zeros_above(params, d, c, lo) != d or zeros_above(params, d, c, k) != 0:
         raise ArithmeticError(f"the zeros of g_c for T({params.r},{params.u},"
                               f"{d},{c}) do not all lie in [{lo}, {k}]")
-    return _float_bracket(lambda x: zeros_above(params, d, c, x) > 0, lo, k)[0]
+
+    def holds(x: float) -> bool:
+        return zeros_above(params, d, c, x) > 0
+
+    # j runs from -1075, where 2^j is 0.0, to a power of two past the
+    # bracket end; frexp(x)[1] is the least j with 2^j > x
+    if holds(0.0):
+        j = _last_true(lambda j: holds(2.0 ** j), -1075, math.frexp(k)[1])
+        return _float_bracket(holds, 2.0 ** j, 2.0 ** (j + 1))[0]
+    j = _last_true(lambda j: not holds(-2.0 ** j), -1075, math.frexp(-lo)[1])
+    return _float_bracket(holds, -2.0 ** (j + 1), -2.0 ** j)[0]
+
+
+def _last_true(pred, good: int, bad: int) -> int:
+    """The largest integer j with pred(j), for pred true at good < 0, false
+    at bad > 0 and changing once between them.  Probes 0, then steps away
+    from the last probe by 1, 2, 4, ... until pred changes; from then on the
+    doubled step overshoots the bracket, and the loop bisects it."""
+    j, step = 0, 1
+    while bad - good > 1:
+        if pred(j):
+            good, j = j, j + step
+        else:
+            bad, j = j, j - step
+        step *= 2
+        if not good < j < bad:
+            j = (good + bad) // 2
+    return good
 
 
 def orthogonality_quadrature_check(params: Params, i: int, j: int,

@@ -172,14 +172,14 @@ def test_closed_form_sqrt_thetas_are_exact():
         assert b.params["d"] == d and b.value == value
         assert b.params["c"] == c and isinstance(b.params["c"], (int, Fraction))
         assert b.certificate is None
-        steps = integrality_refinements(b, params).refinements
-        assert [step.name for step in steps] == ["divisibility"]
+        # 3*31, 4*57 and 3*14 are divisible by u: no step changes the value
+        assert integrality_refinements(b, params).refinements == ()
     b = closed_form_h_bound(Params(4, 2), surd.sqrt(2))
     assert b.value == Fraction(121, 5) - Fraction(18, 5) * surd.sqrt(2)
     assert str(b.value) == "121/5 - 18/5*sqrt2"
     assert float(b.value) == pytest.approx(19.108834, abs=1e-5)
     assert [step.name for step in integrality_refinements(b, Params(4, 2)).refinements] \
-        == ["c-integrality", "divisibility"]
+        == ["c-integrality"]
 
 
 def test_closed_form_petersen_point():
@@ -612,12 +612,18 @@ def test_strictly_below_and_divisibility():
 def test_integrality_refinement_chain():
     b = integrality_refinements(closed_form_h_bound(P33, 2), P33)
     assert b.value == 24
-    assert [s.name for s in b.refinements] == ["c-integrality", "divisibility"]
+    assert [s.name for s in b.refinements] == ["c-integrality"]
     assert (b.refinements[0].before, b.refinements[0].after) == (25, 24)
     b = integrality_refinements(closed_form_h_bound(Params(5, 3), 2), Params(5, 3))
     assert b.value == 39
+    assert [(s.name, s.before, s.after) for s in b.refinements] == [
+        ("c-integrality", 41, 40), ("divisibility", 40, 39)]
+    # integer c and an order already divisible: no strict cut, and the
+    # divisibility step, which would read 10 -> 10 and 33 -> 33, is left out
     b = integrality_refinements(closed_form_h_bound(P32, 1), P32)
-    assert b.value == 10  # integer c: no strict cut, divisibility already met
+    assert b.value == 10 and b.refinements == ()
+    b = integrality_refinements(closed_form_h_bound(Params(4, 3), 2), Params(4, 3))
+    assert b.value == 33 and b.refinements == ()
 
 
 def test_feng_li_threshold_values():

@@ -395,6 +395,25 @@ def test_largest_zero_gc_makes_at_most_66_counts(monkeypatch, params, n, lam):
     assert got.hex() == lam.hex()
     assert len(calls) <= 66
 
+
+def test_largest_zero_gc_probes_no_tiny_float(monkeypatch):
+    # a count at n/m works on integers of about d log2(m) bits; a bisection
+    # on float keys from below 0 to k begins at subnormals (m = 2^1074).
+    # With the binade of the zero found first, a zero in [1, 16) needs no
+    # denominator above 2^52
+    dens = []
+    count = orthopoly.zeros_above
+
+    def counted(*args):
+        dens.append(args[3].as_integer_ratio()[1])
+        return count(*args)
+
+    monkeypatch.setattr(orthopoly, "zeros_above", counted)
+    assert 1.99 < tau2_lower(Params(2, 2), 1000)[2] < 2
+    assert 8 < largest_zero_gc(Params(5, 4), 400, Fraction(7, 3)) < 16
+    assert max(dens) <= 2 ** 52
+
+
 def test_quadrature_orthogonality():
     for r, u in [(3, 2), (4, 2), (3, 3), (2, 3), (2, 5)]:
         p = Params(r, u)
@@ -725,16 +744,43 @@ def test_poly_roots_newton_step_matches_bisection(monkeypatch):
     assert compared >= 900
 
 
+def count_poly_evals(monkeypatch) -> list:
+    """A list that grows by one at each call of `orthopoly._poly_eval`, the
+    evaluator `_newton`, `_poly_roots` and `positive_witness` call."""
+    calls = []
+    real = orthopoly._poly_eval
+    monkeypatch.setattr(orthopoly, "_poly_eval", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
 def test_newton_step_needs_few_evaluations(monkeypatch):
     # a non-timing guard: bisection takes one evaluation per halving, about
     # 52 to narrow [1, 2] to adjacent floats; Newton converges quadratically
     # at two evaluations (p and p') per step
     p = float_poly_from_roots([-2.2, 0.3, 1.7], 1.0)
-    calls = []
-    real = orthopoly._poly_eval
-    monkeypatch.setattr(orthopoly, "_poly_eval", lambda *args: calls.append(1) or real(*args))
+    calls = count_poly_evals(monkeypatch)
     x = _newton(p, _poly_deriv(p), 1.0, 2.0)
     assert abs(x - 1.7) <= 1e-15 and len(calls) <= 20
+
+
+def test_newton_stops_at_the_rounding_bound(monkeypatch):
+    # a piece of f' from lp_bound_optimize(Params(9, 2), sqrt7, 7): Newton is
+    # at the root in a few steps, and a solver that then bisects on the sign
+    # of p(t), which is rounding noise there, takes 114 evaluations
+    p = [-2.616390824440508, 1.7209669454496115, 0.9323156234722432]
+    root = -2.8355893967051378   # the quadratic formula, in floats
+    calls = count_poly_evals(monkeypatch)
+    x = _newton(p, _poly_deriv(p), -5.0, -0.9229529689957233)
+    assert abs(x - root) <= 1e-15 * abs(root) and len(calls) <= 20
+
+
+def test_lp_optimizer_separation_needs_few_evaluations(monkeypatch):
+    # a non-timing guard on the whole call, the exact check included: 2,634
+    # evaluations when every Newton solve ended by bisecting through the
+    # noise band around its root
+    calls = count_poly_evals(monkeypatch)
+    b = lp_bound_optimize(Params(5, 3), surd.sqrt(18), 4)
+    assert b.theorem == "LP_OPT" and len(calls) <= 1500
 
 
 def test_newton_step_degenerate_cases():
