@@ -18,7 +18,7 @@ from .orthopoly import (FPoly, Params, _f_iter, _float_bracket, _gc_monomial,
                         _poly_roots, _scaled_f, f_monomial, f_values, g_eval,
                         largest_zero_G, largest_zero_gc, monomial_to_fbasis,
                         positive_witness, zeros_above)
-from .simplex import Tableau, Unbounded
+from .simplex import Tableau, Unbounded, _pivot
 from .surd import Surd
 
 __all__ = [
@@ -183,15 +183,122 @@ def lp_bound_evaluate(params: Params, f: FPoly,
 # LP optimization by constraint generation
 
 
+def _dense_solve(a: Sequence[Sequence[float]], b: Sequence[float]) -> list[float] | None:
+    """x with a x = b for a small square float matrix a, by Gauss-Jordan
+    elimination (the simplex's pivot) with partial pivoting; None when a
+    pivot is exactly 0."""
+    tab = [list(row) + [v] for row, v in zip(a, b)]
+    order = list(range(len(tab)))
+    for c in order:
+        p = max(order[c:], key=lambda i: abs(tab[i][c]))
+        if tab[p][c] == 0.0:
+            return None
+        tab[c], tab[p] = tab[p], tab[c]
+        _pivot(tab, order, c, c)
+    return [row[-1] for row in tab]
+
+
+def _critical_values(params: Params, tables, coeffs: Sequence[float],
+                     lo: float, th: float) -> list[tuple[float, float]]:
+    """(f(x), x) for f = 1 + sum c_j F_j at lo, at th and at every root of f'
+    between them, in ascending x: f attains its maximum on [lo, th] at one
+    of them."""
+    s = len(coeffs)
+    mono = [1.0] + [0.0] * s
+    for c, table in zip(coeffs, tables):
+        for j, cj in enumerate(table):
+            mono[j] += c * cj
+    return [(1.0 + sum(c * v for c, v in zip(coeffs, f_values(params, s, x)[1:])), x)
+            for x in (lo, *_poly_roots(_poly_deriv(mono), lo, th), th)]
+
+
+def _touch_newton(params: Params, fk: Sequence[float], tables, res,
+                  points: Sequence[float], crit, lo: float, th: float):
+    """Newton's method on the touch points (f = 0) of the LP optimum,
+    started from the LP result `res` on `points`: (coefficients, max f), or
+    None.  Of the points with positive mass, lo and th are end touches, and
+    two neighbouring interior ones with a positive maximum of f between
+    them (in `crit`) are one interior touch, started there with the two
+    masses added.  With one f_j > 0 per end touch and two per interior
+    touch, Newton solves rc_j = F_j(k) + sum_i mu_i F_j(x_i) = 0 over those
+    j in the masses mu and the interior x for as long as the residual
+    halves; f then has f = 0 at every touch and f' = 0 at the interior ones
+    (the two-phase method, Hettich and Kortanek, SIAM Review 35, 1993).  It
+    is accepted when every mu > 0, every interior x lies in (lo, th), every
+    f_j >= 0, max f < OPT_TOL, and rc_j / F_j(k) is > -OPT_TOL for every j
+    and < OPT_TOL where f_j > 0: mu is then a feasible measure of the
+    point-mass dual, and the gap f(k) - 1 - sum mu = sum f_j rc_j proves f
+    optimal to OPT_TOL."""
+    s = len(fk)
+    active = [j for j, c in enumerate(res.duals) if c > OPT_TOL]
+    support = [(x, m) for x, m in sorted(zip(points, res.x)) if m > 0]
+    ends, inner = [], []
+    while support:
+        x, m = support.pop(0)
+        if not lo < x < th:
+            ends.append((x, m))
+            continue
+        if support and support[0][0] < th:
+            peak, top = max(((v, t) for v, t in crit if x < t < support[0][0]),
+                            default=(0.0, x))
+            if peak > 0:
+                x, m = top, m + support.pop(0)[1]
+        inner.append((x, m))
+    if len(active) != len(ends) + 2 * len(inner):
+        return None
+    e = len(ends)
+    xs = [x for x, _ in ends + inner]
+    mu = [m for _, m in ends + inner]
+    dtables = [_poly_deriv(t) for t in tables]
+
+    def residual(xs, mu):
+        vals = [f_values(params, s, x)[1:] for x in xs]
+        return vals, [b + sum(m * v[j] for m, v in zip(mu, vals))
+                      for j, b in enumerate(fk)]
+
+    vals, rc = residual(xs, mu)
+    norm = max(abs(rc[j]) for j in active)
+    while True:
+        jac = [[v[j] for v in vals] + [m * _poly_eval(dtables[j], x)
+                                       for m, x in zip(mu[e:], xs[e:])]
+               for j in active]
+        step = _dense_solve(jac, [-rc[j] for j in active])
+        if step is None:
+            return None
+        new_mu = [m + d for m, d in zip(mu, step)]
+        new_xs = xs[:e] + [x + d for x, d in zip(xs[e:], step[len(mu):])]
+        new_vals, new_rc = residual(new_xs, new_mu)
+        new_norm = max(abs(new_rc[j]) for j in active)
+        if not new_norm < 0.5 * norm:
+            break
+        xs, mu, vals, rc, norm = new_xs, new_mu, new_vals, new_rc, new_norm
+    rows = ([[v[j] for j in active] for v in vals]
+            + [[_poly_eval(dtables[j], x) for j in active] for x in xs[e:]])
+    sol = _dense_solve(rows, [-1.0] * len(xs) + [0.0] * (len(xs) - e))
+    rel = [v / b for v, b in zip(rc, fk)]
+    if not (sol and all(m > 0 for m in mu) and all(lo < x < th for x in xs[e:])
+            and all(c >= 0 for c in sol) and all(v > -OPT_TOL for v in rel)
+            and all(rel[j] < OPT_TOL for j in active)):
+        return None
+    coeffs = [0.0] * s
+    for j, c in zip(active, sol):
+        coeffs[j] = c
+    viol = max(_critical_values(params, tables, coeffs, lo, th))[0]
+    return (coeffs, viol) if viol < OPT_TOL else None
+
+
 def lp_bound_optimize(params: Params, theta: Number, s: int) -> BoundResult:
     """Best degree-s certificate bound for eigenvalues in [-r, theta]:
     minimize 1 + sum f_j F_j(k) over f_j >= 0 with 1 + sum f_j F_j <= 0 on
     [-r, theta], solved in floats through its point-mass dual with
     constraint generation: the dual starts on the s + 1 Chebyshev-Lobatto
     points of [-r, theta], and each round adds the point where f is
-    largest, among -r, theta and the roots of f' (`_poly_roots`).  The
-    result is verified as an exact certificate on the interval
-    `lp_bound_evaluate` proves for theta as given."""
+    largest, among -r, theta and the roots of f' (`_poly_roots`).  Before
+    it does, the round tries Newton's method on the touch points that the
+    LP result suggests (`_touch_newton`), and ends the search when that
+    solution passes its checks.  The result is verified as an exact
+    certificate on the interval `lp_bound_evaluate` proves for theta as
+    given."""
     if s < 1:
         raise ValueError("degree must be >= 1")
     _require_below_top(params, theta)
@@ -209,6 +316,8 @@ def lp_bound_optimize(params: Params, theta: Number, s: int) -> BoundResult:
     # Chebyshev-Lobatto points of [lo, th] leave the rest to the rounds
     points = ([lo + (th - lo) * (1 - math.cos(math.pi * t / s)) / 2
                for t in range(s + 1)] if th > lo else [lo])
+    # the formula rounds at the top end; the ends are lo and th exactly
+    points[0], points[-1] = lo, th
 
     def column(x: float) -> list[float]:
         vals = f_values(params, s, x)
@@ -228,15 +337,13 @@ def lp_bound_optimize(params: Params, theta: Number, s: int) -> BoundResult:
     for rounds in range(1, MAX_ROUNDS + 1):
         res = lp.result()
         coeffs = list(res.duals)
-        # f attains its maximum on [lo, th] at an endpoint or a root of f'
-        mono = [1.0] + [0.0] * s
-        for c, table in zip(coeffs, tables):
-            for j, cj in enumerate(table):
-                mono[j] += c * cj
-        viol, best_x = max(
-            (1.0 + sum(c * v for c, v in zip(coeffs, f_values(params, s, x)[1:])), x)
-            for x in (lo, *_poly_roots(_poly_deriv(mono), lo, th), th))
+        crit = _critical_values(params, tables, coeffs, lo, th)
+        viol, best_x = max(crit)
         if viol < OPT_TOL:
+            break
+        touch = _touch_newton(params, fk, tables, res, points, crit, lo, th)
+        if touch is not None:
+            coeffs, viol = touch
             break
         if any(abs(best_x - p) < 1e-13 for p in points):
             break
@@ -258,8 +365,10 @@ def lp_bound_optimize(params: Params, theta: Number, s: int) -> BoundResult:
     # them so the exact check does not reject a certificate built here
     exact = [Fraction(0) if abs(c) <= OPT_TOL else Fraction(c) for c in coeffs]
     # shift the residual violation plus a headroom of 1e-5 into f_0, then
-    # verify the exact-rational certificate on the whole interval
-    f = FPoly(params, tuple([Fraction(1) - Fraction(max(viol, 0.0))
+    # verify the exact-rational certificate on the whole interval; a max of
+    # f below 0 (the touches give f = 0 up to round-off) shifts nothing
+    viol = max(viol, 0.0)
+    f = FPoly(params, tuple([Fraction(1) - Fraction(viol)
                              - Fraction(1, 10 ** 5)] + exact))
     try:
         checked = lp_bound_evaluate(params, f, theta=theta)

@@ -315,9 +315,11 @@ def _poly_deriv(p: Sequence[Exact]) -> list:
     return _poly_trim([i * c for i, c in enumerate(p)][1:] or [0])
 
 
-def _newton(p: Sequence[float], dp: Sequence[float], x: float, y: float) -> float:
+def _newton(p: Sequence[float], dp: Sequence[float], x: float, y: float,
+            positive: bool) -> float:
     """The root of p between the floats x < y, where p is monotone and
-    p(x), p(y) are nonzero with opposite signs.  Newton steps on p with p'
+    p(x), p(y) are nonzero with opposite signs, p(x) > 0 when `positive`
+    (the caller has evaluated p(x) already).  Newton steps on p with p'
     from the midpoint, each kept inside the sign bracket, which shrinks to
     every point evaluated; a step that leaves the bracket or fails to halve
     the previous step is replaced by bisection (Numerical Recipes' rtsafe).
@@ -327,7 +329,6 @@ def _newton(p: Sequence[float], dp: Sequence[float], x: float, y: float) -> floa
     (Higham, Accuracy and Stability of Numerical Algorithms, 5.1): there the
     computed sign of p is noise, and bisecting on it would only walk the
     bracket down to adjacent floats.  No step count."""
-    positive = _poly_eval(p, x) > 0
     t, step = 0.5 * (x + y), math.inf
     while True:
         v = _poly_eval(p, t)
@@ -377,7 +378,7 @@ def _poly_roots(p: Sequence[float], a: float, b: float) -> list[float]:
             continue
         if vy == 0 or (vx > 0) == (vy > 0):
             continue
-        roots.append(_newton(p, dp, x, y))
+        roots.append(_newton(p, dp, x, y, vx > 0))
     if values[-1] == 0 and (not roots or roots[-1] != b):
         roots.append(b)
     return roots

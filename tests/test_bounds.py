@@ -442,9 +442,18 @@ class ColdTableau:
         return self.res
 
 
+def cutting_plane_only(monkeypatch):
+    """Patch the Newton phase out of `lp_bound_optimize`: every round then
+    ends by adding its argmax as a column, as before the phase existed."""
+    monkeypatch.setattr(bounds, "_touch_newton", lambda *args: None)
+
+
 def test_lp_optimize_clamps_round_off_duals(monkeypatch):
     # a dual that should be 0 but comes back as -3.3e-18 must not reach the
-    # exact certificate check, which would reject f_i < 0
+    # exact certificate check, which would reject f_i < 0; on the cutting-plane
+    # path, since a certificate from the Newton phase takes its zeros from its
+    # own solve, not from the duals
+    cutting_plane_only(monkeypatch)
     hits = []
 
     class Noisy(simplex.Tableau):
@@ -464,9 +473,9 @@ def test_lp_optimize_clamps_round_off_duals(monkeypatch):
     assert all(c >= 0 for c in b.certificate.coeffs[1:])
 
 
-# pivots of the whole (4, 2, sqrt 2, 6) call on the kept tableau: 17 when
-# measured, over 13 rounds from the 7 Chebyshev seeds; solving each round's
-# LP from the slack basis took 118
+# pivots of the whole (4, 2, sqrt 2, 6) call on the kept tableau, with the
+# Newton phase patched out: 17 when measured, over 13 rounds from the 7
+# Chebyshev seeds; solving each round's LP from the slack basis took 118
 WARM_PIVOTS = 20
 
 
@@ -474,7 +483,9 @@ def test_lp_optimize_pivot_count(monkeypatch):
     # a non-timing guard on the simplex: lowest-index pricing alone needed
     # 45,794 pivots here, and most-negative pricing from the slack basis in
     # every round needs 118; the kept tableau prices only each round's new
-    # column
+    # column.  The Newton phase ends this call after 3 rounds, too few for a
+    # cold solve to show, so the guard runs on the cutting-plane path
+    cutting_plane_only(monkeypatch)
     seen = []
 
     class Counted(simplex.Tableau):
@@ -537,7 +548,9 @@ def test_lp_optimize_separation_work_is_polynomial_in_s(monkeypatch):
     # the s + 1 seed columns, then each round evaluates f at -r, theta and
     # the roots of f' (at most s + 1 points) and adds one column: O(s) calls
     # of f_values, where a 10^4-point scan of [-r, theta] would make 10^4
-    # per round
+    # per round.  The Newton phase evaluates F at its touches (at most s)
+    # once per step; checked on both paths, the cutting-plane one with 13
+    # rounds and the phase's with 3
     calls = []
     real = bounds.f_values
 
@@ -547,10 +560,108 @@ def test_lp_optimize_separation_work_is_polynomial_in_s(monkeypatch):
 
     monkeypatch.setattr(bounds, "f_values", counted)
     s = 6
-    b = lp_bound_optimize(Params(4, 2), SQRT2, s)
     seeds = s + 1
-    assert b.params["rounds"] >= 2
-    assert len(calls) - seeds <= (s + 1) ** 2 * b.params["rounds"]
+    for newton in (True, False):
+        if not newton:
+            cutting_plane_only(monkeypatch)
+        calls.clear()
+        b = lp_bound_optimize(Params(4, 2), SQRT2, s)
+        assert b.params["rounds"] >= 2
+        assert len(calls) - seeds <= (s + 1) ** 2 * b.params["rounds"]
+
+
+def test_lp_optimize_seeds_end_exactly_at_theta(monkeypatch):
+    # the Chebyshev formula gives lo + (th - lo) (1 - cos pi) / 2 =
+    # 1.414213562373095 at the top, one ulp below float(sqrt 2); the seeds
+    # are the columns built first, one f_values call each
+    xs = []
+    real = bounds.f_values
+    monkeypatch.setattr(bounds, "f_values", lambda p, s, x: xs.append(x) or real(p, s, x))
+    for s in (3, 4, 6):
+        xs.clear()
+        lp_bound_optimize(P32, surd.sqrt(2), s)
+        assert xs[0] == -3.0 and xs[s] == SQRT2 == 1.4142135623730951, (s, xs[:s + 1])
+
+
+def test_lp_optimize_newton_phase_cuts_rounds(monkeypatch):
+    # the benchmark's three anchors: Kelley's cutting plane bisects the
+    # pair of points around each interior touch, a factor 4 in the
+    # violation per round; Newton's method on the touches ends in 1-3
+    anchors = {(Params(5, 3), surd.sqrt(18), 4): 16, (Params(5, 3), 2, 6): 13,
+               (P32, 1, 4): 14}
+    fast = {cell: lp_bound_optimize(*cell) for cell in anchors}
+    cutting_plane_only(monkeypatch)
+    for cell, rounds in anchors.items():
+        slow = lp_bound_optimize(*cell)
+        assert slow.params["rounds"] == rounds, cell
+        assert fast[cell].params["rounds"] <= 3, cell
+        assert fast[cell].value <= slow.value, cell
+    # the README example: touches at -3 (the end) and -1 and 1, where the
+    # Petersen graph's eigenvalues lie, in one round on the 5 seeds
+    b = fast[(P32, 1, 4)]
+    assert b.value == Fraction(111111, 11111)
+    assert (b.params["rounds"], b.params["points"]) == (1, 5)
+
+
+def test_lp_optimize_newton_phase_never_raises_the_value(monkeypatch):
+    # seeded h-catalog cells: the value with the phase is never above the
+    # cutting-plane value, and every LP_OPT is proved by lp_bound_evaluate
+    rng = random.Random(20261020)
+    cells = rng.sample(_csv_rows("h_catalog.csv"), 24)
+    compared = 0
+    for row in cells:
+        r, u, s = int(row["r"]), int(row["u"]), rng.randint(3, 7)
+        theta = parse_theta(row["theta"])
+        outcomes = []
+        for patched in (False, True):
+            if patched:
+                cutting_plane_only(monkeypatch)
+            try:
+                outcomes.append(lp_bound_optimize(Params(r, u), theta, s))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        monkeypatch.undo()
+        newton, cutting = outcomes
+        cell = (r, u, row["theta"], s)
+        if isinstance(newton, str):
+            assert newton == cutting, cell
+            continue
+        assert newton.theorem == "LP_OPT", cell
+        assert newton.value <= cutting.value, cell
+        again = lp_bound_evaluate(Params(r, u), newton.certificate, theta=theta)
+        assert again.value == newton.value, cell
+        compared += 1
+    assert compared >= 16
+
+
+def test_touch_newton_rejects_a_negative_reduced_cost(monkeypatch):
+    # the degree-3 optimum at (5, 2, 7/4), offered as a degree-4 touch set:
+    # the same equations, touches, masses and f pass every other check, but
+    # the degree-4 optimum is lower, so by weak duality the masses break the
+    # new constraint F_4(k) + sum mu_i F_4(x_i) >= 0; the phase must decline
+    params, theta = Params(5, 2), Fraction(7, 4)
+    real = bounds._touch_newton
+    seen = []
+    monkeypatch.setattr(bounds, "_touch_newton",
+                        lambda *args: seen.append((args, real(*args))) or seen[-1][1])
+    low = lp_bound_optimize(params, theta, 3)
+    args, accepted = seen[-1]
+    assert accepted is not None and low.params["rounds"] == len(seen)
+    _, fk, tables, res, points, crit, lo, th = args
+    tables4 = tables + [[float(c) for c in orthopoly.f_monomial(params, 4)]]
+    padded = res.replace(duals=res.duals + (0.0,))
+    fk4 = float(params.k * params.q ** 3)
+    assert real(params, fk + [fk4], tables4, padded, points, crit, lo, th) is None
+    # the control: with F_4(k) raised to 10^12 the reduced cost of f_4 turns
+    # positive, and the same touch set passes
+    assert real(params, fk + [1e12], tables4, padded, points, crit, lo, th) is not None
+    # at degree 4 the rounds where the phase declines go on by adding their
+    # argmax as a column, down to the lower optimum
+    seen.clear()
+    high = lp_bound_optimize(params, theta, 4)
+    assert float(high.value) < float(low.value) - 3
+    declined = sum(out is None for _, out in seen)
+    assert high.params["points"] == 4 + 1 + declined
 
 
 def grid_lp_optimum(r, u, theta, s, npts=40001):

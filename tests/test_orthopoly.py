@@ -730,7 +730,7 @@ def test_poly_roots_newton_step_matches_bisection(monkeypatch):
             continue
         with monkeypatch.context() as m:
             m.setattr(orthopoly, "_newton",
-                      lambda q, dq, x, y: _bisect(lambda t: _poly_eval(q, t), x, y))
+                      lambda q, dq, x, y, positive: _bisect(lambda t: _poly_eval(q, t), x, y))
             want = _poly_roots(p, a, b)
         assert len(got) == len(want), (trial, got, want)
         for x, w in zip(got, want):
@@ -759,8 +759,26 @@ def test_newton_step_needs_few_evaluations(monkeypatch):
     # at two evaluations (p and p') per step
     p = float_poly_from_roots([-2.2, 0.3, 1.7], 1.0)
     calls = count_poly_evals(monkeypatch)
-    x = _newton(p, _poly_deriv(p), 1.0, 2.0)
+    x = _newton(p, _poly_deriv(p), 1.0, 2.0, positive=False)
     assert abs(x - 1.7) <= 1e-15 and len(calls) <= 20
+
+
+def test_newton_takes_the_bracket_sign_from_its_caller(monkeypatch):
+    # _poly_roots has evaluated p at every cut, so _newton is told the sign
+    # at x and evaluates p only inside the bracket: on the lp-optimize
+    # batches of seeds 1-3 the evaluation at x repeated 2,289 of 25,689
+    p = float_poly_from_roots([-2.2, 0.3, 1.7], 1.0)
+    at = []
+    real = orthopoly._poly_eval
+    monkeypatch.setattr(orthopoly, "_poly_eval",
+                        lambda q, t: at.append((len(q), t)) or real(q, t))
+    x = _newton(p, _poly_deriv(p), 1.0, 2.0, positive=False)
+    assert abs(x - 1.7) <= 1e-15 and all(1.0 < t < 2.0 for _, t in at), at
+    # in the cascade the cubic is evaluated once at each cut, -3 included,
+    # where the first of its three pieces begins
+    at.clear()
+    assert _poly_roots(p, -3.0, 2.0) == pytest.approx([-2.2, 0.3, 1.7], abs=1e-15)
+    assert at.count((4, -3.0)) == 1
 
 
 def test_newton_stops_at_the_rounding_bound(monkeypatch):
@@ -770,7 +788,7 @@ def test_newton_stops_at_the_rounding_bound(monkeypatch):
     p = [-2.616390824440508, 1.7209669454496115, 0.9323156234722432]
     root = -2.8355893967051378   # the quadratic formula, in floats
     calls = count_poly_evals(monkeypatch)
-    x = _newton(p, _poly_deriv(p), -5.0, -0.9229529689957233)
+    x = _newton(p, _poly_deriv(p), -5.0, -0.9229529689957233, positive=True)
     assert abs(x - root) <= 1e-15 * abs(root) and len(calls) <= 20
 
 
@@ -786,17 +804,18 @@ def test_lp_optimizer_separation_needs_few_evaluations(monkeypatch):
 def test_newton_step_degenerate_cases():
     # p' = 0 at the first point, the midpoint 0: a bisection step instead
     cube = [0.5, 0.0, 0.0, 1.0]
-    assert _newton(cube, _poly_deriv(cube), -2.0, 2.0) == pytest.approx(-0.5 ** (1 / 3),
-                                                                       rel=1e-15)
-    assert _poly_roots(cube, -2.0, 2.0) == [_newton(cube, _poly_deriv(cube), -2.0, 0.0)]
+    assert _newton(cube, _poly_deriv(cube), -2.0, 2.0, positive=False) == pytest.approx(
+        -0.5 ** (1 / 3), rel=1e-15)
+    assert _poly_roots(cube, -2.0, 2.0) == [_newton(cube, _poly_deriv(cube), -2.0, 0.0,
+                                                    positive=False)]
     # a root at an endpoint, and one float inside it
     assert _poly_roots([-1.0, 1.0], 1.0, 3.0) == [1.0]
     up = 1.0 + 2.0 ** -52
     assert _poly_roots([-up, 1.0], 1.0, 3.0) == [up]
     # degree 1, and a root between the adjacent floats 0 and 5e-324
-    assert _newton([-0.1, 1.0], [1.0], -1.0, 1.0) == 0.1
+    assert _newton([-0.1, 1.0], [1.0], -1.0, 1.0, positive=False) == 0.1
     tiny = 5e-324
-    assert _newton([-tiny, 2.0], [2.0], 0.0, tiny) in (0.0, tiny)
+    assert _newton([-tiny, 2.0], [2.0], 0.0, tiny, positive=False) in (0.0, tiny)
 
 
 def test_critical_points_find_a_peak_a_grid_misses():
