@@ -162,13 +162,14 @@ def lp_bound_evaluate(params: Params, f: FPoly,
         lo, hi = Fraction(-params.r), _exact(theta)
         if hi < lo:
             raise ValueError("theta below -r leaves an empty interval")
-        witness = positive_witness(mono, lo, hi)
+        at_theta = _poly_eval(mono, hi)
+        witness = positive_witness(mono, lo, hi, at_theta)
         if witness is not None:
             raise LPConditionError(INTERVAL_CONDITION, witness)
         pdict["theta"] = theta
         notes.append(f"f <= 0 certified on [{float(lo)}, {float(hi)}] "
                      f"by an exact Sturm count")
-        if _poly_eval(mono, hi) == 0:
+        if at_theta == 0:
             notes.append("f vanishes at theta")
 
     positive = tuple(i for i, fi in enumerate(coeffs) if i and fi > 0)

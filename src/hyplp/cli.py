@@ -24,8 +24,7 @@ from .bounds import BoundResult, Refinement
 from .constructions import (OrthogonalArray, fixture_names, hypergraph_from_oa,
                             mols_cyclic, named_fixture, oa_from_mols,
                             oa_minus_transversal, oa_validate)
-from .hypergraph import (Hypergraph, NotRegularUniformError,
-                         check_regular_uniform, girth)
+from .hypergraph import Hypergraph, NotRegularUniformError
 from .orthopoly import FPoly, Params
 from .spectra import Analysis
 
@@ -332,16 +331,15 @@ def analyze_pairs(h: Hypergraph) -> list:
     an = Analysis(h)
     pairs = [("order", h.n), ("edges", h.m)]
     try:
-        r, u = check_regular_uniform(h)
+        r, u = an.ru
         pairs.append(("degrees", f"{r}-regular {u}-uniform"))
     except NotRegularUniformError as exc:
         pairs.append(("degrees", f"irregular: {exc}"))
         r = u = None
 
-    g = girth(h)
-    pairs.append(("girth", g))
+    pairs.append(("girth", an.girth()))
     if r is not None and r >= 2:
-        gt = an.girth_by_trace()
+        gt = an.girth_by_trace
         pairs.append(("girth_by_trace", gt if gt is not None else "> 12"))
 
     connected = an.connected

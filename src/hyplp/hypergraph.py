@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator
 from functools import reduce
-from itertools import chain, islice
+from itertools import chain
 from operator import or_
 
 from ._record import Record
@@ -30,11 +30,10 @@ __all__ = [
     "incident",
     "dual",
     "spheres",
-    "distance_matrix",
     "diameter",
     "is_connected",
     "girth",
-    "nbw_count_matrix",
+    "neighbour_lists",
     "girth_via_trace",
     "gram_mismatches",
     "distance_regularity_check",
@@ -200,21 +199,23 @@ def incident(h: Hypergraph) -> list[list[int]]:
     return out
 
 
-def dual(h: Hypergraph) -> Hypergraph:
+def dual(h: Hypergraph, ru: tuple[int, int] | None = None) -> Hypergraph:
     """Swap roles of vertices and edges: dual vertex j is edge j of h, dual
     edge x is the set of edges through vertex x.  Needs minimum degree 2.
-    The dual of an r-regular u-uniform hypergraph is u-regular r-uniform."""
+    The dual of an r-regular u-uniform hypergraph is u-regular r-uniform.
+    `ru`: `check_regular_uniform(h)`, when the caller has it."""
     through = incident(h)
     for v, lst in enumerate(through):
         if len(lst) < 2:
             raise ValueError(f"vertex {v} has degree {len(lst)} < 2; dual undefined")
     d = Hypergraph(h.m, through)
-    try:
-        r, u = check_regular_uniform(h)
-    except NotRegularUniformError:
-        return d
-    rd, ud = check_regular_uniform(d)
-    if (rd, ud) != (u, r):
+    if ru is None:
+        try:
+            ru = check_regular_uniform(h)
+        except NotRegularUniformError:
+            return d
+    r, u = ru
+    if check_regular_uniform(d) != (u, r):
         raise AssertionError("dual of a regular uniform hypergraph must swap (r, u)")
     return d
 
@@ -235,14 +236,14 @@ def _field_width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
-def _neighbour_lists(rows) -> list[list[int]]:
+def neighbour_lists(rows) -> list[list[int]]:
     """Row x of the sparse adjacency `rows` as a list holding each
     neighbour z of x A[x][z] times."""
     return [[z for z, w in row for _ in range(w)] for row in rows]
 
 
 def _times(nbrs: list[list[int]], packed: list[int]) -> list[int]:
-    """The packed rows of A*M, with A given by `_neighbour_lists` and M by
+    """The packed rows of A*M, with A given by `neighbour_lists` and M by
     its packed rows."""
     get = packed.__getitem__
     return [sum(map(get, nb)) for nb in nbrs]
@@ -251,17 +252,6 @@ def _times(nbrs: list[list[int]], packed: list[int]) -> list[int]:
 def _field(packed: int, y: int, width: int) -> int:
     """Field y of a packed row whose fields are all >= 0."""
     return (packed >> (width * y)) & ((1 << width) - 1)
-
-
-def _fields(packed: int, width: int, count: int) -> list[int]:
-    """The `count` signed fields of a packed row, field 0 first.  Adding
-    2^(width-1) to every field makes each one non-negative, so no field
-    borrows from the next, and the bits then read off field by field."""
-    half = 1 << (width - 1)
-    ones = ((1 << (width * count)) - 1) // ((1 << width) - 1)
-    bits = format(packed + half * ones, "b").zfill(width * count)
-    return [int(bits[j - width:j], 2) - half
-            for j in range(len(bits), len(bits) - width * count, -width)]
 
 
 def _first_difference(a: int, b: int, width: int) -> int:
@@ -306,27 +296,6 @@ def _reaches_all(shells: list[list[int]], n: int) -> bool:
     """Whether the `spheres` `shells` of n vertices are those of a
     connected graph: vertex 0 reaches all n."""
     return sum(layer[0].bit_count() for layer in shells) == n
-
-
-def distance_matrix(h: Hypergraph, rows: list | None = None
-                    ) -> tuple[list[list[int]], bool]:
-    """Point-graph distances read off `spheres(h, rows)`; unreachable pairs
-    get -1 and the second return value reports connectivity.  `rows`:
-    `adjacency_rows(h)`, when the caller has it."""
-    if rows is None:
-        rows = adjacency_rows(h)
-    width = _sphere_width(rows)
-    shells = spheres(h, rows)
-    dist = [[-1] * h.n for _ in range(h.n)]
-    for d, layer in enumerate(shells):
-        for row, bits in zip(dist, layer):
-            digits = format(bits, "b")
-            top = len(digits) - 1
-            y = digits.find("1")
-            while y >= 0:
-                row[(top - y) // width] = d
-                y = digits.find("1", y + 1)
-    return dist, _reaches_all(shells, h.n)
 
 
 def is_connected(h: Hypergraph, rows: list | None = None) -> bool:
@@ -389,21 +358,20 @@ def girth(h: Hypergraph):
     return int(best) // 2 if best != math.inf else math.inf
 
 
-def _walk_rows(h: Hypergraph, top: int, rows: list | None = None
+def _walk_rows(h: Hypergraph, top: int, nbrs: list | None = None,
+               ru: tuple[int, int] | None = None
                ) -> tuple[int, Iterator[list[int]]]:
     """F_0(A), F_1(A), F_2(A), ... for the adjacency A of a regular uniform
     hypergraph, as packed rows, by the integer recurrence F_0 = I, F_1 = A,
     F_2 = A^2 - (u-2)A - kI, F_{j+1} = (A - (u-2)I) F_j - q F_{j-1}.
     Entry (x, y) of F_i counts the non-backtracking walks of length i from
     x to y, so it lies in [0, k q^(i-1)], the row sum; the returned width
-    holds F_0 to F_top.  `rows`: `adjacency_rows(h)`, when the caller has
-    it."""
-    r, u = check_regular_uniform(h)
-    params = Params(r, u)
-    if rows is None:
-        rows = adjacency_rows(h)
+    holds F_0 to F_top.  `nbrs` and `ru`: `neighbour_lists(adjacency_rows(h))`
+    and `check_regular_uniform(h)`, when the caller has them."""
+    params = Params(*(check_regular_uniform(h) if ru is None else ru))
+    if nbrs is None:
+        nbrs = neighbour_lists(adjacency_rows(h))
     width = _field_width(params.k * params.q ** max(top - 1, 0))
-    nbrs = _neighbour_lists(rows)
 
     def walks() -> Iterator[list[int]]:
         shift, c = params.u - 2, params.k  # c is k for F_2, then q
@@ -419,28 +387,16 @@ def _walk_rows(h: Hypergraph, top: int, rows: list | None = None
     return width, walks()
 
 
-def nbw_count_matrix(h: Hypergraph, i: int) -> list[list[int]]:
-    """F_i applied to the adjacency matrix (see `_walk_rows`).  Entry
-    (x, y) counts the non-backtracking walks of length i from x to y;
-    entries stay >= 0."""
-    if i < 0:
-        raise ValueError("length must be non-negative")
-    width, walks = _walk_rows(h, i)
-    cur = [_fields(row, width, h.n) for row in next(islice(walks, i, None))]
-    bad = next(((p, q_) for p, row in enumerate(cur) for q_, v in enumerate(row)
-                if v < 0), None)
-    if bad is not None:
-        raise AssertionError(f"negative walk count at {bad}; adjacency input invalid")
-    return cur
-
-
-def girth_via_trace(h: Hypergraph, max_i: int = 12,
-                    rows: list | None = None) -> int | None:
+def girth_via_trace(h: Hypergraph, max_i: int = 12, nbrs: list | None = None,
+                    ru: tuple[int, int] | None = None) -> int | None:
     """Smallest g <= max_i with tr F_g(A) != 0 and tr F_i(A) = 0 for i < g;
     None when every trace through max_i vanishes (girth > max_i).  The
     entries are >= 0, so the trace vanishes when every diagonal field does.
-    `rows`: `adjacency_rows(h)`, when the caller has it."""
-    width, walks = _walk_rows(h, max_i, rows)
+    A closed non-backtracking walk of length g contains a cycle of length
+    at most g, and a shortest cycle is such a walk, so a g found is
+    `girth(h)`.  `nbrs` and `ru`: `neighbour_lists(adjacency_rows(h))` and
+    `check_regular_uniform(h)`, when the caller has them."""
+    width, walks = _walk_rows(h, max_i, nbrs, ru)
     for g, cur in enumerate(walks):
         if g and any(_field(row, p, width) for p, row in enumerate(cur)):
             return g
@@ -449,12 +405,14 @@ def girth_via_trace(h: Hypergraph, max_i: int = 12,
 
 
 def gram_mismatches(h: Hypergraph, rows: list | None = None,
-                    hd: Hypergraph | None = None):
+                    hd: Hypergraph | None = None,
+                    ru: tuple[int, int] | None = None):
     """For regular uniform h, with N the n x m vertex-edge incidence matrix,
     A the adjacency and A* that of the dual: the first entry (i, j, gram,
     want) where N N^T differs from A + rI, and the first where N^T N
-    differs from A* + uI, each None when the two agree.  `rows` and `hd`:
-    `adjacency_rows(h)` and `dual(h)`, when the caller has them.
+    differs from A* + uI, each None when the two agree.  `rows`, `hd` and
+    `ru`: `adjacency_rows(h)`, `dual(h)` and `check_regular_uniform(h)`,
+    when the caller has them.
 
     Row x of N N^T is the sum of the 0/1 rows of the edges through x, on
     packed rows.  N^T N goes one row at a time as sorted lists with
@@ -462,11 +420,11 @@ def gram_mismatches(h: Hypergraph, rows: list | None = None,
     row j of A* + uI exactly when it lists j u times and, without j,
     equals row j of `_adjacency_multisets(hd)`.  So no row of A* is kept,
     and the cost is the number of ones of N times r * u."""
-    r, u = check_regular_uniform(h)
+    r, u = check_regular_uniform(h) if ru is None else ru
     if rows is None:
         rows = adjacency_rows(h)
     if hd is None:
-        hd = dual(h)
+        hd = dual(h, (r, u))
     return _primal_gram_mismatch(h, hd, r, rows), _dual_gram_mismatch(h, hd, u)
 
 
@@ -477,7 +435,7 @@ def _primal_gram_mismatch(h: Hypergraph, hd: Hypergraph, r: int, rows):
     unit = [1 << (width * y) for y in range(h.n)]
     # the dual's edges are the edges through each vertex
     gram = _times(hd.edges, _times(h.edges, unit))
-    want = [a + r * e for a, e in zip(_times(_neighbour_lists(rows), unit), unit)]
+    want = [sum(w * unit[z] for z, w in row) + r * e for row, e in zip(rows, unit)]
     if gram == want:
         return None
     x = next(x for x, (g, w) in enumerate(zip(gram, want)) if g != w)
@@ -513,7 +471,8 @@ class IntersectionNumbers(Record):
 
 
 def distance_regularity_check(h: Hypergraph, rows: list | None = None,
-                              shells: list | None = None) -> IntersectionNumbers:
+                              shells: list | None = None,
+                              nbrs: list | None = None) -> IntersectionNumbers:
     """Checks whether the weighted neighbor counts depend only on distance;
     on failure `witness` is the first ordered pair (x, y) disagreeing.
 
@@ -525,8 +484,8 @@ def distance_regularity_check(h: Hypergraph, rows: list | None = None,
     distance i-1, i and i+1.  Both sides are proved equal row by row on
     packed rows; a differing row x is decoded only to find its first
     differing y, and the witness is the first such (x, y) over all i.
-    `rows` and `shells`: `adjacency_rows(h)` and `spheres(h, rows)`, when
-    the caller has them."""
+    `rows`, `shells` and `nbrs`: `adjacency_rows(h)`, `spheres(h, rows)`
+    and `neighbour_lists(rows)`, when the caller has them."""
     if rows is None:
         rows = adjacency_rows(h)
     if shells is None:
@@ -534,7 +493,8 @@ def distance_regularity_check(h: Hypergraph, rows: list | None = None,
     if not _reaches_all(shells, h.n):
         raise ValueError("distance-regularity needs a connected hypergraph")
     d = len(shells) - 1
-    nbrs = _neighbour_lists(rows)
+    if nbrs is None:
+        nbrs = neighbour_lists(rows)
     width = _sphere_width(rows)
     # the first pair at each distance: x with a nonempty sphere, lowest y
     first = []

@@ -452,17 +452,25 @@ def _sturm_chain(g: Sequence[Fraction]) -> list[list[Fraction]]:
     return chain
 
 
-def _sign_changes(chain: Sequence[Sequence[Fraction]], x: Fraction | Surd) -> int:
-    signs = [v > 0 for v in (_poly_eval(p, x) for p in chain) if v != 0]
+def _sign_changes(chain: Sequence[Sequence[Fraction]], x: Fraction | Surd,
+                  head: Fraction | Surd | None = None) -> int:
+    """Sign changes of the Sturm `chain` at x.  `head`: chain[0] at x, when
+    the caller has it."""
+    if head is None:
+        head = _poly_eval(chain[0], x)
+    values = [head] + [_poly_eval(p, x) for p in chain[1:]]
+    signs = [v > 0 for v in values if v != 0]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def positive_witness(p: Sequence[Exact], a: Exact, b: Exact | Surd
+def positive_witness(p: Sequence[Exact], a: Exact, b: Exact | Surd,
+                     pb: Exact | Surd | None = None
                      ) -> tuple[Fraction | Surd, Fraction | Surd] | None:
     """Decide exactly whether p (rational monomial coefficients, lowest
     first) is <= 0 on [a, b], for a rational a and a rational or Surd b >= a:
     None when it is, else a witness (x, p(x)) with x in [a, b] and p(x) > 0.
-    x is rational unless it is the Surd b itself.
+    x is rational unless it is the Surd b itself.  `pb`: p(b), when the
+    caller has it.
 
     p changes sign exactly at the roots of its odd-multiplicity part g, and
     a Sturm chain of g counts those in (lo, hi] as V(lo) - V(hi)
@@ -480,8 +488,8 @@ def positive_witness(p: Sequence[Exact], a: Exact, b: Exact | Surd
     lo, hi = Fraction(a), b if isinstance(b, Surd) else Fraction(b)
     if lo > hi:
         raise ValueError("need a <= b")
-    for x in (lo, hi):
-        v = _poly_eval(p, x)
+    ends = [_poly_eval(p, lo), _poly_eval(p, hi) if pb is None else pb]
+    for x, v in zip((lo, hi), ends):
         if v > 0:
             return x, v
     if lo == hi or len(p) == 1:
@@ -491,9 +499,11 @@ def positive_witness(p: Sequence[Exact], a: Exact, b: Exact | Surd
     chain = _sturm_chain(p)
     if len(chain[-1]) > 1:
         chain = _sturm_chain(_odd_multiplicity_part(p, chain[-1]))
+        ends = [_poly_eval(chain[0], x) for x in (lo, hi)]
+    g_lo, g_hi = ends
     # g has V(lo) - top roots in (lo, hi)
-    top = _sign_changes(chain, hi) + (_poly_eval(chain[0], hi) == 0)
-    v_lo = _sign_changes(chain, lo)
+    top = _sign_changes(chain, hi, g_hi) + (g_hi == 0)
+    v_lo = _sign_changes(chain, lo, g_lo)
     roots = v_lo - top
     if isinstance(hi, Surd):
         # once g has no root in (h, hi), as for every h > lo when roots is

@@ -16,8 +16,8 @@ from ._record import Record
 from .hypergraph import (Hypergraph, IntersectionNumbers,
                          NotRegularUniformError, adjacency, adjacency_rows,
                          check_regular_uniform, distance_regularity_check,
-                         dual, girth_via_trace, gram_mismatches, is_connected,
-                         spheres)
+                         dual, girth, girth_via_trace, gram_mismatches,
+                         is_connected, neighbour_lists, spheres)
 from .tridiagonal import _EPS, ql_eigenvalues
 
 __all__ = [
@@ -126,20 +126,30 @@ class CheckReport(Record):
 
 class Analysis:
     """The derived objects of one hypergraph, each built on first use and
-    then kept: the adjacency as sparse rows and as a dense matrix, the dual
-    and its adjacency rows, connectivity, the distance spheres and the
-    adjacency spectrum.  `analyze` reads every report field from one
-    instance, so the spectrum is computed once and the dual built once;
-    the dual's adjacency rows are built only when the spectrum comes from
-    A* (m < n).  `second_eigenvalue` and `is_ramanujan` are thin calls into
-    a fresh one."""
+    then kept: (r, u), the adjacency as sparse rows, as neighbour lists and
+    as a dense matrix, the dual and its adjacency rows, connectivity, the
+    distance spheres, the trace girth and the adjacency spectrum.
+    `analyze` reads every report field from one instance, so each is built
+    once; the dual's adjacency rows are built only when the spectrum comes
+    from A* (m < n).  `second_eigenvalue` and `is_ramanujan` are thin calls
+    into a fresh one."""
 
     def __init__(self, h: Hypergraph) -> None:
         self.h = h
 
     @cached_property
+    def ru(self) -> tuple[int, int]:
+        """(r, u) of r-regular u-uniform input; otherwise each read raises
+        `NotRegularUniformError` naming the first offender."""
+        return check_regular_uniform(self.h)
+
+    @cached_property
     def rows(self) -> list[list[tuple[int, int]]]:
         return adjacency_rows(self.h)
+
+    @cached_property
+    def nbrs(self) -> list[list[int]]:
+        return neighbour_lists(self.rows)
 
     @cached_property
     def adjacency(self) -> list[list[int]]:
@@ -155,7 +165,8 @@ class Analysis:
 
     @cached_property
     def dual(self) -> Hypergraph:
-        return dual(self.h)
+        """The dual of regular uniform input."""
+        return dual(self.h, self.ru)
 
     @cached_property
     def dual_rows(self) -> list[list[tuple[int, int]]]:
@@ -170,7 +181,7 @@ class Analysis:
         n - m."""
         h = self.h
         try:
-            r, u = check_regular_uniform(h)
+            r, u = self.ru
         except NotRegularUniformError:
             r = u = 0
         if r < 2 or h.m >= h.n:
@@ -183,7 +194,7 @@ class Analysis:
     def tau2(self) -> float:
         """Second-largest adjacency eigenvalue of a connected regular
         uniform hypergraph (the largest is k = r(u-1); the gap is k - tau2)."""
-        r, u = check_regular_uniform(self.h)
+        r, u = self.ru
         if not self.connected:
             raise ValueError("second eigenvalue is defined here for connected input")
         values = self.spectrum.values
@@ -195,7 +206,7 @@ class Analysis:
     def is_ramanujan(self) -> bool:
         """Whether tau2 lies within the spectral window
         |tau2 - (u-2)| <= 2*sqrt((r-1)(u-1)), up to _RAMANUJAN_TOL."""
-        r, u = check_regular_uniform(self.h)
+        r, u = self.ru
         return (abs(self.tau2 - (u - 2))
                 <= 2.0 * math.sqrt((r - 1) * (u - 1)) + _RAMANUJAN_TOL)
 
@@ -204,14 +215,30 @@ class Analysis:
             raise ValueError("diameter undefined for a disconnected hypergraph")
         return len(self.spheres) - 1
 
-    def girth_by_trace(self, max_i: int = 12) -> int | None:
-        return girth_via_trace(self.h, max_i, self.rows)
+    @cached_property
+    def girth_by_trace(self) -> int | None:
+        """`girth_via_trace` up to length 12, for regular uniform input."""
+        return girth_via_trace(self.h, 12, self.nbrs, self.ru)
+
+    def girth(self):
+        """`girth(h)`.  For connected regular uniform input with r >= 2 it
+        is `girth_by_trace` when that finds one, and the BFS runs only
+        otherwise."""
+        try:
+            r, _ = self.ru
+        except NotRegularUniformError:
+            r = 0
+        if r >= 2 and self.connected and self.girth_by_trace is not None:
+            return self.girth_by_trace
+        return girth(self.h)
 
     def distance_regularity(self) -> IntersectionNumbers:
-        return distance_regularity_check(self.h, self.rows, self.spheres)
+        return distance_regularity_check(self.h, self.rows, self.spheres,
+                                         self.nbrs)
 
     def correspondence(self) -> CheckReport:
-        return spectrum_correspondence_check(self.h, self.rows, self.dual)
+        return spectrum_correspondence_check(self.h, self.rows, self.dual,
+                                             self.ru, self.connected)
 
 
 def second_eigenvalue(h: Hypergraph) -> float:
@@ -228,7 +255,9 @@ def is_ramanujan(h: Hypergraph) -> bool:
 
 def spectrum_correspondence_check(h: Hypergraph,
                                   rows: list | None = None,
-                                  hd: Hypergraph | None = None) -> CheckReport:
+                                  hd: Hypergraph | None = None,
+                                  ru: tuple[int, int] | None = None,
+                                  connected: bool | None = None) -> CheckReport:
     """Prove the incidence-graph spectrum relation exactly.  With N the
     n x m vertex-edge incidence matrix, A the adjacency of h and A* that of
     its dual, check N N^T = A + rI and N^T N = A* + uI entry by entry in
@@ -237,19 +266,20 @@ def spectrum_correspondence_check(h: Hypergraph,
     and N N^T, N^T N share their nonzero eigenvalues with multiplicity, so
     spec(A)+r padded with m zeros equals spec(A*)+u padded with n zeros.
     Needs O(nnz * max(r, u)) time and no dense matrix, and holds one row of
-    A* at a time (`gram_mismatches`).  `rows` and `hd` are
-    `adjacency_rows(h)` and `dual(h)`, when the caller has them.  A
-    failure names the first mismatching entry."""
-    r, u = check_regular_uniform(h)
+    A* at a time (`gram_mismatches`).  `rows`, `hd`, `ru` and `connected`:
+    `adjacency_rows(h)`, `dual(h)`, `check_regular_uniform(h)` and
+    `is_connected(h)`, when the caller has them.  A failure names the first
+    mismatching entry."""
+    r, u = check_regular_uniform(h) if ru is None else ru
     if r < 2:
         raise ValueError("needs r >= 2 so the dual is defined")
     if rows is None:
         rows = adjacency_rows(h)
-    if not is_connected(h, rows):
+    if not (is_connected(h, rows) if connected is None else connected):
         raise ValueError("needs connected input")
     if hd is None:
-        hd = dual(h)
-    primal, dual_side = gram_mismatches(h, rows, hd)
+        hd = dual(h, (r, u))
+    primal, dual_side = gram_mismatches(h, rows, hd, (r, u))
     detail: list[str] = []
     if primal is not None:
         detail.append("N N^T != A + {}I at ({}, {}): {} vs {}".format(r, *primal))

@@ -35,8 +35,8 @@ def ql_eigenvalues(diag: Sequence[float], offdiag: Sequence[float]) -> list[floa
             # locate the first negligible subdiagonal entry at or after l
             m = l
             while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= max(_EPS * dd, floor):
+                em = abs(e[m])
+                if em <= floor or em <= _EPS * (abs(d[m]) + abs(d[m + 1])):
                     break
                 m += 1
             if m == l:

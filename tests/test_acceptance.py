@@ -2,6 +2,7 @@
 each (run with -s to watch them go by).  Budgets are wall-clock seconds."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -12,10 +13,12 @@ from hyplp.bounds import (closed_form_h_bound, dss_gen_bound,
 from hyplp.cli import _csv_rows, _data_text
 from hyplp.constructions import named_fixture
 from hyplp.hypergraph import (check_regular_uniform, girth, girth_via_trace,
-                              distance_regularity_check, nbw_count_matrix)
+                              distance_regularity_check)
 from hyplp.orthopoly import Params, TridiagonalArray, linearization
-from hyplp.spectra import second_eigenvalue, spectrum_correspondence_check
-from walk_oracles import nbw_count_oracle, nbw_counts_from
+from hyplp.spectra import (Analysis, second_eigenvalue,
+                           spectrum_correspondence_check)
+from conftest import random_regular_uniform
+from walk_oracles import nbw_count_matrix, nbw_count_oracle, nbw_counts_from
 
 
 def check(num, label, ok, detail=""):
@@ -140,19 +143,32 @@ def test_c06_linearization_properties():
           ok and dt < 30.0, f"{dt:.1f}s")
 
 
+# (r, u, n) of the configuration-model inputs of perfbench's analyze workload
+BENCH_CM = ((2, 3, 48), (2, 4, 60), (2, 5, 80), (3, 4, 40), (2, 3, 96),
+            (2, 5, 100), (3, 2, 40), (4, 2, 50), (3, 3, 45), (3, 2, 80),
+            (4, 3, 30), (5, 2, 24))
+
+
 def test_c07_girth_by_trace_equals_girth(corpus):
-    ok = True
-    for h in corpus:
+    rng = random.Random(21)
+    drawn = [random_regular_uniform(rng, r, u, n) for r, u, n in BENCH_CM
+             for _ in range(2)]
+    large = [h for h in drawn if h is not None]
+    ok = len(large) == len(drawn)
+    for h in corpus + large:
         g = girth(h)
-        if girth_via_trace(h, max_i=h.n) != g:
+        if girth_via_trace(h, max_i=h.n) != g or Analysis(h).girth() != g:
             ok = False
     fixtures = {"petersen": 5, "fano": 3, "k4": 3}
     for name, g in fixtures.items():
         h = named_fixture(name)
-        if not (girth(h) == g and girth_via_trace(h) == g):
+        if not (girth(h) == g and girth_via_trace(h) == g
+                and Analysis(h).girth() == g):
             ok = False
-    check(7, "trace-based girth equals combinatorial girth on the corpus and "
-             "the named fixtures", ok, f"{len(corpus)} instances + 3 fixtures")
+    check(7, "trace-based girth equals combinatorial girth on the corpus, "
+             "benchmark-sized configuration-model inputs and the named "
+             "fixtures", ok,
+          f"{len(corpus)} + {len(large)} instances + 3 fixtures")
 
 
 def test_c08_construction_spectra():

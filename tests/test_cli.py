@@ -14,10 +14,11 @@ from fractions import Fraction
 
 import pytest
 
-from hyplp import bounds, cli, spectra, surd
+from hyplp import bounds, cli, hypergraph, spectra, surd
 from hyplp.cli import (UsageError, fmt, jval, load_certificate, main,
                        parse_theta)
-from hyplp.constructions import named_fixture
+from hyplp.constructions import (hypergraph_from_oa, mols_cyclic, named_fixture,
+                                 oa_from_mols)
 from hyplp.hypergraph import Hypergraph
 from hyplp.orthopoly import (FPoly, Params, _gc_monomial, _poly_eval,
                              _sign_changes, _sturm_chain)
@@ -590,12 +591,61 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "analyze")
 def test_analyze_json_is_byte_identical_to_the_recorded_output(capsys, name):
     # recorded before the integer layers moved to packed rows and sphere
     # bitsets: OA(3,7), OA(4,11), OA(3,13), configuration-model inputs with
-    # m < n and m > n, an irregular and a disconnected input
+    # m < n and m > n, an irregular and a disconnected input; OA(4,29) and
+    # the 13-cycle were recorded before the girth came from the traces
     code, out, err = run(capsys, "analyze", os.path.join(GOLDEN, name + ".txt"),
                          "--format", "json")
     assert code == 0, err
     with open(os.path.join(GOLDEN, name + ".json")) as fh:
         assert out == fh.read()
+
+
+def count_calls(monkeypatch, name):
+    """The argument tuples of every call of `name`, through whichever of the
+    hypergraph, spectra and cli modules binds it."""
+    calls = []
+    for mod in (hypergraph, spectra, cli):
+        fn = getattr(mod, name, None)
+        if fn is not None:
+            def counted(*args, _fn=fn, **kwargs):
+                calls.append(args)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("h", [named_fixture("petersen"),
+                               hypergraph_from_oa(oa_from_mols(mols_cyclic(7, 2)))],
+                         ids=["petersen", "oa-4-7"])
+def test_analyze_builds_each_derived_object_once(monkeypatch, h):
+    # connected regular input with a girth of at most 12 takes it from the
+    # traces: no BFS, one set of neighbour lists, one regularity check of
+    # the input (the dual's own check is on the dual)
+    bfs = count_calls(monkeypatch, "girth")
+    nbrs = count_calls(monkeypatch, "neighbour_lists")
+    checks = count_calls(monkeypatch, "check_regular_uniform")
+    pairs = dict(cli.analyze_pairs(h))
+    assert pairs["girth"] == pairs["girth_by_trace"] == (5 if h.n == 10 else 3)
+    assert bfs == []
+    assert len(nbrs) == 1
+    assert [args for args in checks if args[0] is h] == [(h,)]
+
+
+@pytest.mark.parametrize("name", ["irregular", "disconnected", "cycle-13"])
+def test_analyze_girth_falls_back_to_bfs(monkeypatch, capsys, name):
+    # irregular input has no walk recurrence, the trace path is taken for
+    # connected input only, and the 13-cycle's traces vanish up to 12
+    bfs = count_calls(monkeypatch, "girth")
+    code, out, err = run(capsys, "analyze", os.path.join(GOLDEN, name + ".txt"),
+                         "--format", "json")
+    assert code == 0, err
+    assert len(bfs) == 1
+    with open(os.path.join(GOLDEN, name + ".json")) as fh:
+        assert out == fh.read()
+    if name == "cycle-13":
+        payload = json.loads(out)
+        assert (payload["girth"], payload["girth_by_trace"]) == (13, "> 12")
+
 
 def test_analyze_json_precision(tmp_path, capsys):
     f = tmp_path / "petersen.hg"

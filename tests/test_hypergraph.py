@@ -10,15 +10,16 @@ from hyplp import hypergraph
 from hyplp.constructions import named_fixture
 from hyplp.hypergraph import (Hypergraph, HypergraphFormatError,
                               NotRegularUniformError, _adjacency_multisets,
-                              _fields, adjacency, adjacency_rows,
+                              adjacency, adjacency_rows,
                               check_regular_uniform, degrees, diameter,
-                              distance_matrix, distance_regularity_check,
+                              distance_regularity_check,
                               dual, girth, girth_via_trace, is_connected,
-                              nbw_count_matrix, spheres)
+                              spheres)
 from conftest import random_regular_uniform
-from walk_oracles import (bfs_distances, dense_walk_matrix,
-                          distance_regularity_oracle, incidence_girth,
-                          incidence_graph, nbw_count_oracle)
+from walk_oracles import (_fields, bfs_distances, dense_walk_matrix,
+                          distance_matrix, distance_regularity_oracle,
+                          incidence_girth, incidence_graph, nbw_count_matrix,
+                          nbw_count_oracle)
 
 PRISM = Hypergraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                        (0, 3), (1, 4), (2, 5)])

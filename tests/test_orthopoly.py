@@ -524,6 +524,8 @@ def test_positive_witness_matches_sympy():
         cases.append((random_test_polynomial(rng, a, b), a, b, None))
     for coeffs, a, b, certified in cases:
         got = positive_witness(coeffs, a, b)
+        # a caller's p(b) saves an evaluation and changes no verdict
+        assert positive_witness(coeffs, a, b, _poly_eval(coeffs, b)) == got
         want = sympy_nonpositive(coeffs, a, b)
         assert (got is None) == want, (coeffs, a, b, got)
         assert certified in (None, want)
@@ -546,6 +548,7 @@ def test_positive_witness_matches_sympy():
         for _ in range(rng.choice((0, 0, 1, 2))):
             coeffs = _poly_mul(coeffs, [Fraction(-n), Fraction(0), Fraction(1)])
         got = positive_witness(coeffs, a, b)
+        assert positive_witness(coeffs, a, b, _poly_eval(coeffs, b)) == got
         want = sympy_nonpositive(coeffs, a, b)
         assert (got is None) == want, (coeffs, a, n, got)
         if got is not None:

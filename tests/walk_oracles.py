@@ -1,10 +1,14 @@
 """Test-side oracles for the hypergraph module: a dense incidence graph,
 non-backtracking walks counted one by one, the walk recurrence, distances,
 distance-regularity and girth on dense lists.  Slow and independent of the
-packed-row code they check."""
+packed-row code they check.  Last, the decoders that read the packed rows
+of `hyplp.hypergraph` back into dense matrices: the walk matrices F_i(A)
+and the distance matrix."""
 
 import math
+from itertools import islice
 
+from hyplp import hypergraph
 from hyplp.hypergraph import Hypergraph
 
 
@@ -163,3 +167,47 @@ def incidence_girth(h: Hypergraph):
                         best = min(best, dist[x] + dist[y] + 1)
             frontier = nxt
     return best // 2 if best != math.inf else math.inf
+
+
+def _fields(packed: int, width: int, count: int) -> list[int]:
+    """The `count` signed fields of a packed row, field 0 first.  Adding
+    2^(width-1) to every field makes each one non-negative, so no field
+    borrows from the next, and the bits then read off field by field."""
+    half = 1 << (width - 1)
+    ones = ((1 << (width * count)) - 1) // ((1 << width) - 1)
+    bits = format(packed + half * ones, "b").zfill(width * count)
+    return [int(bits[j - width:j], 2) - half
+            for j in range(len(bits), len(bits) - width * count, -width)]
+
+
+def nbw_count_matrix(h: Hypergraph, i: int) -> list[list[int]]:
+    """F_i applied to the adjacency matrix (see `hypergraph._walk_rows`).
+    Entry (x, y) counts the non-backtracking walks of length i from x to y;
+    entries stay >= 0."""
+    if i < 0:
+        raise ValueError("length must be non-negative")
+    width, walks = hypergraph._walk_rows(h, i)
+    cur = [_fields(row, width, h.n) for row in next(islice(walks, i, None))]
+    bad = next(((p, q_) for p, row in enumerate(cur) for q_, v in enumerate(row)
+                if v < 0), None)
+    if bad is not None:
+        raise AssertionError(f"negative walk count at {bad}; adjacency input invalid")
+    return cur
+
+
+def distance_matrix(h: Hypergraph) -> tuple[list[list[int]], bool]:
+    """Point-graph distances read off `hypergraph.spheres(h)`; unreachable
+    pairs get -1 and the second return value reports connectivity."""
+    rows = hypergraph.adjacency_rows(h)
+    width = hypergraph._sphere_width(rows)
+    shells = hypergraph.spheres(h, rows)
+    dist = [[-1] * h.n for _ in range(h.n)]
+    for d, layer in enumerate(shells):
+        for row, bits in zip(dist, layer):
+            digits = format(bits, "b")
+            top = len(digits) - 1
+            y = digits.find("1")
+            while y >= 0:
+                row[(top - y) // width] = d
+                y = digits.find("1", y + 1)
+    return dist, hypergraph._reaches_all(shells, h.n)
