@@ -387,21 +387,53 @@ def _walk_rows(h: Hypergraph, top: int, nbrs: list | None = None,
     return width, walks()
 
 
+def _field_tops(packed: int, width: int, ones: int) -> int:
+    """The top bit of every nonzero field of `packed`, for fields in [0,
+    2^(width-1)); `ones` has a 1 at the bottom of every field.  Adding
+    2^(width-1) - 1 to a field sets its top bit exactly when the field is
+    nonzero, and carries into no other field."""
+    return (packed + ones * ((1 << (width - 1)) - 1)) & (ones << (width - 1))
+
+
+def _walk_diagonals(h: Hypergraph, top: int, nbrs: list | None = None,
+                    ru: tuple[int, int] | None = None) -> Iterator[Iterator[bool]]:
+    """For g = 2, ..., top, whether entry (x, x) of F_g(A) is nonzero, for
+    x = 0, 1, ..., n - 1: one lazy iterator per g, exact while the
+    diagonals of F_1(A) to F_(g-1)(A) vanish; that of F_1 = A always does,
+    since no edge repeats a vertex.  None needs F_g(A) itself: (x, x) of
+    F_2 is sum_z A[x][z] (A[x][z] - 1), nonzero at a repeated neighbour;
+    for g >= 3 it is sum_z A[x][z]
+    F_(g-1)[x][z] (F_(g-1) is symmetric, and the diagonals of F_(g-1) and
+    F_(g-2) vanish), nonzero exactly when rows x of A and of F_(g-1) have
+    a nonzero field in common: one AND of their `_field_tops` per x.
+    `nbrs` and `ru` as for `_walk_rows`."""
+    if nbrs is None:
+        nbrs = neighbour_lists(adjacency_rows(h))
+    width, walks = _walk_rows(h, top, nbrs, ru)
+    next(walks)
+    adj = next(walks)
+    if top >= 2:
+        yield (len(set(nb)) < len(nb) for nb in nbrs)
+    ones = ((1 << (width * h.n)) - 1) // ((1 << width) - 1)
+    for _ in range(3, top + 1):
+        yield (_field_tops(row, width, ones) & _field_tops(a, width, ones) != 0
+               for row, a in zip(next(walks), adj))
+
+
 def girth_via_trace(h: Hypergraph, max_i: int = 12, nbrs: list | None = None,
                     ru: tuple[int, int] | None = None) -> int | None:
     """Smallest g <= max_i with tr F_g(A) != 0 and tr F_i(A) = 0 for i < g;
     None when every trace through max_i vanishes (girth > max_i).  The
-    entries are >= 0, so the trace vanishes when every diagonal field does.
+    entries are >= 0, so the trace vanishes when every diagonal entry does,
+    and `_walk_diagonals` decides that with F_(g-1)(A) as the last product.
     A closed non-backtracking walk of length g contains a cycle of length
     at most g, and a shortest cycle is such a walk, so a g found is
     `girth(h)`.  `nbrs` and `ru`: `neighbour_lists(adjacency_rows(h))` and
     `check_regular_uniform(h)`, when the caller has them."""
-    width, walks = _walk_rows(h, max_i, nbrs, ru)
-    for g, cur in enumerate(walks):
-        if g and any(_field(row, p, width) for p, row in enumerate(cur)):
+    for g, diagonal in enumerate(_walk_diagonals(h, max_i, nbrs, ru), 2):
+        if any(diagonal):
             return g
-        if g >= max_i:
-            return None
+    return None
 
 
 def gram_mismatches(h: Hypergraph, rows: list | None = None,

@@ -28,20 +28,16 @@ __all__ = [
     "Params",
     "FPoly",
     "TridiagonalArray",
-    "f_eval",
     "f_values",
     "g_eval",
-    "g_identity_check",
     "f_monomial",
     "monomial_to_fbasis",
     "fbasis_to_monomial",
     "linearization",
-    "char_poly_check",
     "zeros_above",
     "largest_zero_G",
     "largest_zero_gc",
     "positive_witness",
-    "orthogonality_quadrature_check",
 ]
 
 
@@ -114,27 +110,9 @@ def _f_iter(params: Params, x: Number):
         prev, cur = cur, (x - shift) * cur - q * prev
 
 
-def f_eval(params: Params, i: int, x: Number) -> Number:
-    """F_i(x).  At x = k this is k*q^(i-1) for every i >= 1."""
-    return f_values(params, i, x)[i]
-
-
 def g_eval(params: Params, i: int, x: Number) -> Number:
     """Partial sum G_i(x) = F_0(x) + ... + F_i(x)."""
     return sum(f_values(params, i, x))
-
-
-def g_identity_check(params: Params, i: int, x: Number) -> bool:
-    """Check G_i(x) * (x - k) == F_{i+1}(x) - q * F_i(x) at one point x != k."""
-    if x == params.k:
-        raise ValueError("identity check needs x != k (both sides vanish)")
-    vals = f_values(params, i + 1, x)
-    lhs = sum(vals[: i + 1]) * (x - params.k)
-    rhs = vals[i + 1] - params.q * vals[i]
-    if isinstance(x, float):
-        scale = max(1.0, abs(lhs), abs(rhs))
-        return abs(lhs - rhs) <= 1e-9 * scale
-    return lhs == rhs
 
 
 @lru_cache(maxsize=None)
@@ -183,13 +161,18 @@ def monomial_to_fbasis(params: Params, coeffs: Sequence[Exact]) -> list:
 
 
 def fbasis_to_monomial(params: Params, fcoeffs: Sequence[Exact]) -> list[Fraction]:
-    """Inverse of monomial_to_fbasis."""
-    out = [Fraction(0)] * max(len(fcoeffs), 1)
-    for i, fi in enumerate(fcoeffs):
-        if fi:
+    """Inverse of monomial_to_fbasis.  The sum runs in integers over the
+    common denominator of the f_i, and each monomial coefficient becomes
+    one Fraction at the end."""
+    ratios = [f.as_integer_ratio() for f in fcoeffs]
+    den = math.lcm(*(d for _, d in ratios))
+    out = [0] * max(len(ratios), 1)
+    for i, (num, d) in enumerate(ratios):
+        if num:
+            num *= den // d
             for j, cj in enumerate(f_monomial(params, i)):
-                out[j] += Fraction(fi) * cj
-    return out
+                out[j] += num * cj
+    return [Fraction(c, den) for c in out]
 
 
 def linearization(params: Params, i: int, j: int) -> dict[int, int]:
@@ -477,13 +460,14 @@ def positive_witness(p: Sequence[Exact], a: Exact, b: Exact | Surd,
     (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, ch. 2).  The
     chain of p itself serves when p is square-free, which its Euclid run
     detects; for a p with a repeated root, that run ends at gcd(p, p'), from
-    which g is computed.  With none in (a, b), one point off the roots of p
-    decides the sign.  Else p > 0 somewhere; split at points where p < 0,
-    following a root of g.  Two such points enclose an even number of sign
-    changes, so a part left with one root has an endpoint a or b where p =
-    0, and p > 0 next to it.  A Surd b is first replaced by a rational h
-    below it with no root of g in (h, b), so every split point is
-    rational."""
+    which g is computed.  With none in (a, b), p keeps one sign on (a, b):
+    p(a) < 0 or p(b) < 0 decides it at once, with no further evaluation,
+    and else (p vanishes at both ends) one point off the roots of p does.
+    Else p > 0 somewhere; split at points where p < 0, following a root of
+    g.  Two such points enclose an even number of sign changes, so a part
+    left with one root has an endpoint a or b where p = 0, and p > 0 next
+    to it.  A Surd b is first replaced by a rational h below it with no
+    root of g in (h, b), so every split point is rational."""
     p = _poly_trim([Fraction(c) for c in p])
     lo, hi = Fraction(a), b if isinstance(b, Surd) else Fraction(b)
     if lo > hi:
@@ -494,6 +478,7 @@ def positive_witness(p: Sequence[Exact], a: Exact, b: Exact | Surd,
             return x, v
     if lo == hi or len(p) == 1:
         return None
+    negative_end = ends[0] < 0 or ends[1] < 0
     # a square-free p is its own odd-multiplicity part times a constant,
     # which multiplies every chain member and changes no sign count
     chain = _sturm_chain(p)
@@ -505,6 +490,8 @@ def positive_witness(p: Sequence[Exact], a: Exact, b: Exact | Surd,
     top = _sign_changes(chain, hi, g_hi) + (g_hi == 0)
     v_lo = _sign_changes(chain, lo, g_lo)
     roots = v_lo - top
+    if roots == 0 and negative_end:
+        return None
     if isinstance(hi, Surd):
         # once g has no root in (h, hi), as for every h > lo when roots is
         # 0, and p(h) != 0, p keeps the sign of p(h) on [h, hi); hi is
@@ -548,23 +535,6 @@ def _gc_monomial(params: Params, d: int, num: Exact, den: Exact = 1) -> list:
     for j, cj in enumerate(f_monomial(params, d)):
         out[j] += den * cj
     return out
-
-
-def char_poly_check(ta: TridiagonalArray) -> bool:
-    """Exact check that det(xI - T(r,u,d,c)) == (x - k) * g_c(x)."""
-    diag = ta.diagonal
-    sub = ta.subdiagonal
-    sup = ta.superdiagonal
-    # determinant recurrence for tridiagonal xI - T
-    prev2 = [Fraction(1)]
-    prev1 = [-diag[0], Fraction(1)]
-    for i in range(1, ta.d + 1):
-        term = _poly_mul([-diag[i], Fraction(1)], prev1)
-        cross = [sub[i - 1] * sup[i - 1] * v for v in prev2]
-        prev2, prev1 = prev1, _poly_sub(term, cross)
-    expected = _poly_mul([Fraction(-ta.params.k), Fraction(1)],
-                         _gc_monomial(ta.params, ta.d, ta.c))
-    return prev1 == expected
 
 
 def _scaled_f(params: Params, d: int, n: int, m: int) -> tuple[int, int, int, bool]:
@@ -696,26 +666,3 @@ def _last_true(pred, good: int, bad: int) -> int:
         if not good < j < bad:
             j = (good + bad) // 2
     return good
-
-
-def orthogonality_quadrature_check(params: Params, i: int, j: int,
-                                   npoints: int = 4096) -> float:
-    """Inner product <F_i, F_j> against the spectral weight, by midpoint
-    quadrature in the Chebyshev angle (plus the point mass at -r when r < u).
-    Off-diagonal values should vanish to ~1e-6 at npoints = 4096."""
-    if npoints < 1000:
-        raise ValueError("need npoints >= 1000")
-    r, u, k, q = params.r, params.u, params.k, params.q
-    rootq = math.sqrt(q)
-    acc = []
-    for m in range(npoints):
-        phi = (m + 0.5) * math.pi / npoints
-        x = (u - 2) + 2.0 * rootq * math.cos(phi)
-        vals = f_values(params, max(i, j), x)
-        sin2 = math.sin(phi) ** 2
-        acc.append(vals[i] * vals[j] * sin2 / ((k - x) * (r + x)))
-    total = (2.0 * r * q / npoints) * math.fsum(acc)
-    if r < u:
-        vals = f_values(params, max(i, j), Fraction(-r))
-        total += (u - r) / u * float(vals[i]) * float(vals[j])
-    return total

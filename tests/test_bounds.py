@@ -2,7 +2,9 @@
 integrality cuts, diameter and defect bounds, duality, and inversion."""
 
 import functools
+import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -545,12 +547,12 @@ def test_lp_optimize_warm_tableau_matches_a_cold_resolve(monkeypatch):
 
 
 def test_lp_optimize_separation_work_is_polynomial_in_s(monkeypatch):
-    # the s + 1 seed columns, then each round evaluates f at -r, theta and
+    # the 2s + 1 seed columns, then each round evaluates f at -r, theta and
     # the roots of f' (at most s + 1 points) and adds one column: O(s) calls
     # of f_values, where a 10^4-point scan of [-r, theta] would make 10^4
     # per round.  The Newton phase evaluates F at its touches (at most s)
     # once per step; checked on both paths, the cutting-plane one with 13
-    # rounds and the phase's with 3
+    # rounds and the phase's with 2
     calls = []
     real = bounds.f_values
 
@@ -560,12 +562,12 @@ def test_lp_optimize_separation_work_is_polynomial_in_s(monkeypatch):
 
     monkeypatch.setattr(bounds, "f_values", counted)
     s = 6
-    seeds = s + 1
+    seeds = 2 * s + 1
     for newton in (True, False):
         if not newton:
             cutting_plane_only(monkeypatch)
         calls.clear()
-        b = lp_bound_optimize(Params(4, 2), SQRT2, s)
+        b = lp_bound_optimize(Params(10, 2), surd.sqrt(5), s)
         assert b.params["rounds"] >= 2
         assert len(calls) - seeds <= (s + 1) ** 2 * b.params["rounds"]
 
@@ -580,27 +582,27 @@ def test_lp_optimize_seeds_end_exactly_at_theta(monkeypatch):
     for s in (3, 4, 6):
         xs.clear()
         lp_bound_optimize(P32, surd.sqrt(2), s)
-        assert xs[0] == -3.0 and xs[s] == SQRT2 == 1.4142135623730951, (s, xs[:s + 1])
+        assert xs[0] == -3.0 and xs[2 * s] == SQRT2 == 1.4142135623730951, (s, xs[:2 * s + 1])
 
 
 def test_lp_optimize_newton_phase_cuts_rounds(monkeypatch):
     # the benchmark's three anchors: Kelley's cutting plane bisects the
     # pair of points around each interior touch, a factor 4 in the
-    # violation per round; Newton's method on the touches ends in 1-3
-    anchors = {(Params(5, 3), surd.sqrt(18), 4): 16, (Params(5, 3), 2, 6): 13,
-               (P32, 1, 4): 14}
+    # violation per round; Newton's method on the touches ends in 1-2
+    anchors = {(Params(5, 3), surd.sqrt(18), 4): 15, (Params(5, 3), 2, 6): 12,
+               (P32, 1, 4): 13}
     fast = {cell: lp_bound_optimize(*cell) for cell in anchors}
     cutting_plane_only(monkeypatch)
     for cell, rounds in anchors.items():
         slow = lp_bound_optimize(*cell)
         assert slow.params["rounds"] == rounds, cell
-        assert fast[cell].params["rounds"] <= 3, cell
+        assert fast[cell].params["rounds"] <= 2, cell
         assert fast[cell].value <= slow.value, cell
     # the README example: touches at -3 (the end) and -1 and 1, where the
-    # Petersen graph's eigenvalues lie, in one round on the 5 seeds
+    # Petersen graph's eigenvalues lie, in one round on the 9 seeds
     b = fast[(P32, 1, 4)]
     assert b.value == Fraction(111111, 11111)
-    assert (b.params["rounds"], b.params["points"]) == (1, 5)
+    assert (b.params["rounds"], b.params["points"]) == (1, 9)
 
 
 def test_lp_optimize_newton_phase_never_raises_the_value(monkeypatch):
@@ -656,12 +658,45 @@ def test_touch_newton_rejects_a_negative_reduced_cost(monkeypatch):
     # positive, and the same touch set passes
     assert real(params, fk + [1e12], tables4, padded, points, crit, lo, th) is not None
     # at degree 4 the rounds where the phase declines go on by adding their
-    # argmax as a column, down to the lower optimum
+    # argmax as a column, down to the lower optimum; this cell declines none
+    # on its 2s + 1 seeds, and (5, 3, sqrt 18) at degree 4 declines one
     seen.clear()
     high = lp_bound_optimize(params, theta, 4)
     assert float(high.value) < float(low.value) - 3
     declined = sum(out is None for _, out in seen)
-    assert high.params["points"] == 4 + 1 + declined
+    assert high.params["points"] == 2 * 4 + 1 + declined
+    seen.clear()
+    b = lp_bound_optimize(Params(5, 3), surd.sqrt(18), 4)
+    declined = sum(out is None for _, out in seen)
+    assert declined >= 1 and b.params["rounds"] == len(seen) == declined + 1
+    assert b.params["points"] == 2 * 4 + 1 + declined
+
+
+# perfbench's lp-optimize calls: its two pools, plus the three anchors and
+# the kept call that perfbench/workloads.py adds to every batch
+POOLS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "pools.json")
+LP_ANCHORS_AND_KEPT = ((5, 3, "sqrt18", 4), (5, 2, "sqrt3", 4), (5, 3, "2", 6),
+                       (8, 2, "2", 7))
+
+
+def test_lp_optimize_on_the_benchmark_calls(capsys):
+    # every call exits 0 in at most 2 rounds on its 2s + 1 seeds, and
+    # lp_bound_evaluate proves its printed certificate and value again
+    with open(POOLS) as fh:
+        pools = json.load(fh)
+    calls = [row[:4] for row in pools["lp_fast"] + pools["lp_stall"]]
+    calls += LP_ANCHORS_AND_KEPT
+    assert len(calls) == 128
+    for r, u, theta, s in calls:
+        argv = ["bound", "lp", "--r", str(r), "--u", str(u), f"--theta={theta}",
+                "--degree", str(s), "--format", "json"]
+        assert main(argv) == 0, argv
+        out = json.loads(capsys.readouterr().out)
+        assert out["theorem"] == "LP_OPT" and out["rounds"] <= 2, argv
+        params = Params(r, u)
+        f = FPoly(params, tuple(Fraction(c) for c in out["certificate_f_basis"]))
+        again = lp_bound_evaluate(params, f, theta=parse_theta(theta))
+        assert again.value == Fraction(out["value"]), argv
 
 
 def grid_lp_optimum(r, u, theta, s, npts=40001):

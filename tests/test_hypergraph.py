@@ -337,6 +337,37 @@ def test_girth_via_trace_fixtures():
     assert girth_via_trace(c26, max_i=12) is None
 
 
+def test_walk_diagonals_match_the_full_products(corpus):
+    # each g's verdicts, read off F_(g-1) without forming F_g, against the
+    # diagonal of the full product F_g, for g from 2 up to the girth (the
+    # verdicts hold while the earlier diagonals vanish, and tr F_1 = tr A
+    # is 0); the corpus has girths 2 (repeated pairs) to above 6
+    girths = set()
+    for h in corpus + [DOUBLED, TRIPLE, PRISM]:
+        g = girth(h)
+        girths.add(g)
+        top = min(g, 6)
+        assert not any(row[x] for x, row in enumerate(nbw_count_matrix(h, 1)))
+        for i, diagonal in enumerate(hypergraph._walk_diagonals(h, top), 2):
+            want = [row[x] != 0 for x, row in enumerate(nbw_count_matrix(h, i))]
+            assert list(diagonal) == want, (h, i)
+        assert i == top
+    assert {2, 3, 4} <= girths
+
+
+def test_field_tops_mark_exactly_the_nonzero_fields():
+    # fields up to 2^(width-1) - 1, the largest a proved bound allows
+    rng = random.Random(11)
+    for width in (2, 3, 7, 64, 93):
+        for count in (1, 5, 40):
+            vals = [rng.choice((0, 1, (1 << (width - 1)) - 1, rng.randrange(1 << (width - 1))))
+                    for _ in range(count)]
+            ones = sum(1 << (width * y) for y in range(count))
+            packed = sum(v << (width * y) for y, v in enumerate(vals))
+            want = sum(1 << (width * y + width - 1) for y, v in enumerate(vals) if v)
+            assert hypergraph._field_tops(packed, width, ones) == want
+
+
 def test_distance_regularity_petersen():
     rep = distance_regularity_check(named_fixture("petersen"))
     assert rep.valid

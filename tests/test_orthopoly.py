@@ -13,18 +13,75 @@ import sympy
 
 from hyplp import orthopoly, surd
 from hyplp.bounds import closed_form_h_bound, lp_bound_optimize, tau2_lower
-from hyplp.orthopoly import (FPoly, Params, TridiagonalArray, char_poly_check,
-                             f_eval, f_monomial, f_values, fbasis_to_monomial,
-                             g_eval, g_identity_check, largest_zero_G,
-                             largest_zero_gc, linearization,
-                             monomial_to_fbasis,
-                             orthogonality_quadrature_check,
-                             positive_witness, zeros_above)
+from hyplp.orthopoly import (FPoly, Params, TridiagonalArray, f_monomial,
+                             f_values, fbasis_to_monomial, g_eval,
+                             largest_zero_G, largest_zero_gc, linearization,
+                             monomial_to_fbasis, positive_witness, zeros_above)
 from hyplp.orthopoly import (_gc_monomial, _newton, _poly_deriv, _poly_eval,
-                             _poly_mul, _poly_roots, _sign_changes,
+                             _poly_mul, _poly_roots, _poly_sub, _sign_changes,
                              _sturm_chain)
 
 GRID = [(3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 5), (4, 4), (6, 2)]
+
+
+# Reference checks of the family's identities, used by the tests below only.
+
+
+def f_eval(params, i, x):
+    """F_i(x).  At x = k this is k*q^(i-1) for every i >= 1."""
+    return f_values(params, i, x)[i]
+
+
+def g_identity_check(params, i, x):
+    """Check G_i(x) * (x - k) == F_{i+1}(x) - q * F_i(x) at one point x != k."""
+    if x == params.k:
+        raise ValueError("identity check needs x != k (both sides vanish)")
+    vals = f_values(params, i + 1, x)
+    lhs = sum(vals[: i + 1]) * (x - params.k)
+    rhs = vals[i + 1] - params.q * vals[i]
+    if isinstance(x, float):
+        scale = max(1.0, abs(lhs), abs(rhs))
+        return abs(lhs - rhs) <= 1e-9 * scale
+    return lhs == rhs
+
+
+def char_poly_check(ta):
+    """Exact check that det(xI - T(r,u,d,c)) == (x - k) * g_c(x)."""
+    diag = ta.diagonal
+    sub = ta.subdiagonal
+    sup = ta.superdiagonal
+    # determinant recurrence for tridiagonal xI - T
+    prev2 = [Fraction(1)]
+    prev1 = [-diag[0], Fraction(1)]
+    for i in range(1, ta.d + 1):
+        term = _poly_mul([-diag[i], Fraction(1)], prev1)
+        cross = [sub[i - 1] * sup[i - 1] * v for v in prev2]
+        prev2, prev1 = prev1, _poly_sub(term, cross)
+    expected = _poly_mul([Fraction(-ta.params.k), Fraction(1)],
+                         _gc_monomial(ta.params, ta.d, ta.c))
+    return prev1 == expected
+
+
+def orthogonality_quadrature_check(params, i, j, npoints=4096):
+    """Inner product <F_i, F_j> against the spectral weight, by midpoint
+    quadrature in the Chebyshev angle (plus the point mass at -r when r < u).
+    Off-diagonal values should vanish to ~1e-6 at npoints = 4096."""
+    if npoints < 1000:
+        raise ValueError("need npoints >= 1000")
+    r, u, k, q = params.r, params.u, params.k, params.q
+    rootq = math.sqrt(q)
+    acc = []
+    for m in range(npoints):
+        phi = (m + 0.5) * math.pi / npoints
+        x = (u - 2) + 2.0 * rootq * math.cos(phi)
+        vals = f_values(params, max(i, j), x)
+        sin2 = math.sin(phi) ** 2
+        acc.append(vals[i] * vals[j] * sin2 / ((k - x) * (r + x)))
+    total = (2.0 * r * q / npoints) * math.fsum(acc)
+    if r < u:
+        vals = f_values(params, max(i, j), Fraction(-r))
+        total += (u - r) / u * float(vals[i]) * float(vals[j])
+    return total
 
 
 def sympy_f(r, u, imax):
@@ -621,6 +678,66 @@ def test_positive_witness_at_a_sqrt_endpoint():
                      [Fraction(2), Fraction(0), Fraction(-1)])
     x, v = positive_witness(hump, c1, root2)
     assert c1 < x < root2 and v > 0 and isinstance(x, Fraction)
+
+
+def test_positive_witness_ends_at_a_negative_end(monkeypatch):
+    # with no sign change inside and p < 0 at an end, p <= 0 follows from
+    # the Sturm count alone: no point but the two ends is evaluated, neither
+    # a sample point nor, at a sqrtN end, a dyadic probe below it
+    seen = []
+    real = orthopoly._poly_eval
+    monkeypatch.setattr(orthopoly, "_poly_eval",
+                        lambda p, x: seen.append(x) or real(p, x))
+    root5 = surd.sqrt(5)
+    # x^2 - 9, roots outside; -(x - 1)^2 (x + 2), a double root inside;
+    # -x (x + 1), zero at a and negative at b
+    double = [-c for c in _poly_mul(_poly_mul([-1, 1], [-1, 1]), [2, 1])]
+    for coeffs, a, b in (([-9, 0, 1], 0, 2), ([-9, 0, 1], 0, root5),
+                         (double, 0, 2), (double, 0, root5),
+                         ([0, -1, -1], 0, 2), ([0, -1, -1], 0, root5)):
+        seen.clear()
+        assert positive_witness(coeffs, a, b) is None, (coeffs, b)
+        assert seen and set(seen) <= {a, b}, (coeffs, b, seen)
+    # both ends vanish: x (x - 1) <= 0 and x (1 - x) > 0 on [0, 1] still take
+    # the sample point 1/2, and x (x^2 - 2) on [0, sqrt 2] its dyadic probe
+    for coeffs, want in (([0, -1, 1], None), ([0, 1, -1], (Fraction(1, 2), Fraction(1, 4)))):
+        seen.clear()
+        assert positive_witness(coeffs, 0, 1) == want
+        assert Fraction(1, 2) in seen
+    root2 = surd.sqrt(2)
+    for sign in (1, -1):
+        seen.clear()
+        got = positive_witness([0, -2 * sign, 0, sign], 0, root2)
+        assert (got is None) == (sign == 1)
+        assert any(isinstance(x, Fraction) and 0 < x < root2 for x in seen)
+
+
+def fbasis_to_monomial_reference(params, fcoeffs):
+    """The per-term sum `fbasis_to_monomial` replaced: one Fraction product
+    and sum per monomial term."""
+    out = [Fraction(0)] * max(len(fcoeffs), 1)
+    for i, fi in enumerate(fcoeffs):
+        if fi:
+            for j, cj in enumerate(f_monomial(params, i)):
+                out[j] += Fraction(fi) * cj
+    return out
+
+
+def test_fbasis_to_monomial_matches_the_per_term_sum():
+    rng = random.Random(22)
+    for r, u in GRID:
+        p = Params(r, u)
+        assert fbasis_to_monomial(p, []) == fbasis_to_monomial_reference(p, [])
+        for _ in range(12):
+            fc = [rng.choice((0, rng.randrange(-50, 51),
+                              Fraction(rng.randrange(-99, 100), rng.randrange(1, 10 ** 6))))
+                  for _ in range(rng.randrange(1, 11))]
+            got = fbasis_to_monomial(p, fc)
+            assert got == fbasis_to_monomial_reference(p, fc), (r, u, fc)
+            assert all(type(c) is Fraction for c in got)
+            while len(fc) > 1 and fc[-1] == 0:
+                fc.pop()
+            assert monomial_to_fbasis(p, got) == fc, (r, u, fc)
 
 
 def float_poly_from_roots(roots, lead):
