@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from ._record import Record
 from .orthopoly import (FPoly, Params, _f_iter, _float_bracket, _gc_monomial,
-                        _poly_deriv, _poly_eval, _poly_mul,
-                        _poly_roots, _scaled_f, f_monomial, f_values, g_eval,
-                        largest_zero_G, largest_zero_gc, monomial_to_fbasis,
-                        positive_witness, zeros_above)
+                        _poly_deriv, _poly_eval, _poly_mul, _poly_roots,
+                        _primitive, _scaled_f, _sign_at, f_monomial, f_values,
+                        g_eval, largest_zero_G, largest_zero_gc,
+                        monomial_to_fbasis, positive_witness, zeros_above)
 from .simplex import Tableau, Unbounded, _pivot
 from .surd import Surd
 
@@ -38,11 +38,8 @@ __all__ = [
     "dss_gen_bound",
     "imp2_bound",
     "defect_region",
-    "defect_lower_bounds",
-    "duality_transform",
     "ru1_bound",
     "tau2_lower",
-    "biregular_bound",
 ]
 
 Number = int | float | Fraction | Surd
@@ -122,9 +119,10 @@ def lp_bound_evaluate(params: Params, f: FPoly,
 
     Every tau and theta is taken as the exact number it is: a Surd stays a
     Surd, and an int, Fraction or float is the rational it equals.  Taus
-    mode computes each f(tau) exactly: f(tau) < 0 is strict, f(tau) = 0
-    meets equality.  Interval mode decides f <= 0 on exactly [-r, theta] by
-    a Sturm count (`positive_witness`)."""
+    mode decides the sign of each f(tau) exactly, in integers (`_sign_at`):
+    f(tau) < 0 is strict, f(tau) = 0 meets equality, and f(tau) itself is
+    formed only for a witness.  Interval mode decides f <= 0 on exactly
+    [-r, theta] by a Sturm count (`positive_witness`)."""
     if f.params != params:
         raise ValueError("polynomial was built for different (r, u)")
     if (taus is None) == (theta is None):
@@ -147,10 +145,11 @@ def lp_bound_evaluate(params: Params, f: FPoly,
         if len(set(points)) != len(points):
             raise ValueError("taus must be distinct")
         strict = []
+        whole = _primitive(mono)
         for t, x in zip(taus, points):
-            v = _poly_eval(mono, x)
+            v = _sign_at(whole, x)
             if v > 0:
-                raise LPConditionError("f(tau) <= 0", (x, v))
+                raise LPConditionError("f(tau) <= 0", (x, _poly_eval(mono, x)))
             if v < 0:
                 strict.append(t)
         pdict["taus"] = tuple(taus)
@@ -162,7 +161,7 @@ def lp_bound_evaluate(params: Params, f: FPoly,
         lo, hi = Fraction(-params.r), _exact(theta)
         if hi < lo:
             raise ValueError("theta below -r leaves an empty interval")
-        at_theta = _poly_eval(mono, hi)
+        at_theta = _sign_at(_primitive(mono), hi)
         witness = positive_witness(mono, lo, hi, at_theta)
         if witness is not None:
             raise LPConditionError(INTERVAL_CONDITION, witness)
@@ -632,30 +631,6 @@ def defect_region_within(params: Params, d: int, e: Number,
             and g_eval(params, d, upper - h) < e <= g_eval(params, d, upper + h))
 
 
-def defect_lower_bounds(params: Params, d: int, tau2: Number) -> Number:
-    """Minimum defect forced by tau2 at diameter d, in the three ranges of
-    `imp2_bound`: kq^(d-1) at or below lambda_{d-1}, G_d(tau2) above
-    lambda_d, and kq^(d-1) G_d(tau2) / F_d(tau2) from lambda_{d-1} up to
-    lambda_d, where it is 0."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    cap = params.k * params.q ** (d - 1)
-    stop, g, f = _scan_G(params, tau2, d)
-    if stop < d:
-        return cap
-    if f is None:
-        return g
-    return cap * (g + f) / f
-
-
-def duality_transform(r: int, u: int, theta: Number):
-    """Parameter swap (r,u,theta) -> (u, r, theta + r - u) with value scale
-    u/r; applying it twice returns the starting point."""
-    if r < 2 or u < 2:
-        raise ValueError("need r, u >= 2")
-    return u, r, theta + (r - u), Fraction(u, r)
-
-
 def ru1_bound(r: int, u: int) -> BoundResult | None:
     """Order cap u(r+1) at second eigenvalue 1, available once r is large
     enough relative to u; None when the degree condition fails."""
@@ -681,9 +656,3 @@ def tau2_lower(params: Params, n: int):
     c = Fraction(k * q ** (d - 1), n - moore_order(params, d - 1))
     assert 1 <= c <= k * q ** (d - 1)
     return d, c, largest_zero_gc(params, d, c)
-
-
-def biregular_bound(params: Params, base: BoundResult) -> Number:
-    """Scale an order bound to the two-sided count of the incidence graph:
-    (r+u)/u times the base value."""
-    return Fraction(params.r + params.u, params.u) * base.value

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from ._record import Record
-from .surd import Surd
+from .surd import Surd, _sign, _sign_parts
 
 Exact = int | Fraction
 Number = int | Fraction | float
@@ -435,14 +435,59 @@ def _sturm_chain(g: Sequence[Fraction]) -> list[list[Fraction]]:
     return chain
 
 
-def _sign_changes(chain: Sequence[Sequence[Fraction]], x: Fraction | Surd,
-                  head: Fraction | Surd | None = None) -> int:
-    """Sign changes of the Sturm `chain` at x.  `head`: chain[0] at x, when
-    the caller has it."""
+def _primitive(p: Sequence[Exact]) -> list[int]:
+    """The primitive integer multiple of the rational polynomial p: p times
+    a positive rational, with integer coefficients whose gcd is 1, so it has
+    the sign of p at every point.  The zero polynomial gives [0]."""
+    ratios = [c.as_integer_ratio() for c in p]
+    den = math.lcm(*(d for _, d in ratios))
+    ints = [n * (den // d) for n, d in ratios]
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def _sign_at(p: Sequence[Exact], x: Exact | Surd) -> int:
+    """The sign, -1, 0 or 1, of p(x) at a rational or Surd x, by homogeneous
+    Horner (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, ch. 2):
+    at x = n/d with d > 0, the sign of sum p_i n^i d^(deg - i), which is
+    d^deg p(x); at x = (A + B sqrt N)/D with D > 0, the same sum over
+    (A + B sqrt N) and D, kept as c0 + c1 sqrt N with sqrt N^2 = N, whose
+    sign `Surd`'s rule decides.  For an integer p, as `_primitive` gives,
+    no step leaves the integers."""
+    if isinstance(x, Surd):
+        den = math.lcm(x.a.denominator, x.b.denominator)
+        a = x.a.numerator * (den // x.a.denominator)
+        b = x.b.numerator * (den // x.b.denominator)
+        bn = b * x.n
+        c0 = c1 = 0
+        scale = 1
+        for c in reversed(p):
+            c0, c1 = c0 * a + c1 * bn + c * scale, c0 * b + c1 * a
+            scale *= den
+        return _sign_parts(c0, c1, x.n)
+    n, d = x.numerator, x.denominator
+    acc = 0
+    if d == 1:
+        for c in reversed(p):
+            acc = acc * n + c
+    else:
+        scale = 1
+        for c in reversed(p):
+            acc = acc * n + c * scale
+            scale *= d
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_changes(chain: Sequence[Sequence[Exact]], x: Exact | Surd,
+                  head: int | None = None) -> int:
+    """Sign changes of the Sturm `chain` at x, each sign decided by
+    `_sign_at`: in integers on a chain of `_primitive` members, and with the
+    same count on the rational chain they come from.  `head`: the sign of
+    chain[0] at x, when the caller has it."""
     if head is None:
-        head = _poly_eval(chain[0], x)
-    values = [head] + [_poly_eval(p, x) for p in chain[1:]]
-    signs = [v > 0 for v in values if v != 0]
+        head = _sign_at(chain[0], x)
+    signs = [head] + [_sign_at(p, x) for p in chain[1:]]
+    signs = [v for v in signs if v]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
@@ -452,39 +497,47 @@ def positive_witness(p: Sequence[Exact], a: Exact, b: Exact | Surd,
     """Decide exactly whether p (rational monomial coefficients, lowest
     first) is <= 0 on [a, b], for a rational a and a rational or Surd b >= a:
     None when it is, else a witness (x, p(x)) with x in [a, b] and p(x) > 0.
-    x is rational unless it is the Surd b itself.  `pb`: p(b), when the
-    caller has it.
+    x is rational unless it is the Surd b itself.  `pb`: p(b), or any number
+    of its sign, when the caller has it; only its sign is read.
 
     p changes sign exactly at the roots of its odd-multiplicity part g, and
     a Sturm chain of g counts those in (lo, hi] as V(lo) - V(hi)
     (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, ch. 2).  The
     chain of p itself serves when p is square-free, which its Euclid run
     detects; for a p with a repeated root, that run ends at gcd(p, p'), from
-    which g is computed.  With none in (a, b), p keeps one sign on (a, b):
-    p(a) < 0 or p(b) < 0 decides it at once, with no further evaluation,
-    and else (p vanishes at both ends) one point off the roots of p does.
-    Else p > 0 somewhere; split at points where p < 0, following a root of
-    g.  Two such points enclose an even number of sign changes, so a part
-    left with one root has an endpoint a or b where p = 0, and p > 0 next
-    to it.  A Surd b is first replaced by a rational h below it with no
-    root of g in (h, b), so every split point is rational."""
+    which g is computed.  The chain is built over Q; p and each chain member
+    then become `_primitive` integer polynomials, and every sign below is
+    decided in integers by `_sign_at`.  A Fraction or Surd value is formed
+    only for the returned witness.  With no root of g in (a, b), p keeps
+    one sign on (a, b): p(a) < 0 or p(b) < 0 decides it at once, with no
+    further evaluation, and else (p vanishes at both ends) one point off the
+    roots of p does.  Else p > 0 somewhere; split at points where p < 0,
+    following a root of g.  Two such points enclose an even number of sign
+    changes, so a part left with one root has an endpoint a or b where p =
+    0, and p > 0 next to it.  A Surd b is first replaced by a rational h
+    below it with no root of g in (h, b), so every split point is
+    rational."""
     p = _poly_trim([Fraction(c) for c in p])
     lo, hi = Fraction(a), b if isinstance(b, Surd) else Fraction(b)
     if lo > hi:
         raise ValueError("need a <= b")
-    ends = [_poly_eval(p, lo), _poly_eval(p, hi) if pb is None else pb]
+    whole = _primitive(p)
+    ends = [_sign_at(whole, lo), _sign_at(whole, hi) if pb is None else _sign(pb)]
     for x, v in zip((lo, hi), ends):
         if v > 0:
-            return x, v
+            return x, _poly_eval(p, x)
     if lo == hi or len(p) == 1:
         return None
     negative_end = ends[0] < 0 or ends[1] < 0
     # a square-free p is its own odd-multiplicity part times a constant,
     # which multiplies every chain member and changes no sign count
     chain = _sturm_chain(p)
+    g = whole
     if len(chain[-1]) > 1:
         chain = _sturm_chain(_odd_multiplicity_part(p, chain[-1]))
-        ends = [_poly_eval(chain[0], x) for x in (lo, hi)]
+        g = _primitive(chain[0])
+        ends = [_sign_at(g, x) for x in (lo, hi)]
+    chain = [g] + [_primitive(q) for q in chain[1:]]
     g_lo, g_hi = ends
     # g has V(lo) - top roots in (lo, hi)
     top = _sign_changes(chain, hi, g_hi) + (g_hi == 0)
@@ -499,23 +552,23 @@ def positive_witness(p: Sequence[Exact], a: Exact, b: Exact | Surd,
         s = 64
         while True:
             h = Fraction(math.floor(hi * (1 << s)), 1 << s)
-            v = _poly_eval(p, h)
+            v = _sign_at(whole, h)
             if (lo < h and v != 0
                     and (roots == 0 or _sign_changes(chain, h) == top)):
                 break
             s *= 2
         if v > 0:
-            return h, v
+            return h, _poly_eval(p, h)
         hi = h
     while True:
         # p has at most deg p roots, so one of these deg p + 1 points is not one
         for j in range(2, len(p) + 2):
             x = lo + (hi - lo) / j
-            v = _poly_eval(p, x)
+            v = _sign_at(whole, x)
             if v != 0:
                 break
         if v > 0:
-            return x, v
+            return x, _poly_eval(p, x)
         if roots == 0:
             return None
         v_x = _sign_changes(chain, x)

@@ -52,6 +52,18 @@ def _sign(x) -> int:
     return x.sign() if isinstance(x, Surd) else (x > 0) - (x < 0)
 
 
+def _sign_parts(a, b, n: int) -> int:
+    """The sign, -1, 0 or 1, of a + b sqrt(n) for rationals a and b and a
+    non-square n > 1: the sign of a and b when they agree, else of the one
+    with the larger square among a^2 and b^2 n."""
+    if not b:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if a * sb >= 0 or b * b * n > a * a:
+        return sb
+    return -sb
+
+
 @total_ordering
 class Surd:
     """a + b*sqrt(n) with Fractions a and b != 0 and a non-square n > 1.
@@ -113,10 +125,7 @@ class Surd:
 
     def sign(self) -> int:
         """1 or -1, exactly."""
-        sb = 1 if self.b > 0 else -1
-        if self.a * sb >= 0 or self.b * self.b * self.n > self.a * self.a:
-            return sb
-        return -sb
+        return _sign_parts(self.a, self.b, self.n)
 
     def __abs__(self) -> Surd:
         return -self if self.sign() < 0 else self

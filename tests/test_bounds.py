@@ -13,11 +13,10 @@ import pytest
 from scipy.optimize import linprog
 
 from hyplp import bounds, orthopoly, simplex, surd
-from hyplp.bounds import (BoundResult, DssCheck, LPConditionError, Refinement,
-                          biregular_bound, closed_form_h_bound,
-                          defect_lower_bounds, defect_region,
-                          diameter_order_bound, dss_gen_bound,
-                          duality_transform, feng_li_threshold, imp2_bound,
+from hyplp.bounds import (BoundResult, DssCheck, LPConditionError, Number,
+                          Refinement, _scan_G, closed_form_h_bound,
+                          defect_region, diameter_order_bound, dss_gen_bound,
+                          feng_li_threshold, imp2_bound,
                           integrality_refinements, largest_divisible_order,
                           lp_bound_evaluate, lp_bound_optimize, moore_order,
                           ru1_bound, select_diameter, strictly_below_int,
@@ -907,6 +906,40 @@ def test_defect_region_refuses_a_bracket_where_G_d_reaches_e(monkeypatch):
     monkeypatch.setattr(bounds, "largest_zero_G", lambda p, j: float(p.k))
     with pytest.raises(ArithmeticError, match="floor of lambda_1"):
         defect_region(Params(8, 2), 2, 8)
+
+
+# Reference helpers: facts from the paper that no CLI path needs, used by the
+# tests below only.
+
+
+def defect_lower_bounds(params: Params, d: int, tau2: Number) -> Number:
+    """Minimum defect forced by tau2 at diameter d, in the three ranges of
+    `imp2_bound`: kq^(d-1) at or below lambda_{d-1}, G_d(tau2) above
+    lambda_d, and kq^(d-1) G_d(tau2) / F_d(tau2) from lambda_{d-1} up to
+    lambda_d, where it is 0."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    cap = params.k * params.q ** (d - 1)
+    stop, g, f = _scan_G(params, tau2, d)
+    if stop < d:
+        return cap
+    if f is None:
+        return g
+    return cap * (g + f) / f
+
+
+def duality_transform(r: int, u: int, theta: Number):
+    """Parameter swap (r,u,theta) -> (u, r, theta + r - u) with value scale
+    u/r; applying it twice returns the starting point."""
+    if r < 2 or u < 2:
+        raise ValueError("need r, u >= 2")
+    return u, r, theta + (r - u), Fraction(u, r)
+
+
+def biregular_bound(params: Params, base: BoundResult) -> Number:
+    """Scale an order bound to the two-sided count of the incidence graph:
+    (r+u)/u times the base value."""
+    return Fraction(params.r + params.u, params.u) * base.value
 
 
 def test_defect_lower_bounds_inverts_the_region():

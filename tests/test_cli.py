@@ -600,6 +600,30 @@ def test_analyze_json_is_byte_identical_to_the_recorded_output(capsys, name):
         assert out == fh.read()
 
 
+CERT_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "certify")
+with open(os.path.join(CERT_GOLDEN, "cases.json")) as _fh:
+    CERT_CASES = json.load(_fh)
+
+
+@pytest.mark.parametrize("name", sorted(CERT_CASES))
+def test_bound_lp_cert_is_byte_identical_to_the_recorded_output(capsys, name):
+    # recorded before the exact check decided its signs in integers: tight,
+    # loose (f_0 * 7/8) and invalid (f_0 + 1/1000) closed-form certificates
+    # at theta 3/2 and at sqrt18 (built at 17/4), the near miss at (3, 2, 1)
+    # with f_0 raised by 1e-10, and README's x^2 - 5 at sqrt5
+    case = CERT_CASES[name]
+    path = os.path.join(CERT_GOLDEN, name + ".cert")
+    with open(path) as fh:
+        r, u, _ = fh.readline().split()
+    code, out, err = run(capsys, "bound", "lp", "--r", r, "--u", u, "--cert", path,
+                         f"--theta={case['theta']}", "--format", "json")
+    assert code == case["code"]
+    with open(os.path.join(CERT_GOLDEN, name + ".json")) as fh:
+        assert out == fh.read()
+    with open(os.path.join(CERT_GOLDEN, name + ".err")) as fh:
+        assert err == fh.read()
+
+
 def count_calls(monkeypatch, name):
     """The argument tuples of every call of `name`, through whichever of the
     hypergraph, spectra and cli modules binds it."""

@@ -1,6 +1,7 @@
 """Orthogonal polynomial family: recurrence, basis changes, linearization,
 tridiagonal arrays, zeros, and the weight-function quadrature."""
 
+import importlib.util
 import itertools
 import math
 import os
@@ -17,8 +18,10 @@ from hyplp.orthopoly import (FPoly, Params, TridiagonalArray, f_monomial,
                              f_values, fbasis_to_monomial, g_eval,
                              largest_zero_G, largest_zero_gc, linearization,
                              monomial_to_fbasis, positive_witness, zeros_above)
-from hyplp.orthopoly import (_gc_monomial, _newton, _poly_deriv, _poly_eval,
-                             _poly_mul, _poly_roots, _poly_sub, _sign_changes,
+from hyplp.cli import load_certificate, parse_theta
+from hyplp.orthopoly import (_gc_monomial, _newton, _odd_multiplicity_part,
+                             _poly_deriv, _poly_eval, _poly_mul, _poly_roots,
+                             _poly_sub, _primitive, _sign_at, _sign_changes,
                              _sturm_chain)
 
 GRID = [(3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 5), (4, 4), (6, 2)]
@@ -685,8 +688,8 @@ def test_positive_witness_ends_at_a_negative_end(monkeypatch):
     # the Sturm count alone: no point but the two ends is evaluated, neither
     # a sample point nor, at a sqrtN end, a dyadic probe below it
     seen = []
-    real = orthopoly._poly_eval
-    monkeypatch.setattr(orthopoly, "_poly_eval",
+    real = orthopoly._sign_at
+    monkeypatch.setattr(orthopoly, "_sign_at",
                         lambda p, x: seen.append(x) or real(p, x))
     root5 = surd.sqrt(5)
     # x^2 - 9, roots outside; -(x - 1)^2 (x + 2), a double root inside;
@@ -710,6 +713,92 @@ def test_positive_witness_ends_at_a_negative_end(monkeypatch):
         got = positive_witness([0, -2 * sign, 0, sign], 0, root2)
         assert (got is None) == (sign == 1)
         assert any(isinstance(x, Fraction) and 0 < x < root2 for x in seen)
+
+
+def exact_sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def test_sign_at_matches_the_sign_of_the_exact_value():
+    # the integer sign of the primitive multiple against the sign of the
+    # Fraction or Surd value `_poly_eval` computes, at the roots the random
+    # polynomials are built on (double and triple ones too), at 0, at
+    # negative points, and at a + b sqrt(N) with a != 0 and b < 0
+    rng = random.Random(20261019)
+    zeros = 0
+    for trial in range(300):
+        a = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+        b = a + Fraction(rng.randint(1, 40), rng.randint(1, 6))
+        p = random_test_polynomial(rng, a, b)
+        if trial % 3 == 0:
+            p = _poly_mul(p, [Fraction(0), Fraction(1)])
+        whole = _primitive(p)
+        assert all(type(c) is int for c in whole) and math.gcd(*whole) == 1
+        points = [a, b, (a + b) / 2, a + (b - a) / 3, Fraction(0), -abs(a) - 1,
+                  Fraction(rng.randint(-99, 99), rng.randint(1, 99))]
+        n = rng.choice((2, 3, 5, 7, 18, 50))
+        root = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+                - Fraction(rng.randint(1, 9), rng.randint(1, 5)) * surd.sqrt(n))
+        points.append(root)
+        for x in points:
+            v = _poly_eval(p, x)
+            assert _sign_at(whole, x) == exact_sign(v), (p, x)
+            zeros += v == 0
+        # times the minimal polynomial of root: an exact zero in Q(sqrt N)
+        at_root = _poly_mul(p, [root.a * root.a - root.b * root.b * root.n,
+                                -2 * root.a, Fraction(1)])
+        assert _poly_eval(at_root, root) == 0
+        assert _sign_at(_primitive(at_root), root) == 0
+    assert zeros > 300
+    # x^2 - 5 vanishes at sqrt5, and at -sqrt5 with a Surd of a = 0, b < 0
+    for x in (surd.sqrt(5), -surd.sqrt(5)):
+        assert _sign_at(_primitive([-5, 0, 1]), x) == 0
+    assert _sign_at([-4, 0, 1], surd.sqrt(5)) == 1
+    assert _sign_at([-6, 0, 1], surd.sqrt(5)) == -1
+    assert _primitive([Fraction(0)]) == [0] and _sign_at([0], Fraction(1, 3)) == 0
+
+
+def reference_sign_changes(chain, x) -> int:
+    """Sign changes of a rational Sturm chain at x from the exact values
+    `_poly_eval` computes, zero terms skipped."""
+    signs = [exact_sign(_poly_eval(p, x)) for p in chain]
+    signs = [v for v in signs if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def certify_batch_certificates(tmp_path, seed):
+    """(params, F-basis certificate, theta) for every operation of the
+    benchmark's certify batch of `seed`, built by perfbench/workloads.py."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = []
+    for op in workloads.build("certify", seed, str(tmp_path / f"seed{seed}")):
+        argv = op["argv"]
+        params = Params(int(argv[argv.index("--r") + 1]), int(argv[argv.index("--u") + 1]))
+        out.append((params, load_certificate(op["meta"]["file"], params),
+                    parse_theta(op["meta"]["theta"])))
+    return out
+
+
+def test_integer_sturm_chain_counts_as_the_rational_chain(tmp_path):
+    # the chain `positive_witness` counts on, its members made primitive,
+    # against the rational chain's exact values, at -r, theta and midway
+    seen = 0
+    for seed in (1, 2, 3):
+        for params, f, theta in certify_batch_certificates(tmp_path, seed):
+            mono = f.to_monomial()
+            chain = _sturm_chain(mono)
+            if len(chain[-1]) > 1:
+                chain = _sturm_chain(_odd_multiplicity_part(mono, chain[-1]))
+            integer = [_primitive(p) for p in chain]
+            lo = Fraction(-params.r)
+            for x in (lo, theta, (lo + theta) / 2):
+                assert _sign_changes(integer, x) == reference_sign_changes(chain, x), \
+                    (params, f.coeffs, x)
+            seen += 1
+    assert seen == 342
 
 
 def fbasis_to_monomial_reference(params, fcoeffs):
@@ -866,7 +955,8 @@ def test_poly_roots_newton_step_matches_bisection(monkeypatch):
 
 def count_poly_evals(monkeypatch) -> list:
     """A list that grows by one at each call of `orthopoly._poly_eval`, the
-    evaluator `_newton`, `_poly_roots` and `positive_witness` call."""
+    evaluator `_newton` and `_poly_roots` call; `positive_witness` calls it
+    only to form a witness's value."""
     calls = []
     real = orthopoly._poly_eval
     monkeypatch.setattr(orthopoly, "_poly_eval", lambda *args: calls.append(1) or real(*args))
@@ -913,9 +1003,8 @@ def test_newton_stops_at_the_rounding_bound(monkeypatch):
 
 
 def test_lp_optimizer_separation_needs_few_evaluations(monkeypatch):
-    # a non-timing guard on the whole call, the exact check included: 2,634
-    # evaluations when every Newton solve ended by bisecting through the
-    # noise band around its root
+    # a non-timing guard on the whole call's evaluations: 2,634 when every
+    # Newton solve ended by bisecting through the noise band around its root
     calls = count_poly_evals(monkeypatch)
     b = lp_bound_optimize(Params(5, 3), surd.sqrt(18), 4)
     assert b.theorem == "LP_OPT" and len(calls) <= 1500
