@@ -139,13 +139,13 @@ def lp_bound_evaluate(params: Params, f: FPoly,
     notes: list[str] = []
     pdict = {"r": params.r, "u": params.u, "s": f.degree}
     mono = f.to_monomial()
+    whole = _primitive(mono)
 
     if taus is not None:
         points = [_exact(t) for t in taus]
         if len(set(points)) != len(points):
             raise ValueError("taus must be distinct")
         strict = []
-        whole = _primitive(mono)
         for t, x in zip(taus, points):
             v = _sign_at(whole, x)
             if v > 0:
@@ -161,7 +161,7 @@ def lp_bound_evaluate(params: Params, f: FPoly,
         lo, hi = Fraction(-params.r), _exact(theta)
         if hi < lo:
             raise ValueError("theta below -r leaves an empty interval")
-        at_theta = _sign_at(_primitive(mono), hi)
+        at_theta = _sign_at(whole, hi)
         witness = positive_witness(mono, lo, hi, at_theta)
         if witness is not None:
             raise LPConditionError(INTERVAL_CONDITION, witness)
