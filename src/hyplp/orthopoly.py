@@ -466,15 +466,10 @@ def _sign_at(p: Sequence[Exact], x: Exact | Surd) -> int:
             scale *= den
         return _sign_parts(c0, c1, x.n)
     n, d = x.numerator, x.denominator
-    acc = 0
-    if d == 1:
-        for c in reversed(p):
-            acc = acc * n + c
-    else:
-        scale = 1
-        for c in reversed(p):
-            acc = acc * n + c * scale
-            scale *= d
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * n + c * scale
+        scale *= d
     return (acc > 0) - (acc < 0)
 
 
