@@ -421,17 +421,39 @@ def _odd_multiplicity_part(p: Sequence[Exact], a0: Sequence[Fraction]) -> list[F
     return out
 
 
-def _sturm_chain(g: Sequence[Fraction]) -> list[list[Fraction]]:
-    """g, g', then negated remainders, each scaled by a positive constant
-    (which keeps every sign) to hold the coefficients small, up to the last
-    nonzero one.  That is gcd(g, g') times a constant, so the chain ends in
-    a constant exactly when g has no repeated root."""
-    chain = [list(g), _poly_deriv(g)]
+def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """|lc(b)|^(deg a - deg b + 1) a mod b, for integer polynomials with
+    deg a >= deg b - 1 and b nonzero: the remainder of a by b times a
+    positive integer, computed in integers (pseudo-division, Knuth TAOCP
+    vol. 2, 4.6.1, with |lc(b)| for lc(b), which keeps its sign)."""
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lead, m = b[-1], len(b) - 1
+    rem = list(a)
+    while len(rem) > m:
+        c, i = rem.pop(), len(rem) - m
+        # lead rem - c x^i b, whose x^(i+m) term cancels
+        rem = [lead * v for v in rem]
+        if c:
+            for j, cb in enumerate(b[:m], i):
+                rem[j] -= c * cb
+    return _poly_trim(rem or [0])
+
+
+def _sturm_chain(g: Sequence[Exact]) -> list[list[int]]:
+    """g, g', then negated remainders up to the last nonzero one, which is
+    gcd(g, g') times a constant, so the chain ends in a constant exactly
+    when g has no repeated root.  Built in Z[x] as the primitive
+    pseudo-remainder sequence (Collins, J. ACM 14, 1967; Brown-Traub, J.
+    ACM 18, 1971): each member is `_primitive`, a positive constant times
+    the member over Q, so every sign is the same."""
+    chain = [_primitive(g)]
+    chain.append(_primitive(_poly_deriv(chain[0])))
     while len(chain[-1]) > 1:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        rem = _prem(chain[-2], chain[-1])
         if rem == [0]:
             break
-        chain.append([-c / abs(rem[-1]) for c in rem])
+        chain.append(_primitive([-c for c in rem]))
     return chain
 
 
@@ -476,9 +498,8 @@ def _sign_at(p: Sequence[Exact], x: Exact | Surd) -> int:
 def _sign_changes(chain: Sequence[Sequence[Exact]], x: Exact | Surd,
                   head: int | None = None) -> int:
     """Sign changes of the Sturm `chain` at x, each sign decided by
-    `_sign_at`: in integers on a chain of `_primitive` members, and with the
-    same count on the rational chain they come from.  `head`: the sign of
-    chain[0] at x, when the caller has it."""
+    `_sign_at`, in integers on the chain `_sturm_chain` builds in Z[x].
+    `head`: the sign of chain[0] at x, when the caller has it."""
     if head is None:
         head = _sign_at(chain[0], x)
     signs = [head] + [_sign_at(p, x) for p in chain[1:]]
@@ -498,12 +519,14 @@ def positive_witness(p: Sequence[Exact], a: Exact, b: Exact | Surd,
     p changes sign exactly at the roots of its odd-multiplicity part g, and
     a Sturm chain of g counts those in (lo, hi] as V(lo) - V(hi)
     (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, ch. 2).  The
-    chain of p itself serves when p is square-free, which its Euclid run
-    detects; for a p with a repeated root, that run ends at gcd(p, p'), from
-    which g is computed.  The chain is built over Q; p and each chain member
-    then become `_primitive` integer polynomials, and every sign below is
-    decided in integers by `_sign_at`.  A Fraction or Surd value is formed
-    only for the returned witness.  With no root of g in (a, b), p keeps
+    chain of p itself serves when p is square-free, which its remainder
+    sequence detects; for a p with a repeated root, that sequence ends at
+    gcd(p, p') times a constant, from which Yun's step computes g over Q.
+    The chain is built in Z[x], from `_primitive` p or g, as the primitive
+    pseudo-remainder sequence (Collins, J. ACM 14, 1967; Brown-Traub, J. ACM
+    18, 1971), and every sign below is decided in integers by `_sign_at`.
+    Outside Yun's step, a Fraction or Surd value is formed only for the
+    returned witness.  With no root of g in (a, b), p keeps
     one sign on (a, b): p(a) < 0 or p(b) < 0 decides it at once, with no
     further evaluation, and else (p vanishes at both ends) one point off the
     roots of p does.  Else p > 0 somewhere; split at points where p < 0,
@@ -526,13 +549,10 @@ def positive_witness(p: Sequence[Exact], a: Exact, b: Exact | Surd,
     negative_end = ends[0] < 0 or ends[1] < 0
     # a square-free p is its own odd-multiplicity part times a constant,
     # which multiplies every chain member and changes no sign count
-    chain = _sturm_chain(p)
-    g = whole
+    chain = _sturm_chain(whole)
     if len(chain[-1]) > 1:
         chain = _sturm_chain(_odd_multiplicity_part(p, chain[-1]))
-        g = _primitive(chain[0])
-        ends = [_sign_at(g, x) for x in (lo, hi)]
-    chain = [g] + [_primitive(q) for q in chain[1:]]
+        ends = [_sign_at(chain[0], x) for x in (lo, hi)]
     g_lo, g_hi = ends
     # g has V(lo) - top roots in (lo, hi)
     top = _sign_changes(chain, hi, g_hi) + (g_hi == 0)

@@ -458,8 +458,9 @@ def test_seven_cycle_floor_is_a_theorem(capsys, tmp_path):
 
 def test_printed_tau2_floors_lie_below_their_zeros(capsys):
     # every printed floor v of r = 2..8, u = 2..5, n = 2..60 has the largest
-    # zero of g_c at or above it, by a Sturm chain of g_c; 649 of these
-    # 1,652 printed floors once lay above it
+    # zero of g_c at or above it, by a Sturm chain of g_c in Z[x], each of
+    # its members an integer polynomial of content 1; 649 of these 1,652
+    # printed floors once lay above it
     floors = 0
     for r in range(2, 9):
         for u in range(2, 6):
@@ -471,6 +472,8 @@ def test_printed_tau2_floors_lie_below_their_zeros(capsys):
                 v = Fraction(text_value(out, "tau2_lower"))
                 d, c = int(text_value(out, "d")), Fraction(text_value(out, "c"))
                 chain = _sturm_chain(_gc_monomial(Params(r, u), d, c))
+                assert all(type(a) is int for p in chain for a in p), (r, u, n)
+                assert all(math.gcd(*p) == 1 for p in chain), (r, u, n)
                 # V(v) - V(k) zeros in (v, k], plus one at v itself
                 at_v = _poly_eval(chain[0], v) == 0
                 assert _sign_changes(chain, v) - _sign_changes(chain, Fraction(k)) + at_v >= 1, (r, u, n)

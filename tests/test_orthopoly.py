@@ -20,9 +20,9 @@ from hyplp.orthopoly import (FPoly, Params, TridiagonalArray, f_monomial,
                              monomial_to_fbasis, positive_witness, zeros_above)
 from hyplp.cli import load_certificate, parse_theta
 from hyplp.orthopoly import (_gc_monomial, _newton, _odd_multiplicity_part,
-                             _poly_deriv, _poly_eval, _poly_mul, _poly_roots,
-                             _poly_sub, _primitive, _sign_at, _sign_changes,
-                             _sturm_chain)
+                             _poly_deriv, _poly_divmod, _poly_eval, _poly_mul,
+                             _poly_roots, _poly_sub, _prem, _primitive, _sign_at,
+                             _sign_changes, _sturm_chain)
 
 GRID = [(3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 5), (4, 4), (6, 2)]
 
@@ -719,6 +719,10 @@ def exact_sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
+def is_primitive_integer(p) -> bool:
+    return all(type(c) is int for c in p) and math.gcd(*p) == 1
+
+
 def test_sign_at_matches_the_sign_of_the_exact_value():
     # the integer sign of the primitive multiple against the sign of the
     # Fraction or Surd value `_poly_eval` computes, at the roots the random
@@ -733,7 +737,7 @@ def test_sign_at_matches_the_sign_of_the_exact_value():
         if trial % 3 == 0:
             p = _poly_mul(p, [Fraction(0), Fraction(1)])
         whole = _primitive(p)
-        assert all(type(c) is int for c in whole) and math.gcd(*whole) == 1
+        assert is_primitive_integer(whole)
         points = [a, b, (a + b) / 2, a + (b - a) / 3, Fraction(0), -abs(a) - 1,
                   Fraction(rng.randint(-99, 99), rng.randint(1, 99))]
         n = rng.choice((2, 3, 5, 7, 18, 50))
@@ -766,6 +770,19 @@ def reference_sign_changes(chain, x) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
+def rational_sturm_chain(g):
+    """The Sturm chain `_sturm_chain` replaced, built over Q by Fraction
+    division: g, g', then negated remainders, each divided by the modulus
+    of its leading coefficient, up to the last nonzero one."""
+    chain = [[Fraction(c) for c in g], _poly_deriv([Fraction(c) for c in g])]
+    while len(chain[-1]) > 1:
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        if rem == [0]:
+            break
+        chain.append([-c / abs(rem[-1]) for c in rem])
+    return chain
+
+
 def certify_batch_certificates(tmp_path, seed):
     """(params, F-basis certificate, theta) for every operation of the
     benchmark's certify batch of `seed`, built by perfbench/workloads.py."""
@@ -783,22 +800,53 @@ def certify_batch_certificates(tmp_path, seed):
 
 
 def test_integer_sturm_chain_counts_as_the_rational_chain(tmp_path):
-    # the chain `positive_witness` counts on, its members made primitive,
-    # against the rational chain's exact values, at -r, theta and midway
-    seen = 0
+    # the Z[x] chain `positive_witness` counts on, of p or of its
+    # odd-multiplicity part, against the rational chain's exact values, at
+    # -r, theta and midway; every member an integer polynomial of content 1
+    seen = repeated = 0
     for seed in (1, 2, 3):
         for params, f, theta in certify_batch_certificates(tmp_path, seed):
             mono = f.to_monomial()
-            chain = _sturm_chain(mono)
+            chain, reference = _sturm_chain(mono), rational_sturm_chain(mono)
+            assert [len(p) for p in chain] == [len(p) for p in reference]
             if len(chain[-1]) > 1:
                 chain = _sturm_chain(_odd_multiplicity_part(mono, chain[-1]))
-            integer = [_primitive(p) for p in chain]
+                reference = rational_sturm_chain(
+                    _odd_multiplicity_part(mono, reference[-1]))
+                repeated += 1
+            assert all(is_primitive_integer(p) for p in chain), (params, f.coeffs)
+            assert [len(p) for p in chain] == [len(p) for p in reference]
             lo = Fraction(-params.r)
             for x in (lo, theta, (lo + theta) / 2):
-                assert _sign_changes(integer, x) == reference_sign_changes(chain, x), \
+                assert _sign_changes(chain, x) == reference_sign_changes(reference, x), \
                     (params, f.coeffs, x)
             seen += 1
-    assert seen == 342
+    assert seen == 342 and repeated == 108
+
+
+def random_integer_polynomial(rng, degree):
+    return [rng.randint(-40, 40) for _ in range(degree)] + [rng.choice((-1, 1)) * rng.randint(1, 9)]
+
+
+def test_prem_is_the_remainder_times_a_positive_power():
+    # |lc(b)|^(deg a - deg b + 1) times the Fraction remainder, for every
+    # pair of a sign of lc(b) and a degree gap 0 to 3, so a negative lc(b)
+    # meets odd powers too
+    rng = random.Random(24)
+    seen = set()
+    for trial in range(400):
+        b = random_integer_polynomial(rng, rng.randint(0, 6))
+        gap = trial % 4
+        a = random_integer_polynomial(rng, len(b) - 1 + gap)
+        if trial % 5 == 0:
+            # a multiple of b: the remainder is 0
+            a = _poly_mul(b, random_integer_polynomial(rng, gap))
+        got = _prem(a, b)
+        assert all(type(c) is int for c in got)
+        scale = abs(b[-1]) ** (gap + 1)
+        assert got == [scale * c for c in _poly_divmod(a, b)[1]], (a, b)
+        seen.add((b[-1] > 0, gap))
+    assert len(seen) == 8
 
 
 def fbasis_to_monomial_reference(params, fcoeffs):
