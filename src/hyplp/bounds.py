@@ -13,11 +13,12 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from ._record import Record
-from .orthopoly import (FPoly, Params, _f_iter, _float_bracket, _gc_monomial,
-                        _poly_deriv, _poly_eval, _poly_mul, _poly_roots,
-                        _primitive, _scaled_f, _sign_at, f_monomial, f_values,
-                        g_eval, largest_zero_G, largest_zero_gc,
-                        monomial_to_fbasis, positive_witness, zeros_above)
+from .orthopoly import (FPoly, Params, _exquo, _f_iter, _float_bracket,
+                        _gc_monomial, _poly_deriv, _poly_eval, _poly_mul,
+                        _poly_roots, _primitive, _scaled_f, _sign_at,
+                        f_monomial, f_values, g_eval, largest_zero_G,
+                        largest_zero_gc, monomial_to_fbasis, positive_witness,
+                        zeros_above)
 from .simplex import Tableau, Unbounded, _pivot
 from .surd import Surd
 
@@ -122,7 +123,9 @@ def lp_bound_evaluate(params: Params, f: FPoly,
     mode decides the sign of each f(tau) exactly, in integers (`_sign_at`):
     f(tau) < 0 is strict, f(tau) = 0 meets equality, and f(tau) itself is
     formed only for a witness.  Interval mode decides f <= 0 on exactly
-    [-r, theta] by a Sturm count (`positive_witness`)."""
+    [-r, theta] by a Sturm count in Z[x] (`positive_witness`) on the same
+    primitive integer multiple of f, and forms f(x) only at its witness
+    point x."""
     if f.params != params:
         raise ValueError("polynomial was built for different (r, u)")
     if (taus is None) == (theta is None):
@@ -162,9 +165,9 @@ def lp_bound_evaluate(params: Params, f: FPoly,
         if hi < lo:
             raise ValueError("theta below -r leaves an empty interval")
         at_theta = _sign_at(whole, hi)
-        witness = positive_witness(mono, lo, hi, at_theta)
-        if witness is not None:
-            raise LPConditionError(INTERVAL_CONDITION, witness)
+        x = positive_witness(whole, lo, hi, at_theta)
+        if x is not None:
+            raise LPConditionError(INTERVAL_CONDITION, (x, _poly_eval(mono, x)))
         pdict["theta"] = theta
         notes.append(f"f <= 0 certified on [{float(lo)}, {float(hi)}] "
                      f"by an exact Sturm count")
@@ -440,18 +443,15 @@ def closed_form_h_bound(params: Params, theta: Number) -> BoundResult:
     if isinstance(theta, (int, Fraction)):
         # with c = P/Q and theta = a/b in lowest terms, Q g_c = P G_(d-1) +
         # Q F_d is in Z[x] and vanishes at theta, so by Gauss's lemma bx - a
-        # divides it in Z[x], and f = g_c^2/(x - theta) = (b/Q^2) (Q g_c) h
+        # divides it in Z[x], with quotient h, and f = g_c^2/(x - theta) =
+        # (b/Q^2) (Q g_c) h
         (P, Q), (a, b) = c.as_integer_ratio(), theta.as_integer_ratio()
         qg = _gc_monomial(params, d, P, Q)
-        h = [0]  # synthetic division from the top: b h_(i-1) = qg_i + a h_i
-        for coeff in reversed(qg[1:]):
-            quot, rem = divmod(coeff + a * h[-1], b)
-            if rem:
-                break
-            h.append(quot)
-        if rem or qg[0] + a * h[-1]:
-            raise ArithmeticError(f"{b}x - {a} does not divide {Q} g_c exactly")
-        out = monomial_to_fbasis(params, _poly_mul(qg, h[:0:-1]))
+        try:
+            h = _exquo(qg, [-a, b])
+        except ArithmeticError:
+            raise ArithmeticError(f"{b}x - {a} does not divide {Q} g_c exactly") from None
+        out = monomial_to_fbasis(params, _poly_mul(qg, h))
         if all(v >= 0 for v in out):
             # the scale cancels in f(k)/f_0
             fk = out[0] + k * _poly_eval(out[1:], q)

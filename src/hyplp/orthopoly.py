@@ -279,15 +279,6 @@ def _poly_trim(p: Sequence[Exact]) -> list:
 
 
 def _poly_eval(p: Sequence[Exact], x: Exact | Surd) -> Exact | Surd:
-    if isinstance(x, Surd):
-        # Horner modulo x^2 = 2a x - m, the minimal polynomial of x = a +
-        # b sqrt(n): the running value c0 + c1 x keeps rational c0 and c1,
-        # and at x = sqrt(n) each step is one multiply-add by -m = n
-        two_a, m = 2 * x.a, x.a * x.a - x.b * x.b * x.n
-        c0 = c1 = 0
-        for c in reversed(p):
-            c0, c1 = c - m * c1, (c0 + two_a * c1) if two_a else c0
-        return Surd(c0 + c1 * x.a, c1 * x.b, x.n) if c1 else c0
     acc = 0
     for c in reversed(p):
         acc = acc * x + c
@@ -380,43 +371,40 @@ def _poly_mul(a: Sequence[Exact], b: Sequence[Exact]) -> list:
     return out
 
 
-def _poly_divmod(a: Sequence[Exact], b: Sequence[Exact]) -> tuple[list, list]:
-    """Quotient and remainder of a by the nonzero polynomial b."""
-    rem = [Fraction(c) for c in _poly_trim(a)]
-    b = _poly_trim(b)
-    quot = [Fraction(0)] * max(len(rem) - len(b) + 1, 1)
-    for i in range(len(rem) - len(b), -1, -1):
-        c = rem[i + len(b) - 1] / b[-1]
-        quot[i] = c
-        for j, cb in enumerate(b):
-            rem[i + j] -= c * cb
-    return quot, _poly_trim(rem[:len(b) - 1] or [Fraction(0)])
+def _exquo(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The quotient a / b in Z[x], by long division from the top, for b with
+    a nonzero leading coefficient; ArithmeticError when b does not divide a
+    in Z[x].  A primitive b that divides a over Q divides it in Z[x] too
+    (Gauss's lemma)."""
+    rem = list(a)
+    lead, m = b[-1], len(b) - 1
+    quot = [0] * max(len(rem) - m, 1)
+    for i in range(len(rem) - m - 1, -1, -1):
+        # the x^(i+m) term keeps its remainder by lead, 0 when exact
+        quot[i], rem[i + m] = divmod(rem[i + m], lead)
+        for j, cb in enumerate(b[:m], i):
+            rem[j] -= quot[i] * cb
+    if any(rem):
+        raise ArithmeticError("inexact division in Z[x]")
+    return quot
 
 
-def _poly_gcd(a: Sequence[Exact], b: Sequence[Exact]) -> list[Fraction]:
-    """Monic greatest common divisor of a nonzero a and any b (Euclid)."""
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b != [0]:
-        a, b = b, _poly_divmod(a, b)[1]
-    return [Fraction(c) / a[-1] for c in a]
-
-
-def _odd_multiplicity_part(p: Sequence[Exact], a0: Sequence[Fraction]) -> list[Fraction]:
-    """Product of the distinct factors of p that divide it an odd number of
-    times: the roots where p changes sign.  Yun's square-free decomposition
-    p = a_1 a_2^2 a_3^3 ..., keeping a_1 a_3 a_5 ..., from a0 = gcd(p, p')
-    times any nonzero constant, which scales b and d alike and changes no
-    later gcd."""
-    dp = _poly_deriv(p)
-    b = _poly_divmod(p, a0)[0]
-    d = _poly_sub(_poly_divmod(dp, a0)[0], _poly_deriv(b))
-    out, odd = [Fraction(1)], True
+def _odd_multiplicity_part(p: Sequence[int], a0: Sequence[int]) -> list[int]:
+    """Product of the distinct factors of the integer polynomial p that
+    divide it an odd number of times: the roots where p changes sign.  Yun's
+    square-free decomposition p = a_1 a_2^2 a_3^3 ..., keeping a_1 a_3 a_5
+    ..., from the primitive a0 = +-gcd(p, p') that ends p's Sturm chain.
+    Each later gcd ends a `_prs` too, so every divisor is primitive and
+    every division exact in Z[x]; the result is primitive."""
+    b = _exquo(p, a0)
+    d = _poly_sub(_exquo(_poly_deriv(p), a0), _poly_deriv(b))
+    out, odd = [1], True
     while len(b) > 1:
-        a = _poly_gcd(b, d)
+        a = _prs(b, d)[-1]
         if odd:
             out = _poly_mul(out, a)
-        b = _poly_divmod(b, a)[0]
-        d = _poly_sub(_poly_divmod(d, a)[0], _poly_deriv(b))
+        b = _exquo(b, a)
+        d = _poly_sub(_exquo(d, a), _poly_deriv(b))
         odd = not odd
     return out
 
@@ -440,20 +428,21 @@ def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _poly_trim(rem or [0])
 
 
-def _sturm_chain(g: Sequence[Exact]) -> list[list[int]]:
-    """g, g', then negated remainders up to the last nonzero one, which is
-    gcd(g, g') times a constant, so the chain ends in a constant exactly
-    when g has no repeated root.  Built in Z[x] as the primitive
-    pseudo-remainder sequence (Collins, J. ACM 14, 1967; Brown-Traub, J.
-    ACM 18, 1971): each member is `_primitive`, a positive constant times
-    the member over Q, so every sign is the same."""
-    chain = [_primitive(g)]
-    chain.append(_primitive(_poly_deriv(chain[0])))
-    while len(chain[-1]) > 1:
-        rem = _prem(chain[-2], chain[-1])
-        if rem == [0]:
+def _prs(a: Sequence[Exact], b: Sequence[Exact]) -> list[list[int]]:
+    """a, b, then the negated pseudo-remainders `_prem` of the last two,
+    each made `_primitive`, up to the last nonzero one, which is gcd(a, b)
+    times a nonzero constant; for a nonzero a and deg b <= deg a.  This is
+    the primitive pseudo-remainder sequence (Collins, J. ACM 14, 1967;
+    Brown-Traub, J. ACM 18, 1971): each member is the member of the
+    remainder sequence over Q times a positive constant, so every sign is
+    the same, and no step leaves the integers."""
+    chain = [_primitive(a)]
+    b = _primitive(b)
+    while b != [0]:
+        chain.append(b)
+        if len(b) == 1:
             break
-        chain.append(_primitive([-c for c in rem]))
+        b = _primitive([-c for c in _prem(chain[-2], b)])
     return chain
 
 
@@ -498,7 +487,7 @@ def _sign_at(p: Sequence[Exact], x: Exact | Surd) -> int:
 def _sign_changes(chain: Sequence[Sequence[Exact]], x: Exact | Surd,
                   head: int | None = None) -> int:
     """Sign changes of the Sturm `chain` at x, each sign decided by
-    `_sign_at`, in integers on the chain `_sturm_chain` builds in Z[x].
+    `_sign_at`, in integers on the chain `_prs` builds in Z[x].
     `head`: the sign of chain[0] at x, when the caller has it."""
     if head is None:
         head = _sign_at(chain[0], x)
@@ -507,51 +496,49 @@ def _sign_changes(chain: Sequence[Sequence[Exact]], x: Exact | Surd,
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def positive_witness(p: Sequence[Exact], a: Exact, b: Exact | Surd,
-                     pb: Exact | Surd | None = None
-                     ) -> tuple[Fraction | Surd, Fraction | Surd] | None:
-    """Decide exactly whether p (rational monomial coefficients, lowest
-    first) is <= 0 on [a, b], for a rational a and a rational or Surd b >= a:
-    None when it is, else a witness (x, p(x)) with x in [a, b] and p(x) > 0.
-    x is rational unless it is the Surd b itself.  `pb`: p(b), or any number
-    of its sign, when the caller has it; only its sign is read.
+def positive_witness(p: Sequence[int], a: Exact, b: Exact | Surd,
+                     pb: Exact | Surd | None = None) -> Fraction | Surd | None:
+    """Decide exactly whether p (integer monomial coefficients, lowest
+    first, as `_primitive` gives) is <= 0 on [a, b], for a rational a and a
+    rational or Surd b >= a: None when it is, else a witness point x in
+    [a, b] with p(x) > 0.  x is rational unless it is the Surd b itself.
+    `pb`: p(b), or any number of its sign, when the caller has it; only its
+    sign is read.
 
     p changes sign exactly at the roots of its odd-multiplicity part g, and
     a Sturm chain of g counts those in (lo, hi] as V(lo) - V(hi)
     (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, ch. 2).  The
     chain of p itself serves when p is square-free, which its remainder
     sequence detects; for a p with a repeated root, that sequence ends at
-    gcd(p, p') times a constant, from which Yun's step computes g over Q.
-    The chain is built in Z[x], from `_primitive` p or g, as the primitive
-    pseudo-remainder sequence (Collins, J. ACM 14, 1967; Brown-Traub, J. ACM
-    18, 1971), and every sign below is decided in integers by `_sign_at`.
-    Outside Yun's step, a Fraction or Surd value is formed only for the
-    returned witness.  With no root of g in (a, b), p keeps
-    one sign on (a, b): p(a) < 0 or p(b) < 0 decides it at once, with no
-    further evaluation, and else (p vanishes at both ends) one point off the
-    roots of p does.  Else p > 0 somewhere; split at points where p < 0,
-    following a root of g.  Two such points enclose an even number of sign
-    changes, so a part left with one root has an endpoint a or b where p =
-    0, and p > 0 next to it.  A Surd b is first replaced by a rational h
-    below it with no root of g in (h, b), so every split point is
-    rational."""
-    p = _poly_trim([Fraction(c) for c in p])
+    gcd(p, p') times a constant, from which Yun's step computes g.  Both
+    run in Z[x] on primitive pseudo-remainder sequences (`_prs`), and every
+    sign below is decided in integers by `_sign_at`: no Fraction
+    coefficient is formed, and a Fraction value only as a split point.
+    With no root of g in (a, b), p keeps one sign on (a, b): p(a) < 0 or
+    p(b) < 0 decides it at once, with no further evaluation, and else (p
+    vanishes at both ends) one point off the roots of p does.  Else p > 0
+    somewhere; split at points where p < 0, following a root of g.  Two
+    such points enclose an even number of sign changes, so a part left
+    with one root has an endpoint a or b where p = 0, and p > 0 next to it.
+    A Surd b is first replaced by a rational h below it with no root of g
+    in (h, b), so every split point is rational."""
+    p = _poly_trim(p)
     lo, hi = Fraction(a), b if isinstance(b, Surd) else Fraction(b)
     if lo > hi:
         raise ValueError("need a <= b")
-    whole = _primitive(p)
-    ends = [_sign_at(whole, lo), _sign_at(whole, hi) if pb is None else _sign(pb)]
+    ends = [_sign_at(p, lo), _sign_at(p, hi) if pb is None else _sign(pb)]
     for x, v in zip((lo, hi), ends):
         if v > 0:
-            return x, _poly_eval(p, x)
+            return x
     if lo == hi or len(p) == 1:
         return None
     negative_end = ends[0] < 0 or ends[1] < 0
     # a square-free p is its own odd-multiplicity part times a constant,
     # which multiplies every chain member and changes no sign count
-    chain = _sturm_chain(whole)
+    chain = _prs(p, _poly_deriv(p))
     if len(chain[-1]) > 1:
-        chain = _sturm_chain(_odd_multiplicity_part(p, chain[-1]))
+        g = _odd_multiplicity_part(p, chain[-1])
+        chain = _prs(g, _poly_deriv(g))
         ends = [_sign_at(chain[0], x) for x in (lo, hi)]
     g_lo, g_hi = ends
     # g has V(lo) - top roots in (lo, hi)
@@ -567,23 +554,23 @@ def positive_witness(p: Sequence[Exact], a: Exact, b: Exact | Surd,
         s = 64
         while True:
             h = Fraction(math.floor(hi * (1 << s)), 1 << s)
-            v = _sign_at(whole, h)
+            v = _sign_at(p, h)
             if (lo < h and v != 0
                     and (roots == 0 or _sign_changes(chain, h) == top)):
                 break
             s *= 2
         if v > 0:
-            return h, _poly_eval(p, h)
+            return h
         hi = h
     while True:
         # p has at most deg p roots, so one of these deg p + 1 points is not one
         for j in range(2, len(p) + 2):
             x = lo + (hi - lo) / j
-            v = _sign_at(whole, x)
+            v = _sign_at(p, x)
             if v != 0:
                 break
         if v > 0:
-            return x, _poly_eval(p, x)
+            return x
         if roots == 0:
             return None
         v_x = _sign_changes(chain, x)

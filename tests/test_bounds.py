@@ -22,9 +22,9 @@ from hyplp.bounds import (BoundResult, DssCheck, LPConditionError, Number,
                           ru1_bound, select_diameter, strictly_below_int,
                           tau2_lower)
 from hyplp.cli import _csv_rows, main, parse_theta
-from hyplp.orthopoly import (FPoly, Params, _gc_monomial, _poly_divmod,
-                             _poly_mul, g_eval, largest_zero_G,
-                             monomial_to_fbasis)
+from hyplp.orthopoly import (FPoly, Params, _gc_monomial, _poly_mul, g_eval,
+                             largest_zero_G, monomial_to_fbasis)
+from poly_oracles import poly_divmod
 
 P32 = Params(3, 2)
 P33 = Params(3, 3)
@@ -233,7 +233,7 @@ def fraction_certificate(params, theta):
     negative."""
     d, gd1, fd = select_diameter(params, theta)
     gc = [Fraction(v) for v in _gc_monomial(params, d, -fd / gd1)]
-    f = _poly_divmod(_poly_mul(gc, gc), [-theta, Fraction(1)])[0]
+    f = poly_divmod(_poly_mul(gc, gc), [-theta, Fraction(1)])[0]
     fb = monomial_to_fbasis(params, f)
     return tuple(fb) if all(v >= 0 for v in fb) else None
 

@@ -20,8 +20,8 @@ from hyplp.cli import (UsageError, fmt, jval, load_certificate, main,
 from hyplp.constructions import (hypergraph_from_oa, mols_cyclic, named_fixture,
                                  oa_from_mols)
 from hyplp.hypergraph import Hypergraph
-from hyplp.orthopoly import (FPoly, Params, _gc_monomial, _poly_eval,
-                             _sign_changes, _sturm_chain)
+from hyplp.orthopoly import (FPoly, Params, _gc_monomial, _poly_deriv,
+                             _poly_eval, _prs, _sign_changes)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -258,6 +258,17 @@ def test_bound_lp_cert_sqrt_theta_is_exact(tmp_path, capsys):
     down = Fraction(math.isqrt(2 * 10 ** 30), 10 ** 15)
     cases = ((Fraction(sqrt2), True), (Fraction(math.nextafter(sqrt2, math.inf)), True),
              (Fraction(math.nextafter(sqrt2, -math.inf)), False), (down, False))
+    # f(sqrt(2)) printed exactly, as the Surd it is
+    values = {
+        cases[2][0]: "17679297578637777150084046023973774133018423355062345870962525/"
+        "1809251394333064325393341537714169267208258139575505970672958009251349921792"
+        " + 22206505442436400823910868854668781485227440350/"
+        "3213876088517978369540169470245006641576882592615593329329041*sqrt2",
+        down: "1217170734501416468175367248685065786163490468745501390901/"
+        "319999999999999915448715213655592741258918948359560581592100000000000000"
+        " + 8606696802277624557462631766632808788368158/"
+        "3199999999999999154487152136555927412589189483595605815921*sqrt2",
+    }
     for theta, accepted in cases:
         assert (theta ** 2 > 2) == accepted
         cert = write_certificate(tmp_path / "sqrt.cert", 3, 2,
@@ -268,8 +279,9 @@ def test_bound_lp_cert_sqrt_theta_is_exact(tmp_path, capsys):
             assert code == 0 and text_value(out, "theorem") == "LP_CERT", err
             assert "certified on [-3.0, 1.4142135623730951]" in out
         else:
-            assert code == 2 and err.startswith("error: violated f <= 0")
-            assert "witness (Surd('sqrt2'), Surd(" in err
+            assert code == 2
+            assert err == ("error: violated f <= 0 on [-r, theta]: witness "
+                           f"(Surd('sqrt2'), Surd('{values[theta]}'))\n")
 
 
 def test_bound_lp_cert_accepts_root_at_sqrt_theta(tmp_path, capsys):
@@ -287,7 +299,8 @@ def test_bound_lp_cert_accepts_root_at_sqrt_theta(tmp_path, capsys):
     code, out, err = run(capsys, "bound", "lp", "--r", "2", "--u", "4",
                          "--theta", "sqrt5", "--cert", cert)
     assert code == 2
-    assert "witness (Surd('sqrt5'), Fraction(1, 1))" in err
+    assert err == ("error: violated f <= 0 on [-r, theta]: witness "
+                   "(Surd('sqrt5'), Fraction(1, 1))\n")
 
 
 def test_bound_lp_decides_the_spectral_top_exactly(capsys):
@@ -471,7 +484,8 @@ def test_printed_tau2_floors_lie_below_their_zeros(capsys):
                 assert code == 0
                 v = Fraction(text_value(out, "tau2_lower"))
                 d, c = int(text_value(out, "d")), Fraction(text_value(out, "c"))
-                chain = _sturm_chain(_gc_monomial(Params(r, u), d, c))
+                gc = _gc_monomial(Params(r, u), d, c)
+                chain = _prs(gc, _poly_deriv(gc))
                 assert all(type(a) is int for p in chain for a in p), (r, u, n)
                 assert all(math.gcd(*p) == 1 for p in chain), (r, u, n)
                 # V(v) - V(k) zeros in (v, k], plus one at v itself

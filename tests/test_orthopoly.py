@@ -19,10 +19,11 @@ from hyplp.orthopoly import (FPoly, Params, TridiagonalArray, f_monomial,
                              largest_zero_G, largest_zero_gc, linearization,
                              monomial_to_fbasis, positive_witness, zeros_above)
 from hyplp.cli import load_certificate, parse_theta
-from hyplp.orthopoly import (_gc_monomial, _newton, _odd_multiplicity_part,
-                             _poly_deriv, _poly_divmod, _poly_eval, _poly_mul,
-                             _poly_roots, _poly_sub, _prem, _primitive, _sign_at,
-                             _sign_changes, _sturm_chain)
+from hyplp.orthopoly import (_exquo, _gc_monomial, _newton,
+                             _odd_multiplicity_part, _poly_deriv, _poly_eval,
+                             _poly_mul, _poly_roots, _poly_sub, _prem, _primitive,
+                             _sign_at, _prs, _sign_changes)
+from poly_oracles import poly_divmod, rational_odd_multiplicity_part
 
 GRID = [(3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 5), (4, 4), (6, 2)]
 
@@ -343,7 +344,7 @@ def test_largest_zero_gc_matches_G_at_c_1():
             hi = Fraction(lam) + 4 * Fraction(math.ulp(lam))
             assert g_eval(p, d, lo) < 0 < g_eval(p, d, hi), (r, u, d)
             minus_g = [-c for c in fbasis_to_monomial(p, [1] * (d + 1))]
-            assert positive_witness(minus_g, hi, p.k) is None, (r, u, d)
+            assert witness(minus_g, hi, p.k) is None, (r, u, d)
 
 
 def symmetrized_quotient_spectrum(p, d, c):
@@ -422,7 +423,7 @@ def test_largest_zeros_keep_their_floats():
             r, u, d, c, want = line.split()
             p, d, c = Params(int(r), int(u)), int(d), Fraction(c)
             got = largest_zero_G(p, d) if c == 1 else largest_zero_gc(p, d, c)
-            chain = _sturm_chain(_gc_monomial(p, d, c))
+            chain = sturm_chain(_gc_monomial(p, d, c))
             x, above = Fraction(got), Fraction(math.nextafter(got, math.inf))
             # V(a) - V(b) roots in (a, b]: one in [x, above), none from above on
             at_x = _poly_eval(chain[0], x) == 0
@@ -563,6 +564,14 @@ def random_test_polynomial(rng, a, b):
     return poly
 
 
+def witness(p, a, b, pb=None):
+    """`positive_witness` on the primitive integer multiple of the rational
+    p, with its witness point x returned as (x, p(x)), the pair that
+    `lp_bound_evaluate` reports; None when p <= 0 on [a, b]."""
+    x = positive_witness(_primitive(p), a, b, pb)
+    return None if x is None else (x, _poly_eval(p, x))
+
+
 def lp_certificates():
     """Two certificates as (monomial coefficients, -r, theta): the LP
     optimum at (5, 3), theta 2, degree 6, which is square-free, and the
@@ -583,9 +592,9 @@ def test_positive_witness_matches_sympy():
         b = a if trial % 10 == 0 else a + Fraction(rng.randint(1, 40), rng.randint(1, 6))
         cases.append((random_test_polynomial(rng, a, b), a, b, None))
     for coeffs, a, b, certified in cases:
-        got = positive_witness(coeffs, a, b)
+        got = witness(coeffs, a, b)
         # a caller's p(b) saves an evaluation and changes no verdict
-        assert positive_witness(coeffs, a, b, _poly_eval(coeffs, b)) == got
+        assert witness(coeffs, a, b, _poly_eval(coeffs, b)) == got
         want = sympy_nonpositive(coeffs, a, b)
         assert (got is None) == want, (coeffs, a, b, got)
         assert certified in (None, want)
@@ -607,8 +616,8 @@ def test_positive_witness_matches_sympy():
         coeffs = random_test_polynomial(rng, a, near)
         for _ in range(rng.choice((0, 0, 1, 2))):
             coeffs = _poly_mul(coeffs, [Fraction(-n), Fraction(0), Fraction(1)])
-        got = positive_witness(coeffs, a, b)
-        assert positive_witness(coeffs, a, b, _poly_eval(coeffs, b)) == got
+        got = witness(coeffs, a, b)
+        assert witness(coeffs, a, b, _poly_eval(coeffs, b)) == got
         want = sympy_nonpositive(coeffs, a, b)
         assert (got is None) == want, (coeffs, a, n, got)
         if got is not None:
@@ -631,9 +640,9 @@ def test_positive_witness_runs_euclid_once_on_square_free_input(monkeypatch):
     real = orthopoly._odd_multiplicity_part
     monkeypatch.setattr(orthopoly, "_odd_multiplicity_part",
                         lambda *args: calls.append(args) or real(*args))
-    assert positive_witness(square_free, a, b) is None
+    assert witness(square_free, a, b) is None
     assert calls == []
-    assert positive_witness(tight, c, d) is None
+    assert witness(tight, c, d) is None
     assert len(calls) == 1
 
 
@@ -642,27 +651,27 @@ def test_positive_witness_touching_and_endpoint_roots():
     square = _poly_mul([Fraction(-2), Fraction(1), Fraction(1)],
                        [Fraction(-2), Fraction(1), Fraction(1)])
     touch = [-c for c in square]
-    assert positive_witness(touch, -3, 3) is None
+    assert witness(touch, -3, 3) is None
     near = [touch[0] + Fraction(1, 10 ** 12)] + touch[1:]
-    x, v = positive_witness(near, -3, 3)
+    x, v = witness(near, -3, 3)
     assert v > 0 and -3 < x < 3
     # x (1 - 2x): zero at a, positive just inside, negative at b
-    x, v = positive_witness([0, 1, -2], 0, 1)
+    x, v = witness([0, 1, -2], 0, 1)
     assert 0 < x < Fraction(1, 2) and v > 0
-    assert positive_witness([0, 1, -2], Fraction(1, 2), 1) is None
-    assert positive_witness([0, 1, -2], 0, 0) is None
-    assert positive_witness([Fraction(1, 10 ** 9)], 2, 2) == (2, Fraction(1, 10 ** 9))
-    assert positive_witness([0], -1, 1) is None
+    assert witness([0, 1, -2], Fraction(1, 2), 1) is None
+    assert witness([0, 1, -2], 0, 0) is None
+    assert witness([Fraction(1, 10 ** 9)], 2, 2) == (2, Fraction(1, 10 ** 9))
+    assert witness([0], -1, 1) is None
     with pytest.raises(ValueError):
-        positive_witness([-1], 1, 0)
+        witness([-1], 1, 0)
 
 
 def test_positive_witness_at_a_sqrt_endpoint():
     root5 = surd.sqrt(5)
     # x^2 - 5 vanishes at the end sqrt(5) and is negative inside
-    assert positive_witness([-5, 0, 1], -2, root5) is None
+    assert witness([-5, 0, 1], -2, root5) is None
     # x^2 - 4 is positive at sqrt(5) itself, the only Surd witness
-    assert positive_witness([-4, 0, 1], -2, root5) == (root5, 1)
+    assert witness([-4, 0, 1], -2, root5) == (root5, 1)
     # -(x - c1)(x - c2) with sqrt(2) - 2^-64 < c1 < c2 < sqrt(2): negative
     # at both ends, positive only between c1 and c2, so the rational h below
     # sqrt(2) must close in past them
@@ -670,16 +679,16 @@ def test_positive_witness_at_a_sqrt_endpoint():
     c1, c2 = (Fraction(math.floor(root2 * 2 ** s), 2 ** s) for s in (100, 110))
     assert Fraction(math.floor(root2 * 2 ** 64), 2 ** 64) < c1 < c2
     bump = [-c1 * c2, c1 + c2, Fraction(-1)]
-    x, v = positive_witness(bump, 0, root2)
+    x, v = witness(bump, 0, root2)
     assert c1 < x < c2 and v > 0 and isinstance(x, Fraction)
     # a closer to sqrt(2) than 2^-64: -(x - a) is <= 0 on [a, sqrt(2)], and
     # -(x - a)^2 (x^2 - 2) is 0 at both ends and positive between them,
     # where the witness must lie
-    assert positive_witness([c1, Fraction(-1)], c1, root2) is None
-    assert positive_witness([-c1, Fraction(1)], c1, root2) == (root2, root2 - c1)
+    assert witness([c1, Fraction(-1)], c1, root2) is None
+    assert witness([-c1, Fraction(1)], c1, root2) == (root2, root2 - c1)
     hump = _poly_mul(_poly_mul([-c1, Fraction(1)], [-c1, Fraction(1)]),
                      [Fraction(2), Fraction(0), Fraction(-1)])
-    x, v = positive_witness(hump, c1, root2)
+    x, v = witness(hump, c1, root2)
     assert c1 < x < root2 and v > 0 and isinstance(x, Fraction)
 
 
@@ -699,18 +708,18 @@ def test_positive_witness_ends_at_a_negative_end(monkeypatch):
                          (double, 0, 2), (double, 0, root5),
                          ([0, -1, -1], 0, 2), ([0, -1, -1], 0, root5)):
         seen.clear()
-        assert positive_witness(coeffs, a, b) is None, (coeffs, b)
+        assert witness(coeffs, a, b) is None, (coeffs, b)
         assert seen and set(seen) <= {a, b}, (coeffs, b, seen)
     # both ends vanish: x (x - 1) <= 0 and x (1 - x) > 0 on [0, 1] still take
     # the sample point 1/2, and x (x^2 - 2) on [0, sqrt 2] its dyadic probe
     for coeffs, want in (([0, -1, 1], None), ([0, 1, -1], (Fraction(1, 2), Fraction(1, 4)))):
         seen.clear()
-        assert positive_witness(coeffs, 0, 1) == want
+        assert witness(coeffs, 0, 1) == want
         assert Fraction(1, 2) in seen
     root2 = surd.sqrt(2)
     for sign in (1, -1):
         seen.clear()
-        got = positive_witness([0, -2 * sign, 0, sign], 0, root2)
+        got = witness([0, -2 * sign, 0, sign], 0, root2)
         assert (got is None) == (sign == 1)
         assert any(isinstance(x, Fraction) and 0 < x < root2 for x in seen)
 
@@ -770,13 +779,18 @@ def reference_sign_changes(chain, x) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
+def sturm_chain(g):
+    """The Sturm chain of g in Z[x] that `positive_witness` counts on."""
+    return _prs(g, _poly_deriv(g))
+
+
 def rational_sturm_chain(g):
-    """The Sturm chain `_sturm_chain` replaced, built over Q by Fraction
+    """The Sturm chain over Q that `_prs` replaced, built by Fraction
     division: g, g', then negated remainders, each divided by the modulus
     of its leading coefficient, up to the last nonzero one."""
     chain = [[Fraction(c) for c in g], _poly_deriv([Fraction(c) for c in g])]
     while len(chain[-1]) > 1:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        rem = poly_divmod(chain[-2], chain[-1])[1]
         if rem == [0]:
             break
         chain.append([-c / abs(rem[-1]) for c in rem])
@@ -802,17 +816,21 @@ def certify_batch_certificates(tmp_path, seed):
 def test_integer_sturm_chain_counts_as_the_rational_chain(tmp_path):
     # the Z[x] chain `positive_witness` counts on, of p or of its
     # odd-multiplicity part, against the rational chain's exact values, at
-    # -r, theta and midway; every member an integer polynomial of content 1
+    # -r, theta and midway; every member an integer polynomial of content 1.
+    # The integer Yun step gives the rational one's odd part, made
+    # primitive, up to sign
     seen = repeated = 0
     for seed in (1, 2, 3):
         for params, f, theta in certify_batch_certificates(tmp_path, seed):
             mono = f.to_monomial()
-            chain, reference = _sturm_chain(mono), rational_sturm_chain(mono)
+            chain, reference = sturm_chain(mono), rational_sturm_chain(mono)
             assert [len(p) for p in chain] == [len(p) for p in reference]
             if len(chain[-1]) > 1:
-                chain = _sturm_chain(_odd_multiplicity_part(mono, chain[-1]))
-                reference = rational_sturm_chain(
-                    _odd_multiplicity_part(mono, reference[-1]))
+                odd = _odd_multiplicity_part(chain[0], chain[-1])
+                want = rational_odd_multiplicity_part(mono)
+                assert odd in (_primitive(want), _primitive([-c for c in want])), \
+                    (params, f.coeffs)
+                chain, reference = sturm_chain(odd), rational_sturm_chain(want)
                 repeated += 1
             assert all(is_primitive_integer(p) for p in chain), (params, f.coeffs)
             assert [len(p) for p in chain] == [len(p) for p in reference]
@@ -844,9 +862,66 @@ def test_prem_is_the_remainder_times_a_positive_power():
         got = _prem(a, b)
         assert all(type(c) is int for c in got)
         scale = abs(b[-1]) ** (gap + 1)
-        assert got == [scale * c for c in _poly_divmod(a, b)[1]], (a, b)
+        assert got == [scale * c for c in poly_divmod(a, b)[1]], (a, b)
         seen.add((b[-1] > 0, gap))
     assert len(seen) == 8
+
+
+def test_exquo_divides_exactly_in_integers():
+    # a b / b = a in int coefficients, for lc(b) of both signs; b does not
+    # divide a b + r with r != 0 of lower degree, nor x + 1 in Z[x] when it
+    # is 2x + 2, which divides it over Q only
+    rng = random.Random(25)
+    signs = set()
+    for trial in range(300):
+        a = random_integer_polynomial(rng, rng.randint(0, 6))
+        b = random_integer_polynomial(rng, rng.randint(0, 5))
+        got = _exquo(_poly_mul(a, b), b)
+        assert got == a and all(type(c) is int for c in got), (a, b)
+        signs.add(b[-1] > 0)
+        if len(b) > 1:
+            r = random_integer_polynomial(rng, rng.randint(0, len(b) - 2))
+            with pytest.raises(ArithmeticError):
+                _exquo(_poly_sub(_poly_mul(a, b), r), b)
+    assert signs == {True, False}
+    assert _exquo([0], [3, -2]) == [0]
+    for a, b in (([1, 1], [2, 2]), ([1], [0, 1]), ([2, 0, 1], [-1, 1])):
+        with pytest.raises(ArithmeticError):
+            _exquo(a, b)
+
+
+def test_integer_yun_step_keeps_the_odd_multiplicities():
+    # c (d_1 x - n_1)^m_1 ... (x^2 - N)^m, multiplicities 1 to 4: the odd
+    # part from Z[x] is +-1 times the primitive product of the factors that
+    # `sympy.sqf_list` gives an odd multiplicity, and primitive itself
+    rng = random.Random(2025)
+    x = sympy.Symbol("x")
+    kinds = set()
+    for trial in range(120):
+        roots, count = set(), rng.randint(1, 4)
+        while len(roots) < count:
+            roots.add(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        factors = [([-q.numerator, q.denominator], rng.randint(1, 4)) for q in roots]
+        if trial % 2:
+            factors.append(([-rng.choice((2, 3, 5, 6, 7)), 0, 1], rng.randint(1, 4)))
+        p = [rng.choice((-1, 1)) * rng.randint(1, 12)]
+        for f, m in factors:
+            for _ in range(m):
+                p = _poly_mul(p, f)
+        whole = _primitive(p)
+        chain = sturm_chain(whole)
+        if len(chain[-1]) == 1:
+            continue  # square-free: `positive_witness` takes no Yun step
+        got = _odd_multiplicity_part(whole, chain[-1])
+        want = sympy.Poly(1, x)
+        for f, m in sympy.sqf_list(sympy.Poly(list(reversed(p)), x))[1]:
+            if m % 2:
+                want *= f
+        want = _primitive([int(c) for c in reversed(want.all_coeffs())])
+        assert is_primitive_integer(got), (p, got)
+        assert got in (want, [-c for c in want]), (p, got, want)
+        kinds.add((len(want) > 1, any(m % 2 == 0 for _, m in factors)))
+    assert kinds == {(True, True), (False, True), (True, False)}
 
 
 def fbasis_to_monomial_reference(params, fcoeffs):
