@@ -9,11 +9,8 @@ lines of space-separated vertex indices, '#' starts a comment.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from collections import Counter
 from collections.abc import Iterator
 from functools import reduce
-from itertools import chain
 from operator import or_
 
 from ._record import Record
@@ -35,7 +32,6 @@ __all__ = [
     "girth",
     "neighbour_lists",
     "girth_via_trace",
-    "gram_mismatches",
     "distance_regularity_check",
 ]
 
@@ -163,18 +159,6 @@ def adjacency_rows(h: Hypergraph) -> list[list[tuple[int, int]]]:
                 cy = counts[y]
                 cy[x] = cy.get(x, 0) + 1
     return [sorted(c.items()) for c in counts]
-
-
-def _adjacency_multisets(h: Hypergraph) -> Iterator[list[int]]:
-    """The rows of the adjacency one at a time, row x as the sorted list of
-    x's neighbours with y listed A[x][y] times, gathered from the edges
-    through x: a caller that streams them never holds them all.
-    `adjacency_rows` builds every row at once from the pairs inside each
-    edge, which is faster when all of them are wanted."""
-    edges = h.edges
-    for x, through in enumerate(incident(h)):
-        near = sorted(chain.from_iterable(map(edges.__getitem__, through)))
-        yield near[:bisect_left(near, x)] + near[bisect_right(near, x):]
 
 
 def adjacency(h: Hypergraph, rows: list | None = None) -> list[list[int]]:
@@ -433,59 +417,6 @@ def girth_via_trace(h: Hypergraph, max_i: int = 12, nbrs: list | None = None,
     for g, diagonal in enumerate(_walk_diagonals(h, max_i, nbrs, ru), 2):
         if any(diagonal):
             return g
-    return None
-
-
-def gram_mismatches(h: Hypergraph, rows: list | None = None,
-                    hd: Hypergraph | None = None,
-                    ru: tuple[int, int] | None = None):
-    """For regular uniform h, with N the n x m vertex-edge incidence matrix,
-    A the adjacency and A* that of the dual: the first entry (i, j, gram,
-    want) where N N^T differs from A + rI, and the first where N^T N
-    differs from A* + uI, each None when the two agree.  `rows`, `hd` and
-    `ru`: `adjacency_rows(h)`, `dual(h)` and `check_regular_uniform(h)`,
-    when the caller has them.
-
-    Row x of N N^T is the sum of the 0/1 rows of the edges through x, on
-    packed rows.  N^T N goes one row at a time as sorted lists with
-    repeats: row j lists the edges through each member of edge j, and is
-    row j of A* + uI exactly when it lists j u times and, without j,
-    equals row j of `_adjacency_multisets(hd)`.  So no row of A* is kept,
-    and the cost is the number of ones of N times r * u."""
-    r, u = check_regular_uniform(h) if ru is None else ru
-    if rows is None:
-        rows = adjacency_rows(h)
-    if hd is None:
-        hd = dual(h, (r, u))
-    return _primal_gram_mismatch(h, hd, r, rows), _dual_gram_mismatch(h, hd, u)
-
-
-def _primal_gram_mismatch(h: Hypergraph, hd: Hypergraph, r: int, rows):
-    # entries of N N^T are at most r, those of A + rI at most r plus the
-    # largest entry of `rows`
-    width = _field_width(r + max((w for row in rows for _, w in row), default=0))
-    unit = [1 << (width * y) for y in range(h.n)]
-    # the dual's edges are the edges through each vertex
-    gram = _times(hd.edges, _times(h.edges, unit))
-    want = [sum(w * unit[z] for z, w in row) + r * e for row, e in zip(rows, unit)]
-    if gram == want:
-        return None
-    x = next(x for x, (g, w) in enumerate(zip(gram, want)) if g != w)
-    y = _first_difference(gram[x], want[x], width)
-    return x, y, _field(gram[x], y, width), _field(want[x], y, width)
-
-
-def _dual_gram_mismatch(h: Hypergraph, hd: Hypergraph, u: int):
-    edges_through = hd.edges
-    for j, (members, near) in enumerate(zip(h.edges, _adjacency_multisets(hd))):
-        gram = sorted(chain.from_iterable(map(edges_through.__getitem__, members)))
-        lo, hi = bisect_left(gram, j), bisect_right(gram, j)
-        if hi - lo != u or gram[:lo] + gram[hi:] != near:
-            want = Counter(near)
-            want[j] += u
-            gram = Counter(gram)
-            col = min(y for y in gram.keys() | want.keys() if gram[y] != want[y])
-            return j, col, gram[col], want[col]
     return None
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "f_monomial",
     "monomial_to_fbasis",
     "fbasis_to_monomial",
-    "linearization",
     "zeros_above",
     "largest_zero_G",
     "largest_zero_gc",
@@ -173,20 +172,6 @@ def fbasis_to_monomial(params: Params, fcoeffs: Sequence[Exact]) -> list[Fractio
             for j, cj in enumerate(f_monomial(params, i)):
                 out[j] += num * cj
     return [Fraction(c, den) for c in out]
-
-
-def linearization(params: Params, i: int, j: int) -> dict[int, int]:
-    """Coefficients p_l with F_i * F_j = sum_l p_l F_l; only nonzero entries.
-
-    For r > 2 every coefficient is non-negative, the support is exactly
-    |i-j| <= l <= i+j for u > 2, thinned by l = i+j (mod 2) for u = 2, and
-    p_0(i, j) = k q^(i-1) [i == j].
-    """
-    if i < 0 or j < 0:
-        raise ValueError("indices must be non-negative")
-    prod = _poly_mul(f_monomial(params, i), f_monomial(params, j))
-    coeffs = monomial_to_fbasis(params, prod)
-    return {l: c for l, c in enumerate(coeffs) if c != 0}
 
 
 class FPoly(Record):

@@ -1,8 +1,10 @@
-"""Dense symmetric eigensolver and spectrum utilities.
+"""Dense symmetric eigensolver, spectrum utilities and the analysis of one
+hypergraph.
 
-The solver is self-contained: Householder reduction to tridiagonal form
-followed by implicit-shift QL iteration, so results are reproducible without
-external linear-algebra dependencies.
+The solver is self-contained: Householder reduction to tridiagonal form,
+which updates one triangle of the exactly symmetric trailing block, followed
+by implicit-shift QL iteration, so results are reproducible without external
+linear-algebra dependencies.
 """
 
 from __future__ import annotations
@@ -16,18 +18,16 @@ from ._record import Record
 from .hypergraph import (Hypergraph, IntersectionNumbers,
                          NotRegularUniformError, adjacency, adjacency_rows,
                          check_regular_uniform, distance_regularity_check,
-                         dual, girth, girth_via_trace, gram_mismatches,
-                         is_connected, neighbour_lists, spheres)
+                         dual, girth, girth_via_trace, is_connected,
+                         neighbour_lists, spheres)
 from .tridiagonal import _EPS, ql_eigenvalues
 
 __all__ = [
     "Spectrum",
-    "CheckReport",
     "Analysis",
     "symmetric_eigenvalues",
     "second_eigenvalue",
     "is_ramanujan",
-    "spectrum_correspondence_check",
 ]
 
 _SYMMETRY_TOL = 1e-12
@@ -63,42 +63,64 @@ class Spectrum(Record):
 
 def householder_tridiagonalize(m: Sequence[Sequence[float]]) -> tuple[list[float], list[float]]:
     """Orthogonal reduction of a symmetric matrix to tridiagonal form;
-    returns (diagonal, subdiagonal).  Step j reflects x = A[j+1:, j] onto
-    (alpha, 0, ..., 0) with alpha = -sign(x_0) ||x||, writes alpha as the
-    subdiagonal entry and applies the similarity to the trailing block
-    A[j+1:, j+1:] alone: rows and columns up to j are final by then.  A
-    column whose entries below the diagonal have norm <= eps * ||A||_inf is
-    not reflected, and its entries below the subdiagonal are dropped: the
-    cut the QL deflation makes, a backward-stable perturbation.  Reflecting
-    such a column can underflow its squared norm, and 2/||v||^2 then
-    overflows into inf * 0 = NaN."""
-    n = len(m)
-    a = [[float(x) for x in row] for row in m]
-    cut = _EPS * max((math.fsum(map(abs, row)) for row in a), default=0.0)
-    for j in range(n - 2):
-        block = a[j + 1:]
-        v = [row[j] for row in block]
+    returns (diagonal, subdiagonal).  Only the lower triangle of `m` is
+    used.  Step j reflects x = A[j+1:, j] onto (alpha, 0, ..., 0) with
+    alpha = -sign(x_0) ||x||, writes alpha as the subdiagonal entry and
+    applies the similarity to the trailing block B = A[j+1:, j+1:] alone:
+    rows and columns up to j are final by then, so the loop keeps B and
+    nothing else, popping row j and column j off it.  The update
+    B <- B - v p^T - p v^T leaves B exactly symmetric in floating point,
+    since entry (i, k) is x - (v_i p_k + p_i v_k) and entry (k, i) is
+    x - (v_k p_i + p_k v_i), and float * and + commute; so it is computed
+    for k <= i and copied across the diagonal.  A column whose entries
+    below the diagonal have norm <= eps * ||A||_inf is not reflected, and
+    its entries below the subdiagonal are dropped: the cut the QL deflation
+    makes, a backward-stable perturbation.  Reflecting such a column can
+    underflow its squared norm, and 2/||v||^2 then overflows into
+    inf * 0 = NaN."""
+    block = [[float(x) for x in row] for row in m]
+    _mirror_lower(block)
+    cut = _EPS * max((math.fsum(map(abs, row)) for row in block), default=0.0)
+    diag: list[float] = []
+    off: list[float] = []
+    while block:
+        diag.append(block.pop(0)[0])
+        v = [row.pop(0) for row in block]
+        if len(v) < 2:
+            off += v
+            continue
+        x0 = v[0]
         alpha = math.sqrt(math.fsum(x * x for x in v))
         if alpha <= cut:
+            off.append(x0)
             continue
-        if v[0] > 0.0:
+        if x0 > 0.0:
             alpha = -alpha
-        v[0] -= alpha
+        v[0] = x0 - alpha
         vv = math.fsum(x * x for x in v)
         if vv == 0.0:
+            off.append(x0)
             continue
         beta = 2.0 / vv
-        block[0][j] = alpha
-        # trailing update B <- B - v p^T - p v^T with p = beta*B*v - kappa*v
-        w = [beta * math.fsum(map(mul, row[j + 1:], v)) for row in block]
+        off.append(alpha)
+        # B <- B - v p^T - p v^T with p = beta*B*v - kappa*v, on k <= i
+        w = [beta * math.fsum(map(mul, row, v)) for row in block]
         kappa = 0.5 * beta * math.fsum(map(mul, v, w))
         p = [wi - kappa * vi for wi, vi in zip(w, v)]
-        for row, vi, pi in zip(block, v, p):
-            row[j + 1:] = [x - (vi * pk + pi * vk)
-                           for x, pk, vk in zip(row[j + 1:], p, v)]
-    diag = [a[i][i] for i in range(n)]
-    off = [a[i + 1][i] for i in range(n - 1)]
+        for i, (row, vi, pi) in enumerate(zip(block, v, p), 1):
+            row[:i] = [x - (vi * pk + pi * vk)
+                       for x, pk, vk in zip(row, p, v[:i])]
+        _mirror_lower(block)
     return diag, off
+
+
+def _mirror_lower(a: list[list[float]]) -> None:
+    """Copy the lower triangle of the square matrix `a` onto its upper
+    triangle, in place.  The lazy transpose builds column i after rows
+    0..i-1 are rewritten, but only the entries of it below row i are read,
+    and no row is written there."""
+    for i, (row, col) in enumerate(zip(a, zip(*a)), 1):
+        row[i:] = col[i:]
 
 
 def symmetric_eigenvalues(m: Sequence[Sequence[float]]) -> Spectrum:
@@ -117,22 +139,15 @@ def symmetric_eigenvalues(m: Sequence[Sequence[float]]) -> Spectrum:
     return Spectrum.from_values(ql_eigenvalues(diag, off))
 
 
-class CheckReport(Record):
-    """Boolean verdict plus a human-readable mismatch trail."""
-
-    ok: bool
-    detail: tuple[str, ...] = ()
-
-
 class Analysis:
     """The derived objects of one hypergraph, each built on first use and
     then kept: (r, u), the adjacency as sparse rows, as neighbour lists and
     as a dense matrix, the dual and its adjacency rows, connectivity, the
     distance spheres, the trace girth and the adjacency spectrum.
     `analyze` reads every report field from one instance, so each is built
-    once; the dual's adjacency rows are built only when the spectrum comes
-    from A* (m < n).  `second_eigenvalue` and `is_ramanujan` are thin calls
-    into a fresh one."""
+    once; the dual and its adjacency rows are built only when the spectrum
+    comes from A* (m < n).  `second_eigenvalue` and `is_ramanujan` are thin
+    calls into a fresh one."""
 
     def __init__(self, h: Hypergraph) -> None:
         self.h = h
@@ -236,10 +251,6 @@ class Analysis:
         return distance_regularity_check(self.h, self.rows, self.spheres,
                                          self.nbrs)
 
-    def correspondence(self) -> CheckReport:
-        return spectrum_correspondence_check(self.h, self.rows, self.dual,
-                                             self.ru, self.connected)
-
 
 def second_eigenvalue(h: Hypergraph) -> float:
     """Second-largest adjacency eigenvalue of a connected regular uniform
@@ -251,38 +262,3 @@ def is_ramanujan(h: Hypergraph) -> bool:
     """Whether tau2 lies within the spectral window
     |tau2 - (u-2)| <= 2*sqrt((r-1)(u-1)), up to _RAMANUJAN_TOL."""
     return Analysis(h).is_ramanujan()
-
-
-def spectrum_correspondence_check(h: Hypergraph,
-                                  rows: list | None = None,
-                                  hd: Hypergraph | None = None,
-                                  ru: tuple[int, int] | None = None,
-                                  connected: bool | None = None) -> CheckReport:
-    """Prove the incidence-graph spectrum relation exactly.  With N the
-    n x m vertex-edge incidence matrix, A the adjacency of h and A* that of
-    its dual, check N N^T = A + rI and N^T N = A* + uI entry by entry in
-    integers.  The incidence graph's matrix squares to diag(N N^T, N^T N),
-    so the squared incidence eigenvalues are {spec(A)+r} u {spec(A*)+u};
-    and N N^T, N^T N share their nonzero eigenvalues with multiplicity, so
-    spec(A)+r padded with m zeros equals spec(A*)+u padded with n zeros.
-    Needs O(nnz * max(r, u)) time and no dense matrix, and holds one row of
-    A* at a time (`gram_mismatches`).  `rows`, `hd`, `ru` and `connected`:
-    `adjacency_rows(h)`, `dual(h)`, `check_regular_uniform(h)` and
-    `is_connected(h)`, when the caller has them.  A failure names the first
-    mismatching entry."""
-    r, u = check_regular_uniform(h) if ru is None else ru
-    if r < 2:
-        raise ValueError("needs r >= 2 so the dual is defined")
-    if rows is None:
-        rows = adjacency_rows(h)
-    if not (is_connected(h, rows) if connected is None else connected):
-        raise ValueError("needs connected input")
-    if hd is None:
-        hd = dual(h, (r, u))
-    primal, dual_side = gram_mismatches(h, rows, hd, (r, u))
-    detail: list[str] = []
-    if primal is not None:
-        detail.append("N N^T != A + {}I at ({}, {}): {} vs {}".format(r, *primal))
-    if dual_side is not None:
-        detail.append("N^T N != A* + {}I at ({}, {}): {} vs {}".format(u, *dual_side))
-    return CheckReport(not detail, tuple(detail))

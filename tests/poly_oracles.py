@@ -1,11 +1,13 @@
-"""Test-side oracles for the exact check of `hyplp.orthopoly`: polynomial
-division, Euclid's gcd and Yun's square-free step over Q in `Fraction`
-arithmetic.  The library does all three in Z[x]; these are the rational
-algorithms its results are checked against."""
+"""Test-side oracles for `hyplp.orthopoly`.  First, for the exact check:
+polynomial division, Euclid's gcd and Yun's square-free step over Q in
+`Fraction` arithmetic.  The library does all three in Z[x]; these are the
+rational algorithms its results are checked against.  Last, the
+linearization coefficients of the F-family, which only the tests read."""
 
 from fractions import Fraction
 
-from hyplp.orthopoly import _poly_deriv, _poly_mul, _poly_sub, _poly_trim
+from hyplp.orthopoly import (Params, _poly_deriv, _poly_mul, _poly_sub,
+                             _poly_trim, f_monomial, monomial_to_fbasis)
 
 
 def poly_divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
@@ -46,3 +48,17 @@ def rational_odd_multiplicity_part(p) -> list[Fraction]:
         d = _poly_sub(poly_divmod(d, a)[0], _poly_deriv(b))
         odd = not odd
     return out
+
+
+def linearization(params: Params, i: int, j: int) -> dict[int, Fraction]:
+    """Coefficients p_l with F_i * F_j = sum_l p_l F_l; only nonzero entries.
+
+    For r > 2 every coefficient is non-negative, the support is exactly
+    |i-j| <= l <= i+j for u > 2, thinned by l = i+j (mod 2) for u = 2, and
+    p_0(i, j) = k q^(i-1) [i == j].
+    """
+    if i < 0 or j < 0:
+        raise ValueError("indices must be non-negative")
+    prod = _poly_mul(f_monomial(params, i), f_monomial(params, j))
+    coeffs = monomial_to_fbasis(params, prod)
+    return {l: c for l, c in enumerate(coeffs) if c != 0}

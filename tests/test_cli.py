@@ -857,8 +857,9 @@ def test_construct_stdout_stdin_pipe(monkeypatch, capsys):
 
 
 def test_analyze_oa_11_3_point_hypergraph(tmp_path, capsys):
-    # 33 points, 121 lines: its 154-vertex incidence graph once stalled the
-    # eigensolver inside the correspondence check
+    # 33 points, 121 lines (m >= n, so the spectrum is the 33 x 33
+    # adjacency's); its 154-vertex incidence graph once stalled the QL
+    # iteration, as `test_ql_deflates_a_cluster_of_zero_eigenvalues` pins
     oa_file = tmp_path / "oa.txt"
     assert run(capsys, "construct", "mols-oa", "--p", "11", "--rows", "3",
                "-o", str(oa_file))[0] == 0

@@ -9,15 +9,15 @@ import pytest
 from hyplp import hypergraph
 from hyplp.constructions import named_fixture
 from hyplp.hypergraph import (Hypergraph, HypergraphFormatError,
-                              NotRegularUniformError, _adjacency_multisets,
-                              adjacency, adjacency_rows,
+                              NotRegularUniformError, adjacency, adjacency_rows,
                               check_regular_uniform, degrees, diameter,
                               distance_regularity_check,
                               dual, girth, girth_via_trace, is_connected,
                               spheres)
 from conftest import random_regular_uniform
-from walk_oracles import (_fields, bfs_distances, dense_walk_matrix,
-                          distance_matrix, distance_regularity_oracle,
+from walk_oracles import (_fields, adjacency_multisets, bfs_distances,
+                          dense_walk_matrix, distance_matrix,
+                          distance_regularity_oracle,
                           incidence_girth, incidence_graph, nbw_count_matrix,
                           nbw_count_oracle)
 
@@ -99,7 +99,7 @@ def test_adjacency_counts_multiplicity():
 
 def test_adjacency_multisets_list_each_neighbour_by_multiplicity(corpus):
     for h in corpus + [DOUBLED, SHARED_PAIR, Hypergraph(3, [(0, 1)])]:
-        assert list(_adjacency_multisets(h)) == [
+        assert adjacency_multisets(h) == [
             [y for y, w in row for _ in range(w)] for row in adjacency_rows(h)]
 
 

@@ -16,14 +16,15 @@ from hyplp import orthopoly, surd
 from hyplp.bounds import closed_form_h_bound, lp_bound_optimize, tau2_lower
 from hyplp.orthopoly import (FPoly, Params, TridiagonalArray, f_monomial,
                              f_values, fbasis_to_monomial, g_eval,
-                             largest_zero_G, largest_zero_gc, linearization,
+                             largest_zero_G, largest_zero_gc,
                              monomial_to_fbasis, positive_witness, zeros_above)
 from hyplp.cli import load_certificate, parse_theta
 from hyplp.orthopoly import (_exquo, _gc_monomial, _newton,
                              _odd_multiplicity_part, _poly_deriv, _poly_eval,
                              _poly_mul, _poly_roots, _poly_sub, _prem, _primitive,
                              _sign_at, _prs, _sign_changes)
-from poly_oracles import poly_divmod, rational_odd_multiplicity_part
+from poly_oracles import (linearization, poly_divmod,
+                          rational_odd_multiplicity_part)
 
 GRID = [(3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 5), (4, 4), (6, 2)]
 

@@ -15,7 +15,7 @@ from hyplp.constructions import OrthogonalArray
 from hyplp.hypergraph import Hypergraph, IntersectionNumbers
 from hyplp.orthopoly import FPoly, Params, TridiagonalArray
 from hyplp.simplex import SimplexResult
-from hyplp.spectra import CheckReport, Spectrum
+from hyplp.spectra import Spectrum
 
 P = Params(3, 2)
 
@@ -33,7 +33,6 @@ RECORDS = [
      "OrthogonalArray(rows=2, cols=4, alphabet=2, cells=((0, 0, 1, 1), (0, 1, 0, 1)))"),
     (Spectrum, {"values": (2.0, -1.0), "clusters": ((2.0, 1), (-1.0, 1))}, {}, {},
      "Spectrum(values=(2.0, -1.0), clusters=((2.0, 1), (-1.0, 1)))"),
-    (CheckReport, {"ok": True}, {}, {"detail": ()}, "CheckReport(ok=True, detail=())"),
     (IntersectionNumbers,
      {"valid": True, "diameter": 1, "a": (0,), "b": (3,), "c": (1,)}, {}, {"witness": None},
      "IntersectionNumbers(valid=True, diameter=1, a=(0,), b=(3,), c=(1,), witness=None)"),

@@ -1,5 +1,5 @@
-"""Eigensolver against numpy, known spectra, and the incidence-spectrum
-correspondence."""
+"""Eigensolver against numpy, the full-update reduction and known spectra,
+and the incidence-spectrum correspondence."""
 
 import math
 import random
@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 
 from hyplp import cli, hypergraph, spectra
-from hyplp.constructions import (hypergraph_from_oa, mols_cyclic, named_fixture,
-                                 oa_from_mols)
+from hyplp.constructions import (fixture_names, hypergraph_from_oa, mols_cyclic,
+                                 named_fixture, oa_from_mols)
 from hyplp.hypergraph import Hypergraph, adjacency, check_regular_uniform, dual
 from hyplp.spectra import (Analysis, Spectrum, householder_tridiagonalize,
                            is_ramanujan, second_eigenvalue,
-                           spectrum_correspondence_check,
                            symmetric_eigenvalues)
 from hyplp.tridiagonal import ql_eigenvalues
 from conftest import random_regular_uniform
-from walk_oracles import incidence_graph
+from spectra_oracles import full_update_tridiagonalize
+from walk_oracles import gram_mismatches, incidence_graph
 
 SQRT2 = math.sqrt(2.0)
 
@@ -38,10 +38,9 @@ def test_solver_matches_numpy_on_random_symmetric():
             assert abs(g - w) <= 1e-8 * scale, (trial, got, want)
 
 
-def test_householder_matches_numpy_on_structured_symmetric():
-    # dense, rank-deficient (C C^T with C of rank n/3) and block-diagonal
-    # inputs; the reduction alone, read back through numpy, and the whole
-    # solver must both reproduce numpy's spectrum
+def structured_symmetric():
+    """(n, m) for n = 1..40 and m each of three exactly symmetric inputs:
+    dense, rank-deficient (C C^T with C of rank n/3) and block-diagonal."""
     rng = np.random.default_rng(20261018)
     for n in range(1, 41):
         b = rng.standard_normal((n, n))
@@ -54,13 +53,61 @@ def test_householder_matches_numpy_on_structured_symmetric():
         blocks[:half, :half] = dense[:half, :half]
         blocks[half:, half:] = low_rank[half:, half:]
         for m in (dense, low_rank, blocks):
-            want = np.linalg.eigvalsh(m)
-            tol = 1e-12 * max(1.0, float(np.abs(want).max()))
-            diag, off = householder_tridiagonalize(m.tolist())
-            t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-            assert np.abs(np.linalg.eigvalsh(t) - want).max() <= tol, n
-            got = symmetric_eigenvalues(m.tolist()).values
-            assert np.abs(np.array(got[::-1]) - want).max() <= tol, n
+            yield n, m
+
+
+def test_householder_matches_numpy_on_structured_symmetric():
+    # the reduction alone, read back through numpy, and the whole solver
+    # must both reproduce numpy's spectrum
+    for n, m in structured_symmetric():
+        want = np.linalg.eigvalsh(m)
+        tol = 1e-12 * max(1.0, float(np.abs(want).max()))
+        diag, off = householder_tridiagonalize(m.tolist())
+        t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.abs(np.linalg.eigvalsh(t) - want).max() <= tol, n
+        got = symmetric_eigenvalues(m.tolist()).values
+        assert np.abs(np.array(got[::-1]) - want).max() <= tol, n
+
+
+def reference_cases():
+    """(label, matrix): exactly symmetric inputs for the comparison with
+    the full-update reduction."""
+    rng = random.Random(20261020)
+    for r, u, n in [(2, 3, 30), (3, 2, 24), (2, 4, 40), (3, 4, 32),
+                    (4, 5, 25), (5, 2, 20), (3, 3, 27)]:
+        h = random_regular_uniform(rng, r, u, n)
+        if h is not None:
+            yield (r, u, n), adjacency(h)
+            yield (r, u, n, "dual"), adjacency(dual(h))
+    yield "OA(4, 29)", adjacency(oa_point_hypergraph(29, 4))
+    yield "OA(3, 11) incidence", incidence_graph(oa_point_hypergraph(11, 3))
+    for name in fixture_names():
+        yield name, adjacency(named_fixture(name))
+    for n, m in structured_symmetric():
+        yield n, m.tolist()
+
+
+def test_householder_equals_the_full_update_reference():
+    # the trailing block stays exactly symmetric, so updating one triangle
+    # and mirroring it gives the same doubles as updating both
+    seen = 0
+    for label, m in reference_cases():
+        assert householder_tridiagonalize(m) == full_update_tridiagonalize(m), label
+        seen += 1
+    # six configuration-model graphs with their duals, OA(4, 29), the
+    # incidence graph, the fixtures and the structured inputs
+    assert seen == 12 + 2 + len(fixture_names()) + 120
+
+
+def test_householder_reads_only_the_lower_triangle():
+    for label, m in (("dense", next(m for n, m in structured_symmetric() if n == 12)),
+                     ("petersen", adjacency(named_fixture("petersen")))):
+        m = [[float(x) for x in row] for row in m]
+        bent = [row[:] for row in m]
+        bent[2][7] += 1e-13
+        assert bent[2][7] != m[2][7]
+        symmetric_eigenvalues(bent)  # within the symmetry tolerance
+        assert householder_tridiagonalize(bent) == householder_tridiagonalize(m), label
 
 
 def test_solver_rejects_bad_input():
@@ -184,7 +231,7 @@ def _multiset_match(a, b, tol):
 
 
 def float_correspondence(h, tol=1e-7):
-    """Reference oracle for the exact check: diagonalize the incidence
+    """Float oracle for the exact Gram check: diagonalize the incidence
     graph, A and A* densely and compare squared incidence eigenvalues with
     {spec(A)+r} u {spec(A*)+u}, and the zero-padded shifted spectra."""
     r, u = check_regular_uniform(h)
@@ -202,18 +249,18 @@ def float_correspondence(h, tol=1e-7):
 def test_correspondence_on_fixtures():
     for name in CORRESPONDENCE_FIXTURES:
         h = named_fixture(name)
-        rep = spectrum_correspondence_check(h)
-        assert rep.ok, (name, rep.detail)
-        assert rep.ok == float_correspondence(h), name
+        detail = gram_mismatches(h)
+        assert not detail, (name, detail)
+        assert (not detail) == float_correspondence(h), name
     h = oa_point_hypergraph(11, 3)
-    assert spectrum_correspondence_check(h).ok and float_correspondence(h)
+    assert not gram_mismatches(h) and float_correspondence(h)
 
 
 def _tampered_rows(monkeypatch, n, entry):
-    """Make the adjacency rows off by one at `entry` on the hypergraph with
-    n vertices (the primal or the dual), symmetrically: both the rows
-    `adjacency_rows` returns and those the dual side of the check streams."""
-    real = spectra.adjacency_rows
+    """Make the adjacency rows `adjacency_rows` returns off by one at
+    `entry` on the hypergraph with n vertices (the primal or the dual),
+    symmetrically."""
+    real = hypergraph.adjacency_rows
 
     def fake(h):
         rows = real(h)
@@ -225,27 +272,25 @@ def _tampered_rows(monkeypatch, n, entry):
                 rows[a] = sorted(row.items())
         return rows
 
-    monkeypatch.setattr(spectra, "adjacency_rows", fake)
-    monkeypatch.setattr(hypergraph, "_adjacency_multisets", lambda h: (
-        [y for y, w in row for _ in range(w)] for row in fake(h)))
+    monkeypatch.setattr(hypergraph, "adjacency_rows", fake)
 
 
 def test_correspondence_names_a_tampered_primal_entry(monkeypatch):
     h = named_fixture("petersen")  # n = 10, m = 15
     was = adjacency(h)[0][2]
     _tampered_rows(monkeypatch, 10, (0, 2))
-    rep = spectrum_correspondence_check(h)
-    assert not rep.ok
-    assert rep.detail == (f"N N^T != A + 3I at (0, 2): {was} vs {was + 1}",)
+    detail = gram_mismatches(h)
+    assert detail
+    assert detail == (f"N N^T != A + 3I at (0, 2): {was} vs {was + 1}",)
 
 
 def test_correspondence_names_a_tampered_dual_entry(monkeypatch):
     h = named_fixture("petersen")
     was = adjacency(dual(h))[3][7]
     _tampered_rows(monkeypatch, 15, (3, 7))
-    rep = spectrum_correspondence_check(h)
-    assert not rep.ok
-    assert rep.detail == (f"N^T N != A* + 2I at (3, 7): {was} vs {was + 1}",)
+    detail = gram_mismatches(h)
+    assert detail
+    assert detail == (f"N^T N != A* + 2I at (3, 7): {was} vs {was + 1}",)
 
 
 @pytest.fixture
@@ -348,16 +393,26 @@ def test_analysis_fields_match_the_public_functions():
 
 
 
-def test_dual_rows_only_for_the_dual_side_spectrum():
-    # the correspondence check streams the dual's rows; only a spectrum
-    # taken from A* (m < n) keeps them all
+def test_dual_rows_only_for_the_dual_side_spectrum(monkeypatch):
+    # only a spectrum taken from A* (m < n) builds the dual and its rows
     for h, kept in ((named_fixture("petersen"), False),
                     (dual(named_fixture("petersen")), True)):
         an = Analysis(h)
         assert an.spectrum.n == h.n
-        assert an.correspondence().ok
         assert an.distance_regularity().valid
         assert ("dual_rows" in vars(an)) == kept
+    # nor does the whole report build the dual when m >= n
+    made = []
+
+    def recording(h):
+        made.append(Analysis(h))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "Analysis", recording)
+    pairs = dict(cli.analyze_pairs(named_fixture("petersen")))
+    assert pairs["spectrum_correspondence"] == "ok"
+    an, = made
+    assert "dual" not in vars(an) and "dual_rows" not in vars(an)
 
 def test_correspondence_heawood_explicit():
     # incidence spectrum of the Fano hypergraph squared: {spec(A)+3} u {spec(A*)+3}

@@ -1,12 +1,14 @@
 """Test-side oracles for the hypergraph module: a dense incidence graph,
-non-backtracking walks counted one by one, the walk recurrence, distances,
-distance-regularity and girth on dense lists.  Slow and independent of the
-packed-row code they check.  Last, the decoders that read the packed rows
-of `hyplp.hypergraph` back into dense matrices: the walk matrices F_i(A)
-and the distance matrix."""
+adjacency multisets, the incidence Gram identities, non-backtracking walks
+counted one by one, the walk recurrence, distances, distance-regularity and
+girth on dense lists.  Slow and independent of the packed-row code they
+check.  Last, the decoders that read the packed rows of `hyplp.hypergraph`
+back into dense matrices: the walk matrices F_i(A) and the distance
+matrix."""
 
 import math
 from itertools import islice
+from operator import mul
 
 from hyplp import hypergraph
 from hyplp.hypergraph import Hypergraph
@@ -22,6 +24,38 @@ def incidence_graph(h: Hypergraph) -> list[list[int]]:
             b[v][h.n + j] = 1
             b[h.n + j][v] = 1
     return b
+
+
+def adjacency_multisets(h: Hypergraph) -> list[list[int]]:
+    """Row x of the adjacency as the sorted list of x's neighbours, y listed
+    A[x][y] times, gathered from the edges through x."""
+    return [sorted(y for e in h.edges if x in e for y in e if y != x)
+            for x in range(h.n)]
+
+
+def gram_mismatches(h: Hypergraph) -> tuple[str, ...]:
+    """The incidence Gram identities of regular uniform h, a reference
+    check of `adjacency_rows` and `dual`: with N the n x m vertex-edge
+    incidence matrix, A the adjacency and A* that of the dual, N N^T =
+    A + rI and N^T N = A* + uI, both products dense in integers.  One line
+    per identity that fails, naming its first mismatching entry; () when
+    both hold.  Together they give the incidence-spectrum correspondence:
+    N N^T and N^T N share their nonzero eigenvalues, so spec(A) + r padded
+    with m zeros equals spec(A*) + u padded with n zeros."""
+    r, u = hypergraph.check_regular_uniform(h)
+    inc = [[int(x in e) for e in h.edges] for x in range(h.n)]
+    detail = []
+    for name, shift, side, a in (
+            ("N N^T != A", r, inc, hypergraph.adjacency(h)),
+            ("N^T N != A*", u, list(zip(*inc)), hypergraph.adjacency(hypergraph.dual(h)))):
+        # the first entry, row by row, where the product and A + shift*I differ
+        hit = next(((x, y, g, w) for x, row in enumerate(side)
+                    for y, col in enumerate(side)
+                    for g, w in [(sum(map(mul, row, col)), a[x][y] + shift * (x == y))]
+                    if g != w), None)
+        if hit is not None:
+            detail.append("{} + {}I at ({}, {}): {} vs {}".format(name, shift, *hit))
+    return tuple(detail)
 
 
 def nbw_counts_from(h: Hypergraph, x: int, length: int,
