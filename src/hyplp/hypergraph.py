@@ -27,8 +27,6 @@ __all__ = [
     "incident",
     "dual",
     "spheres",
-    "diameter",
-    "is_connected",
     "girth",
     "neighbour_lists",
     "girth_via_trace",
@@ -183,25 +181,17 @@ def incident(h: Hypergraph) -> list[list[int]]:
     return out
 
 
-def dual(h: Hypergraph, ru: tuple[int, int] | None = None) -> Hypergraph:
+def dual(h: Hypergraph) -> Hypergraph:
     """Swap roles of vertices and edges: dual vertex j is edge j of h, dual
     edge x is the set of edges through vertex x.  Needs minimum degree 2.
-    The dual of an r-regular u-uniform hypergraph is u-regular r-uniform.
-    `ru`: `check_regular_uniform(h)`, when the caller has it."""
+    The dual of an r-regular u-uniform hypergraph is u-regular r-uniform:
+    dual vertex j lies on the u dual edges of the vertices of edge j, and
+    dual edge x holds the r edges through x."""
     through = incident(h)
     for v, lst in enumerate(through):
         if len(lst) < 2:
             raise ValueError(f"vertex {v} has degree {len(lst)} < 2; dual undefined")
-    d = Hypergraph(h.m, through)
-    if ru is None:
-        try:
-            ru = check_regular_uniform(h)
-        except NotRegularUniformError:
-            return d
-    r, u = ru
-    if check_regular_uniform(d) != (u, r):
-        raise AssertionError("dual of a regular uniform hypergraph must swap (r, u)")
-    return d
+    return Hypergraph(h.m, through)
 
 
 # Packed rows.  An integer matrix row is one Python int with `width`-bit
@@ -280,30 +270,6 @@ def _reaches_all(shells: list[list[int]], n: int) -> bool:
     """Whether the `spheres` `shells` of n vertices are those of a
     connected graph: vertex 0 reaches all n."""
     return sum(layer[0].bit_count() for layer in shells) == n
-
-
-def is_connected(h: Hypergraph, rows: list | None = None) -> bool:
-    if rows is None:
-        rows = adjacency_rows(h)
-    seen = [False] * h.n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        x = stack.pop()
-        for y, _ in rows[x]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == h.n
-
-
-def diameter(h: Hypergraph) -> int:
-    shells = spheres(h)
-    if not _reaches_all(shells, h.n):
-        raise ValueError("diameter undefined for a disconnected hypergraph")
-    return len(shells) - 1
 
 
 def girth(h: Hypergraph):

@@ -16,10 +16,10 @@ from operator import mul
 
 from ._record import Record
 from .hypergraph import (Hypergraph, IntersectionNumbers,
-                         NotRegularUniformError, adjacency, adjacency_rows,
-                         check_regular_uniform, distance_regularity_check,
-                         dual, girth, girth_via_trace, is_connected,
-                         neighbour_lists, spheres)
+                         NotRegularUniformError, _reaches_all, adjacency,
+                         adjacency_rows, check_regular_uniform,
+                         distance_regularity_check, dual, girth,
+                         girth_via_trace, neighbour_lists, spheres)
 from .tridiagonal import _EPS, ql_eigenvalues
 
 __all__ = [
@@ -129,10 +129,13 @@ def symmetric_eigenvalues(m: Sequence[Sequence[float]]) -> Spectrum:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(m[i][j] - m[j][i]) > _SYMMETRY_TOL:
-                raise ValueError(f"matrix not symmetric at ({i}, {j})")
+    # row i equals column i exactly on symmetric input; only a row that
+    # does not is walked, to name its first j > i beyond the tolerance
+    for i, (row, col) in enumerate(zip(m, zip(*m))):
+        if tuple(row) != col:
+            for j in range(i + 1, n):
+                if abs(row[j] - col[j]) > _SYMMETRY_TOL:
+                    raise ValueError(f"matrix not symmetric at ({i}, {j})")
     if n == 0:
         return Spectrum((), ())
     diag, off = householder_tridiagonalize(m)
@@ -142,12 +145,14 @@ def symmetric_eigenvalues(m: Sequence[Sequence[float]]) -> Spectrum:
 class Analysis:
     """The derived objects of one hypergraph, each built on first use and
     then kept: (r, u), the adjacency as sparse rows, as neighbour lists and
-    as a dense matrix, the dual and its adjacency rows, connectivity, the
-    distance spheres, the trace girth and the adjacency spectrum.
-    `analyze` reads every report field from one instance, so each is built
-    once; the dual and its adjacency rows are built only when the spectrum
-    comes from A* (m < n).  `second_eigenvalue` and `is_ramanujan` are thin
-    calls into a fresh one."""
+    as a dense matrix, the dual and its adjacency rows, the distance
+    spheres and connectivity, read off the spheres, the trace girth and the
+    adjacency spectrum.  `analyze` reads every report field from one
+    instance, so each is built once; the dual and its adjacency rows are
+    built only when the spectrum comes from A* (m < n), and (r, u) is
+    checked on the input alone, since the dual's is (u, r).
+    `second_eigenvalue` and `is_ramanujan` are thin calls into a fresh
+    one."""
 
     def __init__(self, h: Hypergraph) -> None:
         self.h = h
@@ -172,7 +177,8 @@ class Analysis:
 
     @cached_property
     def connected(self) -> bool:
-        return is_connected(self.h, self.rows)
+        """Whether the point graph is connected: read off the spheres."""
+        return _reaches_all(self.spheres, self.h.n)
 
     @cached_property
     def spheres(self) -> list[list[int]]:
@@ -180,8 +186,8 @@ class Analysis:
 
     @cached_property
     def dual(self) -> Hypergraph:
-        """The dual of regular uniform input."""
-        return dual(self.h, self.ru)
+        """The dual, for input of minimum degree 2."""
+        return dual(self.h)
 
     @cached_property
     def dual_rows(self) -> list[list[tuple[int, int]]]:

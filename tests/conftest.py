@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from hyplp.hypergraph import Hypergraph, is_connected
+from hyplp.hypergraph import Hypergraph
+from walk_oracles import bfs_connected
 
 # (r, u, n cap): branching after the first walk step is q = (r-1)(u-1), so the
 # heavy combinations keep n small to stay enumerable for the walk oracle
@@ -43,7 +44,7 @@ def build_corpus(seed=20260818, want=52):
         if is_heavy and heavy >= HEAVY_CAP:
             continue
         h = random_regular_uniform(rng, r, u, n)
-        if h is None or not is_connected(h):
+        if h is None or not bfs_connected(h):
             continue
         if is_heavy:
             heavy += 1

@@ -19,7 +19,7 @@ from hyplp.cli import (UsageError, fmt, jval, load_certificate, main,
                        parse_theta)
 from hyplp.constructions import (hypergraph_from_oa, mols_cyclic, named_fixture,
                                  oa_from_mols)
-from hyplp.hypergraph import Hypergraph
+from hyplp.hypergraph import Hypergraph, dual
 from hyplp.orthopoly import (FPoly, Params, _gc_monomial, _poly_deriv,
                              _poly_eval, _prs, _sign_changes)
 
@@ -656,20 +656,26 @@ def count_calls(monkeypatch, name):
 
 
 @pytest.mark.parametrize("h", [named_fixture("petersen"),
-                               hypergraph_from_oa(oa_from_mols(mols_cyclic(7, 2)))],
-                         ids=["petersen", "oa-4-7"])
+                               hypergraph_from_oa(oa_from_mols(mols_cyclic(7, 2))),
+                               dual(named_fixture("petersen"))],
+                         ids=["petersen", "oa-4-7", "petersen-dual"])
 def test_analyze_builds_each_derived_object_once(monkeypatch, h):
     # connected regular input with a girth of at most 12 takes it from the
-    # traces: no BFS, one set of neighbour lists, one regularity check of
-    # the input (the dual's own check is on the dual)
+    # traces: no BFS girth, one set of neighbour lists, one regularity check
+    # of the input, and one search of the spheres, which gives both the
+    # connectivity and the diameter.  The dual of Petersen (n = 15 > m = 10)
+    # takes its spectrum from A*, and the (r, u) of that dual's dual is not
+    # checked again
     bfs = count_calls(monkeypatch, "girth")
     nbrs = count_calls(monkeypatch, "neighbour_lists")
     checks = count_calls(monkeypatch, "check_regular_uniform")
+    searches = count_calls(monkeypatch, "spheres")
     pairs = dict(cli.analyze_pairs(h))
-    assert pairs["girth"] == pairs["girth_by_trace"] == (5 if h.n == 10 else 3)
+    assert pairs["girth"] == pairs["girth_by_trace"] == (3 if h.n == 28 else 5)
     assert bfs == []
     assert len(nbrs) == 1
-    assert [args for args in checks if args[0] is h] == [(h,)]
+    assert checks == [(h,)]
+    assert len(searches) == 1
 
 
 @pytest.mark.parametrize("name", ["irregular", "disconnected", "cycle-13"])

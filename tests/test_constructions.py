@@ -9,8 +9,8 @@ from hyplp.constructions import (_CATALOG, OAValidationError, OrthogonalArray,
                                  hypergraph_from_oa, mols_cyclic, named_fixture,
                                  oa_from_mols, oa_minus_transversal,
                                  oa_validate)
-from hyplp.hypergraph import check_regular_uniform, diameter, girth
-from hyplp.spectra import second_eigenvalue
+from hyplp.hypergraph import check_regular_uniform, girth
+from hyplp.spectra import Analysis, second_eigenvalue
 
 
 def test_oa_shape_validation():
@@ -89,7 +89,7 @@ def test_hypergraph_from_oa_parameters():
     assert h.n == 20 and h.m == 25
     assert check_regular_uniform(h) == (5, 4)
     assert second_eigenvalue(h) == pytest.approx(0.0, abs=1e-8)
-    assert girth(h) == 3 and diameter(h) == 2
+    assert girth(h) == 3 and Analysis(h).diameter() == 2
 
 
 def test_hypergraph_from_oa_requires_valid_array():
@@ -129,12 +129,12 @@ def test_fixture_names_catalog():
 
 def test_every_fixture_builds_and_matches_metadata():
     for name in fixture_names():
-        h = named_fixture(name)  # named_fixture re-asserts the catalog row
+        h = named_fixture(name)  # named_fixture only builds; the row is checked here
         _, r, u, tau2, g, diam, order = _CATALOG[name]
         assert h.n == order
         assert check_regular_uniform(h) == (r, u)
         assert girth(h) == g
-        assert diameter(h) == diam
+        assert Analysis(h).diameter() == diam
         assert second_eigenvalue(h) == pytest.approx(tau2, abs=1e-8)
 
 

@@ -2,20 +2,22 @@
 and distance-regularity."""
 
 import math
+import os
 import random
 
 import pytest
 
 from hyplp import hypergraph
-from hyplp.constructions import named_fixture
+from hyplp.constructions import fixture_names, named_fixture
 from hyplp.hypergraph import (Hypergraph, HypergraphFormatError,
                               NotRegularUniformError, adjacency, adjacency_rows,
-                              check_regular_uniform, degrees, diameter,
+                              check_regular_uniform, degrees,
                               distance_regularity_check,
-                              dual, girth, girth_via_trace, is_connected,
-                              spheres)
+                              dual, girth, girth_via_trace, spheres)
+from hyplp.spectra import Analysis
 from conftest import random_regular_uniform
-from walk_oracles import (_fields, adjacency_multisets, bfs_distances,
+from walk_oracles import (_fields, adjacency_multisets, bfs_connected,
+                          bfs_distances,
                           dense_walk_matrix, distance_matrix,
                           distance_regularity_oracle,
                           incidence_girth, incidence_graph, nbw_count_matrix,
@@ -123,9 +125,10 @@ def test_incidence_graph_shape():
     assert [row[3] for row in b] == [1, 1, 1, 0]
 
 
-def test_dual_swaps_parameters_and_involutes():
-    for name in ("petersen", "fano", "oa33", "k33"):
-        h = named_fixture(name)
+def test_dual_swaps_parameters_and_involutes(corpus):
+    # `dual` does not check that (r, u) swap; this is the check
+    fixtures = [named_fixture(name) for name in fixture_names()]
+    for h in corpus + [h for h in fixtures if check_regular_uniform(h)[0] >= 2]:
         r, u = check_regular_uniform(h)
         hd = dual(h)
         assert check_regular_uniform(hd) == (u, r)
@@ -143,22 +146,30 @@ def test_distance_matrix_and_diameter():
     dist, connected = distance_matrix(h)
     assert connected
     assert max(max(row) for row in dist) == 2
-    assert diameter(h) == 2
+    assert Analysis(h).diameter() == 2
     two = Hypergraph(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
     dist2, conn2 = distance_matrix(two)
     assert not conn2 and dist2[0][2] == -1
-    assert not is_connected(two)
-    with pytest.raises(ValueError):
-        diameter(two)
+    assert not Analysis(two).connected
+    with pytest.raises(ValueError, match="^diameter undefined for a disconnected hypergraph$"):
+        Analysis(two).diameter()
 
 
 def test_distances_from_spheres_match_bfs(corpus):
     two = Hypergraph(7, [(0, 1), (0, 1), (2, 3, 4), (3, 4, 5)])
-    for h in corpus + [DOUBLED, SHARED_PAIR, two, Hypergraph(1, [])]:
+    isolated = Hypergraph(4, [(0, 1), (1, 2), (0, 2)])  # vertex 3 on no edge
+    golden = os.path.join(os.path.dirname(__file__), "data", "analyze",
+                          "disconnected.txt")
+    with open(golden) as fh:
+        disconnected = Hypergraph.from_text(fh.read())
+    odd = [two, Hypergraph(1, []), isolated, disconnected]
+    for h in corpus + [DOUBLED, SHARED_PAIR] + odd:
         dist, connected = distance_matrix(h)
         assert dist == bfs_distances(h)
-        assert connected == is_connected(h) == (min(map(min, dist)) >= 0)
+        assert (connected == Analysis(h).connected == bfs_connected(h)
+                == (min(map(min, dist)) >= 0))
         assert len(spheres(h)) - 1 == max(map(max, dist))
+    assert [Analysis(h).connected for h in odd] == [False, True, False, False]
 
 
 def test_girth_fixtures():
@@ -406,11 +417,11 @@ def test_distance_regularity_matches_the_pairwise_oracle(corpus):
              "oa45-minus", "k55")
     hs = corpus + [named_fixture(x) for x in names] + [DOUBLED, SHARED_PAIR, PRISM]
     witnesses = set()
-    for h in hs + [h for h in extra if h is not None and is_connected(h)]:
+    for h in hs + [h for h in extra if h is not None and bfs_connected(h)]:
         rep = distance_regularity_check(h)
         valid, a, b, c, witness = distance_regularity_oracle(h)
         assert (rep.valid, rep.a, rep.b, rep.c, rep.witness) == (valid, a, b, c, witness)
-        assert rep.diameter == diameter(h)
+        assert rep.diameter == Analysis(h).diameter()
         witnesses.add(witness)
     assert len(witnesses) >= 6
 

@@ -2,7 +2,8 @@
 and `tokenize`, and with `typing` that was about 30 ms of every process's
 start-up, against well under 1 ms of arithmetic in `bound closed-form`.  In
 an isolated interpreter, neither importing the CLI nor running a bound, a
-certificate check, an analysis or a verified table may load them."""
+certificate check, an analysis or a verified table may load them.  Building
+the named fixtures may not load the eigensolver either."""
 
 import json
 import subprocess
@@ -41,3 +42,22 @@ def test_cli_commands_load_no_dataclasses_typing_inspect_or_ast(tmp_path):
     codes, loaded = json.loads(proc.stdout)
     assert codes == [0] * len(commands)
     assert loaded == []
+
+
+FIXTURES_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from hyplp import constructions
+built = [constructions.named_fixture(name) for name in constructions.fixture_names()]
+print(json.dumps([len(built), [m for m in ("hyplp.spectra", "hyplp.tridiagonal")
+                               if m in sys.modules]]))
+"""
+
+
+def test_named_fixtures_load_no_eigensolver():
+    # a fixture is built, not analysed: the tests check its catalog row
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", FIXTURES_CHILD, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [15, []]

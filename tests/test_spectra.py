@@ -117,6 +117,25 @@ def test_solver_rejects_bad_input():
         symmetric_eigenvalues([[0.0, 1.0]])
 
 
+def test_symmetry_error_names_the_first_pair_in_row_order():
+    # messages pinned from the pair-by-pair scan the row comparison replaced
+    m = [[0, 1, 2, 3, 4],
+         [1, 0, 5, 6, 7],
+         [2, 5, 0, 8, 9],
+         [3, 6, 8, 0, 1],
+         [4, 7, 9, 1, 0]]
+    m = [[float(x) for x in row] for row in m]
+    m[0][1] += 1e-13  # within the tolerance
+    m[3][1] += 0.5    # (1, 3), from the lower triangle
+    m[1][4] -= 0.25   # (1, 4)
+    m[2][3] += 1.0    # (2, 3)
+    with pytest.raises(ValueError, match=r"^matrix not symmetric at \(1, 3\)$"):
+        symmetric_eigenvalues(m)
+    m[3][1] -= 0.5
+    with pytest.raises(ValueError, match=r"^matrix not symmetric at \(1, 4\)$"):
+        symmetric_eigenvalues(m)
+
+
 def test_ql_on_path_graph():
     # eigenvalues of the n-path adjacency are 2 cos(pi j / (n+1))
     for n in (2, 3, 5, 9):

@@ -1,10 +1,10 @@
 """Test-side oracles for the hypergraph module: a dense incidence graph,
 adjacency multisets, the incidence Gram identities, non-backtracking walks
-counted one by one, the walk recurrence, distances, distance-regularity and
-girth on dense lists.  Slow and independent of the packed-row code they
-check.  Last, the decoders that read the packed rows of `hyplp.hypergraph`
-back into dense matrices: the walk matrices F_i(A) and the distance
-matrix."""
+counted one by one, the walk recurrence, distances, connectivity,
+distance-regularity and girth on dense lists.  Slow and independent of the
+packed-row code they check.  Last, the decoders that read the packed rows
+of `hyplp.hypergraph` back into dense matrices: the walk matrices F_i(A)
+and the distance matrix."""
 
 import math
 from itertools import islice
@@ -148,6 +148,21 @@ def bfs_distances(h: Hypergraph) -> list[list[int]]:
             frontier = nxt
         out.append(dist)
     return out
+
+
+def bfs_connected(h: Hypergraph) -> bool:
+    """Whether a stack search from vertex 0 over the edge list reaches
+    every vertex."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for edge in h.edges:
+            if x in edge:
+                fresh = set(edge) - seen
+                seen |= fresh
+                stack.extend(fresh)
+    return len(seen) == h.n
 
 
 def distance_regularity_oracle(h: Hypergraph):
