@@ -23,7 +23,7 @@ from ._record import Record
 from .bounds import BoundResult, Refinement
 from .constructions import (OrthogonalArray, fixture_names, hypergraph_from_oa,
                             mols_cyclic, named_fixture, oa_from_mols,
-                            oa_minus_transversal, oa_validate)
+                            oa_minus_transversal)
 from .hypergraph import Hypergraph, NotRegularUniformError
 from .orthopoly import FPoly, Params
 from .spectra import Analysis
@@ -136,11 +136,18 @@ def fmt(x) -> str:
     if math.isinf(x):
         return "inf"
     if up is None:
-        return f"{float(x):.5f}"
+        return fixed5(float(x))
     scaled = (x if isinstance(x, surd.Surd) else Fraction(x)) * 10 ** 5
     n = -math.floor(-scaled) if up else math.floor(scaled)
     whole, frac = divmod(abs(n), 10 ** 5)
     return f"{'-' if n < 0 else ''}{whole}.{frac:05d}"
+
+
+def fixed5(x: float) -> str:
+    """x to 5 decimals, unsigned when it rounds to zero: the sign of such a
+    value is rounding noise."""
+    text = f"{x:.5f}"
+    return text[1:] if text == "-0.00000" else text
 
 
 def fmt_flat(x) -> str:
@@ -346,7 +353,7 @@ def analyze_pairs(h: Hypergraph) -> list:
     pairs.append(("diameter", an.diameter() if connected else "inf (disconnected)"))
 
     pairs.append(("spectrum",
-                  " ".join(f"{v:.5f}x{m}" for v, m in an.spectrum.clusters)))
+                  " ".join(f"{fixed5(v)}x{m}" for v, m in an.spectrum.clusters)))
 
     if r is None or not connected or r < 2:
         return pairs
@@ -542,12 +549,12 @@ def cmd_construct(args) -> int:
         if squares < 1:
             raise UsageError("--rows must be at least 3 "
                              "(two coordinate rows plus at least one square)")
+        # oa_from_mols raises OAValidationError on an invalid array
         oa = oa_from_mols(mols_cyclic(args.p, squares))
-        ok, witness = oa_validate(oa)
         _write_data(args, oa.to_text(),
                     lambda: [("kind", "orthogonal array"), ("rows", oa.rows),
                              ("columns", oa.cols), ("alphabet", oa.alphabet),
-                             ("valid", ok if ok else f"no: {witness}")])
+                             ("valid", True)])
         return 0
 
     if args.kind == "named":

@@ -141,14 +141,8 @@ def oa_minus_transversal(oa: OrthogonalArray, symbol: int) -> Hypergraph:
         raise ValueError("need at least 3 rows so dropping one leaves edges of size >= 2")
     if not 0 <= symbol < oa.alphabet:
         raise ValueError(f"symbol {symbol} outside alphabet 0..{oa.alphabet - 1}")
-    removed = [j for j in range(oa.cols) if oa.cells[-1][j] == symbol]
-    if len(removed) != oa.alphabet:
-        raise OAValidationError(
-            f"transversal for symbol {symbol} has {len(removed)} columns, "
-            f"expected {oa.alphabet}")
-    drop = set(removed)
     edges = [tuple(i * oa.alphabet + oa.cells[i][j] for i in range(oa.rows - 1))
-             for j in range(oa.cols) if j not in drop]
+             for j in range(oa.cols) if oa.cells[-1][j] != symbol]
     return Hypergraph((oa.rows - 1) * oa.alphabet, edges)
 
 

@@ -2,9 +2,12 @@
 hypergraph.
 
 The solver is self-contained: Householder reduction to tridiagonal form,
-which updates one triangle of the exactly symmetric trailing block, followed
-by implicit-shift QL iteration, so results are reproducible without external
-linear-algebra dependencies.
+followed by implicit-shift QL iteration, so results are reproducible without
+external linear-algebra dependencies.  The reduction takes two reflectors
+per sweep: the second is computed from the block the first has not updated
+yet, corrected by the first's rank-2 term, which in exact arithmetic is the
+block that update would leave; then one pass over one triangle of the
+exactly symmetric trailing block applies both updates.
 """
 
 from __future__ import annotations
@@ -64,20 +67,37 @@ class Spectrum(Record):
 def householder_tridiagonalize(m: Sequence[Sequence[float]]) -> tuple[list[float], list[float]]:
     """Orthogonal reduction of a symmetric matrix to tridiagonal form;
     returns (diagonal, subdiagonal).  Only the lower triangle of `m` is
-    used.  Step j reflects x = A[j+1:, j] onto (alpha, 0, ..., 0) with
-    alpha = -sign(x_0) ||x||, writes alpha as the subdiagonal entry and
-    applies the similarity to the trailing block B = A[j+1:, j+1:] alone:
-    rows and columns up to j are final by then, so the loop keeps B and
-    nothing else, popping row j and column j off it.  The update
-    B <- B - v p^T - p v^T leaves B exactly symmetric in floating point,
-    since entry (i, k) is x - (v_i p_k + p_i v_k) and entry (k, i) is
-    x - (v_k p_i + p_k v_i), and float * and + commute; so it is computed
-    for k <= i and copied across the diagonal.  A column whose entries
-    below the diagonal have norm <= eps * ||A||_inf is not reflected, and
-    its entries below the subdiagonal are dropped: the cut the QL deflation
-    makes, a backward-stable perturbation.  Reflecting such a column can
-    underflow its squared norm, and 2/||v||^2 then overflows into
-    inf * 0 = NaN."""
+    used.  A reflector maps x = A[j+1:, j] onto (alpha, 0, ..., 0) with
+    alpha = -sign(x_0) ||x||, v = x - alpha e_1 and beta = 2/||v||^2, and
+    alpha is the subdiagonal entry; the trailing block B = A[j+1:, j+1:]
+    then becomes B - v p^T - p v^T with p = w - (beta/2)(v.w) v and
+    w = beta B v.  Rows and columns up to j are final by then, so the loop
+    keeps the trailing block and nothing else, popping rows and columns
+    off it.
+
+    Each sweep takes two reflectors, the panel of two of LAPACK's xSYTRD,
+    and reads both off the block before either update is applied.  With
+    C the block after column 0 is popped, (v, p) the first reflector's and
+    v', p' their entries after the first, the updated block is
+    C - v p^T - p v^T, so in exact arithmetic its column 0 is
+    C[0][0] - 2 v_0 p_0 on the diagonal and C[1:, 0] - v' p_0 - p' v_0
+    below it, and its trailing part times the second reflector's u is
+    C[1:, 1:] u - v' (p'.u) - p' (v'.u).  These are the sequential
+    reduction's values, computed from the stale C; the sweep then applies
+    both rank-2 updates, B <- B - v' p'^T - p' v'^T - u q^T - q u^T, in
+    one pass.  The update leaves B exactly symmetric in floating point:
+    entry (i, k) is x - (v_i p_k + p_i v_k + (u_i q_k + q_i u_k)) and
+    entry (k, i) the same sums of the same products in swapped order, and
+    float * and + commute; so it is computed for k <= i and copied across
+    the diagonal.
+
+    A column whose entries below the diagonal have norm <= eps * ||A||_inf
+    is not reflected, in either slot of the sweep, and its entries below
+    the subdiagonal are dropped: the cut the QL deflation makes, a
+    backward-stable perturbation.  Reflecting such a column can underflow
+    its squared norm, and 2/||v||^2 then overflows into inf * 0 = NaN.  A
+    column that is not reflected gets beta = 0 and p = 0, the identity,
+    so the other slot of its sweep runs unchanged."""
     block = [[float(x) for x in row] for row in m]
     _mirror_lower(block)
     cut = _EPS * max((math.fsum(map(abs, row)) for row in block), default=0.0)
@@ -85,33 +105,63 @@ def householder_tridiagonalize(m: Sequence[Sequence[float]]) -> tuple[list[float
     off: list[float] = []
     while block:
         diag.append(block.pop(0)[0])
-        v = [row.pop(0) for row in block]
-        if len(v) < 2:
-            off += v
-            continue
-        x0 = v[0]
-        alpha = math.sqrt(math.fsum(x * x for x in v))
-        if alpha <= cut:
-            off.append(x0)
-            continue
-        if x0 > 0.0:
-            alpha = -alpha
-        v[0] = x0 - alpha
-        vv = math.fsum(x * x for x in v)
-        if vv == 0.0:
-            off.append(x0)
-            continue
-        beta = 2.0 / vv
-        off.append(alpha)
-        # B <- B - v p^T - p v^T with p = beta*B*v - kappa*v, on k <= i
-        w = [beta * math.fsum(map(mul, row, v)) for row in block]
-        kappa = 0.5 * beta * math.fsum(map(mul, v, w))
-        p = [wi - kappa * vi for wi, vi in zip(w, v)]
-        for i, (row, vi, pi) in enumerate(zip(block, v, p), 1):
-            row[:i] = [x - (vi * pk + pi * vk)
-                       for x, pk, vk in zip(row, p, v[:i])]
-        _mirror_lower(block)
+        v, beta = _reflector([row.pop(0) for row in block], cut, off)
+        if not block:
+            break
+        p = [0.0] * len(v)
+        if beta:
+            p = _partner(beta, v, [beta * math.fsum(map(mul, row, v))
+                                   for row in block])
+        # the second column, read off the block the first update has not
+        # touched and corrected by it
+        v0, p0 = v.pop(0), p.pop(0)
+        diag.append(block.pop(0)[0] - 2.0 * v0 * p0)
+        u, gamma = _reflector([row.pop(0) - (vi * p0 + pi * v0)
+                               for row, vi, pi in zip(block, v, p)], cut, off)
+        q = [0.0] * len(u)
+        if gamma:
+            pu = math.fsum(map(mul, p, u))
+            vu = math.fsum(map(mul, v, u))
+            q = _partner(gamma, u, [gamma * (math.fsum(map(mul, row, u))
+                                             - (vi * pu + pi * vu))
+                                    for row, vi, pi in zip(block, v, p)])
+        if beta or gamma:
+            for i, (row, vi, pi, ui, qi) in enumerate(zip(block, v, p, u, q), 1):
+                row[:i] = [x - (vi * pk + pi * vk + (ui * qk + qi * uk))
+                           for x, pk, vk, qk, uk in zip(row, p, v, q, u[:i])]
+            _mirror_lower(block)
     return diag, off
+
+
+def _reflector(x: list[float], cut: float, off: list[float]) -> tuple[list[float], float]:
+    """(v, beta) of the reflector of the column x, which becomes v, and
+    its subdiagonal entry appended to `off`.  beta = 0 for a column that
+    is not reflected: one shorter than 2, one of norm <= `cut`, or one
+    whose v underflows; its entry x_0 is kept, x_1, ... are dropped."""
+    if len(x) < 2:
+        off += x
+        return x, 0.0
+    x0 = x[0]
+    alpha = math.sqrt(math.fsum(t * t for t in x))
+    if alpha <= cut:
+        off.append(x0)
+        return x, 0.0
+    if x0 > 0.0:
+        alpha = -alpha
+    x[0] = x0 - alpha
+    vv = math.fsum(t * t for t in x)
+    if vv == 0.0:
+        off.append(x0)
+        return x, 0.0
+    off.append(alpha)
+    return x, 2.0 / vv
+
+
+def _partner(beta: float, v: list[float], w: list[float]) -> list[float]:
+    """p = w - (beta/2)(v.w) v, from w = beta B v: the reflector
+    I - beta v v^T takes B to B - v p^T - p v^T."""
+    kappa = 0.5 * beta * math.fsum(map(mul, v, w))
+    return [wi - kappa * vi for wi, vi in zip(w, v)]
 
 
 def _mirror_lower(a: list[list[float]]) -> None:

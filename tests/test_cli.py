@@ -12,9 +12,10 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hyplp import bounds, cli, hypergraph, spectra, surd
+from hyplp import bounds, cli, constructions, hypergraph, spectra, surd
 from hyplp.cli import (UsageError, fmt, jval, load_certificate, main,
                        parse_theta)
 from hyplp.constructions import (hypergraph_from_oa, mols_cyclic, named_fixture,
@@ -601,10 +602,10 @@ def test_analyze_petersen(tmp_path, capsys):
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "analyze")
+GOLDEN_NAMES = sorted(f[:-4] for f in os.listdir(GOLDEN) if f.endswith(".txt"))
 
 
-@pytest.mark.parametrize("name", sorted(f[:-4] for f in os.listdir(GOLDEN)
-                                        if f.endswith(".txt")))
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_analyze_json_is_byte_identical_to_the_recorded_output(capsys, name):
     # recorded before the integer layers moved to packed rows and sphere
     # bitsets: OA(3,7), OA(4,11), OA(3,13), configuration-model inputs with
@@ -615,6 +616,60 @@ def test_analyze_json_is_byte_identical_to_the_recorded_output(capsys, name):
     assert code == 0, err
     with open(os.path.join(GOLDEN, name + ".json")) as fh:
         assert out == fh.read()
+
+
+def golden_adjacency(name):
+    """The adjacency of a golden's input, read off its edge list here: entry
+    (x, y) counts the edges through both x and y."""
+    with open(os.path.join(GOLDEN, name + ".txt")) as fh:
+        n, _ = map(int, fh.readline().split())
+        a = np.zeros((n, n))
+        for line in fh:
+            edge = [int(x) for x in line.split()]
+            for x in edge:
+                for y in edge:
+                    if x != y:
+                        a[x, y] += 1
+    return a
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_analyze_goldens_match_numpy(name):
+    # a reference other than the eigensolver that recorded the goldens:
+    # tau2 within 1e-12 * max(1, k) of numpy's, and the printed spectrum
+    # numpy's clusters (gaps above 1e-7) to the 5-decimal print rounding
+    with open(os.path.join(GOLDEN, name + ".json")) as fh:
+        payload = json.load(fh)
+    a = golden_adjacency(name)
+    want = sorted(np.linalg.eigvalsh(a), reverse=True)
+    k = a.sum(axis=1).max()
+    if "tau2" in payload:
+        assert abs(payload["tau2"] - want[1]) <= 1e-12 * max(1.0, k)
+    groups = []
+    for x in want:
+        if groups and groups[-1][-1] - x <= 1e-7:
+            groups[-1].append(x)
+        else:
+            groups.append([x])
+    printed = [cell.split("x") for cell in payload["spectrum"].split()]
+    assert [int(m) for _, m in printed] == [len(g) for g in groups]
+    for (value, _), g in zip(printed, groups):
+        assert abs(float(value) - sum(g) / len(g)) <= 0.5e-5 + 1e-12 * max(1.0, k)
+    assert "-0.00000" not in payload["spectrum"]
+
+
+def test_analyze_prints_no_negative_zero(capsys):
+    # the sign of a value that rounds to zero at 5 decimals is rounding
+    # noise: the 18 zero eigenvalues of the OA(3, 7) point graph printed as
+    # -0.00000x18, and a slack of -1e-16 as -0.00000
+    code, out, err = run(capsys, "analyze", os.path.join(GOLDEN, "oa-3-7.txt"))
+    assert code == 0, err
+    assert text_value(out, "spectrum") == "14.00000x1 0.00000x18 -7.00000x2"
+    assert "-0.00000" not in out
+    for x, want in ((-0.0, "0.00000"), (-1e-17, "0.00000"), (-4.9e-6, "0.00000"),
+                    (-5.1e-6, "-0.00001"), (4.9e-6, "0.00000"),
+                    (-Fraction(1, 10 ** 7), "0.00000")):
+        assert fmt(x) == want, x
 
 
 CERT_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "certify")
@@ -643,9 +698,9 @@ def test_bound_lp_cert_is_byte_identical_to_the_recorded_output(capsys, name):
 
 def count_calls(monkeypatch, name):
     """The argument tuples of every call of `name`, through whichever of the
-    hypergraph, spectra and cli modules binds it."""
+    hypergraph, spectra, constructions and cli modules binds it."""
     calls = []
-    for mod in (hypergraph, spectra, cli):
+    for mod in (hypergraph, spectra, constructions, cli):
         fn = getattr(mod, name, None)
         if fn is not None:
             def counted(*args, _fn=fn, **kwargs):
@@ -847,6 +902,17 @@ def test_construct_mols_oa_pipeline(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", str(h_file))
     assert code == 0
     assert text_value(out, "degrees") == "4-regular 3-uniform"
+
+
+def test_construct_mols_oa_validates_the_array_once(monkeypatch, capsys):
+    # oa_from_mols validates the array, and the report's valid line reads
+    # that validation
+    calls = count_calls(monkeypatch, "oa_validate")
+    code, out, err = run(capsys, "construct", "mols-oa", "--p", "13", "--rows", "5")
+    assert code == 0
+    assert len(calls) == 1
+    assert out.startswith("5 169 13\n")
+    assert text_value(err, "valid") == "yes"
 
 
 def test_construct_stdout_stdin_pipe(monkeypatch, capsys):

@@ -16,7 +16,8 @@ from hyplp.spectra import (Analysis, Spectrum, householder_tridiagonalize,
                            symmetric_eigenvalues)
 from hyplp.tridiagonal import ql_eigenvalues
 from conftest import random_regular_uniform
-from spectra_oracles import full_update_tridiagonalize
+from spectra_oracles import (full_update_tridiagonalize,
+                             one_reflector_tridiagonalize)
 from walk_oracles import gram_mismatches, incidence_graph
 
 SQRT2 = math.sqrt(2.0)
@@ -97,6 +98,85 @@ def test_householder_equals_the_full_update_reference():
     # six configuration-model graphs with their duals, OA(4, 29), the
     # incidence graph, the fixtures and the structured inputs
     assert seen == 12 + 2 + len(fixture_names()) + 120
+
+
+def tridiagonal_spectrum(diag, off):
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+
+def inf_norm(m):
+    return max((sum(abs(x) for x in row) for row in m), default=0.0)
+
+
+def block_diagonal(sizes, rng):
+    n = sum(sizes)
+    m = [[0.0] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            for j in range(start, i + 1):
+                m[i][j] = m[j][i] = rng.uniform(-2.0, 2.0)
+        start += size
+    return m
+
+
+EPS = 2.0 ** -52
+TINY = 1e-30  # far below cut = eps * ||A||_inf
+
+
+def skipping_cases():
+    """(label, matrix, {subdiagonal index: value}): small and structured
+    inputs, with the subdiagonal entries a column that is not reflected
+    keeps.  A leading block of odd size ends on a column with nothing
+    below it in slot 1 of a sweep, one of even size in slot 2.  The TINY
+    couplings give a column of norm sqrt(3) * TINY <= cut below the
+    diagonal, which keeps its first entry (up to a sign flip by the
+    first reflector) where reflecting it would give +-sqrt(3) * TINY."""
+    rng = random.Random(20261020)
+    for n in range(6):
+        yield f"dense {n}", block_diagonal([n], rng), {}
+    for n in (6, 7):
+        yield f"diagonal {n}", block_diagonal([1] * n, rng), {}
+    for sizes in ((3, 2, 4), (2, 2, 1, 3), (1, 5), (4, 3), (2, 5)):
+        yield f"blocks {sizes}", block_diagonal(sizes, rng), {}
+    # slot 1: column 0 is not reflected
+    m = block_diagonal([1, 5], rng)
+    for i in (1, 2, 3):
+        m[i][0] = m[0][i] = TINY
+    yield "slot 1 below cut", m, {0: TINY}
+    # slot 2: column 0 is (2, 0, ...), so the first reflector negates row
+    # and column 1 of the trailing block, and column 1 is then (-TINY, ...)
+    m = block_diagonal([2, 5], rng)
+    m[1][0] = m[0][1] = 2.0
+    for i in (2, 3, 4):
+        m[i][1] = m[1][i] = TINY
+    yield "slot 2 below cut", m, {0: -2.0, 1: -TINY}
+
+
+def test_householder_on_small_blocked_and_cut_columns():
+    for label, m, kept in skipping_cases():
+        diag, off = householder_tridiagonalize(m)
+        assert (diag, off) == full_update_tridiagonalize(m), label
+        assert len(diag) == len(m) and len(off) == max(0, len(m) - 1), label
+        for i, x in kept.items():
+            assert off[i] == x, (label, i, off)
+        if m:
+            want = np.linalg.eigvalsh(np.array(m))
+            tol = 64 * len(m) * EPS * inf_norm(m)
+            assert np.abs(tridiagonal_spectrum(diag, off) - want).max() <= tol, label
+
+
+def test_two_reflector_sweep_agrees_with_the_sequential_reduction():
+    # in exact arithmetic the stale-block mat-vec and the corrected second
+    # column are the sequential reduction; in floats the spectra of the two
+    # tridiagonal matrices agree within a few ulps of ||A||_inf per order
+    cases = list(reference_cases())
+    cases += [(label, m) for label, m, _ in skipping_cases() if m]
+    for label, m in cases:
+        got = tridiagonal_spectrum(*householder_tridiagonalize(m))
+        want = tridiagonal_spectrum(*one_reflector_tridiagonalize(m))
+        tol = 64 * len(m) * EPS * inf_norm(m)
+        assert np.abs(got - want).max() <= tol, label
 
 
 def test_householder_reads_only_the_lower_triangle():
