@@ -21,12 +21,12 @@ from fractions import Fraction
 from . import bounds, surd
 from ._record import Record
 from .bounds import BoundResult, Refinement
-from .constructions import (OrthogonalArray, fixture_names, hypergraph_from_oa,
-                            mols_cyclic, named_fixture, oa_from_mols,
-                            oa_minus_transversal)
+from .constructions import (OrthogonalArray, _require_valid, fixture_names,
+                            hypergraph_from_oa, mols_cyclic, named_fixture,
+                            oa_from_mols, oa_minus_transversal)
 from .hypergraph import Hypergraph, NotRegularUniformError
 from .orthopoly import FPoly, Params
-from .spectra import Analysis
+from .spectra import TRACE_GIRTH_MAX, Analysis
 
 __all__ = ["main"]
 
@@ -192,7 +192,7 @@ def emit_pairs(pairs, how: str, out) -> None:
             out.write(f"{k}: {fmt_flat(v)}\n")
 
 
-def emit_grid(header, rows, provenance, how: str, out, trailer=None) -> None:
+def emit_grid(header, rows, provenance, how: str, out, trailer) -> None:
     """Tabular output; every column carries its provenance tag."""
     if how == "json":
         payload = {"columns": list(header),
@@ -228,10 +228,9 @@ def bound_pairs(b: BoundResult) -> list:
     for key, val in b.params.items():
         pairs.append((key, val))
     for ref in b.refinements:
-        text = f"{fmt(Rounded(ref.before, True))} -> {fmt(Rounded(ref.after, True))}"
-        if ref.note:
-            text += f" ({ref.note})"
-        pairs.append((f"refinement [{ref.name}]", text))
+        pairs.append((f"refinement [{ref.name}]",
+                      f"{fmt(Rounded(ref.before, True))} -> "
+                      f"{fmt(Rounded(ref.after, True))} ({ref.note})"))
     for i, note in enumerate(b.notes):
         pairs.append((f"note{i + 1}" if len(b.notes) > 1 else "note", note))
     if b.certificate is not None:
@@ -347,7 +346,8 @@ def analyze_pairs(h: Hypergraph) -> list:
     pairs.append(("girth", an.girth()))
     if r is not None and r >= 2:
         gt = an.girth_by_trace
-        pairs.append(("girth_by_trace", gt if gt is not None else "> 12"))
+        pairs.append(("girth_by_trace",
+                      gt if gt is not None else f"> {TRACE_GIRTH_MAX}"))
 
     connected = an.connected
     pairs.append(("diameter", an.diameter() if connected else "inf (disconnected)"))
@@ -375,8 +375,7 @@ def analyze_pairs(h: Hypergraph) -> list:
     # N N^T = A + rI and N^T N = A* + uI hold by definition here (README)
     pairs.append(("spectrum_correspondence", "ok"))
 
-    top = params.u - 2 + 2 * math.sqrt(params.q)
-    if tau2 < top - 1e-12:
+    if tau2 < params.top - 1e-12:
         hb = bounds.closed_form_h_bound(params, tau2)
         value = float(hb.value)
         if abs(value - h.n) <= 1e-6 * max(1.0, value):
@@ -437,7 +436,7 @@ def cmd_table1(args) -> int:
             matches += bounds.defect_region_within(
                 Params(r, u), d, e, [Fraction(x) for x in printed], Fraction(1, 2 * 10 ** 5))
     trailer = f"{matches}/{len(grid)} rows match" if args.verify else None
-    emit_grid(header, grid, provenance, args.format, sys.stdout, trailer=trailer)
+    emit_grid(header, grid, provenance, args.format, sys.stdout, trailer)
     return 1 if args.verify and matches != len(grid) else 0
 
 
@@ -515,7 +514,7 @@ def cmd_h_catalog(args) -> int:
                 matches += 1
 
     trailer = f"{matches}/{comparable} cells match" if args.verify else None
-    emit_grid(header, grid, provenance, args.format, sys.stdout, trailer=trailer)
+    emit_grid(header, grid, provenance, args.format, sys.stdout, trailer)
     if args.verify and matches != comparable:
         return 1
     return 0
@@ -549,8 +548,8 @@ def cmd_construct(args) -> int:
         if squares < 1:
             raise UsageError("--rows must be at least 3 "
                              "(two coordinate rows plus at least one square)")
-        # oa_from_mols raises OAValidationError on an invalid array
         oa = oa_from_mols(mols_cyclic(args.p, squares))
+        _require_valid(oa)  # raises OAValidationError on an invalid array
         _write_data(args, oa.to_text(),
                     lambda: [("kind", "orthogonal array"), ("rows", oa.rows),
                              ("columns", oa.cols), ("alphabet", oa.alphabet),

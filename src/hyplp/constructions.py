@@ -104,8 +104,11 @@ def mols_cyclic(p: int, m: int) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def oa_from_mols(squares: Sequence[Sequence[Sequence[int]]]) -> OrthogonalArray:
-    """Assemble an orthogonal array from Latin squares of a common order:
-    two coordinate rows plus one row per square, one column per cell."""
+    """Assemble an array from Latin squares of a common order: two
+    coordinate rows plus one row per square, one column per cell.  It is an
+    orthogonal array when the squares are mutually orthogonal, which is not
+    checked here: `hypergraph_from_oa` and `oa_minus_transversal` check the
+    array they are given, so that each array is validated once."""
     if not squares:
         raise ValueError("need at least one square")
     p = len(squares[0])
@@ -115,9 +118,7 @@ def oa_from_mols(squares: Sequence[Sequence[Sequence[int]]]) -> OrthogonalArray:
     cols = [(i, j) + tuple(sq[i][j] for sq in squares)
             for i in range(p) for j in range(p)]
     cells = tuple(tuple(col[t] for col in cols) for t in range(2 + len(squares)))
-    oa = OrthogonalArray(2 + len(squares), p * p, p, cells)
-    _require_valid(oa)
-    return oa
+    return OrthogonalArray(2 + len(squares), p * p, p, cells)
 
 
 def hypergraph_from_oa(oa: OrthogonalArray) -> Hypergraph:

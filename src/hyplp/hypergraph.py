@@ -159,13 +159,12 @@ def adjacency_rows(h: Hypergraph) -> list[list[tuple[int, int]]]:
     return [sorted(c.items()) for c in counts]
 
 
-def adjacency(h: Hypergraph, rows: list | None = None) -> list[list[int]]:
+def adjacency(rows) -> list[list[int]]:
     """Point-graph adjacency with multiplicity: A[x][y] = number of edges
-    containing both x and y (x != y); zero diagonal.  The dense form of
-    `adjacency_rows(h)`, which a caller that has it passes as `rows`."""
-    a = [[0] * h.n for _ in range(h.n)]
-    for x, row in enumerate(adjacency_rows(h) if rows is None else rows):
-        ax = a[x]
+    containing both x and y (x != y); zero diagonal.  The dense form of the
+    sparse `rows` of `adjacency_rows`."""
+    a = [[0] * len(rows) for _ in rows]
+    for ax, row in zip(a, rows):
         for y, w in row:
             ax[y] = w
     return a
@@ -242,19 +241,16 @@ def _sphere_width(rows) -> int:
     return _field_width(max((sum(w for _, w in row) for row in rows), default=0))
 
 
-def spheres(h: Hypergraph, rows: list | None = None) -> list[list[int]]:
-    """Breadth-first search from every vertex at once: entry [d][x] is row
-    x of the 0/1 distance-d matrix D_d packed at `_sphere_width`, field y
-    set when y lies at distance exactly d from x, for d from 0 to the
-    largest finite distance.  The balls grow as B_(d+1)(x) = B_d(x) | the
-    OR of B_d(z) over the neighbours z of x, so a level costs one OR per
-    adjacency entry.  `rows`: `adjacency_rows(h)`, when the caller has
-    it."""
-    if rows is None:
-        rows = adjacency_rows(h)
+def spheres(rows) -> list[list[int]]:
+    """Breadth-first search from every vertex at once, on the adjacency with
+    sparse `rows`: entry [d][x] is row x of the 0/1 distance-d matrix D_d
+    packed at `_sphere_width`, field y set when y lies at distance exactly
+    d from x, for d from 0 to the largest finite distance.  The balls grow
+    as B_(d+1)(x) = B_d(x) | the OR of B_d(z) over the neighbours z of x,
+    so a level costs one OR per adjacency entry."""
     width = _sphere_width(rows)
     nbrs = [[z for z, _ in row] for row in rows]
-    ball = [1 << (width * x) for x in range(h.n)]
+    ball = [1 << (width * x) for x in range(len(rows))]
     out = [ball]
     while True:
         grown = [reduce(or_, map(ball.__getitem__, nb), b)
@@ -308,24 +304,20 @@ def girth(h: Hypergraph):
     return int(best) // 2 if best != math.inf else math.inf
 
 
-def _walk_rows(h: Hypergraph, top: int, nbrs: list | None = None,
-               ru: tuple[int, int] | None = None
+def _walk_rows(nbrs: list[list[int]], params: Params, top: int
                ) -> tuple[int, Iterator[list[int]]]:
-    """F_0(A), F_1(A), F_2(A), ... for the adjacency A of a regular uniform
-    hypergraph, as packed rows, by the integer recurrence F_0 = I, F_1 = A,
+    """F_0(A), F_1(A), F_2(A), ... for the adjacency A, given by its
+    `neighbour_lists`, of a regular uniform hypergraph with degrees
+    `params`, as packed rows, by the integer recurrence F_0 = I, F_1 = A,
     F_2 = A^2 - (u-2)A - kI, F_{j+1} = (A - (u-2)I) F_j - q F_{j-1}.
     Entry (x, y) of F_i counts the non-backtracking walks of length i from
     x to y, so it lies in [0, k q^(i-1)], the row sum; the returned width
-    holds F_0 to F_top.  `nbrs` and `ru`: `neighbour_lists(adjacency_rows(h))`
-    and `check_regular_uniform(h)`, when the caller has them."""
-    params = Params(*(check_regular_uniform(h) if ru is None else ru))
-    if nbrs is None:
-        nbrs = neighbour_lists(adjacency_rows(h))
+    holds F_0 to F_top."""
     width = _field_width(params.k * params.q ** max(top - 1, 0))
 
     def walks() -> Iterator[list[int]]:
         shift, c = params.u - 2, params.k  # c is k for F_2, then q
-        prev = [1 << (width * x) for x in range(h.n)]
+        prev = [1 << (width * x) for x in range(len(nbrs))]
         cur = _times(nbrs, prev)
         yield prev
         yield cur
@@ -345,8 +337,8 @@ def _field_tops(packed: int, width: int, ones: int) -> int:
     return (packed + ones * ((1 << (width - 1)) - 1)) & (ones << (width - 1))
 
 
-def _walk_diagonals(h: Hypergraph, top: int, nbrs: list | None = None,
-                    ru: tuple[int, int] | None = None) -> Iterator[Iterator[bool]]:
+def _walk_diagonals(nbrs: list[list[int]], params: Params, top: int
+                    ) -> Iterator[Iterator[bool]]:
     """For g = 2, ..., top, whether entry (x, x) of F_g(A) is nonzero, for
     x = 0, 1, ..., n - 1: one lazy iterator per g, exact while the
     diagonals of F_1(A) to F_(g-1)(A) vanish; that of F_1 = A always does,
@@ -356,31 +348,27 @@ def _walk_diagonals(h: Hypergraph, top: int, nbrs: list | None = None,
     F_(g-1)[x][z] (F_(g-1) is symmetric, and the diagonals of F_(g-1) and
     F_(g-2) vanish), nonzero exactly when rows x of A and of F_(g-1) have
     a nonzero field in common: one AND of their `_field_tops` per x.
-    `nbrs` and `ru` as for `_walk_rows`."""
-    if nbrs is None:
-        nbrs = neighbour_lists(adjacency_rows(h))
-    width, walks = _walk_rows(h, top, nbrs, ru)
+    `nbrs` and `params` as for `_walk_rows`."""
+    width, walks = _walk_rows(nbrs, params, top)
     next(walks)
     adj = next(walks)
     if top >= 2:
         yield (len(set(nb)) < len(nb) for nb in nbrs)
-    ones = ((1 << (width * h.n)) - 1) // ((1 << width) - 1)
+    ones = ((1 << (width * len(nbrs))) - 1) // ((1 << width) - 1)
     for _ in range(3, top + 1):
         yield (_field_tops(row, width, ones) & _field_tops(a, width, ones) != 0
                for row, a in zip(next(walks), adj))
 
 
-def girth_via_trace(h: Hypergraph, max_i: int = 12, nbrs: list | None = None,
-                    ru: tuple[int, int] | None = None) -> int | None:
-    """Smallest g <= max_i with tr F_g(A) != 0 and tr F_i(A) = 0 for i < g;
-    None when every trace through max_i vanishes (girth > max_i).  The
-    entries are >= 0, so the trace vanishes when every diagonal entry does,
-    and `_walk_diagonals` decides that with F_(g-1)(A) as the last product.
-    A closed non-backtracking walk of length g contains a cycle of length
-    at most g, and a shortest cycle is such a walk, so a g found is
-    `girth(h)`.  `nbrs` and `ru`: `neighbour_lists(adjacency_rows(h))` and
-    `check_regular_uniform(h)`, when the caller has them."""
-    for g, diagonal in enumerate(_walk_diagonals(h, max_i, nbrs, ru), 2):
+def girth_via_trace(nbrs: list[list[int]], params: Params, top: int) -> int | None:
+    """Smallest g <= top with tr F_g(A) != 0 and tr F_i(A) = 0 for i < g,
+    for `nbrs` and `params` as for `_walk_rows`; None when every trace
+    through top vanishes (girth > top).  The entries are >= 0, so the
+    trace vanishes when every diagonal entry does, and `_walk_diagonals`
+    decides that with F_(g-1)(A) as the last product.  A closed
+    non-backtracking walk of length g contains a cycle of length at most
+    g, and a shortest cycle is such a walk, so a g found is the girth."""
+    for g, diagonal in enumerate(_walk_diagonals(nbrs, params, top), 2):
         if any(diagonal):
             return g
     return None
@@ -399,11 +387,13 @@ class IntersectionNumbers(Record):
     witness: tuple[int, int] | None = None
 
 
-def distance_regularity_check(h: Hypergraph, rows: list | None = None,
-                              shells: list | None = None,
-                              nbrs: list | None = None) -> IntersectionNumbers:
-    """Checks whether the weighted neighbor counts depend only on distance;
-    on failure `witness` is the first ordered pair (x, y) disagreeing.
+def distance_regularity_check(rows: list[list[tuple[int, int]]],
+                              shells: list[list[int]],
+                              nbrs: list[list[int]]) -> IntersectionNumbers:
+    """Checks whether the weighted neighbor counts depend only on distance,
+    for the adjacency with sparse `rows`, its `spheres` `shells` and its
+    `neighbour_lists` `nbrs`; on failure `witness` is the first ordered
+    pair (x, y) disagreeing.
 
     With D_i the 0/1 distance-i matrix, entry (x, y) of A D_i is the weight
     of x's neighbours at distance i from y, which is c, a or b of the pair
@@ -412,18 +402,11 @@ def distance_regularity_check(h: Hypergraph, rows: list | None = None,
     every i, with b_{i-1}, a_i and c_{i+1} read at the first pair at
     distance i-1, i and i+1.  Both sides are proved equal row by row on
     packed rows; a differing row x is decoded only to find its first
-    differing y, and the witness is the first such (x, y) over all i.
-    `rows`, `shells` and `nbrs`: `adjacency_rows(h)`, `spheres(h, rows)`
-    and `neighbour_lists(rows)`, when the caller has them."""
-    if rows is None:
-        rows = adjacency_rows(h)
-    if shells is None:
-        shells = spheres(h, rows)
-    if not _reaches_all(shells, h.n):
+    differing y, and the witness is the first such (x, y) over all i."""
+    n = len(rows)
+    if not _reaches_all(shells, n):
         raise ValueError("distance-regularity needs a connected hypergraph")
     d = len(shells) - 1
-    if nbrs is None:
-        nbrs = neighbour_lists(rows)
     width = _sphere_width(rows)
     # the first pair at each distance: x with a nonempty sphere, lowest y
     first = []
@@ -432,8 +415,8 @@ def distance_regularity_check(h: Hypergraph, rows: list | None = None,
         first.append((x, _first_difference(layer[x], 0, width)))
     a, b, c = [], [], []
     witness = None
-    rows_left = h.n  # once a witness is found, only rows up to its x matter
-    zero = [0] * h.n
+    rows_left = n  # once a witness is found, only rows up to its x matter
+    zero = [0] * n
     for i in range(d + 1):
         below = shells[i - 1] if i else zero
         level = shells[i]

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from ._record import Record
-from .surd import Surd, _sign, _sign_parts
+from .surd import Surd, _sign_parts
 
 Exact = int | Fraction
 Number = int | Fraction | float
@@ -27,7 +27,6 @@ Number = int | Fraction | float
 __all__ = [
     "Params",
     "FPoly",
-    "TridiagonalArray",
     "f_values",
     "g_eval",
     "f_monomial",
@@ -63,18 +62,10 @@ class Params(Record):
         return (self.r - 1) * (self.u - 1)
 
     @property
-    def s(self) -> int:
-        return self.u - 1
-
-    @property
-    def t(self) -> int:
-        return self.r - 1
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        """Support [u-2-2*sqrt(q), u-2+2*sqrt(q)] of the continuous weight."""
-        w = 2.0 * math.sqrt(self.q)
-        return (self.u - 2 - w, self.u - 2 + w)
+    def top(self) -> float:
+        """u-2+2*sqrt(q), the top of the spectrum of the universal cover,
+        in floats."""
+        return self.u - 2 + 2 * math.sqrt(self.q)
 
 
 def f_values(params: Params, imax: int, x: Number) -> list:
@@ -195,62 +186,10 @@ class FPoly(Record):
     def to_monomial(self) -> list[Fraction]:
         return fbasis_to_monomial(self.params, self.coeffs)
 
-    def __call__(self, x: Number) -> Number:
-        vals = f_values(self.params, len(self.coeffs) - 1, x)
-        if isinstance(x, float):
-            return math.fsum(float(c) * v for c, v in zip(self.coeffs, vals))
-        return sum(c * v for c, v in zip(self.coeffs, vals))
-
     def at_k(self) -> Fraction:
         """f(k) = f_0 + sum_{i>=1} f_i k q^(i-1), exactly."""
         f0, *rest = self.coeffs
         return f0 + self.params.k * _poly_eval(rest, self.params.q)
-
-
-class TridiagonalArray(Record):
-    """Quotient array T(r, u, d, c): (d+1) x (d+1) tridiagonal matrix with
-    superdiagonal (1, ..., 1, c), diagonal (0, s-1, ..., s-1, s(t+1)-c) and
-    subdiagonal (s(t+1), st, ..., st).  Its characteristic polynomial is
-    (x - k) * (c * (F_0 + ... + F_{d-1}) + F_d), and the leading principal
-    minors of xI - T are F_0(x), ..., F_d(x) and that product, which
-    `zeros_above` counts."""
-
-    params: Params
-    d: int
-    c: Fraction
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("need d >= 1")
-        object.__setattr__(self, "c", Fraction(self.c))
-        if self.c <= 0:
-            raise ValueError("need c > 0")
-
-    @property
-    def superdiagonal(self) -> tuple[Fraction, ...]:
-        return tuple([Fraction(1)] * (self.d - 1) + [self.c])
-
-    @property
-    def diagonal(self) -> tuple[Fraction, ...]:
-        s, t = self.params.s, self.params.t
-        mid = [Fraction(s - 1)] * (self.d - 1)
-        return tuple([Fraction(0)] + mid + [Fraction(s * (t + 1)) - self.c])
-
-    @property
-    def subdiagonal(self) -> tuple[Fraction, ...]:
-        s, t = self.params.s, self.params.t
-        return tuple([Fraction(s * (t + 1))] + [Fraction(s * t)] * (self.d - 1))
-
-    def dense(self) -> list[list[Fraction]]:
-        n = self.d + 1
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i, v in enumerate(self.diagonal):
-            m[i][i] = v
-        for i, v in enumerate(self.superdiagonal):
-            m[i][i + 1] = v
-        for i, v in enumerate(self.subdiagonal):
-            m[i + 1][i] = v
-        return m
 
 
 # Polynomials below are coefficient lists, lowest degree first; the zero
@@ -482,13 +421,12 @@ def _sign_changes(chain: Sequence[Sequence[Exact]], x: Exact | Surd,
 
 
 def positive_witness(p: Sequence[int], a: Exact, b: Exact | Surd,
-                     pb: Exact | Surd | None = None) -> Fraction | Surd | None:
+                     b_sign: int) -> Fraction | Surd | None:
     """Decide exactly whether p (integer monomial coefficients, lowest
     first, as `_primitive` gives) is <= 0 on [a, b], for a rational a and a
     rational or Surd b >= a: None when it is, else a witness point x in
     [a, b] with p(x) > 0.  x is rational unless it is the Surd b itself.
-    `pb`: p(b), or any number of its sign, when the caller has it; only its
-    sign is read.
+    `b_sign`: the sign, -1, 0 or 1, of p(b), as `_sign_at` gives it.
 
     p changes sign exactly at the roots of its odd-multiplicity part g, and
     a Sturm chain of g counts those in (lo, hi] as V(lo) - V(hi)
@@ -511,7 +449,7 @@ def positive_witness(p: Sequence[int], a: Exact, b: Exact | Surd,
     lo, hi = Fraction(a), b if isinstance(b, Surd) else Fraction(b)
     if lo > hi:
         raise ValueError("need a <= b")
-    ends = [_sign_at(p, lo), _sign_at(p, hi) if pb is None else _sign(pb)]
+    ends = [_sign_at(p, lo), b_sign]
     for x, v in zip((lo, hi), ends):
         if v > 0:
             return x
@@ -565,7 +503,7 @@ def positive_witness(p: Sequence[int], a: Exact, b: Exact | Surd,
             lo, v_lo = x, v_x
 
 
-def _gc_monomial(params: Params, d: int, num: Exact, den: Exact = 1) -> list:
+def _gc_monomial(params: Params, d: int, num: Exact, den: Exact) -> list:
     """Monomial coefficients of den*g_c at c = num/den, that is of
     num*(F_0 + ... + F_{d-1}) + den*F_d: integers for integer num and den."""
     out = [0] * (d + 1)
@@ -602,12 +540,15 @@ def zeros_above(params: Params, d: int, c: Number, x: Number) -> int:
     """Number of zeros of g_c = c*(F_0+...+F_{d-1}) + F_d at or above x,
     exactly, for c > 0 and x each an int, Fraction or float.
 
-    The eigenvalues of T(r, u, d, c) are k and the zeros of g_c, all real
-    and simple, and the leading principal minors of xI - T are F_0(x), ...,
-    F_d(x) and (x - k) g_c(x).  Their sign changes count the eigenvalues
-    above x (Givens 1954; Barth-Martin-Wilkinson, Numer. Math. 9, 1967),
-    skipping a zero term: T is unreduced, so two adjacent minors never both
-    vanish.  Less [x < k], plus [g_c(x) = 0], that is the count."""
+    The quotient array T(r, u, d, c) is the (d+1) x (d+1) tridiagonal
+    matrix with superdiagonal (1, ..., 1, c), diagonal (0, u-2, ..., u-2,
+    k-c) and subdiagonal (k, q, ..., q).  Its eigenvalues are k and the
+    zeros of g_c, all real and simple, and the leading principal minors of
+    xI - T are F_0(x), ..., F_d(x) and (x - k) g_c(x).  Their sign changes
+    count the eigenvalues above x (Givens 1954; Barth-Martin-Wilkinson,
+    Numer. Math. 9, 1967), skipping a zero term: T is unreduced, so two
+    adjacent minors never both vanish.  Less [x < k], plus [g_c(x) = 0],
+    that is the count."""
     if d < 1:
         raise ValueError("need d >= 1")
     n, m = x.as_integer_ratio()

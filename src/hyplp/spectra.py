@@ -23,14 +23,14 @@ from .hypergraph import (Hypergraph, IntersectionNumbers,
                          adjacency_rows, check_regular_uniform,
                          distance_regularity_check, dual, girth,
                          girth_via_trace, neighbour_lists, spheres)
+from .orthopoly import Params
 from .tridiagonal import _EPS, ql_eigenvalues
 
 __all__ = [
     "Spectrum",
     "Analysis",
     "symmetric_eigenvalues",
-    "second_eigenvalue",
-    "is_ramanujan",
+    "TRACE_GIRTH_MAX",
 ]
 
 _SYMMETRY_TOL = 1e-12
@@ -38,6 +38,8 @@ _SYMMETRY_TOL = 1e-12
 _CLUSTER_TOL = 1e-7
 # slack on the Ramanujan window |tau2 - (u-2)| <= 2*sqrt(q)
 _RAMANUJAN_TOL = 1e-9
+# the longest closed walks whose traces `Analysis.girth_by_trace` reads
+TRACE_GIRTH_MAX = 12
 
 
 class Spectrum(Record):
@@ -46,10 +48,6 @@ class Spectrum(Record):
 
     values: tuple[float, ...]
     clusters: tuple[tuple[float, int], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "Spectrum":
@@ -200,9 +198,8 @@ class Analysis:
     adjacency spectrum.  `analyze` reads every report field from one
     instance, so each is built once; the dual and its adjacency rows are
     built only when the spectrum comes from A* (m < n), and (r, u) is
-    checked on the input alone, since the dual's is (u, r).
-    `second_eigenvalue` and `is_ramanujan` are thin calls into a fresh
-    one."""
+    checked on the input alone, since the dual's is (u, r).  The
+    hypergraph queries it calls take these objects and recompute none."""
 
     def __init__(self, h: Hypergraph) -> None:
         self.h = h
@@ -223,7 +220,7 @@ class Analysis:
 
     @cached_property
     def adjacency(self) -> list[list[int]]:
-        return adjacency(self.h, self.rows)
+        return adjacency(self.rows)
 
     @cached_property
     def connected(self) -> bool:
@@ -232,7 +229,7 @@ class Analysis:
 
     @cached_property
     def spheres(self) -> list[list[int]]:
-        return spheres(self.h, self.rows)
+        return spheres(self.rows)
 
     @cached_property
     def dual(self) -> Hypergraph:
@@ -257,7 +254,7 @@ class Analysis:
             r = u = 0
         if r < 2 or h.m >= h.n:
             return symmetric_eigenvalues(self.adjacency)
-        star = symmetric_eigenvalues(adjacency(self.dual, self.dual_rows))
+        star = symmetric_eigenvalues(adjacency(self.dual_rows))
         return Spectrum.from_values(
             [x + (u - r) for x in star.values] + [float(-r)] * (h.n - h.m))
 
@@ -288,8 +285,9 @@ class Analysis:
 
     @cached_property
     def girth_by_trace(self) -> int | None:
-        """`girth_via_trace` up to length 12, for regular uniform input."""
-        return girth_via_trace(self.h, 12, self.nbrs, self.ru)
+        """`girth_via_trace` up to length TRACE_GIRTH_MAX, for regular
+        uniform input."""
+        return girth_via_trace(self.nbrs, Params(*self.ru), TRACE_GIRTH_MAX)
 
     def girth(self):
         """`girth(h)`.  For connected regular uniform input with r >= 2 it
@@ -304,17 +302,4 @@ class Analysis:
         return girth(self.h)
 
     def distance_regularity(self) -> IntersectionNumbers:
-        return distance_regularity_check(self.h, self.rows, self.spheres,
-                                         self.nbrs)
-
-
-def second_eigenvalue(h: Hypergraph) -> float:
-    """Second-largest adjacency eigenvalue of a connected regular uniform
-    hypergraph (the largest is k = r(u-1); the gap is k - tau2)."""
-    return Analysis(h).tau2
-
-
-def is_ramanujan(h: Hypergraph) -> bool:
-    """Whether tau2 lies within the spectral window
-    |tau2 - (u-2)| <= 2*sqrt((r-1)(u-1)), up to _RAMANUJAN_TOL."""
-    return Analysis(h).is_ramanujan()
+        return distance_regularity_check(self.rows, self.spheres, self.nbrs)

@@ -1,11 +1,14 @@
 """Test-side oracles for `hyplp.orthopoly`.  First, for the exact check:
 polynomial division, Euclid's gcd and Yun's square-free step over Q in
 `Fraction` arithmetic.  The library does all three in Z[x]; these are the
-rational algorithms its results are checked against.  Last, the
-linearization coefficients of the F-family, which only the tests read."""
+rational algorithms its results are checked against.  Then the quotient
+array T(r, u, d, c) as a matrix, whose leading principal minors
+`zeros_above` counts on, and last the linearization coefficients of the
+F-family, which only the tests read."""
 
 from fractions import Fraction
 
+from hyplp._record import Record
 from hyplp.orthopoly import (Params, _poly_deriv, _poly_mul, _poly_sub,
                              _poly_trim, f_monomial, monomial_to_fbasis)
 
@@ -48,6 +51,52 @@ def rational_odd_multiplicity_part(p) -> list[Fraction]:
         d = _poly_sub(poly_divmod(d, a)[0], _poly_deriv(b))
         odd = not odd
     return out
+
+
+class TridiagonalArray(Record):
+    """Quotient array T(r, u, d, c): (d+1) x (d+1) tridiagonal matrix with
+    superdiagonal (1, ..., 1, c), diagonal (0, s-1, ..., s-1, s(t+1)-c) and
+    subdiagonal (s(t+1), st, ..., st), for s = u-1 and t = r-1.  Its
+    characteristic polynomial is (x - k) * (c * (F_0 + ... + F_{d-1}) +
+    F_d), and the leading principal minors of xI - T are F_0(x), ...,
+    F_d(x) and that product, which `zeros_above` counts."""
+
+    params: Params
+    d: int
+    c: Fraction
+
+    def __post_init__(self) -> None:
+        if self.d < 1:
+            raise ValueError("need d >= 1")
+        object.__setattr__(self, "c", Fraction(self.c))
+        if self.c <= 0:
+            raise ValueError("need c > 0")
+
+    @property
+    def superdiagonal(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(1)] * (self.d - 1) + [self.c])
+
+    @property
+    def diagonal(self) -> tuple[Fraction, ...]:
+        s, t = self.params.u - 1, self.params.r - 1
+        mid = [Fraction(s - 1)] * (self.d - 1)
+        return tuple([Fraction(0)] + mid + [Fraction(s * (t + 1)) - self.c])
+
+    @property
+    def subdiagonal(self) -> tuple[Fraction, ...]:
+        s, t = self.params.u - 1, self.params.r - 1
+        return tuple([Fraction(s * (t + 1))] + [Fraction(s * t)] * (self.d - 1))
+
+    def dense(self) -> list[list[Fraction]]:
+        n = self.d + 1
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i, v in enumerate(self.diagonal):
+            m[i][i] = v
+        for i, v in enumerate(self.superdiagonal):
+            m[i][i + 1] = v
+        for i, v in enumerate(self.subdiagonal):
+            m[i + 1][i] = v
+        return m
 
 
 def linearization(params: Params, i: int, j: int) -> dict[int, Fraction]:

@@ -12,12 +12,11 @@ from hyplp.bounds import (closed_form_h_bound, dss_gen_bound,
                           lp_bound_optimize, tau2_lower)
 from hyplp.cli import _csv_rows, _data_text
 from hyplp.constructions import named_fixture
-from hyplp.hypergraph import (check_regular_uniform, girth, girth_via_trace,
-                              distance_regularity_check)
-from hyplp.orthopoly import Params, TridiagonalArray
-from hyplp.spectra import Analysis, second_eigenvalue
+from hyplp.hypergraph import girth, girth_via_trace
+from hyplp.orthopoly import Params
+from hyplp.spectra import Analysis
 from conftest import random_regular_uniform
-from poly_oracles import linearization
+from poly_oracles import TridiagonalArray, linearization
 from walk_oracles import (gram_mismatches, nbw_count_matrix, nbw_count_oracle,
                           nbw_counts_from)
 
@@ -63,8 +62,9 @@ def test_c02_shipped_certificate_exact_value():
 def test_c03_closed_form_tight_at_petersen():
     b = closed_form_h_bound(Params(3, 2), 1)
     h = named_fixture("petersen")
-    tau2 = second_eigenvalue(h)
-    dr = distance_regularity_check(h)
+    an = Analysis(h)
+    tau2 = an.tau2
+    dr = an.distance_regularity()
     ta = TridiagonalArray(Params(3, 2), 2, Fraction(1))
     arrays_match = (dr.valid and ta.subdiagonal == dr.b
                     and ta.superdiagonal == dr.c and ta.diagonal == dr.a)
@@ -158,13 +158,15 @@ def test_c07_girth_by_trace_equals_girth(corpus):
     ok = len(large) == len(drawn)
     for h in corpus + large:
         g = girth(h)
-        if girth_via_trace(h, max_i=h.n) != g or Analysis(h).girth() != g:
+        an = Analysis(h)
+        if (girth_via_trace(an.nbrs, Params(*an.ru), h.n) != g
+                or an.girth() != g):
             ok = False
     fixtures = {"petersen": 5, "fano": 3, "k4": 3}
     for name, g in fixtures.items():
         h = named_fixture(name)
-        if not (girth(h) == g and girth_via_trace(h) == g
-                and Analysis(h).girth() == g):
+        an = Analysis(h)
+        if not (girth(h) == g and an.girth_by_trace == g and an.girth() == g):
             ok = False
     check(7, "trace-based girth equals combinatorial girth on the corpus, "
              "benchmark-sized configuration-model inputs and the named "
@@ -175,8 +177,8 @@ def test_c07_girth_by_trace_equals_girth(corpus):
 def test_c08_construction_spectra():
     oa33 = named_fixture("oa33")
     minus = named_fixture("oa45-minus")
-    t1 = second_eigenvalue(oa33)
-    t2 = second_eigenvalue(minus)
+    t1 = Analysis(oa33).tau2
+    t2 = Analysis(minus).tau2
     check(8, "array construction gives tau2 = 0 on 9 vertices; transversal "
              "removal gives tau2 = 1 on 15 vertices",
           oa33.n == 9 and abs(t1) <= 1e-8 and minus.n == 15

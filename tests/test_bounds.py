@@ -55,7 +55,7 @@ def test_select_diameter():
 def lambda_d_numpy(params, d):
     """Largest zero of G_d: the second eigenvalue of T(r, u, d, 1), by
     numpy on the symmetric matrix with off-diagonal sqrt(sub * super)."""
-    s, t = params.s, params.t
+    s, t = params.u - 1, params.r - 1
     diag = [0.0] + [s - 1.0] * (d - 1) + [s * (t + 1) - 1.0]
     off = [math.sqrt(s * (t + 1))] + [math.sqrt(s * t)] * (d - 1)
     return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[-2]
@@ -91,7 +91,7 @@ def test_select_diameter_matches_a_linear_scan():
     ds = set()
     for r, u, theta in thetas:
         p = Params(r, u)
-        if float(theta) >= bounds._lambda_top(p):
+        if float(theta) >= p.top:
             continue
         d = select_diameter(p, theta)[0]
         assert d == reference_diameter(p, theta), (r, u, theta)
@@ -110,7 +110,7 @@ def test_select_diameter_matches_an_exact_reference_on_sqrt_thetas():
             p = Params(r, u)
             for n in range(1, 200):
                 theta = surd.sqrt(n)
-                if float(theta) >= bounds._lambda_top(p):
+                if float(theta) >= p.top:
                     break
                 d = select_diameter(p, theta)[0]
                 assert d == reference_diameter(p, theta), (r, u, n)
@@ -232,7 +232,7 @@ def fraction_certificate(params, theta):
     coefficients rewritten in the F-basis; None when an F-coefficient is
     negative."""
     d, gd1, fd = select_diameter(params, theta)
-    gc = [Fraction(v) for v in _gc_monomial(params, d, -fd / gd1)]
+    gc = [Fraction(v) for v in _gc_monomial(params, d, -fd / gd1, 1)]
     f = poly_divmod(_poly_mul(gc, gc), [-theta, Fraction(1)])[0]
     fb = monomial_to_fbasis(params, f)
     return tuple(fb) if all(v >= 0 for v in fb) else None
@@ -838,15 +838,23 @@ def test_imp2_cases():
 
 
 def test_imp2_between_stays_below_comparison():
-    # the "between" branch must not exceed moore(d) + G_d(tau2)
+    # the "between" branch does not exceed moore(d) + G_d(tau2): exactly at
+    # rational tau2, and up to float rounding at float tau2
     for r, u in [(3, 2), (4, 2), (3, 3)]:
         p = Params(r, u)
         for d in (2, 3):
             lo = largest_zero_G(p, d - 1)
             hi = largest_zero_G(p, d)
             for t in range(1, 10):
+                tau = Fraction(lo) + (Fraction(hi) - Fraction(lo)) * t / 10
+                b = imp2_bound(p, d, tau)
+                assert b.params["case"] == "between", (r, u, d, tau)
+                assert b.value <= moore_order(p, d) + g_eval(p, d, tau), (r, u, d, tau)
                 tau = lo + (hi - lo) * t / 10
-                imp2_bound(p, d, tau)  # raises if the comparison fails
+                b = imp2_bound(p, d, tau)
+                rhs = moore_order(p, d) + g_eval(p, d, tau)
+                assert b.params["case"] == "between", (r, u, d, tau)
+                assert b.value <= rhs + 1e-7 * max(1.0, abs(rhs)), (r, u, d, tau)
 
 
 def test_defect_region_collapses_at_zero():
@@ -1029,9 +1037,9 @@ def test_bound_result_rejects_non_finite():
 
 
 def test_refinement_records_are_frozen():
-    ref = Refinement("c-integrality", 25, 24)
+    ref = Refinement("c-integrality", 25, 24, "c = 5/2 not an integer")
     with pytest.raises(AttributeError):
         ref.after = 23
-    chk = DssCheck(True, 0, 10)
+    chk = DssCheck(True, 0, 10, {})
     with pytest.raises(AttributeError):
         chk.passed = False

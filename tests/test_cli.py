@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from hyplp.cli import (UsageError, fmt, jval, load_certificate, main,
 from hyplp.constructions import (hypergraph_from_oa, mols_cyclic, named_fixture,
                                  oa_from_mols)
 from hyplp.hypergraph import Hypergraph, dual
-from hyplp.orthopoly import (FPoly, Params, _gc_monomial, _poly_deriv,
-                             _poly_eval, _prs, _sign_changes)
+from hyplp.orthopoly import (Params, _gc_monomial, _poly_deriv,
+                             _poly_eval, _prs, _sign_changes, f_values)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -233,7 +234,7 @@ def test_bound_lp_cert_rejects_near_miss(tmp_path, capsys, r, u, theta):
     xn, xd, vn, vd = (int(g) for g in WITNESS.search(err).groups())
     x, v = Fraction(xn, xd), Fraction(vn, vd)
     assert -r <= x <= Fraction(theta)
-    assert v > 0 and FPoly(Params(r, u), coeffs)(x) == v
+    assert v > 0 and sum(map(mul, coeffs, f_values(Params(r, u), len(coeffs) - 1, x))) == v
 
 
 def test_bound_lp_cert_accepts_root_at_theta(tmp_path, capsys):
@@ -485,7 +486,7 @@ def test_printed_tau2_floors_lie_below_their_zeros(capsys):
                 assert code == 0
                 v = Fraction(text_value(out, "tau2_lower"))
                 d, c = int(text_value(out, "d")), Fraction(text_value(out, "c"))
-                gc = _gc_monomial(Params(r, u), d, c)
+                gc = _gc_monomial(Params(r, u), d, c, 1)
                 chain = _prs(gc, _poly_deriv(gc))
                 assert all(type(a) is int for p in chain for a in p), (r, u, n)
                 assert all(math.gcd(*p) == 1 for p in chain), (r, u, n)
@@ -905,14 +906,38 @@ def test_construct_mols_oa_pipeline(tmp_path, capsys):
 
 
 def test_construct_mols_oa_validates_the_array_once(monkeypatch, capsys):
-    # oa_from_mols validates the array, and the report's valid line reads
-    # that validation
+    # the command validates the array oa_from_mols assembles, and the
+    # report's valid line reads that validation
     calls = count_calls(monkeypatch, "oa_validate")
     code, out, err = run(capsys, "construct", "mols-oa", "--p", "13", "--rows", "5")
     assert code == 0
     assert len(calls) == 1
     assert out.startswith("5 169 13\n")
     assert text_value(err, "valid") == "yes"
+
+
+def test_every_array_path_validates_once(tmp_path, monkeypatch, capsys):
+    # an array is validated where it is used, once: in the fixtures built
+    # from Latin squares and in both commands that read one from a file
+    # (construct mols-oa has its own test above)
+    calls = count_calls(monkeypatch, "oa_validate")
+    for name in ("oa33", "oa45-minus"):
+        calls.clear()
+        named_fixture(name)
+        assert len(calls) == 1, name
+    oa_file = tmp_path / "oa.txt"
+    oa_file.write_text(oa_from_mols(mols_cyclic(5, 2)).to_text())
+    bad_file = tmp_path / "bad.txt"
+    bad_file.write_text("3 4 2\n0 0 1 1\n0 0 1 1\n0 1 0 1\n")
+    for kind, extra in (("from-oa", ()), ("oa-minus", ("--symbol", "0"))):
+        calls.clear()
+        assert run(capsys, "construct", kind, str(oa_file), *extra)[0] == 0
+        assert len(calls) == 1, kind
+        calls.clear()
+        code, out, err = run(capsys, "construct", kind, str(bad_file), *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: rows (0, 1): symbol pair (0, 0) repeats at columns 0 and 1\n"
+        assert len(calls) == 1, kind
 
 
 def test_construct_stdout_stdin_pipe(monkeypatch, capsys):

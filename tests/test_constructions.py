@@ -10,7 +10,7 @@ from hyplp.constructions import (_CATALOG, OAValidationError, OrthogonalArray,
                                  oa_from_mols, oa_minus_transversal,
                                  oa_validate)
 from hyplp.hypergraph import check_regular_uniform, girth
-from hyplp.spectra import Analysis, second_eigenvalue
+from hyplp.spectra import Analysis
 
 
 def test_oa_shape_validation():
@@ -88,7 +88,7 @@ def test_hypergraph_from_oa_parameters():
     h = hypergraph_from_oa(oa)
     assert h.n == 20 and h.m == 25
     assert check_regular_uniform(h) == (5, 4)
-    assert second_eigenvalue(h) == pytest.approx(0.0, abs=1e-8)
+    assert Analysis(h).tau2 == pytest.approx(0.0, abs=1e-8)
     assert girth(h) == 3 and Analysis(h).diameter() == 2
 
 
@@ -104,7 +104,7 @@ def test_oa_minus_transversal_parameters():
         h = oa_minus_transversal(oa, symbol)
         assert h.n == 15 and h.m == 20
         assert check_regular_uniform(h) == (4, 3)
-        assert second_eigenvalue(h) == pytest.approx(1.0, abs=1e-8)
+        assert Analysis(h).tau2 == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(ValueError):
         oa_minus_transversal(oa, 5)
     coords = OrthogonalArray(2, 4, 2, ((0, 0, 1, 1), (0, 1, 0, 1)))
@@ -116,7 +116,7 @@ def test_oa_minus_transversal_three_rows_gives_graph():
     h = oa_minus_transversal(oa_from_mols(mols_cyclic(3, 1)), 1)
     assert check_regular_uniform(h) == (2, 2)
     assert h.n == 6 and h.m == 6
-    assert second_eigenvalue(h) == pytest.approx(1.0, abs=1e-8)
+    assert Analysis(h).tau2 == pytest.approx(1.0, abs=1e-8)
 
 
 def test_fixture_names_catalog():
@@ -135,7 +135,7 @@ def test_every_fixture_builds_and_matches_metadata():
         assert check_regular_uniform(h) == (r, u)
         assert girth(h) == g
         assert Analysis(h).diameter() == diam
-        assert second_eigenvalue(h) == pytest.approx(tau2, abs=1e-8)
+        assert Analysis(h).tau2 == pytest.approx(tau2, abs=1e-8)
 
 
 def test_unknown_fixture_name():

@@ -12,8 +12,8 @@ from hyplp.constructions import fixture_names, named_fixture
 from hyplp.hypergraph import (Hypergraph, HypergraphFormatError,
                               NotRegularUniformError, adjacency, adjacency_rows,
                               check_regular_uniform, degrees,
-                              distance_regularity_check,
-                              dual, girth, girth_via_trace, spheres)
+                              dual, girth, spheres)
+from hyplp.orthopoly import Params
 from hyplp.spectra import Analysis
 from conftest import random_regular_uniform
 from walk_oracles import (_fields, adjacency_multisets, bfs_connected,
@@ -96,7 +96,7 @@ def test_degrees_and_regularity_check():
 
 def test_adjacency_counts_multiplicity():
     h = Hypergraph(3, [(0, 1), (0, 1), (1, 2)])
-    assert adjacency(h) == [[0, 2, 0], [2, 0, 1], [0, 1, 0]]
+    assert adjacency(adjacency_rows(h)) == [[0, 2, 0], [2, 0, 1], [0, 1, 0]]
 
 
 def test_adjacency_multisets_list_each_neighbour_by_multiplicity(corpus):
@@ -115,7 +115,7 @@ def test_adjacency_rows_are_the_nonzero_entries(corpus):
                         want[x][y] += 1
         assert adjacency_rows(h) == [[(y, w) for y, w in enumerate(row) if w]
                                      for row in want]
-        assert adjacency(h) == want
+        assert adjacency(adjacency_rows(h)) == want
 
 
 def test_incidence_graph_shape():
@@ -168,7 +168,7 @@ def test_distances_from_spheres_match_bfs(corpus):
         assert dist == bfs_distances(h)
         assert (connected == Analysis(h).connected == bfs_connected(h)
                 == (min(map(min, dist)) >= 0))
-        assert len(spheres(h)) - 1 == max(map(max, dist))
+        assert len(spheres(adjacency_rows(h))) - 1 == max(map(max, dist))
     assert [Analysis(h).connected for h in odd] == [False, True, False, False]
 
 
@@ -305,7 +305,7 @@ def test_nbw_matrix_negative_field_trips_the_assertion(monkeypatch):
     # products can make a field negative; the decoded sign must show it
     width = 6
 
-    def fake(h, top, rows=None):
+    def fake(nbrs, params, top):
         def pack(vals):
             return sum(v << (width * y) for y, v in enumerate(vals))
         return width, iter([[pack([1, 0, 0, 0]), pack([0, 1, -1, 2]),
@@ -333,19 +333,19 @@ def test_nbw_matrix_rejects_bad_length_zero_one():
         nbw_count_matrix(h, -1)
     assert nbw_count_matrix(h, 0) == [[1 if i == j else 0 for j in range(4)]
                                       for i in range(4)]
-    assert nbw_count_matrix(h, 1) == adjacency(h)
+    assert nbw_count_matrix(h, 1) == adjacency(adjacency_rows(h))
 
 
 def test_girth_via_trace_fixtures():
     for name in ("petersen", "k4", "k33", "heawood", "fano", "oa33",
                  "k33-minus", "oa45-minus"):
         h = named_fixture(name)
-        assert girth_via_trace(h) == girth(h), name
-    assert girth_via_trace(Hypergraph(2, [(0, 1), (0, 1)])) == 2
+        assert Analysis(h).girth_by_trace == girth(h), name
+    assert Analysis(Hypergraph(2, [(0, 1), (0, 1)])).girth_by_trace == 2
     # long cycle: girth above the trace cutoff reports None
     c26 = Hypergraph(26, [(i, (i + 1) % 26) for i in range(26)])
     assert girth(c26) == 26
-    assert girth_via_trace(c26, max_i=12) is None
+    assert Analysis(c26).girth_by_trace is None
 
 
 def test_walk_diagonals_match_the_full_products(corpus):
@@ -359,7 +359,9 @@ def test_walk_diagonals_match_the_full_products(corpus):
         girths.add(g)
         top = min(g, 6)
         assert not any(row[x] for x, row in enumerate(nbw_count_matrix(h, 1)))
-        for i, diagonal in enumerate(hypergraph._walk_diagonals(h, top), 2):
+        an = Analysis(h)
+        diagonals = hypergraph._walk_diagonals(an.nbrs, Params(*an.ru), top)
+        for i, diagonal in enumerate(diagonals, 2):
             want = [row[x] != 0 for x, row in enumerate(nbw_count_matrix(h, i))]
             assert list(diagonal) == want, (h, i)
         assert i == top
@@ -380,7 +382,7 @@ def test_field_tops_mark_exactly_the_nonzero_fields():
 
 
 def test_distance_regularity_petersen():
-    rep = distance_regularity_check(named_fixture("petersen"))
+    rep = Analysis(named_fixture("petersen")).distance_regularity()
     assert rep.valid
     assert rep.diameter == 2
     assert rep.b == (3, 2)
@@ -390,13 +392,13 @@ def test_distance_regularity_petersen():
 
 
 def test_distance_regularity_crown():
-    rep = distance_regularity_check(named_fixture("k44-minus"))
+    rep = Analysis(named_fixture("k44-minus")).distance_regularity()
     assert rep.valid
     assert (rep.b, rep.c) == ((3, 2, 1), (1, 2, 3))
 
 
 def test_distance_regularity_rejects_prism():
-    rep = distance_regularity_check(PRISM)
+    rep = Analysis(PRISM).distance_regularity()
     assert not rep.valid
     assert rep.witness is not None
     x, y = rep.witness
@@ -405,8 +407,8 @@ def test_distance_regularity_rejects_prism():
 
 def test_distance_regularity_witness_is_the_first_pair():
     # pinned from the pairwise check the packed identities replaced
-    assert distance_regularity_check(PRISM).witness == (0, 3)
-    assert distance_regularity_check(DOUBLED).witness == (1, 0)
+    assert Analysis(PRISM).distance_regularity().witness == (0, 3)
+    assert Analysis(DOUBLED).distance_regularity().witness == (1, 0)
 
 
 def test_distance_regularity_matches_the_pairwise_oracle(corpus):
@@ -418,7 +420,7 @@ def test_distance_regularity_matches_the_pairwise_oracle(corpus):
     hs = corpus + [named_fixture(x) for x in names] + [DOUBLED, SHARED_PAIR, PRISM]
     witnesses = set()
     for h in hs + [h for h in extra if h is not None and bfs_connected(h)]:
-        rep = distance_regularity_check(h)
+        rep = Analysis(h).distance_regularity()
         valid, a, b, c, witness = distance_regularity_oracle(h)
         assert (rep.valid, rep.a, rep.b, rep.c, rep.witness) == (valid, a, b, c, witness)
         assert rep.diameter == Analysis(h).diameter()
@@ -428,4 +430,4 @@ def test_distance_regularity_matches_the_pairwise_oracle(corpus):
 
 def test_distance_regularity_needs_connected():
     with pytest.raises(ValueError):
-        distance_regularity_check(Hypergraph(4, [(0, 1), (0, 1), (2, 3), (2, 3)]))
+        Analysis(Hypergraph(4, [(0, 1), (0, 1), (2, 3), (2, 3)])).distance_regularity()

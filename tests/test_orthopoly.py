@@ -14,7 +14,7 @@ import sympy
 
 from hyplp import orthopoly, surd
 from hyplp.bounds import closed_form_h_bound, lp_bound_optimize, tau2_lower
-from hyplp.orthopoly import (FPoly, Params, TridiagonalArray, f_monomial,
+from hyplp.orthopoly import (FPoly, Params, f_monomial,
                              f_values, fbasis_to_monomial, g_eval,
                              largest_zero_G, largest_zero_gc,
                              monomial_to_fbasis, positive_witness, zeros_above)
@@ -23,7 +23,7 @@ from hyplp.orthopoly import (_exquo, _gc_monomial, _newton,
                              _odd_multiplicity_part, _poly_deriv, _poly_eval,
                              _poly_mul, _poly_roots, _poly_sub, _prem, _primitive,
                              _sign_at, _prs, _sign_changes)
-from poly_oracles import (linearization, poly_divmod,
+from poly_oracles import (TridiagonalArray, linearization, poly_divmod,
                           rational_odd_multiplicity_part)
 
 GRID = [(3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 5), (4, 4), (6, 2)]
@@ -63,7 +63,7 @@ def char_poly_check(ta):
         cross = [sub[i - 1] * sup[i - 1] * v for v in prev2]
         prev2, prev1 = prev1, _poly_sub(term, cross)
     expected = _poly_mul([Fraction(-ta.params.k), Fraction(1)],
-                         _gc_monomial(ta.params, ta.d, ta.c))
+                         _gc_monomial(ta.params, ta.d, ta.c, 1))
     return prev1 == expected
 
 
@@ -101,10 +101,8 @@ def sympy_f(r, u, imax):
 
 def test_params_derived_quantities():
     p = Params(5, 3)
-    assert (p.k, p.q, p.s, p.t) == (10, 8, 2, 4)
-    lo, hi = p.interval
-    assert lo == pytest.approx(1 - 2 * math.sqrt(8))
-    assert hi == pytest.approx(1 + 2 * math.sqrt(8))
+    assert (p.k, p.q) == (10, 8)
+    assert p.top == pytest.approx(1 + 2 * math.sqrt(8))
 
 
 def test_params_rejects_degenerate_degrees():
@@ -218,7 +216,8 @@ def test_integer_polynomials_stay_integers():
     assert all(type(v) is int for v in prod + fb)
     assert fb == [Fraction(v) for v in monomial_to_fbasis(p, [Fraction(v) for v in prod])]
     assert all(type(v) is int for v in _gc_monomial(p, 3, 7, 5))
-    assert _gc_monomial(p, 3, 7, 5) == [5 * v for v in _gc_monomial(p, 3, Fraction(7, 5))]
+    assert _gc_monomial(p, 3, 7, 5) == [5 * v for v in
+                                        _gc_monomial(p, 3, Fraction(7, 5), 1)]
 
 
 def test_fpoly_eval_and_at_k():
@@ -226,8 +225,8 @@ def test_fpoly_eval_and_at_k():
     f = FPoly(p, (Fraction(153, 2), Fraction(64), Fraction(121, 4),
                   Fraction(9), Fraction(1)))
     assert f.at_k() == 3468
-    assert f(2) == 0
-    assert f(Fraction(-5, 2)) == 0
+    for x in (2, Fraction(-5, 2)):
+        assert sum(c * v for c, v in zip(f.coeffs, f_values(p, 4, x))) == 0
     mono = f.to_monomial()
     assert mono == [Fraction(-75), Fraction(-35), Fraction(57, 4),
                     Fraction(9), Fraction(1)]
@@ -351,7 +350,7 @@ def test_largest_zero_gc_matches_G_at_c_1():
 def symmetrized_quotient_spectrum(p, d, c):
     """Eigenvalues of T(r, u, d, c), ascending, by numpy on the symmetric
     matrix with off-diagonal sqrt(sub * super)."""
-    s, t = p.s, p.t
+    s, t = p.u - 1, p.r - 1
     diag = [0.0] + [s - 1.0] * (d - 1) + [s * (t + 1) - c]
     prods = [s * (t + 1)] + [s * t] * (d - 1)
     prods[-1] *= c
@@ -424,7 +423,7 @@ def test_largest_zeros_keep_their_floats():
             r, u, d, c, want = line.split()
             p, d, c = Params(int(r), int(u)), int(d), Fraction(c)
             got = largest_zero_G(p, d) if c == 1 else largest_zero_gc(p, d, c)
-            chain = sturm_chain(_gc_monomial(p, d, c))
+            chain = sturm_chain(_gc_monomial(p, d, c, 1))
             x, above = Fraction(got), Fraction(math.nextafter(got, math.inf))
             # V(a) - V(b) roots in (a, b]: one in [x, above), none from above on
             at_x = _poly_eval(chain[0], x) == 0
@@ -568,8 +567,10 @@ def random_test_polynomial(rng, a, b):
 def witness(p, a, b, pb=None):
     """`positive_witness` on the primitive integer multiple of the rational
     p, with its witness point x returned as (x, p(x)), the pair that
-    `lp_bound_evaluate` reports; None when p <= 0 on [a, b]."""
-    x = positive_witness(_primitive(p), a, b, pb)
+    `lp_bound_evaluate` reports; None when p <= 0 on [a, b].  The sign of
+    p(b) is `_sign_at`'s, or that of `pb`, a value of p(b) the caller has."""
+    q = _primitive(p)
+    x = positive_witness(q, a, b, _sign_at(q, b) if pb is None else surd._sign(pb))
     return None if x is None else (x, _poly_eval(p, x))
 
 

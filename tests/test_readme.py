@@ -1,7 +1,8 @@
-"""The command examples in README.md: every `$ hyplp ...` line in a text
-block runs through the CLI, and the output lines shown under it must appear
-in that order ("..." marks lines the README leaves out); every `hyplp bound`
-line in a sh block must exit 0."""
+"""The examples in README.md: every `$ hyplp ...` line in a text block runs
+through the CLI, and the output lines shown under it must appear in that
+order ("..." marks lines the README leaves out); every `hyplp bound` line in
+a sh block must exit 0; the python block runs, and each line that ends in a
+`# value` comment evaluates to an object with that repr."""
 
 import shlex
 from pathlib import Path
@@ -63,3 +64,26 @@ def test_readme_bound_commands_exit_0(capsys):
     for argv in commands:
         assert main(argv[1:]) == 0, argv
         assert capsys.readouterr().out
+
+
+def readme_python_lines():
+    """The lines of the ```python blocks, in order."""
+    lines, in_python = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_python = line == "```python"
+        elif in_python:
+            lines.append(line)
+    return lines
+
+
+def test_readme_python_block_shows_each_repr():
+    scope, shown = {}, 0
+    for line in readme_python_lines():
+        code, _, want = line.partition("  # ")
+        if want:
+            assert repr(eval(code, scope)) == want.strip(), line
+            shown += 1
+        else:
+            exec(line, scope)
+    assert shown >= 3

@@ -13,9 +13,10 @@ import pytest
 from hyplp.bounds import BoundResult, DssCheck, Refinement
 from hyplp.constructions import OrthogonalArray
 from hyplp.hypergraph import Hypergraph, IntersectionNumbers
-from hyplp.orthopoly import FPoly, Params, TridiagonalArray
+from hyplp.orthopoly import FPoly, Params
 from hyplp.simplex import SimplexResult
 from hyplp.spectra import Spectrum
+from poly_oracles import TridiagonalArray
 
 P = Params(3, 2)
 
@@ -36,14 +37,14 @@ RECORDS = [
     (IntersectionNumbers,
      {"valid": True, "diameter": 1, "a": (0,), "b": (3,), "c": (1,)}, {}, {"witness": None},
      "IntersectionNumbers(valid=True, diameter=1, a=(0,), b=(3,), c=(1,), witness=None)"),
-    (Refinement, {"name": "divisibility", "before": 25, "after": 24}, {}, {"note": ""},
+    (Refinement, {"name": "divisibility", "before": 25, "after": 24, "note": ""}, {}, {},
      "Refinement(name='divisibility', before=25, after=24, note='')"),
     (BoundResult,
      {"value": 10, "theorem": "LP_CERT", "params": {"r": 3}, "certificate": FPoly(P, (1,))},
      {}, {"refinements": (), "notes": ()},
      "BoundResult(value=10, theorem='LP_CERT', params={'r': 3}, certificate=FPoly("
      "params=Params(r=3, u=2), coeffs=(Fraction(1, 1),)), refinements=(), notes=())"),
-    (DssCheck, {"passed": True, "slack": 0, "order_bound": 10}, {}, {"params": {}},
+    (DssCheck, {"passed": True, "slack": 0, "order_bound": 10, "params": {}}, {}, {},
      "DssCheck(passed=True, slack=0, order_bound=10, params={})"),
     (SimplexResult, {"x": (1.0,), "value": 1.0, "duals": (0.0,)}, {}, {"pivots": 0},
      "SimplexResult(x=(1.0,), value=1.0, duals=(0.0,), pivots=0)"),
@@ -119,11 +120,10 @@ def test_replace_returns_a_new_normalized_record():
     assert coeffs == (Fraction(1, 2), 3) and all(type(c) is Fraction for c in coeffs)
     assert Hypergraph(3, [(0, 1)]).replace(edges=[(2, 1)]).edges == ((1, 2),)
     b = BoundResult(10, "X", {"r": 3})
-    cut = b.replace(value=9, refinements=(Refinement("cut", 10, 9),))
+    cut = b.replace(value=9, refinements=(Refinement("cut", 10, 9, "census"),))
     assert (cut.value, cut.theorem, cut.params) == (9, "X", {"r": 3})
     assert b.value == 10 and b.refinements == ()
 
 
 def test_records_of_different_classes_differ_and_defaults_are_not_shared():
     assert Refinement("a", 1, 2, "") != DssCheck("a", 1, 2, "")
-    assert DssCheck(True, 0, 10).params is not DssCheck(True, 0, 10).params

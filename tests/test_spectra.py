@@ -10,15 +10,14 @@ import pytest
 from hyplp import cli, hypergraph, spectra
 from hyplp.constructions import (fixture_names, hypergraph_from_oa, mols_cyclic,
                                  named_fixture, oa_from_mols)
-from hyplp.hypergraph import Hypergraph, adjacency, check_regular_uniform, dual
+from hyplp.hypergraph import Hypergraph, check_regular_uniform, dual
 from hyplp.spectra import (Analysis, Spectrum, householder_tridiagonalize,
-                           is_ramanujan, second_eigenvalue,
                            symmetric_eigenvalues)
 from hyplp.tridiagonal import ql_eigenvalues
 from conftest import random_regular_uniform
 from spectra_oracles import (full_update_tridiagonalize,
                              one_reflector_tridiagonalize)
-from walk_oracles import gram_mismatches, incidence_graph
+from walk_oracles import dense_adjacency, gram_mismatches, incidence_graph
 
 SQRT2 = math.sqrt(2.0)
 
@@ -78,12 +77,12 @@ def reference_cases():
                     (4, 5, 25), (5, 2, 20), (3, 3, 27)]:
         h = random_regular_uniform(rng, r, u, n)
         if h is not None:
-            yield (r, u, n), adjacency(h)
-            yield (r, u, n, "dual"), adjacency(dual(h))
-    yield "OA(4, 29)", adjacency(oa_point_hypergraph(29, 4))
+            yield (r, u, n), dense_adjacency(h)
+            yield (r, u, n, "dual"), dense_adjacency(dual(h))
+    yield "OA(4, 29)", dense_adjacency(oa_point_hypergraph(29, 4))
     yield "OA(3, 11) incidence", incidence_graph(oa_point_hypergraph(11, 3))
     for name in fixture_names():
-        yield name, adjacency(named_fixture(name))
+        yield name, dense_adjacency(named_fixture(name))
     for n, m in structured_symmetric():
         yield n, m.tolist()
 
@@ -181,7 +180,7 @@ def test_two_reflector_sweep_agrees_with_the_sequential_reduction():
 
 def test_householder_reads_only_the_lower_triangle():
     for label, m in (("dense", next(m for n, m in structured_symmetric() if n == 12)),
-                     ("petersen", adjacency(named_fixture("petersen")))):
+                     ("petersen", dense_adjacency(named_fixture("petersen")))):
         m = [[float(x) for x in row] for row in m]
         bent = [row[:] for row in m]
         bent[2][7] += 1e-13
@@ -246,7 +245,7 @@ def test_householder_skips_underflowing_columns():
     # the OA(4, 29) point adjacency has rank 4 of 116: later Householder
     # columns decay to ~1e-149, whose squared norm underflows to 0, and
     # reflecting them once gave NaN and a QL iteration that never converged
-    a = adjacency(oa_point_hypergraph(29, 4))
+    a = dense_adjacency(oa_point_hypergraph(29, 4))
     assert len(a) == 116
     got = symmetric_eigenvalues(a).values
     want = sorted(np.linalg.eigvalsh(np.array(a, dtype=float)), reverse=True)
@@ -270,22 +269,22 @@ def assert_clusters(spec, expected):
 
 
 def test_petersen_spectrum():
-    spec = symmetric_eigenvalues(adjacency(named_fixture("petersen")))
+    spec = symmetric_eigenvalues(dense_adjacency(named_fixture("petersen")))
     assert_clusters(spec, [(3.0, 1), (1.0, 5), (-2.0, 4)])
 
 
 def test_fano_point_graph_is_complete():
-    spec = symmetric_eigenvalues(adjacency(named_fixture("fano")))
+    spec = symmetric_eigenvalues(dense_adjacency(named_fixture("fano")))
     assert_clusters(spec, [(6.0, 1), (-1.0, 6)])
 
 
 def test_heawood_spectrum():
-    spec = symmetric_eigenvalues(adjacency(named_fixture("heawood")))
+    spec = symmetric_eigenvalues(dense_adjacency(named_fixture("heawood")))
     assert_clusters(spec, [(3.0, 1), (SQRT2, 6), (-SQRT2, 6), (-3.0, 1)])
 
 
 def test_oa33_point_graph_is_complete_tripartite():
-    spec = symmetric_eigenvalues(adjacency(named_fixture("oa33")))
+    spec = symmetric_eigenvalues(dense_adjacency(named_fixture("oa33")))
     assert_clusters(spec, [(6.0, 1), (0.0, 6), (-3.0, 2)])
 
 
@@ -293,22 +292,22 @@ def test_second_eigenvalue_fixtures():
     for name, want in [("petersen", 1.0), ("k4", -1.0), ("k33", 0.0),
                        ("heawood", SQRT2), ("fano", -1.0), ("oa33", 0.0),
                        ("oa45-minus", 1.0)]:
-        assert second_eigenvalue(named_fixture(name)) == pytest.approx(
+        assert Analysis(named_fixture(name)).tau2 == pytest.approx(
             want, abs=1e-8), name
 
 
 def test_second_eigenvalue_needs_connected():
     h = Hypergraph(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
     with pytest.raises(ValueError):
-        second_eigenvalue(h)
+        Analysis(h).tau2
 
 
 def test_ramanujan_fixtures():
-    assert is_ramanujan(named_fixture("petersen"))
-    assert is_ramanujan(named_fixture("heawood"))
-    assert is_ramanujan(named_fixture("oa45-minus"))
+    assert Analysis(named_fixture("petersen")).is_ramanujan()
+    assert Analysis(named_fixture("heawood")).is_ramanujan()
+    assert Analysis(named_fixture("oa45-minus")).is_ramanujan()
     # triple edge on two vertices: tau2 = -3, below -2*sqrt(2)
-    assert not is_ramanujan(Hypergraph(2, [(0, 1), (0, 1), (0, 1)]))
+    assert not Analysis(Hypergraph(2, [(0, 1), (0, 1), (0, 1)])).is_ramanujan()
 
 
 def test_spectrum_clustering():
@@ -317,7 +316,7 @@ def test_spectrum_clustering():
     assert len(spec.clusters) == 2
     assert spec.clusters[0][1] == 2
     assert spec.clusters[1] == (0.5, 1)
-    assert spec.n == 3
+    assert len(spec.values) == 3
 
 
 CORRESPONDENCE_FIXTURES = ("petersen", "fano", "heawood", "oa33", "oa45-minus", "k33")
@@ -335,8 +334,8 @@ def float_correspondence(h, tol=1e-7):
     {spec(A)+r} u {spec(A*)+u}, and the zero-padded shifted spectra."""
     r, u = check_regular_uniform(h)
     inc = symmetric_eigenvalues(incidence_graph(h)).values
-    ev = symmetric_eigenvalues(adjacency(h)).values
-    ev_dual = symmetric_eigenvalues(adjacency(dual(h))).values
+    ev = symmetric_eigenvalues(dense_adjacency(h)).values
+    ev_dual = symmetric_eigenvalues(dense_adjacency(dual(h))).values
     squared = [x * x for x in inc]
     shifted = [x + r for x in ev] + [x + u for x in ev_dual]
     padded_primal = [x + r for x in ev] + [0.0] * h.m
@@ -376,7 +375,7 @@ def _tampered_rows(monkeypatch, n, entry):
 
 def test_correspondence_names_a_tampered_primal_entry(monkeypatch):
     h = named_fixture("petersen")  # n = 10, m = 15
-    was = adjacency(h)[0][2]
+    was = dense_adjacency(h)[0][2]
     _tampered_rows(monkeypatch, 10, (0, 2))
     detail = gram_mismatches(h)
     assert detail
@@ -385,7 +384,7 @@ def test_correspondence_names_a_tampered_primal_entry(monkeypatch):
 
 def test_correspondence_names_a_tampered_dual_entry(monkeypatch):
     h = named_fixture("petersen")
-    was = adjacency(dual(h))[3][7]
+    was = dense_adjacency(dual(h))[3][7]
     _tampered_rows(monkeypatch, 15, (3, 7))
     detail = gram_mismatches(h)
     assert detail
@@ -422,9 +421,9 @@ def assert_matches_numpy(h):
     """Analysis(h).spectrum against numpy on the dense adjacency: values to
     1e-12 * max(1, k) and the same cluster multiplicities."""
     got = Analysis(h).spectrum
-    want = sorted(np.linalg.eigvalsh(np.array(adjacency(h), dtype=float)),
+    want = sorted(np.linalg.eigvalsh(np.array(dense_adjacency(h), dtype=float)),
                   reverse=True)
-    k = max(map(sum, adjacency(h)))
+    k = max(map(sum, dense_adjacency(h)))
     assert len(got.values) == h.n
     assert max(abs(g - w) for g, w in zip(got.values, want)) <= 1e-12 * max(1, k)
     assert ([m for _, m in got.clusters]
@@ -478,9 +477,10 @@ def test_analysis_fields_match_the_public_functions():
               named_fixture("oa45-minus"), dual(named_fixture("petersen")),
               dual(named_fixture("heawood"))):
         an = Analysis(h)
-        assert an.tau2 == second_eigenvalue(h)
-        assert an.is_ramanujan() == is_ramanujan(h)
-        dense = symmetric_eigenvalues(adjacency(h))
+        fresh = Analysis(h)
+        assert an.tau2 == fresh.tau2
+        assert an.is_ramanujan() == fresh.is_ramanujan()
+        dense = symmetric_eigenvalues(dense_adjacency(h))
         if h.m >= h.n:
             assert an.spectrum == dense
         else:
@@ -497,7 +497,7 @@ def test_dual_rows_only_for_the_dual_side_spectrum(monkeypatch):
     for h, kept in ((named_fixture("petersen"), False),
                     (dual(named_fixture("petersen")), True)):
         an = Analysis(h)
-        assert an.spectrum.n == h.n
+        assert len(an.spectrum.values) == h.n
         assert an.distance_regularity().valid
         assert ("dual_rows" in vars(an)) == kept
     # nor does the whole report build the dual when m >= n

@@ -12,6 +12,7 @@ from operator import mul
 
 from hyplp import hypergraph
 from hyplp.hypergraph import Hypergraph
+from hyplp.orthopoly import Params
 
 
 def incidence_graph(h: Hypergraph) -> list[list[int]]:
@@ -45,9 +46,9 @@ def gram_mismatches(h: Hypergraph) -> tuple[str, ...]:
     r, u = hypergraph.check_regular_uniform(h)
     inc = [[int(x in e) for e in h.edges] for x in range(h.n)]
     detail = []
-    for name, shift, side, a in (
-            ("N N^T != A", r, inc, hypergraph.adjacency(h)),
-            ("N^T N != A*", u, list(zip(*inc)), hypergraph.adjacency(hypergraph.dual(h)))):
+    for name, shift, side, of in (("N N^T != A", r, inc, h),
+                                  ("N^T N != A*", u, list(zip(*inc)), hypergraph.dual(h))):
+        a = hypergraph.adjacency(hypergraph.adjacency_rows(of))
         # the first entry, row by row, where the product and A + shift*I differ
         hit = next(((x, y, g, w) for x, row in enumerate(side)
                     for y, col in enumerate(side)
@@ -235,7 +236,9 @@ def nbw_count_matrix(h: Hypergraph, i: int) -> list[list[int]]:
     entries stay >= 0."""
     if i < 0:
         raise ValueError("length must be non-negative")
-    width, walks = hypergraph._walk_rows(h, i)
+    nbrs = hypergraph.neighbour_lists(hypergraph.adjacency_rows(h))
+    params = Params(*hypergraph.check_regular_uniform(h))
+    width, walks = hypergraph._walk_rows(nbrs, params, i)
     cur = [_fields(row, width, h.n) for row in next(islice(walks, i, None))]
     bad = next(((p, q_) for p, row in enumerate(cur) for q_, v in enumerate(row)
                 if v < 0), None)
@@ -245,11 +248,11 @@ def nbw_count_matrix(h: Hypergraph, i: int) -> list[list[int]]:
 
 
 def distance_matrix(h: Hypergraph) -> tuple[list[list[int]], bool]:
-    """Point-graph distances read off `hypergraph.spheres(h)`; unreachable
+    """Point-graph distances read off `hypergraph.spheres`; unreachable
     pairs get -1 and the second return value reports connectivity."""
     rows = hypergraph.adjacency_rows(h)
     width = hypergraph._sphere_width(rows)
-    shells = hypergraph.spheres(h, rows)
+    shells = hypergraph.spheres(rows)
     dist = [[-1] * h.n for _ in range(h.n)]
     for d, layer in enumerate(shells):
         for row, bits in zip(dist, layer):
