@@ -636,13 +636,15 @@ def ru1_bound(r: int, u: int) -> BoundResult | None:
 def tau2_lower(params: Params, n: int):
     """Smallest possible second eigenvalue for order n: the unique (d, c)
     with n = moore_order(d-1) + kq^(d-1)/c and the second eigenvalue of the
-    associated tridiagonal array."""
+    associated tridiagonal array.  d is the least with moore_order(d) >= n,
+    found by a running Moore sum; moore_order(0) = 1 < n and moore_order(d)
+    = moore_order(d-1) + kq^(d-1), so n - moore_order(d-1) lies in
+    [1, kq^(d-1)], and c in [1, kq^(d-1)]."""
     if n < 2:
         raise ValueError("order must be >= 2")
-    k, q = params.k, params.q
-    d = 1
-    while moore_order(params, d) < n:
-        d += 1
-    c = Fraction(k * q ** (d - 1), n - moore_order(params, d - 1))
-    assert 1 <= c <= k * q ** (d - 1)
+    # moore_order(d - 1) and k q^(d-1)
+    d, below, level = 1, 1, params.k
+    while below + level < n:
+        d, below, level = d + 1, below + level, level * params.q
+    c = Fraction(level, n - below)
     return d, c, largest_zero_gc(params, d, c)

@@ -22,13 +22,12 @@ __all__ = [
     "NotRegularUniformError",
     "IntersectionNumbers",
     "check_regular_uniform",
-    "adjacency_rows",
+    "neighbours",
     "adjacency",
     "incident",
     "dual",
     "spheres",
     "girth",
-    "neighbour_lists",
     "girth_via_trace",
     "distance_regularity_check",
 ]
@@ -144,29 +143,28 @@ def check_regular_uniform(h: Hypergraph) -> tuple[int, int]:
     return r, u
 
 
-def adjacency_rows(h: Hypergraph) -> list[list[tuple[int, int]]]:
-    """The point-graph adjacency as sparse rows: row x lists (y, A[x][y])
-    for every y with A[x][y] > 0, in increasing y.  A[x][y] is the number
-    of edges containing both x and y."""
-    counts: list[dict[int, int]] = [{} for _ in range(h.n)]
-    for edge in h.edges:
-        for i, x in enumerate(edge):
-            cx = counts[x]
-            for y in edge[i + 1:]:
-                cx[y] = cx.get(y, 0) + 1
-                cy = counts[y]
-                cy[x] = cy.get(x, 0) + 1
-    return [sorted(c.items()) for c in counts]
+def neighbours(n: int, edges) -> list[list[int]]:
+    """The point-graph adjacency of the hypergraph on vertices 0..n-1 with
+    these `edges`, as neighbour lists: entry x lists the other members of
+    every edge through x, so y appears A[x][y] times, the number of edges
+    containing both x and y.  Over the edges `incident(h)`, on h.m
+    vertices, it is the adjacency of `dual(h)`, with no dual built."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    for edge in edges:
+        for x in edge:
+            out[x] += edge
+    # each list holds x once for every edge through it
+    return [[y for y in nb if y != x] for x, nb in enumerate(out)]
 
 
-def adjacency(rows) -> list[list[int]]:
+def adjacency(nbrs: list[list[int]]) -> list[list[int]]:
     """Point-graph adjacency with multiplicity: A[x][y] = number of edges
     containing both x and y (x != y); zero diagonal.  The dense form of the
-    sparse `rows` of `adjacency_rows`."""
-    a = [[0] * len(rows) for _ in rows]
-    for ax, row in zip(a, rows):
-        for y, w in row:
-            ax[y] = w
+    `neighbours` lists `nbrs`."""
+    a = [[0] * len(nbrs) for _ in nbrs]
+    for ax, nb in zip(a, nbrs):
+        for y in nb:
+            ax[y] += 1
     return a
 
 
@@ -200,7 +198,7 @@ def dual(h: Hypergraph) -> Hypergraph:
 # decodes exactly when every entry of it lies in [-2^(width-1), 2^(width-1)).
 # `_field_width` takes width from a bound proved for the entries, plus a
 # sign bit.  The product row x of A*M is the sum of the packed rows z of M
-# over x's neighbours z, each taken A[x][z] times: deg(x) big-int
+# over x's `neighbours` z, each taken A[x][z] times: deg(x) big-int
 # additions, each linear in n * width.
 
 
@@ -209,15 +207,9 @@ def _field_width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
-def neighbour_lists(rows) -> list[list[int]]:
-    """Row x of the sparse adjacency `rows` as a list holding each
-    neighbour z of x A[x][z] times."""
-    return [[z for z, w in row for _ in range(w)] for row in rows]
-
-
 def _times(nbrs: list[list[int]], packed: list[int]) -> list[int]:
-    """The packed rows of A*M, with A given by `neighbour_lists` and M by
-    its packed rows."""
+    """The packed rows of A*M, with A given by its `neighbours` lists and
+    M by its packed rows."""
     get = packed.__getitem__
     return [sum(map(get, nb)) for nb in nbrs]
 
@@ -234,23 +226,23 @@ def _first_difference(a: int, b: int, width: int) -> int:
     return ((diff & -diff).bit_length() - 1) // width
 
 
-def _sphere_width(rows) -> int:
+def _sphere_width(nbrs: list[list[int]]) -> int:
     """The width of the packed rows of the distance matrices D_d, for the
-    adjacency with sparse `rows`: an entry of A D_d is at most the
-    weighted degree of its row."""
-    return _field_width(max((sum(w for _, w in row) for row in rows), default=0))
+    adjacency with `neighbours` lists `nbrs`: an entry of A D_d is at most
+    the weighted degree of its row, the length of its list."""
+    return _field_width(max(map(len, nbrs)))
 
 
-def spheres(rows) -> list[list[int]]:
+def spheres(nbrs: list[list[int]]) -> list[list[int]]:
     """Breadth-first search from every vertex at once, on the adjacency with
-    sparse `rows`: entry [d][x] is row x of the 0/1 distance-d matrix D_d
-    packed at `_sphere_width`, field y set when y lies at distance exactly
-    d from x, for d from 0 to the largest finite distance.  The balls grow
-    as B_(d+1)(x) = B_d(x) | the OR of B_d(z) over the neighbours z of x,
-    so a level costs one OR per adjacency entry."""
-    width = _sphere_width(rows)
-    nbrs = [[z for z, _ in row] for row in rows]
-    ball = [1 << (width * x) for x in range(len(rows))]
+    `neighbours` lists `nbrs`: entry [d][x] is row x of the 0/1
+    distance-d matrix D_d packed at `_sphere_width`, field y set when y
+    lies at distance exactly d from x, for d from 0 to the largest finite
+    distance.  The balls grow as B_(d+1)(x) = B_d(x) | the OR of B_d(z)
+    over the neighbours z of x, so a level costs one OR per entry of the
+    lists."""
+    width = _sphere_width(nbrs)
+    ball = [1 << (width * x) for x in range(len(nbrs))]
     out = [ball]
     while True:
         grown = [reduce(or_, map(ball.__getitem__, nb), b)
@@ -307,7 +299,7 @@ def girth(h: Hypergraph):
 def _walk_rows(nbrs: list[list[int]], params: Params, top: int
                ) -> tuple[int, Iterator[list[int]]]:
     """F_0(A), F_1(A), F_2(A), ... for the adjacency A, given by its
-    `neighbour_lists`, of a regular uniform hypergraph with degrees
+    `neighbours` lists, of a regular uniform hypergraph with degrees
     `params`, as packed rows, by the integer recurrence F_0 = I, F_1 = A,
     F_2 = A^2 - (u-2)A - kI, F_{j+1} = (A - (u-2)I) F_j - q F_{j-1}.
     Entry (x, y) of F_i counts the non-backtracking walks of length i from
@@ -387,13 +379,12 @@ class IntersectionNumbers(Record):
     witness: tuple[int, int] | None = None
 
 
-def distance_regularity_check(rows: list[list[tuple[int, int]]],
-                              shells: list[list[int]],
+def distance_regularity_check(shells: list[list[int]],
                               nbrs: list[list[int]]) -> IntersectionNumbers:
     """Checks whether the weighted neighbor counts depend only on distance,
-    for the adjacency with sparse `rows`, its `spheres` `shells` and its
-    `neighbour_lists` `nbrs`; on failure `witness` is the first ordered
-    pair (x, y) disagreeing.
+    for the adjacency with `neighbours` lists `nbrs` and its `spheres`
+    `shells`; on failure `witness` is the first ordered pair (x, y)
+    disagreeing.
 
     With D_i the 0/1 distance-i matrix, entry (x, y) of A D_i is the weight
     of x's neighbours at distance i from y, which is c, a or b of the pair
@@ -403,11 +394,11 @@ def distance_regularity_check(rows: list[list[tuple[int, int]]],
     distance i-1, i and i+1.  Both sides are proved equal row by row on
     packed rows; a differing row x is decoded only to find its first
     differing y, and the witness is the first such (x, y) over all i."""
-    n = len(rows)
+    n = len(nbrs)
     if not _reaches_all(shells, n):
         raise ValueError("distance-regularity needs a connected hypergraph")
     d = len(shells) - 1
-    width = _sphere_width(rows)
+    width = _sphere_width(nbrs)
     # the first pair at each distance: x with a nonempty sphere, lowest y
     first = []
     for layer in shells:

@@ -592,6 +592,42 @@ def _float_bracket(holds, lo: float, hi: float) -> tuple[float, float]:
     return _key_float(below), _key_float(above)
 
 
+_BIG, _SMALL = 2.0 ** 512, 2.0 ** -512
+
+
+def _newton_seed(params: Params, d: int, c: Number) -> float:
+    """A float estimate of the largest zero of g_c: Newton's iteration from
+    k, on g_c / c and its derivative in floats.  The zeros of g_c are real,
+    simple and below k, and g_c is monic, so from k the exact iterates fall
+    monotonically to the largest zero; the float ones are taken until they
+    stop falling.  The F-recurrence and its derivative run scaled: once a
+    term passes 2^512, every running value is multiplied by 2^-512, which
+    leaves the ratio g_c / g_c' unchanged and keeps a large d finite."""
+    shift, k, q = params.u - 2, float(params.k), params.q
+    inv_c = 1.0 / float(c)
+    x = k
+    while True:
+        # F_(i-1), F_i, their derivatives and F_0 + ... + F_(i-1) with its
+        # derivative, at i = 1
+        f0, f1, df0, df1, tot, dtot = 1.0, x, 0.0, 1.0, 1.0, 0.0
+        b, y = k, x - shift  # b is k for F_2, then q
+        for _ in range(1, d):
+            tot += f1
+            dtot += df1
+            f0, f1, df0, df1 = f1, y * f1 - b * f0, df1, f1 + y * df1 - b * df0
+            b = q
+            if abs(f1) > _BIG or abs(df1) > _BIG:
+                f0, f1, df0, df1, tot, dtot = (t * _SMALL for t in
+                                               (f0, f1, df0, df1, tot, dtot))
+        g, dg = tot + f1 * inv_c, dtot + df1 * inv_c
+        if not (g > 0.0 and dg > 0.0):
+            return x
+        step = x - g / dg
+        if not step < x:
+            return x
+        x = step
+
+
 def largest_zero_G(params: Params, j: int) -> float:
     """Floor of the largest zero lambda_j of G_j = g_1 at d = j; lambda_1 = -1."""
     return largest_zero_gc(params, j, 1)
@@ -603,11 +639,13 @@ def largest_zero_gc(params: Params, d: int, c: Number) -> float:
     zero at or above it by `zeros_above`, between k and a point below every
     Gershgorin column disc of T.  A zero at 0 gives 0.0.
 
-    The search settles the sign of the zero by one count at 0, finds the
-    binade of its modulus by `_last_true` over the powers of two, and only
-    then bisects on float keys inside that binade.  A count at n/2^j works
-    on integers of about d*j bits, and a zero near 1 needs no probe with a
-    large j.  The floor is one float, so the search order cannot change it."""
+    One count at 0 settles the sign of the zero and brackets it by 0.0 and
+    one end of the range.  The search then starts at `_newton_seed`,
+    snapped to 0.0 when it is within 2^-32 k of it, and walks the float
+    keys outwards from there by `_last_true`: a seed on the floor or just
+    above it takes two counts, the seed and its neighbour.  The exact
+    counts decide every step, and the floor is one float, so the seed and
+    the search order cannot change it."""
     if d < 1:
         raise ValueError("need d >= 1")
     if c < 1:
@@ -620,24 +658,29 @@ def largest_zero_gc(params: Params, d: int, c: Number) -> float:
         raise ArithmeticError(f"the zeros of g_c for T({params.r},{params.u},"
                               f"{d},{c}) do not all lie in [{lo}, {k}]")
 
-    def holds(x: float) -> bool:
-        return zeros_above(params, d, c, x) > 0
+    def holds(key: int) -> bool:
+        return zeros_above(params, d, c, _key_float(key)) > 0
 
-    # j runs from -1075, where 2^j is 0.0, to a power of two past the
-    # bracket end; frexp(x)[1] is the least j with 2^j > x
-    if holds(0.0):
-        j = _last_true(lambda j: holds(2.0 ** j), -1075, math.frexp(k)[1])
-        return _float_bracket(holds, 2.0 ** j, 2.0 ** (j + 1))[0]
-    j = _last_true(lambda j: not holds(-2.0 ** j), -1075, math.frexp(-lo)[1])
-    return _float_bracket(holds, -2.0 ** (j + 1), -2.0 ** j)[0]
+    # a count at -0.0 is a count at 0
+    if holds(_float_key(0.0)):
+        good, bad = _float_key(0.0), _float_key(k)
+    else:
+        good, bad = _float_key(lo), _float_key(-0.0)
+    seed = _newton_seed(params, d, c)
+    # a seed this close to 0 is rounding noise around a zero at 0; the walk
+    # from it down to 0.0 would cross about 2^62 keys
+    if abs(seed) <= 2.0 ** -32 * k:
+        seed = 0.0
+    return _key_float(_last_true(holds, good, bad, _float_key(seed)))
 
 
-def _last_true(pred, good: int, bad: int) -> int:
-    """The largest integer j with pred(j), for pred true at good < 0, false
-    at bad > 0 and changing once between them.  Probes 0, then steps away
-    from the last probe by 1, 2, 4, ... until pred changes; from then on the
-    doubled step overshoots the bracket, and the loop bisects it."""
-    j, step = 0, 1
+def _last_true(pred, good: int, bad: int, start: int) -> int:
+    """The largest integer j with pred(j), for pred true at good, false at
+    bad and changing once between them.  Probes `start`, moved inside the
+    bracket, then steps away from the last probe by 1, 2, 4, ... until pred
+    changes; from then on the doubled step overshoots the bracket, and the
+    loop bisects it."""
+    j, step = min(max(start, good + 1), bad - 1), 1
     while bad - good > 1:
         if pred(j):
             good, j = j, j + step

@@ -20,9 +20,9 @@ from operator import mul
 from ._record import Record
 from .hypergraph import (Hypergraph, IntersectionNumbers,
                          NotRegularUniformError, _reaches_all, adjacency,
-                         adjacency_rows, check_regular_uniform,
-                         distance_regularity_check, dual, girth,
-                         girth_via_trace, neighbour_lists, spheres)
+                         check_regular_uniform, distance_regularity_check,
+                         girth, girth_via_trace, incident, neighbours,
+                         spheres)
 from .orthopoly import Params
 from .tridiagonal import _EPS, ql_eigenvalues
 
@@ -192,14 +192,15 @@ def symmetric_eigenvalues(m: Sequence[Sequence[float]]) -> Spectrum:
 
 class Analysis:
     """The derived objects of one hypergraph, each built on first use and
-    then kept: (r, u), the adjacency as sparse rows, as neighbour lists and
-    as a dense matrix, the dual and its adjacency rows, the distance
-    spheres and connectivity, read off the spheres, the trace girth and the
-    adjacency spectrum.  `analyze` reads every report field from one
-    instance, so each is built once; the dual and its adjacency rows are
-    built only when the spectrum comes from A* (m < n), and (r, u) is
-    checked on the input alone, since the dual's is (u, r).  The
-    hypergraph queries it calls take these objects and recompute none."""
+    then kept: (r, u), the adjacency as neighbour lists, read straight off
+    the edges, and as a dense matrix, the distance spheres and
+    connectivity, read off the spheres, the trace girth and the adjacency
+    spectrum.  `analyze` reads every report field from one instance, so
+    each is built once.  When the spectrum comes from A* (m < n), the
+    dual's neighbour lists are read off `incident(h)` by the same pass, and
+    no dual hypergraph is built; (r, u) is checked on the input alone,
+    since the dual's is (u, r).  The hypergraph queries it calls take these
+    objects and recompute none."""
 
     def __init__(self, h: Hypergraph) -> None:
         self.h = h
@@ -211,16 +212,12 @@ class Analysis:
         return check_regular_uniform(self.h)
 
     @cached_property
-    def rows(self) -> list[list[tuple[int, int]]]:
-        return adjacency_rows(self.h)
-
-    @cached_property
     def nbrs(self) -> list[list[int]]:
-        return neighbour_lists(self.rows)
+        return neighbours(self.h.n, self.h.edges)
 
     @cached_property
     def adjacency(self) -> list[list[int]]:
-        return adjacency(self.rows)
+        return adjacency(self.nbrs)
 
     @cached_property
     def connected(self) -> bool:
@@ -229,16 +226,7 @@ class Analysis:
 
     @cached_property
     def spheres(self) -> list[list[int]]:
-        return spheres(self.rows)
-
-    @cached_property
-    def dual(self) -> Hypergraph:
-        """The dual, for input of minimum degree 2."""
-        return dual(self.h)
-
-    @cached_property
-    def dual_rows(self) -> list[list[tuple[int, int]]]:
-        return adjacency_rows(self.dual)
+        return spheres(self.nbrs)
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -246,7 +234,8 @@ class Analysis:
         input, N N^T = A + rI and N^T N = A* + uI share their nonzero
         eigenvalues, so with m < n (and r >= 2, where the dual exists)
         spec(A) is {l + u - r : l in spec(A*)} and -r with multiplicity
-        n - m."""
+        n - m.  A* is read off the edges through each vertex, the edges of
+        the dual."""
         h = self.h
         try:
             r, u = self.ru
@@ -254,7 +243,7 @@ class Analysis:
             r = u = 0
         if r < 2 or h.m >= h.n:
             return symmetric_eigenvalues(self.adjacency)
-        star = symmetric_eigenvalues(adjacency(self.dual_rows))
+        star = symmetric_eigenvalues(adjacency(neighbours(h.m, incident(h))))
         return Spectrum.from_values(
             [x + (u - r) for x in star.values] + [float(-r)] * (h.n - h.m))
 
@@ -302,4 +291,4 @@ class Analysis:
         return girth(self.h)
 
     def distance_regularity(self) -> IntersectionNumbers:
-        return distance_regularity_check(self.rows, self.spheres, self.nbrs)
+        return distance_regularity_check(self.spheres, self.nbrs)

@@ -3,14 +3,18 @@ polynomial division, Euclid's gcd and Yun's square-free step over Q in
 `Fraction` arithmetic.  The library does all three in Z[x]; these are the
 rational algorithms its results are checked against.  Then the quotient
 array T(r, u, d, c) as a matrix, whose leading principal minors
-`zeros_above` counts on, and last the linearization coefficients of the
-F-family, which only the tests read."""
+`zeros_above` counts on, a reference search for the floor of its second
+eigenvalue, and last the linearization coefficients of the F-family, which
+only the tests read."""
 
+import math
 from fractions import Fraction
 
+from hyplp import orthopoly
 from hyplp._record import Record
-from hyplp.orthopoly import (Params, _poly_deriv, _poly_mul, _poly_sub,
-                             _poly_trim, f_monomial, monomial_to_fbasis)
+from hyplp.orthopoly import (Params, _float_bracket, _poly_deriv, _poly_mul,
+                             _poly_sub, _poly_trim, f_monomial,
+                             monomial_to_fbasis)
 
 
 def poly_divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
@@ -97,6 +101,46 @@ class TridiagonalArray(Record):
         for i, v in enumerate(self.subdiagonal):
             m[i + 1][i] = v
         return m
+
+
+def binade_largest_zero_gc(params: Params, d: int, c) -> float:
+    """The floor `largest_zero_gc` returns, found with no seed: the range
+    counts at the Gershgorin end and at k, one count at 0 for the sign of
+    the zero, a search over the powers of two for the binade of its
+    modulus, then a bisection on the float keys of that binade.  Every
+    count goes through `orthopoly.zeros_above`, so a test can count them."""
+    k, cf = float(params.k), float(c)
+    lo = -max(k, 2.0 * cf - k) - 1.0
+    if (orthopoly.zeros_above(params, d, c, lo) != d
+            or orthopoly.zeros_above(params, d, c, k) != 0):
+        raise ArithmeticError("the zeros of g_c do not all lie in the range")
+
+    def holds(x: float) -> bool:
+        return orthopoly.zeros_above(params, d, c, x) > 0
+
+    # j runs from -1075, where 2^j is 0.0, to a power of two past the
+    # bracket end; frexp(x)[1] is the least j with 2^j > x
+    if holds(0.0):
+        j = _exponent_search(lambda j: holds(2.0 ** j), -1075, math.frexp(k)[1])
+        return _float_bracket(holds, 2.0 ** j, 2.0 ** (j + 1))[0]
+    j = _exponent_search(lambda j: not holds(-2.0 ** j), -1075, math.frexp(-lo)[1])
+    return _float_bracket(holds, -2.0 ** (j + 1), -2.0 ** j)[0]
+
+
+def _exponent_search(pred, good: int, bad: int) -> int:
+    """The largest integer j with pred(j), for pred true at good < 0, false
+    at bad > 0 and changing once between them: probes 0, then steps away
+    from the last probe by 1, 2, 4, ... until pred changes, then bisects."""
+    j, step = 0, 1
+    while bad - good > 1:
+        if pred(j):
+            good, j = j, j + step
+        else:
+            bad, j = j, j - step
+        step *= 2
+        if not good < j < bad:
+            j = (good + bad) // 2
+    return good
 
 
 def linearization(params: Params, i: int, j: int) -> dict[int, Fraction]:

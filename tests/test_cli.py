@@ -21,7 +21,7 @@ from hyplp.cli import (UsageError, fmt, jval, load_certificate, main,
                        parse_theta)
 from hyplp.constructions import (hypergraph_from_oa, mols_cyclic, named_fixture,
                                  oa_from_mols)
-from hyplp.hypergraph import Hypergraph, dual
+from hyplp.hypergraph import Hypergraph, dual, incident
 from hyplp.orthopoly import (Params, _gc_monomial, _poly_deriv,
                              _poly_eval, _prs, _sign_changes, f_values)
 
@@ -717,19 +717,21 @@ def count_calls(monkeypatch, name):
                          ids=["petersen", "oa-4-7", "petersen-dual"])
 def test_analyze_builds_each_derived_object_once(monkeypatch, h):
     # connected regular input with a girth of at most 12 takes it from the
-    # traces: no BFS girth, one set of neighbour lists, one regularity check
-    # of the input, and one search of the spheres, which gives both the
-    # connectivity and the diameter.  The dual of Petersen (n = 15 > m = 10)
-    # takes its spectrum from A*, and the (r, u) of that dual's dual is not
-    # checked again
+    # traces: no BFS girth, one pass over the edges for the neighbour
+    # lists, one regularity check of the input, and one search of the
+    # spheres, which gives both the connectivity and the diameter.  The
+    # dual of Petersen (n = 15 > m = 10) takes its spectrum from A*, whose
+    # lists take one more pass, over the edges through each vertex, and the
+    # (r, u) of that dual's dual is not checked again
     bfs = count_calls(monkeypatch, "girth")
-    nbrs = count_calls(monkeypatch, "neighbour_lists")
+    nbrs = count_calls(monkeypatch, "neighbours")
     checks = count_calls(monkeypatch, "check_regular_uniform")
     searches = count_calls(monkeypatch, "spheres")
     pairs = dict(cli.analyze_pairs(h))
     assert pairs["girth"] == pairs["girth_by_trace"] == (3 if h.n == 28 else 5)
     assert bfs == []
-    assert len(nbrs) == 1
+    assert nbrs[0] == (h.n, h.edges)
+    assert nbrs[1:] == ([(h.m, incident(h))] if h.m < h.n else [])
     assert checks == [(h,)]
     assert len(searches) == 1
 

@@ -10,14 +10,14 @@ import pytest
 from hyplp import hypergraph
 from hyplp.constructions import fixture_names, named_fixture
 from hyplp.hypergraph import (Hypergraph, HypergraphFormatError,
-                              NotRegularUniformError, adjacency, adjacency_rows,
-                              check_regular_uniform, degrees,
-                              dual, girth, spheres)
+                              NotRegularUniformError, adjacency,
+                              check_regular_uniform, degrees, dual, girth,
+                              incident, neighbours, spheres)
 from hyplp.orthopoly import Params
 from hyplp.spectra import Analysis
 from conftest import random_regular_uniform
-from walk_oracles import (_fields, adjacency_multisets, bfs_connected,
-                          bfs_distances,
+from walk_oracles import (_fields, adjacency_multisets, adjacency_rows,
+                          bfs_connected, bfs_distances, dense_adjacency,
                           dense_walk_matrix, distance_matrix,
                           distance_regularity_oracle,
                           incidence_girth, incidence_graph, nbw_count_matrix,
@@ -94,15 +94,55 @@ def test_degrees_and_regularity_check():
         check_regular_uniform(Hypergraph(1, []))
 
 
+def _lists(h):
+    return neighbours(h.n, h.edges)
+
+
 def test_adjacency_counts_multiplicity():
     h = Hypergraph(3, [(0, 1), (0, 1), (1, 2)])
-    assert adjacency(adjacency_rows(h)) == [[0, 2, 0], [2, 0, 1], [0, 1, 0]]
+    assert adjacency(_lists(h)) == [[0, 2, 0], [2, 0, 1], [0, 1, 0]]
 
 
 def test_adjacency_multisets_list_each_neighbour_by_multiplicity(corpus):
     for h in corpus + [DOUBLED, SHARED_PAIR, Hypergraph(3, [(0, 1)])]:
-        assert adjacency_multisets(h) == [
+        assert adjacency_multisets(h) == [sorted(nb) for nb in _lists(h)]
+
+
+def list_inputs(corpus):
+    """The corpus, the named fixtures, every analyze golden input, a
+    repeated edge and two edges sharing two vertices."""
+    folder = os.path.join(os.path.dirname(__file__), "data", "analyze")
+    goldens = []
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".txt"):
+            with open(os.path.join(folder, name)) as fh:
+                goldens.append(Hypergraph.from_text(fh.read()))
+    assert len(goldens) == 9
+    fixtures = [named_fixture(name) for name in fixture_names()]
+    assert len(fixtures) == 15
+    return (corpus + fixtures + goldens
+            + [Hypergraph(3, [(0, 1), (0, 1), (1, 2)]), SHARED_PAIR])
+
+
+def test_neighbour_lists_expand_the_adjacency_rows(corpus):
+    # each list holds y A[x][y] times, in the order the edges give
+    for h in list_inputs(corpus):
+        assert [sorted(nb) for nb in _lists(h)] == [
             [y for y, w in row for _ in range(w)] for row in adjacency_rows(h)]
+        assert adjacency(_lists(h)) == dense_adjacency(h)
+
+
+def test_dual_side_lists_are_those_of_the_dual(corpus):
+    # every input with m < n and minimum degree 2, which the dual needs,
+    # among them the duals of the fixtures
+    fixtures = [named_fixture(name) for name in fixture_names()]
+    cases = [h for h in list_inputs(corpus) + [dual(h) for h in fixtures
+                                                if min(degrees(h)) >= 2]
+             if h.m < h.n and min(degrees(h)) >= 2]
+    for h in cases:
+        d = dual(h)
+        assert neighbours(h.m, incident(h)) == neighbours(d.n, d.edges)
+    assert len(cases) == 27
 
 
 def test_adjacency_rows_are_the_nonzero_entries(corpus):
@@ -115,7 +155,7 @@ def test_adjacency_rows_are_the_nonzero_entries(corpus):
                         want[x][y] += 1
         assert adjacency_rows(h) == [[(y, w) for y, w in enumerate(row) if w]
                                      for row in want]
-        assert adjacency(adjacency_rows(h)) == want
+        assert adjacency(_lists(h)) == want
 
 
 def test_incidence_graph_shape():
@@ -168,7 +208,7 @@ def test_distances_from_spheres_match_bfs(corpus):
         assert dist == bfs_distances(h)
         assert (connected == Analysis(h).connected == bfs_connected(h)
                 == (min(map(min, dist)) >= 0))
-        assert len(spheres(adjacency_rows(h))) - 1 == max(map(max, dist))
+        assert len(spheres(_lists(h))) - 1 == max(map(max, dist))
     assert [Analysis(h).connected for h in odd] == [False, True, False, False]
 
 
@@ -333,7 +373,7 @@ def test_nbw_matrix_rejects_bad_length_zero_one():
         nbw_count_matrix(h, -1)
     assert nbw_count_matrix(h, 0) == [[1 if i == j else 0 for j in range(4)]
                                       for i in range(4)]
-    assert nbw_count_matrix(h, 1) == adjacency(adjacency_rows(h))
+    assert nbw_count_matrix(h, 1) == adjacency(_lists(h))
 
 
 def test_girth_via_trace_fixtures():

@@ -3,7 +3,9 @@ and `tokenize`, and with `typing` that was about 30 ms of every process's
 start-up, against well under 1 ms of arithmetic in `bound closed-form`.  In
 an isolated interpreter, neither importing the CLI nor running a bound, a
 certificate check, an analysis or a verified table may load them.  Building
-the named fixtures may not load the eigensolver either."""
+the named fixtures may not load the eigensolver either, nor may the floor
+search behind `bound tau2-lower`: its seed is a float recurrence of its
+own, not an eigenvalue of the quotient array."""
 
 import json
 import subprocess
@@ -33,6 +35,7 @@ def test_cli_commands_load_no_dataclasses_typing_inspect_or_ast(tmp_path):
         ["bound", "lp", "--r", "3", "--u", "2", "--theta", "1", "--cert", str(cert)],
         ["analyze", str(ROOT / "tests" / "data" / "analyze" / "oa-3-7.txt")],
         ["table", "table1", "--verify"],
+        ["bound", "tau2-lower", "--r", "3", "--u", "2", "--n", "10"],
     ]
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", CHILD, str(ROOT / "src"),
@@ -61,3 +64,24 @@ def test_named_fixtures_load_no_eigensolver():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [15, []]
+
+
+TAU2_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from hyplp import bounds
+from hyplp.orthopoly import Params
+floor = bounds.tau2_lower(Params(3, 2), 10)[2]
+print(json.dumps([floor, [m for m in ("hyplp.spectra", "hyplp.tridiagonal")
+                          if m in sys.modules]]))
+"""
+
+
+def test_tau2_floor_loads_no_eigensolver():
+    # the CLI module imports the analysis context, so the check is made on
+    # the call `bound tau2-lower --r 3 --u 2 --n 10` runs
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", TAU2_CHILD, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [1.0, []]

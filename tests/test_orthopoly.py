@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import random
+import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,8 @@ from hyplp.orthopoly import (_exquo, _gc_monomial, _newton,
                              _odd_multiplicity_part, _poly_deriv, _poly_eval,
                              _poly_mul, _poly_roots, _poly_sub, _prem, _primitive,
                              _sign_at, _prs, _sign_changes)
-from poly_oracles import (TridiagonalArray, linearization, poly_divmod,
+from poly_oracles import (TridiagonalArray, binade_largest_zero_gc,
+                          linearization, poly_divmod,
                           rational_odd_multiplicity_part)
 
 GRID = [(3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 5), (4, 4), (6, 2)]
@@ -473,6 +475,54 @@ def test_largest_zero_gc_probes_no_tiny_float(monkeypatch):
     assert 1.99 < tau2_lower(Params(2, 2), 1000)[2] < 2
     assert 8 < largest_zero_gc(Params(5, 4), 400, Fraction(7, 3)) < 16
     assert max(dens) <= 2 ** 52
+
+
+def counted_points(monkeypatch):
+    """The points of the `zeros_above` counts made from now on, in order."""
+    calls = []
+    count = orthopoly.zeros_above
+
+    def counted(*args):
+        calls.append(args[3])
+        return count(*args)
+
+    monkeypatch.setattr(orthopoly, "zeros_above", counted)
+    return calls
+
+
+# r = 2..8, u = 2..5 and n = k+2, k+9, ... below 400: 1,554 orders
+TAU2_SWEEP = [(Params(r, u), n) for r in range(2, 9) for u in range(2, 6)
+              for n in range(r * (u - 1) + 2, 400, 7)]
+
+
+def test_seeded_search_returns_the_binade_search_floor(monkeypatch):
+    # the floor is one float, so the seed may change the counts, not the
+    # result; a seed on the floor or just above it needs the seed and its
+    # neighbour after the two range counts and the count at 0
+    calls = counted_points(monkeypatch)
+    counts = []
+    for p, n in TAU2_SWEEP:
+        calls.clear()
+        d, c, lam = tau2_lower(p, n)
+        counts.append(len(calls))
+        assert lam.hex() == binade_largest_zero_gc(p, d, c).hex(), (p, n)
+    assert len(counts) == 1554
+    assert statistics.median(counts) <= 6
+    assert max(counts) <= 61
+
+
+def test_tau2_lower_at_a_400_digit_order(monkeypatch):
+    # moore_order(d) = 3 * 2^d - 2 at (r, u) = (3, 2); the float recurrence
+    # of the seed runs scaled, since F_1328(3) is about 2^1328
+    calls = counted_points(monkeypatch)
+    d, c, lam = tau2_lower(Params(3, 2), 10 ** 400)
+    assert d == 1328
+    assert c == Fraction(3 * 2 ** 1327, 10 ** 400 - (3 * 2 ** 1327 - 2))
+    assert lam.hex() == "0x1.6a09a3fe01fa8p+1"
+    seeded = len(calls)
+    calls.clear()
+    assert binade_largest_zero_gc(Params(3, 2), d, c).hex() == lam.hex()
+    assert seeded <= len(calls)
 
 
 def test_quadrature_orthogonality():

@@ -354,29 +354,26 @@ def test_correspondence_on_fixtures():
     assert not gram_mismatches(h) and float_correspondence(h)
 
 
-def _tampered_rows(monkeypatch, n, entry):
-    """Make the adjacency rows `adjacency_rows` returns off by one at
-    `entry` on the hypergraph with n vertices (the primal or the dual),
-    symmetrically."""
-    real = hypergraph.adjacency_rows
+def _tampered_lists(monkeypatch, n, entry):
+    """Make the adjacency `neighbours` returns off by one at `entry` on the
+    side with n vertices (the primal or the dual), symmetrically."""
+    real = hypergraph.neighbours
 
-    def fake(h):
-        rows = real(h)
-        if h.n == n:
+    def fake(count, edges):
+        nbrs = real(count, edges)
+        if count == n:
             x, y = entry
-            for a, b in ((x, y), (y, x)):
-                row = dict(rows[a])
-                row[b] = row.get(b, 0) + 1
-                rows[a] = sorted(row.items())
-        return rows
+            nbrs[x].append(y)
+            nbrs[y].append(x)
+        return nbrs
 
-    monkeypatch.setattr(hypergraph, "adjacency_rows", fake)
+    monkeypatch.setattr(hypergraph, "neighbours", fake)
 
 
 def test_correspondence_names_a_tampered_primal_entry(monkeypatch):
     h = named_fixture("petersen")  # n = 10, m = 15
     was = dense_adjacency(h)[0][2]
-    _tampered_rows(monkeypatch, 10, (0, 2))
+    _tampered_lists(monkeypatch, 10, (0, 2))
     detail = gram_mismatches(h)
     assert detail
     assert detail == (f"N N^T != A + 3I at (0, 2): {was} vs {was + 1}",)
@@ -385,7 +382,7 @@ def test_correspondence_names_a_tampered_primal_entry(monkeypatch):
 def test_correspondence_names_a_tampered_dual_entry(monkeypatch):
     h = named_fixture("petersen")
     was = dense_adjacency(dual(h))[3][7]
-    _tampered_rows(monkeypatch, 15, (3, 7))
+    _tampered_lists(monkeypatch, 15, (3, 7))
     detail = gram_mismatches(h)
     assert detail
     assert detail == (f"N^T N != A* + 2I at (3, 7): {was} vs {was + 1}",)
@@ -492,26 +489,31 @@ def test_analysis_fields_match_the_public_functions():
 
 
 
-def test_dual_rows_only_for_the_dual_side_spectrum(monkeypatch):
-    # only a spectrum taken from A* (m < n) builds the dual and its rows
-    for h, kept in ((named_fixture("petersen"), False),
-                    (dual(named_fixture("petersen")), True)):
+def test_dual_lists_only_for_the_dual_side_spectrum(monkeypatch):
+    # only a spectrum taken from A* (m < n) reads the dual's neighbour
+    # lists, off the edges through each vertex, and no dual hypergraph is
+    # built on either side
+    passes = []
+    real = hypergraph.neighbours
+
+    def counted(count, edges):
+        passes.append(count)
+        return real(count, edges)
+
+    monkeypatch.setattr(spectra, "neighbours", counted)
+    monkeypatch.setattr(hypergraph, "dual", None)
+    for h, sides in ((named_fixture("petersen"), [10]),
+                     (dual(named_fixture("petersen")), [10, 15])):
+        passes.clear()
         an = Analysis(h)
         assert len(an.spectrum.values) == h.n
         assert an.distance_regularity().valid
-        assert ("dual_rows" in vars(an)) == kept
-    # nor does the whole report build the dual when m >= n
-    made = []
-
-    def recording(h):
-        made.append(Analysis(h))
-        return made[-1]
-
-    monkeypatch.setattr(cli, "Analysis", recording)
+        assert sorted(passes) == sides
+    # nor does the whole report when m >= n
+    passes.clear()
     pairs = dict(cli.analyze_pairs(named_fixture("petersen")))
     assert pairs["spectrum_correspondence"] == "ok"
-    an, = made
-    assert "dual" not in vars(an) and "dual_rows" not in vars(an)
+    assert passes == [10]
 
 def test_correspondence_heawood_explicit():
     # incidence spectrum of the Fano hypergraph squared: {spec(A)+3} u {spec(A*)+3}

@@ -1,10 +1,10 @@
 """Test-side oracles for the hypergraph module: a dense incidence graph,
-adjacency multisets, the incidence Gram identities, non-backtracking walks
-counted one by one, the walk recurrence, distances, connectivity,
-distance-regularity and girth on dense lists.  Slow and independent of the
-packed-row code they check.  Last, the decoders that read the packed rows
-of `hyplp.hypergraph` back into dense matrices: the walk matrices F_i(A)
-and the distance matrix."""
+adjacency multisets, the adjacency as sparse (y, w) rows, the incidence
+Gram identities, non-backtracking walks counted one by one, the walk
+recurrence, distances, connectivity, distance-regularity and girth on
+dense lists.  Slow and independent of the packed-row code they check.
+Last, the decoders that read the packed rows of `hyplp.hypergraph` back
+into dense matrices: the walk matrices F_i(A) and the distance matrix."""
 
 import math
 from itertools import islice
@@ -34,9 +34,23 @@ def adjacency_multisets(h: Hypergraph) -> list[list[int]]:
             for x in range(h.n)]
 
 
+def adjacency_rows(h: Hypergraph) -> list[list[tuple[int, int]]]:
+    """The point-graph adjacency as sparse rows: row x lists (y, A[x][y])
+    for every y with A[x][y] > 0, in increasing y, counted pair by pair
+    over the edges."""
+    counts: list[dict[int, int]] = [{} for _ in range(h.n)]
+    for edge in h.edges:
+        for i, x in enumerate(edge):
+            for y in edge[i + 1:]:
+                counts[x][y] = counts[x].get(y, 0) + 1
+                counts[y][x] = counts[y].get(x, 0) + 1
+    return [sorted(c.items()) for c in counts]
+
+
 def gram_mismatches(h: Hypergraph) -> tuple[str, ...]:
     """The incidence Gram identities of regular uniform h, a reference
-    check of `adjacency_rows` and `dual`: with N the n x m vertex-edge
+    check of the `neighbours` lists that `Analysis` reads A and A* from,
+    A* over the edges through each vertex: with N the n x m vertex-edge
     incidence matrix, A the adjacency and A* that of the dual, N N^T =
     A + rI and N^T N = A* + uI, both products dense in integers.  One line
     per identity that fails, naming its first mismatching entry; () when
@@ -46,9 +60,10 @@ def gram_mismatches(h: Hypergraph) -> tuple[str, ...]:
     r, u = hypergraph.check_regular_uniform(h)
     inc = [[int(x in e) for e in h.edges] for x in range(h.n)]
     detail = []
-    for name, shift, side, of in (("N N^T != A", r, inc, h),
-                                  ("N^T N != A*", u, list(zip(*inc)), hypergraph.dual(h))):
-        a = hypergraph.adjacency(hypergraph.adjacency_rows(of))
+    for name, shift, side, (count, edges) in (
+            ("N N^T != A", r, inc, (h.n, h.edges)),
+            ("N^T N != A*", u, list(zip(*inc)), (h.m, hypergraph.incident(h)))):
+        a = hypergraph.adjacency(hypergraph.neighbours(count, edges))
         # the first entry, row by row, where the product and A + shift*I differ
         hit = next(((x, y, g, w) for x, row in enumerate(side)
                     for y, col in enumerate(side)
@@ -236,7 +251,7 @@ def nbw_count_matrix(h: Hypergraph, i: int) -> list[list[int]]:
     entries stay >= 0."""
     if i < 0:
         raise ValueError("length must be non-negative")
-    nbrs = hypergraph.neighbour_lists(hypergraph.adjacency_rows(h))
+    nbrs = hypergraph.neighbours(h.n, h.edges)
     params = Params(*hypergraph.check_regular_uniform(h))
     width, walks = hypergraph._walk_rows(nbrs, params, i)
     cur = [_fields(row, width, h.n) for row in next(islice(walks, i, None))]
@@ -250,9 +265,9 @@ def nbw_count_matrix(h: Hypergraph, i: int) -> list[list[int]]:
 def distance_matrix(h: Hypergraph) -> tuple[list[list[int]], bool]:
     """Point-graph distances read off `hypergraph.spheres`; unreachable
     pairs get -1 and the second return value reports connectivity."""
-    rows = hypergraph.adjacency_rows(h)
-    width = hypergraph._sphere_width(rows)
-    shells = hypergraph.spheres(rows)
+    nbrs = hypergraph.neighbours(h.n, h.edges)
+    width = hypergraph._sphere_width(nbrs)
+    shells = hypergraph.spheres(nbrs)
     dist = [[-1] * h.n for _ in range(h.n)]
     for d, layer in enumerate(shells):
         for row, bits in zip(dist, layer):
