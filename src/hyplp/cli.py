@@ -24,7 +24,7 @@ from .bounds import BoundResult, Refinement
 from .constructions import (OrthogonalArray, _require_valid, fixture_names,
                             hypergraph_from_oa, mols_cyclic, named_fixture,
                             oa_from_mols, oa_minus_transversal)
-from .hypergraph import Hypergraph, NotRegularUniformError
+from .hypergraph import Hypergraph, IntersectionNumbers, NotRegularUniformError
 from .orthopoly import FPoly, Params
 from .spectra import TRACE_GIRTH_MAX, Analysis
 
@@ -363,7 +363,7 @@ def analyze_pairs(h: Hypergraph) -> list:
     pairs += [("tau2", tau2), ("spectral_gap", params.k - tau2),
               ("ramanujan", an.is_ramanujan())]
 
-    dr = an.distance_regularity()
+    dr = an.distance_regularity
     if dr.valid:
         pairs.append(("distance_regular",
                       {"valid": True, "b": list(dr.b), "c": list(dr.c),
@@ -375,27 +375,52 @@ def analyze_pairs(h: Hypergraph) -> list:
     # N N^T = A + rI and N^T N = A* + uI hold by definition here (README)
     pairs.append(("spectrum_correspondence", "ok"))
 
-    if tau2 < params.top - 1e-12:
+    tight = t_array(params, dr)
+    if tight is not None:
+        # the paper's equality theorem: the order of T(r, u, d, c) is the
+        # closed form at its tau2, the largest zero of g_c
+        pairs.append(("order_bound_at_tau2",
+                      {"value": h.n, "d": tight[0], "c": tight[1],
+                       "relation": "met with equality"}))
+    elif tau2 < params.top - 1e-12:
         hb = bounds.closed_form_h_bound(params, tau2)
-        value = float(hb.value)
-        if abs(value - h.n) <= 1e-6 * max(1.0, value):
+        value = hb.value
+        if isinstance(tau2, int):
+            exact = value == h.n
+            within = h.n <= value
+        else:
+            exact = abs(value - h.n) <= 1e-6 * max(1.0, value)
+            within = h.n <= value + 1e-9
+        if exact:
             relation = "met with equality"
-        elif h.n <= value + 1e-9:
+        elif within:
             relation = f"order {h.n} within bound"
         else:
             relation = f"order {h.n} EXCEEDS bound"
         pairs.append(("order_bound_at_tau2",
-                      {"value": hb.value, "d": hb.params["d"], "c": hb.params["c"],
+                      {"value": value, "d": hb.params["d"], "c": hb.params["c"],
                        "relation": relation}))
     else:
         pairs.append(("order_bound_at_tau2",
                       "none (tau2 at or above the universal-cover spectral top)"))
 
+    # on a T-array, tau2_lower(n) finds the array's d and c, and its floor
+    # is the same zero of g_c: the slack is 0
     d, c, lam = bounds.tau2_lower(params, h.n)
     pairs.append(("tau2_floor_at_order",
                   {"value": Rounded(lam, False), "d": d, "c": c,
-                   "slack": tau2 - lam}))
+                   "slack": 0 if tight is not None else tau2 - lam}))
     return pairs
+
+
+def t_array(params: Params, dr: IntersectionNumbers) -> tuple[int, int] | None:
+    """(d, c) when the valid intersection numbers `dr` form the array
+    T(r, u, d, c): b = (k, q, ..., q) and c = (1, ..., 1, c_d), read
+    exactly; None otherwise."""
+    d = dr.diameter
+    if dr.valid and dr.b[1:] == (params.q,) * (d - 1) and dr.c[:-1] == (1,) * (d - 1):
+        return d, dr.c[-1]
+    return None
 
 
 def cmd_analyze(args) -> int:

@@ -7,7 +7,13 @@ external linear-algebra dependencies.  The reduction takes two reflectors
 per sweep: the second is computed from the block the first has not updated
 yet, corrected by the first's rank-2 term, which in exact arithmetic is the
 block that update would leave; then one pass over one triangle of the
-exactly symmetric trailing block applies both updates.
+exactly symmetric trailing block applies both updates.  Its mat-vecs sum
+in plain floating point; the norms and the dot products of length n are
+exactly rounded sums.
+
+A distance-regular point graph whose eigenvalues are all integers needs
+no solver: `array_spectrum` reads them, with their multiplicities, off the
+intersection array in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .tridiagonal import _EPS, ql_eigenvalues
 __all__ = [
     "Spectrum",
     "Analysis",
+    "array_spectrum",
     "symmetric_eigenvalues",
     "TRACE_GIRTH_MAX",
 ]
@@ -44,7 +51,8 @@ TRACE_GIRTH_MAX = 12
 
 class Spectrum(Record):
     """Eigenvalues in non-increasing order plus clusters of near-equal values
-    as (representative, multiplicity) pairs."""
+    as (representative, multiplicity) pairs.  Floats from the solver, ints
+    when `array_spectrum` reads them off an intersection array."""
 
     values: tuple[float, ...]
     clusters: tuple[tuple[float, int], ...]
@@ -108,7 +116,7 @@ def householder_tridiagonalize(m: Sequence[Sequence[float]]) -> tuple[list[float
             break
         p = [0.0] * len(v)
         if beta:
-            p = _partner(beta, v, [beta * math.fsum(map(mul, row, v))
+            p = _partner(beta, v, [beta * sum(map(mul, row, v))
                                    for row in block])
         # the second column, read off the block the first update has not
         # touched and corrected by it
@@ -120,7 +128,7 @@ def householder_tridiagonalize(m: Sequence[Sequence[float]]) -> tuple[list[float
         if gamma:
             pu = math.fsum(map(mul, p, u))
             vu = math.fsum(map(mul, v, u))
-            q = _partner(gamma, u, [gamma * (math.fsum(map(mul, row, u))
+            q = _partner(gamma, u, [gamma * (sum(map(mul, row, u))
                                              - (vi * pu + pi * vu))
                                     for row, vi, pi in zip(block, v, p)])
         if beta or gamma:
@@ -140,14 +148,14 @@ def _reflector(x: list[float], cut: float, off: list[float]) -> tuple[list[float
         off += x
         return x, 0.0
     x0 = x[0]
-    alpha = math.sqrt(math.fsum(t * t for t in x))
+    alpha = math.sqrt(math.fsum(map(mul, x, x)))
     if alpha <= cut:
         off.append(x0)
         return x, 0.0
     if x0 > 0.0:
         alpha = -alpha
     x[0] = x0 - alpha
-    vv = math.fsum(t * t for t in x)
+    vv = math.fsum(map(mul, x, x))
     if vv == 0.0:
         off.append(x0)
         return x, 0.0
@@ -169,6 +177,62 @@ def _mirror_lower(a: list[list[float]]) -> None:
     and no row is written there."""
     for i, (row, col) in enumerate(zip(a, zip(*a)), 1):
         row[i:] = col[i:]
+
+
+def array_spectrum(n: int, numbers: IntersectionNumbers) -> Spectrum | None:
+    """The exact spectrum of a distance-regular graph on n vertices with
+    the valid intersection numbers `numbers`, when every eigenvalue is an
+    integer; None when one is not.
+
+    A acts on the distance matrices D_0, ..., D_d as the tridiagonal
+    intersection matrix L (row i: c_i, a_i, b_i) does, and I, A, ..., A^d
+    are independent, so the distinct eigenvalues of A are the d + 1 roots
+    of det(xI - L).  A rational root of that monic integer polynomial is
+    an integer, and every root lies in [-k, k], so exact evaluation at each
+    integer there finds the integer roots.  The multiplicity of a root
+    theta is Biggs' n / sum_i k_i u_i^2, with k_i = b_0...b_(i-1) /
+    c_1...c_i the sphere sizes and u_i the cosines, u_0 = 1 and
+    c_i u_(i-1) + a_i u_i + b_i u_(i+1) = theta u_i (Brouwer-Cohen-Neumaier
+    1989, 4.1; Biggs 1993, ch. 21).  That recurrence is the one of the
+    leading principal minors p_i of xI - L, scaled: u_i = p_i(theta) /
+    b_0...b_(i-1), so k_i u_i^2 = p_i(theta)^2 / w_i with w_i the product
+    of b_j c_(j+1) over j < i, and the sum is a ratio of integers.  The
+    numbers of a multigraph count edge weights, and the same identities
+    hold.  Multiplicities that are not positive integers summing to n, or
+    an m(k) other than 1, also give None: a guard, not a tolerance."""
+    a, d = numbers.a, numbers.diameter
+    b, c = numbers.b, (0,) + numbers.c
+    k = b[0]
+
+    def minors(x: int) -> list[int]:
+        p = [1, x - a[0]]
+        for i in range(1, d + 1):
+            p.append((x - a[i]) * p[i] - b[i - 1] * c[i] * p[i - 1])
+        return p
+
+    roots = []
+    for x in range(k, -k - 1, -1):
+        if not minors(x)[-1]:
+            roots.append(x)
+            if len(roots) > d:
+                break
+    else:
+        return None
+    w = [1]
+    for bi, ci in zip(b, c[1:]):
+        w.append(w[-1] * bi * ci)
+    clusters = []
+    for theta in roots:
+        norm = sum(pi * pi * (w[-1] // wi) for pi, wi in zip(minors(theta), w))
+        mult, rest = divmod(n * w[-1], norm)
+        # k is simple: m(k) = n / sum_i k_i is 1 when n counts the graph
+        if rest or mult < 1 or theta == k and mult != 1:
+            return None
+        clusters.append((theta, mult))
+    if sum(m for _, m in clusters) != n:
+        return None
+    return Spectrum(tuple(theta for theta, m in clusters for _ in range(m)),
+                    tuple(clusters))
 
 
 def symmetric_eigenvalues(m: Sequence[Sequence[float]]) -> Spectrum:
@@ -196,11 +260,12 @@ class Analysis:
     the edges, and as a dense matrix, the distance spheres and
     connectivity, read off the spheres, the trace girth and the adjacency
     spectrum.  `analyze` reads every report field from one instance, so
-    each is built once.  When the spectrum comes from A* (m < n), the
-    dual's neighbour lists are read off `incident(h)` by the same pass, and
-    no dual hypergraph is built; (r, u) is checked on the input alone,
-    since the dual's is (u, r).  The hypergraph queries it calls take these
-    objects and recompute none."""
+    each is built once.  The distance-regularity check is one of them: it
+    serves both the spectrum and the report.  When the spectrum comes
+    from A* (m < n), the dual's neighbour lists are read off `incident(h)`
+    by the same pass, and no dual hypergraph is built; (r, u) is checked
+    on the input alone, since the dual's is (u, r).  The hypergraph
+    queries it calls take these objects and recompute none."""
 
     def __init__(self, h: Hypergraph) -> None:
         self.h = h
@@ -230,17 +295,25 @@ class Analysis:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        """spec(A), from the smaller of A and A*.  For r-regular u-uniform
-        input, N N^T = A + rI and N^T N = A* + uI share their nonzero
-        eigenvalues, so with m < n (and r >= 2, where the dual exists)
-        spec(A) is {l + u - r : l in spec(A*)} and -r with multiplicity
-        n - m.  A* is read off the edges through each vertex, the edges of
-        the dual."""
+        """spec(A).  Connected regular uniform input with r >= 2 first asks
+        the distance-regularity check: a distance-regular point graph whose
+        eigenvalues are all integers has its spectrum read off the
+        intersection array, exactly, by `array_spectrum`, and no matrix is
+        diagonalized.  Otherwise the solver runs on the smaller of A and
+        A*.  For r-regular u-uniform input, N N^T = A + rI and
+        N^T N = A* + uI share their nonzero eigenvalues, so with m < n (and
+        r >= 2, where the dual exists) spec(A) is
+        {l + u - r : l in spec(A*)} and -r with multiplicity n - m.  A* is
+        read off the edges through each vertex, the edges of the dual."""
         h = self.h
         try:
             r, u = self.ru
         except NotRegularUniformError:
             r = u = 0
+        if r >= 2 and self.connected and self.distance_regularity.valid:
+            exact = array_spectrum(h.n, self.distance_regularity)
+            if exact is not None:
+                return exact
         if r < 2 or h.m >= h.n:
             return symmetric_eigenvalues(self.adjacency)
         star = symmetric_eigenvalues(adjacency(neighbours(h.m, incident(h))))
@@ -250,7 +323,8 @@ class Analysis:
     @cached_property
     def tau2(self) -> float:
         """Second-largest adjacency eigenvalue of a connected regular
-        uniform hypergraph (the largest is k = r(u-1); the gap is k - tau2)."""
+        uniform hypergraph (the largest is k = r(u-1); the gap is k - tau2);
+        an int when the spectrum was read off the intersection array."""
         r, u = self.ru
         if not self.connected:
             raise ValueError("second eigenvalue is defined here for connected input")
@@ -290,5 +364,6 @@ class Analysis:
             return self.girth_by_trace
         return girth(self.h)
 
+    @cached_property
     def distance_regularity(self) -> IntersectionNumbers:
         return distance_regularity_check(self.spheres, self.nbrs)

@@ -31,6 +31,11 @@ def random_regular_uniform(rng, r, u, n):
     return None
 
 
+def cycle(n):
+    """The n-cycle as a 2-regular 2-uniform hypergraph."""
+    return Hypergraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
 def build_corpus(seed=20260818, want=52):
     rng = random.Random(seed)
     out = []

@@ -25,13 +25,13 @@ def _reflect(a, j, cut):
     v = [row[j] for row in a[j + 1:]]
     if len(v) < 2:
         return v, 0.0
-    alpha = math.sqrt(math.fsum(x * x for x in v))
+    alpha = math.sqrt(math.fsum(map(mul, v, v)))
     if alpha <= cut:
         return v, 0.0
     if v[0] > 0.0:
         alpha = -alpha
     v[0] -= alpha
-    vv = math.fsum(x * x for x in v)
+    vv = math.fsum(map(mul, v, v))
     if vv == 0.0:
         return v, 0.0
     a[j + 1][j] = alpha
@@ -57,7 +57,7 @@ def full_update_tridiagonalize(m) -> tuple[list[float], list[float]]:
         v, beta = _reflect(a, j, cut)
         p = [0.0] * len(v)
         if beta:
-            w = [beta * math.fsum(map(mul, row[j + 1:], v)) for row in a[j + 1:]]
+            w = [beta * sum(map(mul, row[j + 1:], v)) for row in a[j + 1:]]
             p = _partner(beta, v, w)
         # column j + 1 of H1 C H1, from the stale C
         a[j + 1][j + 1] -= 2.0 * v[0] * p[0]
@@ -69,7 +69,7 @@ def full_update_tridiagonalize(m) -> tuple[list[float], list[float]]:
         if gamma:
             pu = math.fsum(map(mul, p, u))
             vu = math.fsum(map(mul, v, u))
-            w = [gamma * (math.fsum(map(mul, row[j + 2:], u)) - (vi * pu + pi * vu))
+            w = [gamma * (sum(map(mul, row[j + 2:], u)) - (vi * pu + pi * vu))
                  for row, vi, pi in zip(a[j + 2:], v, p)]
             q = _partner(gamma, u, w)
         if beta or gamma:
@@ -93,7 +93,7 @@ def one_reflector_tridiagonalize(m) -> tuple[list[float], list[float]]:
         v, beta = _reflect(a, j, cut)
         if not beta:
             continue
-        w = [beta * math.fsum(map(mul, row[j + 1:], v)) for row in a[j + 1:]]
+        w = [beta * sum(map(mul, row[j + 1:], v)) for row in a[j + 1:]]
         p = _partner(beta, v, w)
         for row, vi, pi in zip(a[j + 1:], v, p):
             row[j + 1:] = [x - (vi * pk + pi * vk)

@@ -64,7 +64,7 @@ def test_c03_closed_form_tight_at_petersen():
     h = named_fixture("petersen")
     an = Analysis(h)
     tau2 = an.tau2
-    dr = an.distance_regularity()
+    dr = an.distance_regularity
     ta = TridiagonalArray(Params(3, 2), 2, Fraction(1))
     arrays_match = (dr.valid and ta.subdiagonal == dr.b
                     and ta.superdiagonal == dr.c and ta.diagonal == dr.a)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -24,6 +25,8 @@ from hyplp.constructions import (hypergraph_from_oa, mols_cyclic, named_fixture,
 from hyplp.hypergraph import Hypergraph, dual, incident
 from hyplp.orthopoly import (Params, _gc_monomial, _poly_deriv,
                              _poly_eval, _prs, _sign_changes, f_values)
+from conftest import cycle, random_regular_uniform
+from walk_oracles import bfs_connected
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -594,7 +597,7 @@ def test_analyze_petersen(tmp_path, capsys):
     assert text_value(out, "degrees") == "3-regular 2-uniform"
     assert text_value(out, "girth") == "5"
     assert text_value(out, "girth_by_trace") == "5"
-    assert text_value(out, "tau2") == "1.00000"
+    assert text_value(out, "tau2") == "1"
     assert text_value(out, "ramanujan") == "yes"
     assert "met with equality" in text_value(out, "order_bound_at_tau2")
     assert "valid=yes" in text_value(out, "distance_regular")
@@ -711,29 +714,36 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("h", [named_fixture("petersen"),
-                               hypergraph_from_oa(oa_from_mols(mols_cyclic(7, 2))),
-                               dual(named_fixture("petersen"))],
-                         ids=["petersen", "oa-4-7", "petersen-dual"])
-def test_analyze_builds_each_derived_object_once(monkeypatch, h):
+@pytest.mark.parametrize("h, girth, from_dual",
+                         [(named_fixture("petersen"), 5, False),
+                          (hypergraph_from_oa(oa_from_mols(mols_cyclic(7, 2))), 3, False),
+                          (dual(named_fixture("petersen")), 5, False),
+                          (dual(named_fixture("heawood")), 6, True)],
+                         ids=["petersen", "oa-4-7", "petersen-dual", "heawood-dual"])
+def test_analyze_builds_each_derived_object_once(monkeypatch, h, girth, from_dual):
     # connected regular input with a girth of at most 12 takes it from the
     # traces: no BFS girth, one pass over the edges for the neighbour
-    # lists, one regularity check of the input, and one search of the
-    # spheres, which gives both the connectivity and the diameter.  The
-    # dual of Petersen (n = 15 > m = 10) takes its spectrum from A*, whose
-    # lists take one more pass, over the edges through each vertex, and the
-    # (r, u) of that dual's dual is not checked again
+    # lists, one regularity check of the input, one search of the spheres,
+    # which gives both the connectivity and the diameter, and one
+    # distance-regularity check.  The dual of Petersen (n = 15 > m = 10)
+    # is distance-regular with an integer spectrum, read off its array.
+    # The dual of Heawood (n = 21 > m = 14) has irrational eigenvalues and
+    # takes its spectrum from A*, whose lists take one more pass, over the
+    # edges through each vertex, and the (r, u) of that dual's dual is not
+    # checked again
     bfs = count_calls(monkeypatch, "girth")
     nbrs = count_calls(monkeypatch, "neighbours")
     checks = count_calls(monkeypatch, "check_regular_uniform")
     searches = count_calls(monkeypatch, "spheres")
+    regularity = count_calls(monkeypatch, "distance_regularity_check")
     pairs = dict(cli.analyze_pairs(h))
-    assert pairs["girth"] == pairs["girth_by_trace"] == (3 if h.n == 28 else 5)
+    assert pairs["girth"] == pairs["girth_by_trace"] == girth
     assert bfs == []
     assert nbrs[0] == (h.n, h.edges)
-    assert nbrs[1:] == ([(h.m, incident(h))] if h.m < h.n else [])
+    assert nbrs[1:] == ([(h.m, incident(h))] if from_dual else [])
     assert checks == [(h,)]
     assert len(searches) == 1
+    assert len(regularity) == 1
 
 
 @pytest.mark.parametrize("name", ["irregular", "disconnected", "cycle-13"])
@@ -770,7 +780,7 @@ def test_analyze_stdin(monkeypatch, capsys):
     code, out, _ = run(capsys, "analyze", "-")
     assert code == 0
     assert text_value(out, "order") == "4"
-    assert text_value(out, "tau2") == "-1.00000"
+    assert text_value(out, "tau2") == "-1"
 
 
 def test_analyze_iregular_and_disconnected(tmp_path, capsys):
@@ -952,7 +962,7 @@ def test_construct_stdout_stdin_pipe(monkeypatch, capsys):
     code, out2, err2 = run(capsys, "construct", "from-oa", "-")
     assert code == 0
     assert out2.startswith("9 9\n")
-    assert "tau2: 0.00000" in err2
+    assert "tau2: 0" in err2.splitlines()
 
 
 def test_analyze_oa_11_3_point_hypergraph(tmp_path, capsys):
@@ -992,8 +1002,9 @@ def test_internal_failure_in_analyze_exits_3(tmp_path, monkeypatch, capsys):
     def stalled(diag, off):
         raise ArithmeticError("tridiagonal QL iteration did not converge")
 
-    f = tmp_path / "petersen.hg"
-    f.write_text(named_fixture("petersen").to_text())
+    # Heawood's spectrum has irrational values, so the solver runs
+    f = tmp_path / "heawood.hg"
+    f.write_text(named_fixture("heawood").to_text())
     monkeypatch.setattr(spectra, "ql_eigenvalues", stalled)
     code, out, err = run(capsys, "analyze", str(f))
     assert code == 3 and out == ""
@@ -1023,3 +1034,109 @@ def test_usage_exit_codes(capsys):
     assert run(capsys, "bound", "closed-form", "--r", "3")[0] == 2
     assert run(capsys, "bound", "closed-form", "--r", "3", "--u", "2",
                "--theta", "zzz")[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# theorem lines on distance-regular input
+
+
+@pytest.mark.parametrize("h, d, c", [(named_fixture("k4"), 1, 1),
+                                     (named_fixture("fano"), 1, 1),
+                                     (cycle(5), 2, 1), (cycle(11), 5, 1),
+                                     (cycle(13), 6, 1)],
+                         ids=["K4", "fano", "C5", "C11", "C13"])
+def test_t_array_prints_its_own_d_and_c_with_equality(h, d, c):
+    # from the float tau2, K4, Fano, C_5 and C_11 printed a d one too
+    # large with a c between 7e13 and 2e16, and C_13 a slack of -6.7e-16
+    pairs = dict(cli.analyze_pairs(h))
+    assert pairs["order_bound_at_tau2"] == {"value": h.n, "d": d, "c": c,
+                                            "relation": "met with equality"}
+    floor = pairs["tau2_floor_at_order"]
+    assert (floor["d"], floor["c"]) == (d, c)
+    assert floor["slack"] == 0 and type(floor["slack"]) is int
+
+
+def regular_sweep():
+    """Connected regular uniform inputs with r >= 2: the named fixtures and
+    their duals, the cycles C_3 to C_29, the OA(3, p) and OA(4, p) point
+    hypergraphs for p <= 29, OA(3, p) and OA(4, p) minus a transversal for
+    p <= 13, two multigraph point graphs (2 K_4 from the four triples of 4
+    points, and Petersen with each edge doubled) and 24 seeded
+    configuration-model inputs."""
+    out = [named_fixture(name) for name in constructions.fixture_names()]
+    out += [dual(h) for h in out]
+    out += [cycle(n) for n in range(3, 30)]
+    out += [Hypergraph(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+            Hypergraph(10, [e for e in named_fixture("petersen").edges
+                            for _ in range(2)])]
+    for rows in (3, 4):
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29):
+            oa = oa_from_mols(mols_cyclic(p, rows - 2))
+            out.append(hypergraph_from_oa(oa))
+            if p <= 13:
+                out.append(constructions.oa_minus_transversal(oa, 0))
+    rng = random.Random(20261020)
+    for r, u, n in [(2, 3, 30), (3, 2, 24), (4, 2, 20), (3, 3, 18),
+                    (2, 4, 24), (3, 4, 16)] * 4:
+        h = random_regular_uniform(rng, r, u, n)
+        if h is not None:
+            out.append(h)
+    return [h for h in out
+            if min(map(len, incident(h))) >= 2 and bfs_connected(h)]
+
+
+def test_equality_exactly_on_t_arrays_whose_d_and_c_tau2_lower_finds():
+    # "met with equality" is printed exactly when the array is
+    # T(r, u, d, c), and then tau2_lower(n) finds the array's d and c
+    tight = 0
+    for h in regular_sweep():
+        an = cli.Analysis(h)
+        params = Params(*an.ru)
+        pairs = dict(cli.analyze_pairs(h))
+        t = cli.t_array(params, an.distance_regularity)
+        bound = pairs["order_bound_at_tau2"]
+        assert (isinstance(bound, dict)
+                and bound["relation"] == "met with equality") == (t is not None), h
+        if t is not None:
+            assert bounds.tau2_lower(params, h.n)[:2] == t
+            tight += 1
+    assert tight >= 40
+
+
+def test_no_slack_is_negative(capsys):
+    for name in GOLDEN_NAMES:
+        code, out, err = run(capsys, "analyze", os.path.join(GOLDEN, name + ".txt"),
+                             "--format", "json")
+        assert code == 0, err
+        floor = json.loads(out).get("tau2_floor_at_order")
+        assert floor is None or floor["slack"] >= 0, name
+    for h in regular_sweep():
+        assert dict(cli.analyze_pairs(h))["tau2_floor_at_order"]["slack"] >= 0, h
+
+
+@pytest.mark.parametrize("h, solves", [
+    (hypergraph_from_oa(oa_from_mols(mols_cyclic(11, 2))), 0), (cycle(13), 1)],
+    ids=["oa-4-11", "C13"])
+def test_integer_spectrum_skips_the_solver(monkeypatch, h, solves):
+    # one distance-regularity check serves the spectrum and the report; an
+    # integer spectrum is read off the array, and C_13's is irrational
+    solver = count_calls(monkeypatch, "symmetric_eigenvalues")
+    checks = count_calls(monkeypatch, "distance_regularity_check")
+    pairs = dict(cli.analyze_pairs(h))
+    assert len(solver) == solves
+    assert len(checks) == 1
+    assert pairs["distance_regular"]["valid"]
+
+
+def test_integer_tau2_gives_an_exact_closed_form(capsys):
+    # OA(4, 11) pinned c = 32.99999999999999, and K_{4,4} minus a matching
+    # (tau2 = 1.0000000000000002) printed d = 3 and c = 2^53
+    code, out, err = run(capsys, "analyze", os.path.join(GOLDEN, "oa-4-11.txt"))
+    assert code == 0, err
+    assert text_value(out, "tau2") == "0"
+    assert text_value(out, "order_bound_at_tau2") == (
+        "value=64, d=2, c=33, relation=order 44 within bound")
+    pairs = dict(cli.analyze_pairs(named_fixture("k44-minus")))
+    assert pairs["tau2"] == 1
+    assert pairs["order_bound_at_tau2"] == {"value": 10, "d": 2, "c": 1,
+                                            "relation": "order 8 within bound"}

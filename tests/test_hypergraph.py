@@ -422,7 +422,7 @@ def test_field_tops_mark_exactly_the_nonzero_fields():
 
 
 def test_distance_regularity_petersen():
-    rep = Analysis(named_fixture("petersen")).distance_regularity()
+    rep = Analysis(named_fixture("petersen")).distance_regularity
     assert rep.valid
     assert rep.diameter == 2
     assert rep.b == (3, 2)
@@ -432,13 +432,13 @@ def test_distance_regularity_petersen():
 
 
 def test_distance_regularity_crown():
-    rep = Analysis(named_fixture("k44-minus")).distance_regularity()
+    rep = Analysis(named_fixture("k44-minus")).distance_regularity
     assert rep.valid
     assert (rep.b, rep.c) == ((3, 2, 1), (1, 2, 3))
 
 
 def test_distance_regularity_rejects_prism():
-    rep = Analysis(PRISM).distance_regularity()
+    rep = Analysis(PRISM).distance_regularity
     assert not rep.valid
     assert rep.witness is not None
     x, y = rep.witness
@@ -447,8 +447,8 @@ def test_distance_regularity_rejects_prism():
 
 def test_distance_regularity_witness_is_the_first_pair():
     # pinned from the pairwise check the packed identities replaced
-    assert Analysis(PRISM).distance_regularity().witness == (0, 3)
-    assert Analysis(DOUBLED).distance_regularity().witness == (1, 0)
+    assert Analysis(PRISM).distance_regularity.witness == (0, 3)
+    assert Analysis(DOUBLED).distance_regularity.witness == (1, 0)
 
 
 def test_distance_regularity_matches_the_pairwise_oracle(corpus):
@@ -460,7 +460,7 @@ def test_distance_regularity_matches_the_pairwise_oracle(corpus):
     hs = corpus + [named_fixture(x) for x in names] + [DOUBLED, SHARED_PAIR, PRISM]
     witnesses = set()
     for h in hs + [h for h in extra if h is not None and bfs_connected(h)]:
-        rep = Analysis(h).distance_regularity()
+        rep = Analysis(h).distance_regularity
         valid, a, b, c, witness = distance_regularity_oracle(h)
         assert (rep.valid, rep.a, rep.b, rep.c, rep.witness) == (valid, a, b, c, witness)
         assert rep.diameter == Analysis(h).diameter()
@@ -470,4 +470,4 @@ def test_distance_regularity_matches_the_pairwise_oracle(corpus):
 
 def test_distance_regularity_needs_connected():
     with pytest.raises(ValueError):
-        Analysis(Hypergraph(4, [(0, 1), (0, 1), (2, 3), (2, 3)])).distance_regularity()
+        Analysis(Hypergraph(4, [(0, 1), (0, 1), (2, 3), (2, 3)])).distance_regularity

@@ -14,7 +14,7 @@ from hyplp.hypergraph import Hypergraph, check_regular_uniform, dual
 from hyplp.spectra import (Analysis, Spectrum, householder_tridiagonalize,
                            symmetric_eigenvalues)
 from hyplp.tridiagonal import ql_eigenvalues
-from conftest import random_regular_uniform
+from conftest import cycle, random_regular_uniform
 from spectra_oracles import (full_update_tridiagonalize,
                              one_reflector_tridiagonalize)
 from walk_oracles import dense_adjacency, gram_mismatches, incidence_graph
@@ -404,14 +404,24 @@ def diagonalized(monkeypatch):
 
 def test_analyze_computes_one_spectrum(diagonalized):
     sizes = diagonalized
-    # m >= n: A itself; m < n: only the dual's m x m adjacency
-    for h, tau2 in ((named_fixture("petersen"), 1.0),
-                    (dual(named_fixture("petersen")), 2.0)):
+    # m >= n: A itself; m < n: only the dual's m x m adjacency; both
+    # distance-regular with irrational eigenvalues, so the solver runs
+    for h, tau2 in ((named_fixture("heawood"), SQRT2),
+                    (dual(named_fixture("heawood")), 1.0 + SQRT2)):
         sizes.clear()
         pairs = dict(cli.analyze_pairs(h))
         assert sizes == [min(h.n, h.m)]
         assert pairs["spectrum_correspondence"] == "ok"
         assert pairs["tau2"] == pytest.approx(tau2, abs=1e-8)
+    # an integer spectrum is read off the intersection array: no solver.
+    # The dual of Petersen is its line graph, {4, 2, 1; 1, 1, 4}, with
+    # spectrum 4, 2x5, -1x4, -2x5
+    for h, tau2 in ((named_fixture("petersen"), 1),
+                    (dual(named_fixture("petersen")), 2)):
+        sizes.clear()
+        pairs = dict(cli.analyze_pairs(h))
+        assert sizes == []
+        assert pairs["tau2"] == tau2 and isinstance(pairs["tau2"], int)
 
 
 def assert_matches_numpy(h):
@@ -478,7 +488,11 @@ def test_analysis_fields_match_the_public_functions():
         assert an.tau2 == fresh.tau2
         assert an.is_ramanujan() == fresh.is_ramanujan()
         dense = symmetric_eigenvalues(dense_adjacency(h))
-        if h.m >= h.n:
+        if isinstance(an.tau2, int):
+            # read off the intersection array: exact integers
+            assert an.spectrum.clusters == tuple(
+                (round(x), m) for x, m in dense.clusters)
+        elif h.m >= h.n:
             assert an.spectrum == dense
         else:
             # the dual route differs from A's own reduction in the last bits
@@ -502,12 +516,13 @@ def test_dual_lists_only_for_the_dual_side_spectrum(monkeypatch):
 
     monkeypatch.setattr(spectra, "neighbours", counted)
     monkeypatch.setattr(hypergraph, "dual", None)
-    for h, sides in ((named_fixture("petersen"), [10]),
-                     (dual(named_fixture("petersen")), [10, 15])):
+    # Heawood and its dual have irrational eigenvalues, so the solver runs
+    for h, sides in ((named_fixture("heawood"), [14]),
+                     (dual(named_fixture("heawood")), [14, 21])):
         passes.clear()
         an = Analysis(h)
         assert len(an.spectrum.values) == h.n
-        assert an.distance_regularity().valid
+        assert an.distance_regularity.valid
         assert sorted(passes) == sides
     # nor does the whole report when m >= n
     passes.clear()
@@ -520,3 +535,88 @@ def test_correspondence_heawood_explicit():
     h = named_fixture("fano")
     inc = symmetric_eigenvalues(incidence_graph(h))
     assert_clusters(inc, [(3.0, 1), (SQRT2, 6), (-SQRT2, 6), (-3.0, 1)])
+
+
+def numpy_clusters(h):
+    """numpy's eigenvalues of the dense adjacency, clustered as
+    `Spectrum.from_values` clusters them."""
+    a = np.array(dense_adjacency(h), dtype=float)
+    return Spectrum.from_values(np.linalg.eigvalsh(a)).clusters
+
+
+def distance_regular_inputs(corpus):
+    """Connected regular uniform inputs with r >= 2 whose point graph is
+    distance-regular: from the conftest corpus, the named fixtures and
+    their duals, the cycles C_3 to C_29 and the OA(3, p) and OA(4, p)
+    point hypergraphs for p <= 29."""
+    candidates = list(corpus)
+    for name in fixture_names():
+        candidates += [named_fixture(name), dual(named_fixture(name))]
+    candidates += [cycle(n) for n in range(3, 30)]
+    candidates += [oa_point_hypergraph(p, rows) for rows in (3, 4)
+                   for p in (3, 5, 7, 11, 13, 17, 19, 23, 29)]
+    out = []
+    for h in candidates:
+        an = Analysis(h)
+        if an.ru[0] >= 2 and an.connected and an.distance_regularity.valid:
+            out.append(h)
+    return out
+
+
+def test_array_spectrum_is_numpys_exactly_when_it_is_all_integers(corpus):
+    # the integer path is taken exactly when numpy's eigenvalues are all
+    # integers (to 1e-9), and then gives numpy's values and multiplicities
+    integral = irrational = 0
+    for h in distance_regular_inputs(corpus):
+        an = Analysis(h)
+        got = spectra.array_spectrum(h.n, an.distance_regularity)
+        want = numpy_clusters(h)
+        if all(abs(x - round(x)) <= 1e-9 for x, _ in want):
+            assert got is not None, h
+            assert got.clusters == tuple((round(x), m) for x, m in want)
+            assert all(type(x) is int for x in got.values)
+            assert an.spectrum == got
+            integral += 1
+        else:
+            assert got is None, h
+            irrational += 1
+    assert integral >= 40 and irrational >= 20
+
+
+@pytest.mark.parametrize("h", [cycle(13), named_fixture("heawood"),
+                               dual(named_fixture("heawood"))],
+                         ids=["C13", "heawood", "heawood-dual"])
+def test_array_with_an_irrational_root_falls_back_to_the_solver(diagonalized, h):
+    sizes = diagonalized
+    an = Analysis(h)
+    assert an.distance_regularity.valid
+    assert spectra.array_spectrum(h.n, an.distance_regularity) is None
+    assert len(an.spectrum.values) == h.n
+    assert sizes == [min(h.n, h.m)]
+
+
+@pytest.mark.parametrize("h, clusters", [
+    # every triple of 4 points: the point graph is 2 K_4
+    (Hypergraph(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]), ((6, 1), (-2, 3))),
+    # Petersen with every edge doubled
+    (Hypergraph(10, [e for e in named_fixture("petersen").edges for _ in range(2)]),
+     ((6, 1), (2, 5), (-4, 4))),
+], ids=["2K4", "2-petersen"])
+def test_array_spectrum_of_a_multigraph_point_graph(diagonalized, h, clusters):
+    # the intersection numbers count edge weights: c_1 is the multiplicity
+    an = Analysis(h)
+    assert an.distance_regularity.c[0] == 2
+    assert an.spectrum.clusters == clusters
+    assert diagonalized == []
+    want = numpy_clusters(h)
+    assert tuple((round(x), m) for x, m in want) == clusters
+    assert max(abs(x - round(x)) for x, _ in want) <= 1e-9
+
+
+def test_array_spectrum_refuses_an_array_with_no_graph():
+    # Petersen's array with the wrong order: the integer roots are there,
+    # but Biggs' multiplicities are not integers summing to n
+    petersen = Analysis(named_fixture("petersen")).distance_regularity
+    assert spectra.array_spectrum(10, petersen).clusters == ((3, 1), (1, 5), (-2, 4))
+    for n in (9, 11, 20):
+        assert spectra.array_spectrum(n, petersen) is None
