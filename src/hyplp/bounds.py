@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from ._record import Record
 from .orthopoly import (FPoly, Params, _exquo, _f_iter, _float_bracket,
-                        _gc_monomial, _poly_deriv, _poly_eval, _poly_mul,
-                        _poly_roots, _primitive, _scaled_f, _sign_at,
-                        f_monomial, f_values, g_eval, largest_zero_G,
+                        _poly_deriv, _poly_eval, _poly_mul, _poly_roots,
+                        _primitive, _scaled_f, _sign_at, f_monomial,
+                        f_values, fbasis_to_monomial, g_eval, largest_zero_G,
                         largest_zero_gc, monomial_to_fbasis, positive_witness,
                         zeros_above)
 from .simplex import Tableau, Unbounded, _pivot
@@ -60,7 +60,9 @@ class LPConditionError(ValueError):
     def __init__(self, condition: str, witness):
         self.condition = condition
         self.witness = witness
-        super().__init__(f"violated {condition}: witness {witness}")
+        shown = (f"({', '.join(map(str, witness))})" if isinstance(witness, tuple)
+                 else str(witness))
+        super().__init__(f"violated {condition}: witness {shown}")
 
 
 class Refinement(Record):
@@ -114,27 +116,26 @@ def lp_bound_evaluate(params: Params, f: FPoly,
     f_0 > 0, f_i >= 0, f(k) > 0, and f <= 0 at the given eigenvalue points
     (taus mode) or on the whole interval [-r, theta] (interval mode).
 
-    Every tau and theta is taken as the exact number it is: a Surd stays a
-    Surd, and an int, Fraction or float is the rational it equals.  Taus
-    mode decides the sign of each f(tau) exactly, in integers (`_sign_at`):
-    f(tau) < 0 is strict, f(tau) = 0 meets equality, and f(tau) itself is
-    formed only for a witness.  Interval mode decides f <= 0 on exactly
-    [-r, theta] by a Sturm count in Z[x] (`positive_witness`) on the same
-    primitive integer multiple of f, and forms f(x) only at its witness
-    point x."""
+    Every sign is decided in integers: on f's numerators over its positive
+    denominator, and at a point on the primitive integer multiple of f
+    (`_sign_at`), with each tau and theta the exact number it is, a Surd or
+    the rational an int, Fraction or float equals.  Taus mode: f(tau) < 0
+    is strict, f(tau) = 0 meets equality.  Interval mode decides f <= 0 on
+    exactly [-r, theta] by a Sturm count in Z[x] (`positive_witness`).  A
+    Fraction is formed only for the value and for a witness."""
     if f.params != params:
         raise ValueError("polynomial was built for different (r, u)")
     if (taus is None) == (theta is None):
         raise ValueError("give exactly one of taus or theta")
-    coeffs = f.coeffs
-    if coeffs[0] <= 0:
-        raise LPConditionError("f_0 > 0", coeffs[0])
-    for i, fi in enumerate(coeffs):
-        if i and fi < 0:
-            raise LPConditionError("f_i >= 0 for i >= 1", (i, fi))
+    nums, den = f.nums, f.den
+    if nums[0] <= 0:
+        raise LPConditionError("f_0 > 0", Fraction(nums[0], den))
+    for i, n in enumerate(nums):
+        if i and n < 0:
+            raise LPConditionError("f_i >= 0 for i >= 1", (i, Fraction(n, den)))
     fk = f.at_k()
     if fk <= 0:
-        raise LPConditionError("f(k) > 0", fk)
+        raise LPConditionError("f(k) > 0", Fraction(fk, den))
     notes: list[str] = []
     pdict = {"r": params.r, "u": params.u, "s": f.degree}
     mono = f.to_monomial()
@@ -148,7 +149,7 @@ def lp_bound_evaluate(params: Params, f: FPoly,
         for t, x in zip(taus, points):
             v = _sign_at(whole, x)
             if v > 0:
-                raise LPConditionError("f(tau) <= 0", (x, _poly_eval(mono, x)))
+                raise LPConditionError("f(tau) <= 0", (x, _poly_eval(mono, x) / den))
             if v < 0:
                 strict.append(t)
         pdict["taus"] = tuple(taus)
@@ -163,18 +164,19 @@ def lp_bound_evaluate(params: Params, f: FPoly,
         at_theta = _sign_at(whole, hi)
         x = positive_witness(whole, lo, hi, at_theta)
         if x is not None:
-            raise LPConditionError(INTERVAL_CONDITION, (x, _poly_eval(mono, x)))
+            raise LPConditionError(INTERVAL_CONDITION, (x, _poly_eval(mono, x) / den))
         pdict["theta"] = theta
         notes.append(f"f <= 0 certified on [{float(lo)}, {float(hi)}] "
                      f"by an exact Sturm count")
         if at_theta == 0:
             notes.append("f vanishes at theta")
 
-    positive = tuple(i for i, fi in enumerate(coeffs) if i and fi > 0)
+    positive = tuple(i for i, n in enumerate(nums) if i and n > 0)
     notes.append(f"positive F-coefficients at indices {positive}")
     if positive and max(positive) == f.degree:
         notes.append(f"equality would force girth >= {f.degree + 1}")
-    value = Fraction(fk) / Fraction(coeffs[0])
+    # the denominator cancels in f(k)/f_0
+    value = Fraction(fk, nums[0])
     return BoundResult(value, "LP_CERT", pdict, certificate=f, notes=tuple(notes))
 
 
@@ -364,13 +366,12 @@ def lp_bound_optimize(params: Params, theta: Number, s: int) -> BoundResult:
 
     # round-off leaves duals like -3e-18 where the LP optimum has 0; clamp
     # them so the exact check does not reject a certificate built here
-    exact = [Fraction(0) if abs(c) <= OPT_TOL else Fraction(c) for c in coeffs]
+    exact = [0 if abs(c) <= OPT_TOL else c for c in coeffs]
     # shift the residual violation plus a headroom of 1e-5 into f_0, then
     # verify the exact-rational certificate on the whole interval; a max of
     # f below 0 (the touches give f = 0 up to round-off) shifts nothing
     viol = max(viol, 0.0)
-    f = FPoly(params, tuple([Fraction(1) - Fraction(viol)
-                             - Fraction(1, 10 ** 5)] + exact))
+    f = FPoly(params, (1 - Fraction(viol) - Fraction(1, 10 ** 5), *exact))
     try:
         checked = lp_bound_evaluate(params, f, theta=theta)
     except LPConditionError as exc:
@@ -442,18 +443,18 @@ def closed_form_h_bound(params: Params, theta: Number) -> BoundResult:
         # divides it in Z[x], with quotient h, and f = g_c^2/(x - theta) =
         # (b/Q^2) (Q g_c) h
         (P, Q), (a, b) = c.as_integer_ratio(), theta.as_integer_ratio()
-        qg = _gc_monomial(params, d, P, Q)
+        qg = fbasis_to_monomial(params, [P] * d + [Q])
         try:
             h = _exquo(qg, [-a, b])
         except ArithmeticError:
             raise ArithmeticError(f"{b}x - {a} does not divide {Q} g_c exactly") from None
         out = monomial_to_fbasis(params, _poly_mul(qg, h))
         if all(v >= 0 for v in out):
-            # the scale cancels in f(k)/f_0
-            fk = out[0] + k * _poly_eval(out[1:], q)
-            if fk * value.denominator != value.numerator * out[0]:
-                raise ArithmeticError(f"certificate value {fk}/{out[0]} != bound {value}")
-            certificate = FPoly(params, tuple(Fraction(b * v, Q * Q) for v in out))
+            certificate = FPoly(params, tuple(b * v for v in out), Q * Q)
+            # the denominator cancels in f(k)/f_0
+            fk, f0 = certificate.at_k(), certificate.nums[0]
+            if fk * value.denominator != value.numerator * f0:
+                raise ArithmeticError(f"certificate value {fk}/{f0} != bound {value}")
     pdict = {"r": params.r, "u": params.u, "theta": theta, "d": d, "c": c}
     notes = (f"equality exactly for the unique-shortest-path geometry with "
              f"array T({params.r},{params.u},{d},{c})",)

@@ -36,11 +36,29 @@ class UsageError(Exception):
     ArithmeticError maps to 3)."""
 
 
+# a number in exponent notation, without its sign
+_EXPONENT = re.compile(r"(?<![\d.])[\d.]+[eE][-+]?\d+")
+
+
+def _written_digits(number: str) -> int:
+    """The digits of a number in exponent notation written out, as
+    `Fraction` builds it: 1e5000 has 5001, and so has 1e-5000, over 10^5000."""
+    mantissa, _, exp = number.lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    shift = int(exp) - len(frac)
+    return max(max(len((whole + frac).lstrip("0")), 1) + shift, 1 - shift)
+
+
 def _check_digits(text: str, what: str) -> str:
-    """text, unless it holds a number of more than 4300 digits, Python's
-    default limit for int-str conversion, which takes quadratic time:
-    `main` lifts the limit for output, and input keeps it here."""
-    if re.search(r"\d{4301}", text):
+    """text, unless it holds a number of more than 4300 digits written out,
+    Python's default limit for int-str conversion, which takes quadratic
+    time: `main` lifts the limit for output, and input keeps it here.
+    `int` and `Fraction` read 1_000 as 1000, so underscores do not count."""
+    plain = text.replace("_", "")
+    # the exponent scan takes about 50 ns a character, 50 times the digit
+    # scan; most input has no e at all
+    exponents = _EXPONENT.finditer(plain) if "e" in plain or "E" in plain else ()
+    if re.search(r"\d{4301}", plain) or any(_written_digits(m[0]) > 4300 for m in exponents):
         raise UsageError(f"{what} has a number of more than 4300 digits, the most hyplp reads")
     return text
 
@@ -83,7 +101,7 @@ def _read_input(path: str) -> str:
 
 def load_certificate(path: str, params: Params) -> FPoly:
     """Certificate file: line 1 is "r u s", line 2 holds s+1 rationals
-    (coefficients in the F-basis, lowest index first)."""
+    (coefficients in the F-basis, lowest index first), and nothing else."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -94,20 +112,23 @@ def load_certificate(path: str, params: Params) -> FPoly:
              if ln.strip() and not ln.lstrip().startswith("#")]
     if len(lines) < 2:
         raise UsageError("certificate file needs a header line and a coefficient line")
+    if len(lines) > 2:
+        raise UsageError(f"certificate file has a line after the coefficients: {lines[2]!r}")
     head = lines[0].split()
     if len(head) != 3:
         raise UsageError('certificate header must be "r u s"')
     try:
         r, u, s = (int(tok) for tok in head)
-        coeffs = tuple(Fraction(tok) for tok in lines[1].split())
+        # FPoly reads each token once, as the rational it denotes
+        f = FPoly(params, tuple(lines[1].split()))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad certificate file: {exc}")
     if (r, u) != (params.r, params.u):
         raise UsageError(
             f"certificate is for ({r},{u}), command asked for ({params.r},{params.u})")
-    if len(coeffs) != s + 1:
-        raise UsageError(f"expected {s + 1} coefficients, found {len(coeffs)}")
-    return FPoly(params, coeffs)
+    if len(f.nums) != s + 1:
+        raise UsageError(f"expected {s + 1} coefficients, found {len(f.nums)}")
+    return f
 
 
 # ---------------------------------------------------------------------------

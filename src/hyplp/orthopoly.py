@@ -150,46 +150,58 @@ def monomial_to_fbasis(params: Params, coeffs: Sequence[Exact]) -> list:
     return out
 
 
-def fbasis_to_monomial(params: Params, fcoeffs: Sequence[Exact]) -> list[Fraction]:
-    """Inverse of monomial_to_fbasis.  The sum runs in integers over the
-    common denominator of the f_i, and each monomial coefficient becomes
-    one Fraction at the end."""
-    ratios = [f.as_integer_ratio() for f in fcoeffs]
-    den = math.lcm(*(d for _, d in ratios))
-    out = [0] * max(len(ratios), 1)
-    for i, (num, d) in enumerate(ratios):
-        if num:
-            num *= den // d
+def fbasis_to_monomial(params: Params, fcoeffs: Sequence[Exact]) -> list:
+    """Inverse of monomial_to_fbasis: the monomial coefficients, lowest
+    first, of sum f_i F_i, a sum of integer multiples of the f_i, so
+    integer f_i give integers."""
+    out = [0] * max(len(fcoeffs), 1)
+    for i, fi in enumerate(fcoeffs):
+        if fi:
             for j, cj in enumerate(f_monomial(params, i)):
-                out[j] += num * cj
-    return [Fraction(c, den) for c in out]
+                out[j] += fi * cj
+    return out
 
 
 class FPoly(Record):
-    """Polynomial sum_i coeffs[i] * F_i with exact rational coefficients."""
+    """Polynomial sum_i (nums[i] / den) F_i: integer numerators over one
+    positive denominator, in lowest terms.  Rationals given as nums (what
+    `Fraction` reads) are put over one denominator here, once."""
 
     params: Params
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        if not self.coeffs:
+        nums, den = self.nums, self.den
+        if not nums:
             raise ValueError("FPoly needs at least one coefficient")
+        if not all(isinstance(c, int) for c in nums):
+            ratios = [Fraction(c).as_integer_ratio() for c in nums]
+            lcm = math.lcm(*(d for _, d in ratios))
+            nums, den = [n * (lcm // d) for n, d in ratios], den * lcm
+        if not isinstance(den, int) or den <= 0:
+            raise ValueError(f"FPoly needs a positive integer denominator, got {den!r}")
+        g = math.gcd(*nums, den)
+        object.__setattr__(self, "nums", tuple(c // g for c in nums))
+        object.__setattr__(self, "den", den // g)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients f_i = nums[i] / den, exactly."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def degree(self) -> int:
-        for l in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[l]:
-                return l
-        return 0
+        return max((l for l, n in enumerate(self.nums) if n), default=0)
 
-    def to_monomial(self) -> list[Fraction]:
-        return fbasis_to_monomial(self.params, self.coeffs)
+    def to_monomial(self) -> list[int]:
+        """Monomial coefficients of den * f, lowest first: integers."""
+        return fbasis_to_monomial(self.params, self.nums)
 
-    def at_k(self) -> Fraction:
-        """f(k) = f_0 + sum_{i>=1} f_i k q^(i-1), exactly."""
-        f0, *rest = self.coeffs
-        return f0 + self.params.k * _poly_eval(rest, self.params.q)
+    def at_k(self) -> int:
+        """den * f(k) = n_0 + sum_{i>=1} n_i k q^(i-1), an integer."""
+        n0, *rest = self.nums
+        return n0 + self.params.k * _poly_eval(rest, self.params.q)
 
 
 # Polynomials below are coefficient lists, lowest degree first; the zero
@@ -352,11 +364,11 @@ def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _poly_trim(rem or [0])
 
 
-def _prs(a: Sequence[Exact], b: Sequence[Exact]) -> list[list[int]]:
+def _prs(a: Sequence[int], b: Sequence[int]) -> list[list[int]]:
     """a, b, then the negated pseudo-remainders `_prem` of the last two,
     each made `_primitive`, up to the last nonzero one, which is gcd(a, b)
-    times a nonzero constant; for a nonzero a and deg b <= deg a.  This is
-    the primitive pseudo-remainder sequence (Collins, J. ACM 14, 1967;
+    times a nonzero constant; for integer a != 0 and b, deg b <= deg a.
+    This is the primitive pseudo-remainder sequence (Collins, J. ACM 14, 1967;
     Brown-Traub, J. ACM 18, 1971): each member is the member of the
     remainder sequence over Q times a positive constant, so every sign is
     the same, and no step leaves the integers."""
@@ -370,15 +382,12 @@ def _prs(a: Sequence[Exact], b: Sequence[Exact]) -> list[list[int]]:
     return chain
 
 
-def _primitive(p: Sequence[Exact]) -> list[int]:
-    """The primitive integer multiple of the rational polynomial p: p times
-    a positive rational, with integer coefficients whose gcd is 1, so it has
-    the sign of p at every point.  The zero polynomial gives [0]."""
-    ratios = [c.as_integer_ratio() for c in p]
-    den = math.lcm(*(d for _, d in ratios))
-    ints = [n * (den // d) for n, d in ratios]
-    g = math.gcd(*ints)
-    return [c // g for c in ints] if g > 1 else ints
+def _primitive(p: Sequence[int]) -> list[int]:
+    """The primitive multiple of the integer polynomial p: p divided by the
+    gcd of its coefficients, so it has the sign of p at every point.  The
+    zero polynomial gives [0]."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else list(p)
 
 
 def _sign_at(p: Sequence[Exact], x: Exact | Surd) -> int:
@@ -501,18 +510,6 @@ def positive_witness(p: Sequence[int], a: Exact, b: Exact | Surd,
             hi, roots = x, v_lo - v_x
         else:
             lo, v_lo = x, v_x
-
-
-def _gc_monomial(params: Params, d: int, num: Exact, den: Exact) -> list:
-    """Monomial coefficients of den*g_c at c = num/den, that is of
-    num*(F_0 + ... + F_{d-1}) + den*F_d: integers for integer num and den."""
-    out = [0] * (d + 1)
-    for i in range(d):
-        for j, cj in enumerate(f_monomial(params, i)):
-            out[j] += num * cj
-    for j, cj in enumerate(f_monomial(params, d)):
-        out[j] += den * cj
-    return out
 
 
 def _scaled_f(params: Params, d: int, n: int, m: int) -> tuple[int, int, int, bool]:

@@ -1,7 +1,9 @@
 """Test-side oracles for `hyplp.orthopoly`.  First, for the exact check:
 polynomial division, Euclid's gcd and Yun's square-free step over Q in
 `Fraction` arithmetic.  The library does all three in Z[x]; these are the
-rational algorithms its results are checked against.  Then the quotient
+rational algorithms its results are checked against.  Then the Fraction
+routes that `FPoly`'s integer numerators replaced: f(k), the monomial form
+and its primitive integer multiple.  Then the quotient
 array T(r, u, d, c) as a matrix, whose leading principal minors
 `zeros_above` counts on, a reference search for the floor of its second
 eigenvalue, and last the linearization coefficients of the F-family, which
@@ -12,8 +14,8 @@ from fractions import Fraction
 
 from hyplp import orthopoly
 from hyplp._record import Record
-from hyplp.orthopoly import (Params, _float_bracket, _poly_deriv, _poly_mul,
-                             _poly_sub, _poly_trim, f_monomial,
+from hyplp.orthopoly import (Params, _float_bracket, _poly_deriv, _poly_eval,
+                             _poly_mul, _poly_sub, _poly_trim, f_monomial,
                              monomial_to_fbasis)
 
 
@@ -55,6 +57,35 @@ def rational_odd_multiplicity_part(p) -> list[Fraction]:
         d = _poly_sub(poly_divmod(d, a)[0], _poly_deriv(b))
         odd = not odd
     return out
+
+
+def at_k_reference(params: Params, coeffs) -> Fraction:
+    """f(k) = f_0 + sum_{i>=1} f_i k q^(i-1) for f = sum f_i F_i, by Horner
+    at q in Fraction arithmetic."""
+    f0, *rest = (Fraction(c) for c in coeffs)
+    return f0 + params.k * _poly_eval(rest, params.q)
+
+
+def fbasis_to_monomial_reference(params: Params, fcoeffs) -> list[Fraction]:
+    """Monomial coefficients of sum f_i F_i, lowest first: one Fraction
+    product and sum per monomial term."""
+    out = [Fraction(0)] * max(len(fcoeffs), 1)
+    for i, fi in enumerate(fcoeffs):
+        if fi:
+            for j, cj in enumerate(f_monomial(params, i)):
+                out[j] += Fraction(fi) * cj
+    return out
+
+
+def primitive_reference(p) -> list[int]:
+    """The primitive integer multiple of the rational polynomial p: p times
+    a positive rational, with integer coefficients whose gcd is 1, over the
+    lcm of the denominators.  The zero polynomial gives [0]."""
+    ratios = [Fraction(c).as_integer_ratio() for c in p]
+    den = math.lcm(*(d for _, d in ratios))
+    ints = [n * (den // d) for n, d in ratios]
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
 
 
 class TridiagonalArray(Record):

@@ -22,9 +22,11 @@ from hyplp.bounds import (BoundResult, DssCheck, LPConditionError, Number,
                           ru1_bound, select_diameter, strictly_below_int,
                           tau2_lower)
 from hyplp.cli import _csv_rows, main, parse_theta
-from hyplp.orthopoly import (FPoly, Params, _gc_monomial, _poly_mul, g_eval,
-                             largest_zero_G, monomial_to_fbasis)
-from poly_oracles import poly_divmod
+from hyplp.orthopoly import (FPoly, Params, _poly_eval, _poly_mul, _primitive,
+                             _sign_at, fbasis_to_monomial, g_eval,
+                             largest_zero_G, monomial_to_fbasis, positive_witness)
+from poly_oracles import (at_k_reference, fbasis_to_monomial_reference,
+                          poly_divmod, primitive_reference)
 
 P32 = Params(3, 2)
 P33 = Params(3, 3)
@@ -232,7 +234,7 @@ def fraction_certificate(params, theta):
     coefficients rewritten in the F-basis; None when an F-coefficient is
     negative."""
     d, gd1, fd = select_diameter(params, theta)
-    gc = [Fraction(v) for v in _gc_monomial(params, d, -fd / gd1, 1)]
+    gc = [Fraction(v) for v in fbasis_to_monomial(params, [-fd / gd1] * d + [1])]
     f = poly_divmod(_poly_mul(gc, gc), [-theta, Fraction(1)])[0]
     fb = monomial_to_fbasis(params, f)
     return tuple(fb) if all(v >= 0 for v in fb) else None
@@ -276,7 +278,7 @@ def test_closed_form_certificate_at_d_118():
     assert c == -(g_eval(P32, d, b.params["theta"]) - g) / g
     assert b.value == moore_order(P32, d - 1) + Fraction(3 * 2 ** (d - 1)) / c
     assert float(b.value) == pytest.approx(7.313225264212306e35, rel=1e-15)
-    assert f.at_k() / f.coeffs[0] == b.value
+    assert Fraction(f.at_k(), f.nums[0]) == b.value
     assert all(v >= 0 for v in f.coeffs)
 
 
@@ -381,6 +383,97 @@ def test_lp_evaluate_decides_taus_distinct_exactly():
                  [surd.sqrt(2), surd.sqrt(8) / 2]):
         with pytest.raises(ValueError, match="distinct"):
             lp_bound_evaluate(P32, PETERSEN_CERT, taus=same)
+
+
+def fraction_verdict(params, coeffs, theta):
+    """The interval-mode verdict of `lp_bound_evaluate` by the Fraction
+    route that its integer check replaced: ("value", f(k)/f_0), or the
+    failed condition with its witness."""
+    coeffs = [Fraction(c) for c in coeffs]
+    if coeffs[0] <= 0:
+        return "f_0 > 0", coeffs[0]
+    for i, fi in enumerate(coeffs):
+        if i and fi < 0:
+            return "f_i >= 0 for i >= 1", (i, fi)
+    fk = at_k_reference(params, coeffs)
+    if fk <= 0:
+        return "f(k) > 0", fk
+    mono = fbasis_to_monomial_reference(params, coeffs)
+    whole = primitive_reference(mono)
+    hi = theta if isinstance(theta, surd.Surd) else Fraction(theta)
+    x = positive_witness(whole, Fraction(-params.r), hi, _sign_at(whole, hi))
+    if x is not None:
+        return bounds.INTERVAL_CONDITION, (x, _poly_eval(mono, x))
+    return "value", fk / coeffs[0]
+
+
+def certificate_sweep():
+    """(params, F-basis coefficients, theta): closed-form certificates at
+    seeded rational theta and LP_OPT ones at rational and sqrtN theta, each
+    as built, loosened (f_0 * 7/8), raised (f_0 + 1/1000 and f_0 +
+    1/10^10), with one f_i moved by a random rational, and with f_0
+    negated; each checked at its own theta and at the sqrtN on either side
+    of a positive rational one."""
+    rng = random.Random(3201)
+    bases = []
+    while len(bases) < 30:
+        params = Params(rng.randint(2, 6), rng.randint(2, 4))
+        theta = Fraction(rng.randint(-6, 6 * math.floor(params.top - 0.3)), 6)
+        try:
+            cert = closed_form_h_bound(params, theta).certificate
+        except ValueError:
+            continue
+        if cert is not None:
+            bases.append((params, cert.coeffs, theta))
+    for (r, u), theta, s in (((3, 2), 1, 4), ((5, 3), 2, 6), ((3, 2), surd.sqrt(2), 4),
+                             ((4, 2), Fraction(3, 2), 5), ((5, 2), surd.sqrt(3), 4),
+                             ((3, 3), Fraction(5, 2), 4)):
+        params = Params(r, u)
+        bases.append((params, lp_bound_optimize(params, theta, s).certificate.coeffs, theta))
+    for params, coeffs, theta in bases:
+        f0, *rest = coeffs
+        i = rng.randrange(len(rest))
+        moved = list(rest)
+        moved[i] += Fraction(rng.randint(-9, 9), rng.randint(1, 10 ** rng.randint(1, 6)))
+        thetas = [theta]
+        if not isinstance(theta, surd.Surd) and theta > 0:
+            square = theta * theta
+            thetas += [surd.sqrt(n) for n in {math.floor(square), math.ceil(square)}
+                       if n > 0 and n < params.top ** 2 and isinstance(surd.sqrt(n), surd.Surd)]
+        for variant in ([f0, *rest], [f0 * Fraction(7, 8), *rest],
+                        [f0 + Fraction(1, 1000), *rest], [f0 + Fraction(1, 10 ** 10), *rest],
+                        [f0, *moved], [-f0, *rest]):
+            for t in thetas:
+                yield params, variant, t
+
+
+def test_integer_fpoly_matches_the_fraction_reference():
+    # the numerators over one denominator give the value, the primitive
+    # polynomial and the verdict or witness of the Fraction route, exactly
+    kinds = set()
+    for params, coeffs, theta in certificate_sweep():
+        f = FPoly(params, coeffs)
+        assert all(type(v) is int for v in (*f.nums, f.den)) and f.den > 0
+        assert math.gcd(*f.nums, f.den) == 1
+        assert f.coeffs == tuple(coeffs) and all(type(c) is Fraction for c in f.coeffs)
+        assert Fraction(f.at_k(), f.den) == at_k_reference(params, coeffs)
+        assert _primitive(f.to_monomial()) == primitive_reference(
+            fbasis_to_monomial_reference(params, coeffs))
+        try:
+            got = "value", lp_bound_evaluate(params, f, theta=theta).value
+        except LPConditionError as exc:
+            got = exc.condition, exc.witness
+        assert got == fraction_verdict(params, coeffs, theta), (params, coeffs, theta)
+        # the verdict, whether theta is a sqrtN, and whether a witness
+        # point is the Surd theta itself
+        point = got[1][0] if got[0] == bounds.INTERVAL_CONDITION else None
+        kinds.add((got[0], isinstance(theta, surd.Surd), isinstance(point, surd.Surd)))
+    assert kinds == {("value", False, False), ("value", True, False),
+                     (bounds.INTERVAL_CONDITION, False, False),
+                     (bounds.INTERVAL_CONDITION, True, False),
+                     (bounds.INTERVAL_CONDITION, True, True),
+                     ("f_0 > 0", False, False), ("f_0 > 0", True, False),
+                     ("f_i >= 0 for i >= 1", False, False)}, kinds
 
 
 def test_lp_evaluate_interval_mode_exact_value():
@@ -728,7 +821,7 @@ def test_lp_optimize_matches_linprog_on_a_fine_grid():
             assert "too low" in str(exc)
             continue
         f = b.certificate
-        got = float(f.at_k() - f.coeffs[0] + 1)
+        got = float(Fraction(f.at_k() - f.nums[0], f.den) + 1)
         want = grid_lp_optimum(r, u, float(theta), s)
         assert got == pytest.approx(want, rel=1e-6), (r, u, row["theta"], s)
         compared += 1

@@ -20,12 +20,13 @@ from hyplp.orthopoly import (FPoly, Params, f_monomial,
                              largest_zero_G, largest_zero_gc,
                              monomial_to_fbasis, positive_witness, zeros_above)
 from hyplp.cli import load_certificate, parse_theta
-from hyplp.orthopoly import (_exquo, _gc_monomial, _newton,
+from hyplp.orthopoly import (_exquo, _newton,
                              _odd_multiplicity_part, _poly_deriv, _poly_eval,
                              _poly_mul, _poly_roots, _poly_sub, _prem, _primitive,
                              _sign_at, _prs, _sign_changes)
-from poly_oracles import (TridiagonalArray, binade_largest_zero_gc,
-                          linearization, poly_divmod,
+from poly_oracles import (TridiagonalArray, at_k_reference,
+                          binade_largest_zero_gc, fbasis_to_monomial_reference,
+                          linearization, poly_divmod, primitive_reference,
                           rational_odd_multiplicity_part)
 
 GRID = [(3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 5), (4, 4), (6, 2)]
@@ -65,7 +66,7 @@ def char_poly_check(ta):
         cross = [sub[i - 1] * sup[i - 1] * v for v in prev2]
         prev2, prev1 = prev1, _poly_sub(term, cross)
     expected = _poly_mul([Fraction(-ta.params.k), Fraction(1)],
-                         _gc_monomial(ta.params, ta.d, ta.c, 1))
+                         fbasis_to_monomial(ta.params, [ta.c] * ta.d + [1]))
     return prev1 == expected
 
 
@@ -206,9 +207,11 @@ def test_at_k_closed_form_matches_the_recurrence():
         for s in range(7):
             coeffs = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
                       for _ in range(s + 1)]
-            at_k = FPoly(p, coeffs).at_k()
-            assert isinstance(at_k, Fraction)
-            assert at_k == sum(c * v for c, v in zip(coeffs, f_values(p, s, p.k)))
+            f = FPoly(p, coeffs)
+            at_k = f.at_k()
+            assert type(at_k) is int
+            assert Fraction(at_k, f.den) == at_k_reference(p, coeffs) == sum(
+                c * v for c, v in zip(coeffs, f_values(p, s, p.k)))
 
 
 def test_integer_polynomials_stay_integers():
@@ -217,21 +220,39 @@ def test_integer_polynomials_stay_integers():
     fb = monomial_to_fbasis(p, prod)
     assert all(type(v) is int for v in prod + fb)
     assert fb == [Fraction(v) for v in monomial_to_fbasis(p, [Fraction(v) for v in prod])]
-    assert all(type(v) is int for v in _gc_monomial(p, 3, 7, 5))
-    assert _gc_monomial(p, 3, 7, 5) == [5 * v for v in
-                                        _gc_monomial(p, 3, Fraction(7, 5), 1)]
+    # 5 g_c at c = 7/5
+    gc = fbasis_to_monomial(p, [7, 7, 7, 5])
+    assert all(type(v) is int for v in gc)
+    assert gc == [5 * v for v in fbasis_to_monomial(p, [Fraction(7, 5)] * 3 + [1])]
 
 
 def test_fpoly_eval_and_at_k():
     p = Params(6, 2)
     f = FPoly(p, (Fraction(153, 2), Fraction(64), Fraction(121, 4),
                   Fraction(9), Fraction(1)))
-    assert f.at_k() == 3468
+    assert (f.nums, f.den) == ((306, 256, 121, 36, 4), 4)
+    assert all(type(v) is int for v in (*f.nums, f.den))
+    assert f.at_k() == 4 * 3468
     for x in (2, Fraction(-5, 2)):
         assert sum(c * v for c, v in zip(f.coeffs, f_values(p, 4, x))) == 0
-    mono = f.to_monomial()
-    assert mono == [Fraction(-75), Fraction(-35), Fraction(57, 4),
-                    Fraction(9), Fraction(1)]
+    # 4 (x^4 + 9x^3 + 57/4 x^2 - 35x - 75)
+    assert f.to_monomial() == [-300, -140, 57, 36, 4]
+
+
+def test_fpoly_equality_and_hash_by_value():
+    # one polynomial from ints over a denominator, from reduced and from
+    # unreduced Fractions, from floats and from strings: one record
+    p = Params(3, 2)
+    half = FPoly(p, (1, 1), 2)
+    for same in (FPoly(p, (Fraction(1, 2), Fraction(1, 2))),
+                 FPoly(p, (Fraction(2, 4), Fraction(3, 6))),
+                 FPoly(p, (4, 4), 8), FPoly(p, (0.5, "1/2"))):
+        assert same == half and hash(same) == hash(half)
+        assert (same.nums, same.den) == ((1, 1), 2)
+        assert all(type(v) is int for v in (*same.nums, same.den))
+    assert half.coeffs == (Fraction(1, 2), Fraction(1, 2))
+    assert half != FPoly(p, (1, 1)) and half != FPoly(p, (1, 1, 0), 2)
+    assert FPoly(p, (0, 0), 7) == FPoly(p, (0, 0))
 
 
 def test_linearization_identity_case():
@@ -425,7 +446,8 @@ def test_largest_zeros_keep_their_floats():
             r, u, d, c, want = line.split()
             p, d, c = Params(int(r), int(u)), int(d), Fraction(c)
             got = largest_zero_G(p, d) if c == 1 else largest_zero_gc(p, d, c)
-            chain = sturm_chain(_gc_monomial(p, d, c, 1))
+            # c.denominator g_c, in Z[x]
+            chain = sturm_chain(fbasis_to_monomial(p, [c.numerator] * d + [c.denominator]))
             x, above = Fraction(got), Fraction(math.nextafter(got, math.inf))
             # V(a) - V(b) roots in (a, b]: one in [x, above), none from above on
             at_x = _poly_eval(chain[0], x) == 0
@@ -619,7 +641,7 @@ def witness(p, a, b, pb=None):
     p, with its witness point x returned as (x, p(x)), the pair that
     `lp_bound_evaluate` reports; None when p <= 0 on [a, b].  The sign of
     p(b) is `_sign_at`'s, or that of `pb`, a value of p(b) the caller has."""
-    q = _primitive(p)
+    q = primitive_reference(p)
     x = positive_witness(q, a, b, _sign_at(q, b) if pb is None else surd._sign(pb))
     return None if x is None else (x, _poly_eval(p, x))
 
@@ -797,7 +819,7 @@ def test_sign_at_matches_the_sign_of_the_exact_value():
         p = random_test_polynomial(rng, a, b)
         if trial % 3 == 0:
             p = _poly_mul(p, [Fraction(0), Fraction(1)])
-        whole = _primitive(p)
+        whole = primitive_reference(p)
         assert is_primitive_integer(whole)
         points = [a, b, (a + b) / 2, a + (b - a) / 3, Fraction(0), -abs(a) - 1,
                   Fraction(rng.randint(-99, 99), rng.randint(1, 99))]
@@ -813,14 +835,15 @@ def test_sign_at_matches_the_sign_of_the_exact_value():
         at_root = _poly_mul(p, [root.a * root.a - root.b * root.b * root.n,
                                 -2 * root.a, Fraction(1)])
         assert _poly_eval(at_root, root) == 0
-        assert _sign_at(_primitive(at_root), root) == 0
+        assert _sign_at(primitive_reference(at_root), root) == 0
     assert zeros > 300
     # x^2 - 5 vanishes at sqrt5, and at -sqrt5 with a Surd of a = 0, b < 0
     for x in (surd.sqrt(5), -surd.sqrt(5)):
         assert _sign_at(_primitive([-5, 0, 1]), x) == 0
     assert _sign_at([-4, 0, 1], surd.sqrt(5)) == 1
     assert _sign_at([-6, 0, 1], surd.sqrt(5)) == -1
-    assert _primitive([Fraction(0)]) == [0] and _sign_at([0], Fraction(1, 3)) == 0
+    assert _primitive([0]) == primitive_reference([Fraction(0)]) == [0]
+    assert _sign_at([0], Fraction(1, 3)) == 0
 
 
 def reference_sign_changes(chain, x) -> int:
@@ -880,7 +903,8 @@ def test_integer_sturm_chain_counts_as_the_rational_chain(tmp_path):
             if len(chain[-1]) > 1:
                 odd = _odd_multiplicity_part(chain[0], chain[-1])
                 want = rational_odd_multiplicity_part(mono)
-                assert odd in (_primitive(want), _primitive([-c for c in want])), \
+                assert odd in (primitive_reference(want),
+                               primitive_reference([-c for c in want])), \
                     (params, f.coeffs)
                 chain, reference = sturm_chain(odd), rational_sturm_chain(want)
                 repeated += 1
@@ -976,18 +1000,9 @@ def test_integer_yun_step_keeps_the_odd_multiplicities():
     assert kinds == {(True, True), (False, True), (True, False)}
 
 
-def fbasis_to_monomial_reference(params, fcoeffs):
-    """The per-term sum `fbasis_to_monomial` replaced: one Fraction product
-    and sum per monomial term."""
-    out = [Fraction(0)] * max(len(fcoeffs), 1)
-    for i, fi in enumerate(fcoeffs):
-        if fi:
-            for j, cj in enumerate(f_monomial(params, i)):
-                out[j] += Fraction(fi) * cj
-    return out
-
-
 def test_fbasis_to_monomial_matches_the_per_term_sum():
+    # on FPoly's numerators, an integer sum that is den times the Fraction
+    # sum over its coefficients
     rng = random.Random(22)
     for r, u in GRID:
         p = Params(r, u)
@@ -996,12 +1011,15 @@ def test_fbasis_to_monomial_matches_the_per_term_sum():
             fc = [rng.choice((0, rng.randrange(-50, 51),
                               Fraction(rng.randrange(-99, 100), rng.randrange(1, 10 ** 6))))
                   for _ in range(rng.randrange(1, 11))]
-            got = fbasis_to_monomial(p, fc)
-            assert got == fbasis_to_monomial_reference(p, fc), (r, u, fc)
-            assert all(type(c) is Fraction for c in got)
+            want = fbasis_to_monomial_reference(p, fc)
+            assert fbasis_to_monomial(p, fc) == want, (r, u, fc)
+            f = FPoly(p, fc)
+            got = f.to_monomial()
+            assert all(type(c) is int for c in got)
+            assert got == [f.den * c for c in want], (r, u, fc)
             while len(fc) > 1 and fc[-1] == 0:
                 fc.pop()
-            assert monomial_to_fbasis(p, got) == fc, (r, u, fc)
+            assert monomial_to_fbasis(p, want) == fc, (r, u, fc)
 
 
 def float_poly_from_roots(roots, lead):

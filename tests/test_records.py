@@ -24,9 +24,9 @@ P = Params(3, 2)
 #  fields left to their defaults, repr)
 RECORDS = [
     (Params, {"r": 3, "u": 2}, {}, {}, "Params(r=3, u=2)"),
-    (FPoly, {"params": P, "coeffs": [1, 2]},
-     {"coeffs": (Fraction(1), Fraction(2))}, {},
-     "FPoly(params=Params(r=3, u=2), coeffs=(Fraction(1, 1), Fraction(2, 1)))"),
+    (FPoly, {"params": P, "nums": [2, 4], "den": 6},
+     {"nums": (1, 2), "den": 3}, {},
+     "FPoly(params=Params(r=3, u=2), nums=(1, 2), den=3)"),
     (TridiagonalArray, {"params": P, "d": 2, "c": 1}, {"c": Fraction(1)}, {},
      "TridiagonalArray(params=Params(r=3, u=2), d=2, c=Fraction(1, 1))"),
     (OrthogonalArray,
@@ -43,7 +43,7 @@ RECORDS = [
      {"value": 10, "theorem": "LP_CERT", "params": {"r": 3}, "certificate": FPoly(P, (1,))},
      {}, {"refinements": (), "notes": ()},
      "BoundResult(value=10, theorem='LP_CERT', params={'r': 3}, certificate=FPoly("
-     "params=Params(r=3, u=2), coeffs=(Fraction(1, 1),)), refinements=(), notes=())"),
+     "params=Params(r=3, u=2), nums=(1,), den=1), refinements=(), notes=())"),
     (DssCheck, {"passed": True, "slack": 0, "order_bound": 10, "params": {}}, {}, {},
      "DssCheck(passed=True, slack=0, order_bound=10, params={})"),
     (SimplexResult, {"x": (1.0,), "value": 1.0, "duals": (0.0,)}, {}, {"pivots": 0},
@@ -108,6 +108,8 @@ def test_records_bind_arguments_like_a_function(make):
     (lambda: P.replace(r=1), ValueError),
     (lambda: TridiagonalArray(P, 2, 1).replace(c=-1), ValueError),
     (lambda: BoundResult(1, "X", {}).replace(value=math.inf), ValueError),
+    (lambda: FPoly(P, (1,), 0), ValueError),
+    (lambda: FPoly(P, (1,), -2), ValueError),
 ])
 def test_records_validate(make, error):
     with pytest.raises(error):
@@ -116,8 +118,9 @@ def test_records_validate(make, error):
 
 def test_replace_returns_a_new_normalized_record():
     assert P.replace(u=3) == Params(3, 3) and P == Params(3, 2)
-    coeffs = FPoly(P, (1,)).replace(coeffs=[Fraction(1, 2), 3]).coeffs
-    assert coeffs == (Fraction(1, 2), 3) and all(type(c) is Fraction for c in coeffs)
+    f = FPoly(P, (1,)).replace(nums=[Fraction(1, 2), 3])
+    assert (f.nums, f.den) == ((1, 6), 2)
+    assert f.coeffs == (Fraction(1, 2), 3) and all(type(c) is Fraction for c in f.coeffs)
     assert Hypergraph(3, [(0, 1)]).replace(edges=[(2, 1)]).edges == ((1, 2),)
     b = BoundResult(10, "X", {"r": 3})
     cut = b.replace(value=9, refinements=(Refinement("cut", 10, 9, "census"),))
