@@ -331,36 +331,51 @@ def _field_tops(packed: int, width: int, ones: int) -> int:
 
 def _walk_diagonals(nbrs: list[list[int]], params: Params, top: int
                     ) -> Iterator[Iterator[bool]]:
-    """For g = 2, ..., top, whether entry (x, x) of F_g(A) is nonzero, for
+    """For g = 4, ..., top, whether entry (x, x) of F_g(A) is nonzero, for
     x = 0, 1, ..., n - 1: one lazy iterator per g, exact while the
-    diagonals of F_1(A) to F_(g-1)(A) vanish; that of F_1 = A always does,
-    since no edge repeats a vertex.  None needs F_g(A) itself: (x, x) of
-    F_2 is sum_z A[x][z] (A[x][z] - 1), nonzero at a repeated neighbour;
-    for g >= 3 it is sum_z A[x][z]
-    F_(g-1)[x][z] (F_(g-1) is symmetric, and the diagonals of F_(g-1) and
-    F_(g-2) vanish), nonzero exactly when rows x of A and of F_(g-1) have
-    a nonzero field in common: one AND of their `_field_tops` per x.
-    `nbrs` and `params` as for `_walk_rows`."""
+    diagonals of F_1(A) to F_(g-1)(A) vanish.  None needs F_g(A) itself:
+    (x, x) of F_g is sum_z A[x][z] F_(g-1)[x][z] (F_(g-1) is symmetric,
+    and the diagonals of F_(g-1) and F_(g-2) vanish), nonzero exactly when
+    rows x of A and of F_(g-1) have a nonzero field in common: one AND of
+    their `_field_tops` per x.  `nbrs` and `params` as for `_walk_rows`."""
+    if top < 4:
+        return
     width, walks = _walk_rows(nbrs, params, top)
     next(walks)
     adj = next(walks)
-    if top >= 2:
-        yield (len(set(nb)) < len(nb) for nb in nbrs)
+    next(walks)
     ones = ((1 << (width * len(nbrs))) - 1) // ((1 << width) - 1)
-    for _ in range(3, top + 1):
-        yield (_field_tops(row, width, ones) & _field_tops(a, width, ones) != 0
-               for row, a in zip(next(walks), adj))
+    adj_tops = [_field_tops(a, width, ones) for a in adj]
+    for _ in range(4, top + 1):
+        yield (_field_tops(row, width, ones) & a != 0
+               for row, a in zip(next(walks), adj_tops))
 
 
 def girth_via_trace(nbrs: list[list[int]], params: Params, top: int) -> int | None:
     """Smallest g <= top with tr F_g(A) != 0 and tr F_i(A) = 0 for i < g,
     for `nbrs` and `params` as for `_walk_rows`; None when every trace
-    through top vanishes (girth > top).  The entries are >= 0, so the
-    trace vanishes when every diagonal entry does, and `_walk_diagonals`
-    decides that with F_(g-1)(A) as the last product.  A closed
-    non-backtracking walk of length g contains a cycle of length at most
-    g, and a shortest cycle is such a walk, so a g found is the girth."""
-    for g, diagonal in enumerate(_walk_diagonals(nbrs, params, top), 2):
+    through top vanishes (girth > top).  tr F_1 = tr A is 0.  g = 2 and 3
+    need no walk product: tr F_2 != 0 exactly when two edges share two
+    vertices, that is when some list repeats a vertex.  Otherwise A is
+    0/1, and tr F_3(A) = tr A^3 - (u-2) n k, since tr A = 0 and
+    tr A^2 = n k; the u-2 common neighbours of two members of one edge
+    give the n k (u-2) closed walks of length 3 inside the edges.  tr A^3
+    sums |N(x) & N(y)| over the ordered adjacent pairs, one AND of two
+    bitset rows (the packed rows of A at width 1) and one `int.bit_count`
+    each.  For g >= 4 the entries of F_g(A) are >= 0, so the trace
+    vanishes when every diagonal entry does, and `_walk_diagonals` decides
+    that with F_(g-1)(A) as the last product.  A closed non-backtracking
+    walk of length g contains a cycle of length at most g, and a shortest
+    cycle is such a walk, so a g found is the girth."""
+    if top >= 2 and any(len(set(nb)) < len(nb) for nb in nbrs):
+        return 2
+    if top >= 3:
+        rows = _times(nbrs, [1 << y for y in range(len(nbrs))])
+        closed = sum((row & rows[y]).bit_count()
+                     for row, nb in zip(rows, nbrs) for y in nb)
+        if closed != len(nbrs) * params.k * (params.u - 2):
+            return 3
+    for g, diagonal in enumerate(_walk_diagonals(nbrs, params, top), 4):
         if any(diagonal):
             return g
     return None

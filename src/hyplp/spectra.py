@@ -2,14 +2,14 @@
 hypergraph.
 
 The solver is self-contained: Householder reduction to tridiagonal form,
-followed by implicit-shift QL iteration, so results are reproducible without
-external linear-algebra dependencies.  The reduction takes two reflectors
-per sweep: the second is computed from the block the first has not updated
-yet, corrected by the first's rank-2 term, which in exact arithmetic is the
-block that update would leave; then one pass over one triangle of the
-exactly symmetric trailing block applies both updates.  Its mat-vecs sum
-in plain floating point; the norms and the dot products of length n are
-exactly rounded sums.
+followed by Reinsch's root-free QL iteration, so results are reproducible
+without external linear-algebra dependencies.  The reduction takes two
+reflectors per sweep: the second is computed from the block the first has
+not updated yet, corrected by the first's rank-2 term, which in exact
+arithmetic is the block that update would leave; then one pass over one
+triangle of the exactly symmetric trailing block applies both updates.
+Its mat-vecs sum in plain floating point; the norms and the dot products
+of length n are exactly rounded sums.
 
 A distance-regular point graph whose eigenvalues are all integers needs
 no solver: `array_spectrum` reads them, with their multiplicities, off the

@@ -12,7 +12,7 @@ from hyplp.constructions import fixture_names, named_fixture
 from hyplp.hypergraph import (Hypergraph, HypergraphFormatError,
                               NotRegularUniformError, adjacency,
                               check_regular_uniform, degrees, dual, girth,
-                              incident, neighbours, spheres)
+                              girth_via_trace, incident, neighbours, spheres)
 from hyplp.orthopoly import Params
 from hyplp.spectra import Analysis
 from conftest import random_regular_uniform
@@ -390,22 +390,71 @@ def test_girth_via_trace_fixtures():
 
 def test_walk_diagonals_match_the_full_products(corpus):
     # each g's verdicts, read off F_(g-1) without forming F_g, against the
-    # diagonal of the full product F_g, for g from 2 up to the girth (the
-    # verdicts hold while the earlier diagonals vanish, and tr F_1 = tr A
-    # is 0); the corpus has girths 2 (repeated pairs) to above 6
+    # diagonal of the full product F_g, for g from 4 up to the girth (the
+    # verdicts hold while the earlier diagonals vanish); the corpus has
+    # girths 2 (repeated pairs) to above 6, and the inputs of girth 2 or 3
+    # form no walk rows (test_girth_2_and_3_match_the_walk_diagonals)
     girths = set()
     for h in corpus + [DOUBLED, TRIPLE, PRISM]:
         g = girth(h)
         girths.add(g)
         top = min(g, 6)
-        assert not any(row[x] for x, row in enumerate(nbw_count_matrix(h, 1)))
+        if top < 4:
+            continue
+        for i in range(1, 4):
+            assert not any(row[x] for x, row in enumerate(nbw_count_matrix(h, i)))
         an = Analysis(h)
         diagonals = hypergraph._walk_diagonals(an.nbrs, Params(*an.ru), top)
-        for i, diagonal in enumerate(diagonals, 2):
+        for i, diagonal in enumerate(diagonals, 4):
             want = [row[x] != 0 for x, row in enumerate(nbw_count_matrix(h, i))]
             assert list(diagonal) == want, (h, i)
         assert i == top
     assert {2, 3, 4} <= girths
+
+
+def test_girth_2_and_3_match_the_walk_diagonals(corpus, monkeypatch):
+    # girth 2 and 3, read off the neighbour lists, against the first
+    # nonzero diagonal of F_2 and F_3, the full products, at every cutoff;
+    # no call here may build walk rows
+    cases = [(h, next((g for g in (2, 3) if any(
+        row[x] for x, row in enumerate(nbw_count_matrix(h, g)))), None))
+        for h in corpus + [DOUBLED, TRIPLE, PRISM, SHARED_PAIR]]
+
+    def no_walk_rows(*args):
+        raise AssertionError("walk rows built for a girth of at most 3")
+
+    monkeypatch.setattr(hypergraph, "_walk_rows", no_walk_rows)
+    seen = set()
+    for h, want in cases:
+        an = Analysis(h)
+        seen.add(want)
+        for top in (0, 1, 2, 3):
+            got = girth_via_trace(an.nbrs, Params(*an.ru), top)
+            assert got == (want if want is not None and want <= top else None), (h, top)
+        if want is not None:
+            assert girth_via_trace(an.nbrs, Params(*an.ru), 12) == want == girth(h)
+    assert seen == {2, 3, None}
+
+
+# the 3 x 3 grid with its rows and columns as 3-edges: linear, and its
+# point graph's only triangles lie inside the edges
+GRID = Hypergraph(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8),
+                      (0, 3, 6), (1, 4, 7), (2, 5, 8)])
+
+
+@pytest.mark.parametrize("h, g", [
+    (Hypergraph(4, [(0, 1), (0, 1), (2, 3), (2, 3)]), 2),  # a repeated edge
+    (SHARED_PAIR, 2),  # two 3-edges that share two vertices
+    (named_fixture("fano"), 3),
+    (GRID, 4),
+    (Hypergraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), 4),  # C_4
+], ids=["repeated-edge", "shared-pair", "fano", "grid-3x3", "c4"])
+def test_girth_via_trace_on_short_cycles(h, g):
+    an = Analysis(h)
+    params = Params(*an.ru)
+    assert girth(h) == g
+    assert girth_via_trace(an.nbrs, params, 12) == g
+    assert girth_via_trace(an.nbrs, params, g - 1) is None
 
 
 def test_field_tops_mark_exactly_the_nonzero_fields():

@@ -261,6 +261,86 @@ def test_symmetrized_offdiagonal():
         assert abs(g - w) < 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-170, 2.0 ** 1000, 2.0 ** -1000])
+def test_ql_squares_neither_overflow_nor_underflow(scale):
+    # the path P_3 times `scale` has eigenvalues sqrt(2) scale, 0 and
+    # -sqrt(2) scale; the squared subdiagonal of the unscaled matrix is
+    # inf or 0 at these scales
+    got = ql_eigenvalues([0.0] * 3, [scale] * 2)
+    assert got[0] == pytest.approx(SQRT2 * scale, rel=1e-14, abs=0.0)
+    assert abs(got[1]) <= 1e-14 * scale
+    assert got[2] == pytest.approx(-SQRT2 * scale, rel=1e-14, abs=0.0)
+
+
+def test_ql_scaling_by_a_power_of_two_changes_no_bit():
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randrange(1, 30)
+        diag = [rng.uniform(-3.0, 3.0) for _ in range(n)]
+        off = [rng.uniform(-3.0, 3.0) for _ in range(n - 1)]
+        got = ql_eigenvalues(diag, off)
+        for power in (-600, -3, 7, 600):
+            scaled = ql_eigenvalues([math.ldexp(v, power) for v in diag],
+                                    [math.ldexp(v, power) for v in off])
+            assert scaled == [math.ldexp(v, power) for v in got]
+
+
+def test_ql_small_and_degenerate_matrices():
+    assert ql_eigenvalues([], []) == []
+    assert ql_eigenvalues([-2.5], []) == [-2.5]
+    assert ql_eigenvalues([0.0] * 4, [0.0] * 3) == [0.0] * 4
+    assert ql_eigenvalues([3.0, 1.0, 2.0], [0.0, 0.0]) == [3.0, 2.0, 1.0]
+    with pytest.raises(ValueError, match="offdiag must have length n-1"):
+        ql_eigenvalues([1.0, 2.0], [])
+
+
+@pytest.mark.parametrize("diag, off", [
+    # where the rational recurrence meets a zero g: at the last step of a
+    # sweep on [[0, 1], [1, 0]], where no division follows; at the first
+    # d[m] of a sweep on the second matrix; inside a sweep, before the
+    # division by g, on the path P_4
+    ([0.0, 0.0], [1.0]),
+    ([0.0, 0.0, -1.0], [1.0, 1.0]),
+    ([0.0] * 4, [1.0] * 3),
+])
+def test_ql_zero_diagonal_where_the_recurrence_meets_zero(diag, off):
+    got = ql_eigenvalues(diag, off)
+    want = sorted(np.linalg.eigvalsh(
+        np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)), reverse=True)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14
+    assert sum(got) == pytest.approx(sum(diag), abs=1e-14)
+
+
+@pytest.mark.parametrize("diag, off", [
+    ([math.nan, 1.0, 2.0], [1.0, 1.0]),
+    ([1.0, 1.0, 2.0], [1.0, math.nan]),
+    ([1.0, 1.0], [math.inf]),
+    ([-math.inf, 1.0], [1.0]),
+])
+def test_ql_refuses_a_non_finite_entry(diag, off):
+    # a NaN subdiagonal squares to NaN, which no comparison finds above
+    # the deflation floor: unchecked, it deflates and yields finite values
+    with pytest.raises(ArithmeticError, match="non-finite entry"):
+        ql_eigenvalues(diag, off)
+
+
+def test_ql_matches_numpy_on_random_tridiagonals():
+    # zeros, repeated values and tiny entries on both diagonals
+    rng = random.Random(33)
+    for _ in range(300):
+        n = rng.randrange(1, 40)
+        diag = [rng.choice((0.0, 1.0, -2.0, rng.uniform(-3.0, 3.0)))
+                for _ in range(n)]
+        off = [rng.choice((0.0, 1e-9, 1.0, rng.uniform(-3.0, 3.0)))
+               for _ in range(n - 1)]
+        t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        want = sorted(np.linalg.eigvalsh(t), reverse=True)
+        norm = max(np.abs(t).sum(axis=1).max(), 1.0)
+        got = ql_eigenvalues(diag, off)
+        assert got == sorted(got, reverse=True)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14 * norm
+
+
 def assert_clusters(spec, expected):
     assert len(spec.clusters) == len(expected)
     for (got_v, got_m), (want_v, want_m) in zip(spec.clusters, expected):
