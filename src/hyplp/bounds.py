@@ -54,6 +54,10 @@ MAX_ROUNDS = 100
 INTERVAL_CONDITION = "f <= 0 on [-r, theta]"
 
 
+class DiameterCapError(ValueError):
+    """theta above lambda_DIAMETER_CAP, the largest zero of G_d searched."""
+
+
 class LPConditionError(ValueError):
     """A certificate hypothesis failed; message names the condition and witness."""
 
@@ -81,7 +85,8 @@ class BoundResult(Record):
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not math.isfinite(float(self.value)):
+        # an int, Fraction or Surd is finite, also past the float range
+        if isinstance(self.value, float) and not math.isfinite(self.value):
             raise ValueError("bound value must be finite")
 
 
@@ -97,12 +102,11 @@ def _exact(x: Number) -> Fraction | Surd:
     return x if isinstance(x, Surd) else Fraction(x)
 
 
-def _require_below_top(params: Params, theta: Number) -> None:
-    """Refuse theta >= u-2+2*sqrt(q), decided exactly on the number theta
-    is: y = theta - (u-2) is below the top when y < 0 or y^2 < 4q."""
+def below_top(params: Params, theta: Number) -> bool:
+    """theta < u-2+2*sqrt(q), decided exactly on the number theta is:
+    y = theta - (u-2) is below the top when y < 0 or y^2 < 4q."""
     y = _exact(theta) - (params.u - 2)
-    if y >= 0 and y * y >= 4 * params.q:
-        raise ValueError(f"theta must be < {params.top}")
+    return y < 0 or y * y < 4 * params.q
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +306,8 @@ def lp_bound_optimize(params: Params, theta: Number, s: int) -> BoundResult:
     given."""
     if s < 1:
         raise ValueError("degree must be >= 1")
-    _require_below_top(params, theta)
+    if not below_top(params, theta):
+        raise ValueError(f"theta must be < {params.top}")
     th = float(theta)
     lo = -float(params.r)
     if th < lo:
@@ -416,7 +421,7 @@ def select_diameter(params: Params, theta: Number):
     d above DIAMETER_CAP is refused."""
     d, gd1, fd = _scan_G(params, theta, DIAMETER_CAP)
     if fd is None:
-        raise ValueError(
+        raise DiameterCapError(
             f"theta = {float(theta)} needs a diameter d above the cap "
             f"{DIAMETER_CAP}: the largest zero of G_d stays below theta "
             f"up to d = {DIAMETER_CAP} and approaches u-2+2*sqrt(q) = "
@@ -430,7 +435,8 @@ def closed_form_h_bound(params: Params, theta: Number) -> BoundResult:
     where d is the smallest index with G_d(theta) <= 0.  Exact for int,
     Fraction and Surd theta, with a certificate for a rational theta."""
     k, q = params.k, params.q
-    _require_below_top(params, theta)
+    if not below_top(params, theta):
+        raise ValueError(f"theta must be < {params.top}")
     if theta < -k:
         raise ValueError(f"theta must be >= -k = {-k}")
     d, gd1, fd = select_diameter(params, theta)

@@ -151,15 +151,16 @@ def fmt(x) -> str:
         x, up = x.value, x.up
     if isinstance(x, bool):
         return "yes" if x else "no"
+    if isinstance(x, float) and (up is None or math.isinf(x)):
+        return "inf" if math.isinf(x) else fixed5(x)
     if not isinstance(x, (float, Fraction, surd.Surd)) or (
             isinstance(x, Fraction) and x.denominator <= 10 ** 6):
         return str(x)
-    if math.isinf(x):
-        return "inf"
-    if up is None:
-        return fixed5(float(x))
+    # exact at any size; to nearest, half up, since neither a surd nor a
+    # Fraction with denominator above 10^6 is a tie (2 * 10^5 is a tie's)
     scaled = (x if isinstance(x, surd.Surd) else Fraction(x)) * 10 ** 5
-    n = -math.floor(-scaled) if up else math.floor(scaled)
+    n = (math.floor(scaled + Fraction(1, 2)) if up is None
+         else -math.floor(-scaled) if up else math.floor(scaled))
     whole, frac = divmod(abs(n), 10 ** 5)
     return f"{'-' if n < 0 else ''}{whole}.{frac:05d}"
 
@@ -396,34 +397,24 @@ def analyze_pairs(h: Hypergraph) -> list:
     # N N^T = A + rI and N^T N = A* + uI hold by definition here (README)
     pairs.append(("spectrum_correspondence", "ok"))
 
+    # the paper's theorems: the closed form at tau2 bounds the order of every
+    # connected (r, u)-regular hypergraph, and only T(r, u, d, c) meets it
     tight = t_array(params, dr)
     if tight is not None:
-        # the paper's equality theorem: the order of T(r, u, d, c) is the
-        # closed form at its tau2, the largest zero of g_c
-        pairs.append(("order_bound_at_tau2",
-                      {"value": h.n, "d": tight[0], "c": tight[1],
-                       "relation": "met with equality"}))
-    elif tau2 < params.top - 1e-12:
-        hb = bounds.closed_form_h_bound(params, tau2)
-        value = hb.value
-        if isinstance(tau2, int):
-            exact = value == h.n
-            within = h.n <= value
-        else:
-            exact = abs(value - h.n) <= 1e-6 * max(1.0, value)
-            within = h.n <= value + 1e-9
-        if exact:
-            relation = "met with equality"
-        elif within:
-            relation = f"order {h.n} within bound"
-        else:
-            relation = f"order {h.n} EXCEEDS bound"
-        pairs.append(("order_bound_at_tau2",
-                      {"value": value, "d": hb.params["d"], "c": hb.params["c"],
-                       "relation": relation}))
+        bound = {"value": h.n, "d": tight[0], "c": tight[1],
+                 "relation": "met with equality"}
+    elif not bounds.below_top(params, tau2):
+        bound = "none (tau2 at or above the universal-cover spectral top)"
     else:
-        pairs.append(("order_bound_at_tau2",
-                      "none (tau2 at or above the universal-cover spectral top)"))
+        try:
+            hb = bounds.closed_form_h_bound(params, tau2)
+        except bounds.DiameterCapError:
+            bound = (f"none (tau2 above lambda_{bounds.DIAMETER_CAP}, the largest "
+                     "zero of G_d the closed form searches)")
+        else:
+            bound = {"value": hb.value, "d": hb.params["d"], "c": hb.params["c"],
+                     "relation": f"order {h.n} within bound"}
+    pairs.append(("order_bound_at_tau2", bound))
 
     # on a T-array, tau2_lower(n) finds the array's d and c, and its floor
     # is the same zero of g_c: the slack is 0

@@ -242,11 +242,11 @@ def symmetric_eigenvalues(m: Sequence[Sequence[float]]) -> Spectrum:
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
     # row i equals column i exactly on symmetric input; only a row that
-    # does not is walked, to name its first j > i beyond the tolerance
+    # does not is walked, to name its first j > i beyond the tolerance or NaN
     for i, (row, col) in enumerate(zip(m, zip(*m))):
         if tuple(row) != col:
             for j in range(i + 1, n):
-                if abs(row[j] - col[j]) > _SYMMETRY_TOL:
+                if not abs(row[j] - col[j]) <= _SYMMETRY_TOL:
                     raise ValueError(f"matrix not symmetric at ({i}, {j})")
     if n == 0:
         return Spectrum((), ())

@@ -1129,6 +1129,13 @@ def test_bound_result_rejects_non_finite():
         BoundResult(math.inf, "X", {})
 
 
+def test_bound_result_takes_exact_values_past_the_float_range():
+    # an int, Fraction or Surd is finite whatever its size; float() of one
+    # past 1.8e308 raised OverflowError
+    for value in (10 ** 400, Fraction(10 ** 400, 3), surd.sqrt(2) * 10 ** 400):
+        assert BoundResult(value, "X", {}).value == value
+
+
 def test_refinement_records_are_frozen():
     ref = Refinement("c-integrality", 25, 24, "c = 5/2 not an integer")
     with pytest.raises(AttributeError):

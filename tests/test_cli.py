@@ -70,6 +70,33 @@ def test_fmt_rules():
     assert fmt("word") == "word"
 
 
+def test_fmt_rounds_exact_numbers_past_the_float_range():
+    # float() of these overflowed; they round exactly, to nearest and outward
+    third = Fraction(10 ** 400, 3) + Fraction(1, 10 ** 7)
+    assert fmt(third) == "3" * 400 + ".33333"
+    assert fmt(-third) == "-" + "3" * 400 + ".33333"
+    assert fmt(cli.Rounded(third, True)) == "3" * 400 + ".33334"
+    assert fmt(cli.Rounded(-third, False)) == "-" + "3" * 400 + ".33334"
+    # sqrt2 * 10^400 to 5 decimals is m / 10^5, m = floor(sqrt(2 * 10^810) + 1/2)
+    m = math.isqrt(2 * 10 ** 810)
+    m += 8 * 10 ** 810 > (2 * m + 1) ** 2
+    assert fmt(surd.sqrt(2) * 10 ** 400) == f"{m // 10 ** 5}.{m % 10 ** 5:05d}"
+
+
+def test_fmt_exact_nearest_is_the_float_print_in_the_float_range():
+    # a Fraction with denominator above 10^6 is never a tie at 5 decimals
+    # (a tie has 2 * 10^5 as denominator), nor is an irrational Surd
+    rng = random.Random(34)
+    for _ in range(2000):
+        x = Fraction(rng.randrange(-10 ** 12, 10 ** 12), rng.randrange(10 ** 6 + 1, 10 ** 9))
+        if x.denominator > 10 ** 6:
+            assert fmt(x) == cli.fixed5(float(x)), x
+        b = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 100), rng.randrange(1, 10))
+        s = x + b * surd.sqrt(rng.choice((2, 3, 5, 7, 10)))
+        assert fmt(s) == cli.fixed5(float(s)), s
+    assert fmt(Fraction(-1, 10 ** 7)) == "0.00000"
+
+
 def test_jval_rules():
     assert jval(Fraction(1, 2)) == "1/2"
     assert jval(Fraction(4, 1)) == 4
@@ -456,6 +483,38 @@ def test_closed_form_refuses_a_diameter_above_the_cap(capsys):
     assert "internal" not in err
 
 
+@pytest.mark.parametrize("how", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    # d = 57, with a certificate; `--r 11 --u 4 --theta 12.954` fails alike
+    # at d = 346, in seconds
+    ["closed-form", "--r", "1001", "--u", "1001", "--theta", "2996"],
+    ["diam", "--r", "3", "--u", "2", "--ell", "600"],
+    ["imp2", "--r", "3", "--u", "2", "--theta", "2.8", "--d", "2000"]],
+    ids=["closed-form", "diam", "imp2"])
+def test_bounds_past_the_float_range_print_exactly(capsys, argv, how):
+    # each exited 3 with "too large ... for a float"
+    code, out, err = run(capsys, "bound", *argv, "--format", how)
+    assert code == 0, err
+    pairs = json.loads(out) if how == "json" else {
+        line.split(": ", 1)[0]: line.split(": ", 1)[1] for line in out.splitlines()}
+    if argv[0] == "closed-form":
+        params = Params(1001, 1001)
+        d, g, f = bounds.select_diameter(params, 2996)
+        raw = bounds.moore_order(params, d - 1) + Fraction(
+            params.k * params.q ** (d - 1) * g, -f)
+        assert raw.denominator > 1 and raw > 10 ** 309
+        # c is not an integer, and 1001 v is divisible by 1001 for every v
+        assert pairs["value"] == (math.floor(raw) if how == "json" else str(math.floor(raw)))
+        up = -math.floor(-raw * 10 ** 5)
+        assert pairs["refinement [c-integrality]"].startswith(
+            f"{up // 10 ** 5}.{up % 10 ** 5:05d} -> {math.floor(raw)} (")
+        assert pairs["certificate_f_basis"]
+    else:
+        value = bounds.moore_order(Params(3, 2), {"diam": 1200, "imp2": 1999}[argv[0]])
+        assert value > 10 ** 309
+        assert pairs["value"] == (value if how == "json" else str(value))
+
+
 def test_main_reuses_one_parser(capsys, monkeypatch):
     run(capsys, "bound", "ru1", "--r", "16", "--u", "3")
     monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("rebuilt"))
@@ -682,7 +741,10 @@ def test_analyze_json_is_byte_identical_to_the_recorded_output(capsys, name):
     # recorded before the integer layers moved to packed rows and sphere
     # bitsets: OA(3,7), OA(4,11), OA(3,13), configuration-model inputs with
     # m < n and m > n, an irregular and a disconnected input; OA(4,29) and
-    # the 13-cycle were recorded before the girth came from the traces
+    # the 13-cycle were recorded before the girth came from the traces;
+    # cap-window (tau2 2.828355190188794, between lambda_400 and 2 sqrt2,
+    # exited 2 naming a theta) and prism-20 (C_20 x K_2, tau2 above the
+    # top) pin the two "none" lines
     code, out, err = run(capsys, "analyze", os.path.join(GOLDEN, name + ".txt"),
                          "--format", "json")
     assert code == 0, err
@@ -1156,7 +1218,8 @@ def regular_sweep():
 
 def test_equality_exactly_on_t_arrays_whose_d_and_c_tau2_lower_finds():
     # "met with equality" is printed exactly when the array is
-    # T(r, u, d, c), and then tau2_lower(n) finds the array's d and c
+    # T(r, u, d, c), and then tau2_lower(n) finds the array's d and c;
+    # every other order lies within the closed form at its tau2
     tight = 0
     for h in regular_sweep():
         an = cli.Analysis(h)
@@ -1169,6 +1232,12 @@ def test_equality_exactly_on_t_arrays_whose_d_and_c_tau2_lower_finds():
         if t is not None:
             assert bounds.tau2_lower(params, h.n)[:2] == t
             tight += 1
+        elif isinstance(bound, dict):
+            assert bound["value"] >= h.n, h
+        else:
+            # one configuration-model draw, (3, 2) on 24 vertices, has
+            # tau2 = 2.83381 above 2 sqrt2
+            assert an.tau2 > params.top and "spectral top" in bound, h
     assert tight >= 40
 
 

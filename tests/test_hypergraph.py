@@ -117,7 +117,7 @@ def list_inputs(corpus):
         if name.endswith(".txt"):
             with open(os.path.join(folder, name)) as fh:
                 goldens.append(Hypergraph.from_text(fh.read()))
-    assert len(goldens) == 9
+    assert len(goldens) == 11
     fixtures = [named_fixture(name) for name in fixture_names()]
     assert len(fixtures) == 15
     return (corpus + fixtures + goldens

@@ -215,6 +215,16 @@ def test_symmetry_error_names_the_first_pair_in_row_order():
         symmetric_eigenvalues(m)
 
 
+@pytest.mark.parametrize("m", [[[0.0, math.nan], [1.0, 0.0]],
+                               [[0.0, 1.0], [math.nan, 0.0]]], ids=["above", "below"])
+def test_nan_off_the_diagonal_is_not_symmetric(m):
+    # every comparison with a NaN is False: `abs(nan - 1) > tol` let the
+    # matrix through, and the reduction, which reads the lower triangle,
+    # returned the spectrum (1, -1) of another matrix
+    with pytest.raises(ValueError, match=r"^matrix not symmetric at \(0, 1\)$"):
+        symmetric_eigenvalues(m)
+
+
 def test_ql_on_path_graph():
     # eigenvalues of the n-path adjacency are 2 cos(pi j / (n+1))
     for n in (2, 3, 5, 9):
